@@ -110,19 +110,19 @@ func setStatementEnd(st Statement, end int) {
 // WITH (...). The source's name is the stream name that CREATE STREAM
 // selects FROM.
 type CreateSource struct {
-	Pos, End   int
-	Name  string
-	Type  string
-	Props []Prop
+	Pos, End int
+	Name     string
+	Type     string
+	Props    []Prop
 }
 
 // CreateSink declares a named output: CREATE SINK name TYPE null|file
 // WITH (...).
 type CreateSink struct {
-	Pos, End   int
-	Name  string
-	Type  string
-	Props []Prop
+	Pos, End int
+	Name     string
+	Type     string
+	Props    []Prop
 }
 
 // CreateStream registers a continuous query: CREATE STREAM name
@@ -130,7 +130,7 @@ type CreateSink struct {
 // verbatim cql text starting at SelectPos in the script source; it is
 // parsed during analysis so Parse stays schema-free.
 type CreateStream struct {
-	Pos, End       int
+	Pos, End  int
 	Name      string
 	Props     []Prop
 	Emitter   Emitter
@@ -141,21 +141,21 @@ type CreateStream struct {
 
 // Drop removes a catalog object: DROP STREAM|SOURCE|SINK name.
 type Drop struct {
-	Pos, End  int
-	Kind ObjectKind
-	Name string
+	Pos, End int
+	Kind     ObjectKind
+	Name     string
 }
 
 // Pause quiesces a stream at a task boundary: PAUSE STREAM name.
 type Pause struct {
-	Pos, End  int
-	Name string
+	Pos, End int
+	Name     string
 }
 
 // Resume restarts a paused stream: RESUME STREAM name.
 type Resume struct {
-	Pos, End  int
-	Name string
+	Pos, End int
+	Name     string
 }
 
 func (s *CreateSource) Position() int { return s.Pos }

@@ -109,7 +109,7 @@ func crashRestoreRoundTrip(t *testing.T, mkQuery func(*testing.T) *query.Query, 
 	// chunking-independent, so the output must not care.
 	rnd2 := rand.New(rand.NewSource(23))
 	for off := cursor * int64(tsz); off < int64(len(stream)); {
-		n := int64((1+rnd2.Intn(200))*tsz)
+		n := int64((1 + rnd2.Intn(200)) * tsz)
 		if off+n > int64(len(stream)) {
 			n = int64(len(stream)) - off
 		}

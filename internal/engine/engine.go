@@ -653,8 +653,10 @@ func (e *Engine) watchLoop() {
 			}
 			p.QueueLen = int64(e.queue.Len())
 			if rep, ok := w.Observe(now, p); ok {
-				e.stalls.Add(1)
+				// Publish the postmortem before counting the stall, so a
+				// reader that sees the counter move also sees the report.
 				e.stallDump.Store(e.formatStall(rep))
+				e.stalls.Add(1)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -339,6 +340,79 @@ func TestHybridUsesBothProcessors(t *testing.T) {
 	}
 	if st.GPUShare() <= 0 || st.GPUShare() >= 1 {
 		t.Fatalf("GPUShare = %g", st.GPUShare())
+	}
+}
+
+// TestHybridGroupedSlidingMatchesCPU: a grouped sliding aggregate with
+// windows much shorter than a task, run under HLS forced to alternate
+// processors, must emit per window the same rows as the CPU-only run.
+// CPU workers render windows complete in their task into rows, the GPU
+// emits them as partials, and windows spanning tasks merge fragments
+// from both processors.
+func TestHybridGroupedSlidingMatchesCPU(t *testing.T) {
+	w := window.NewCount(48, 16)
+	q := func() *query.Query {
+		return query.NewBuilder("hyb").
+			From("S", syn, w).
+			Aggregate(query.Sum, expr.Col("a"), "s").
+			Aggregate(query.Count, nil, "n").
+			GroupBy("b").
+			MustBuild()
+	}
+	stream := genStream(20000, 10)
+	run := func(dev *gpu.Device) ([]byte, Stats) {
+		cfg := fastConfig(2)
+		if dev != nil {
+			cfg.GPU = dev
+			cfg.SwitchThreshold = 1
+		}
+		eng := New(cfg)
+		h, err := eng.Register(q())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := collectOutput(h)
+		if err := eng.Start(); err != nil {
+			t.Fatal(err)
+		}
+		h.Insert(stream)
+		eng.Drain()
+		eng.Close()
+		return out.buf, h.Stats()
+	}
+	dev := gpu.Open(gpu.Config{SMs: 2, Model: model.Default().Scaled(1e-6)})
+	defer dev.Close()
+	cpu, _ := run(nil)
+	hybrid, st := run(dev)
+	if st.TasksCPU == 0 || st.TasksGPU == 0 {
+		t.Fatalf("both processors should contribute: %+v", st)
+	}
+
+	// Every window of 48 consecutive tuples holds one row per distinct b.
+	out := q().OutputSchema()
+	tsz, osz := syn.TupleSize(), out.TupleSize()
+	n := len(stream) / tsz
+	if len(cpu) != len(hybrid) {
+		t.Fatalf("rows: hybrid %d, CPU-only %d", len(hybrid)/osz, len(cpu)/osz)
+	}
+	off := 0
+	for k := int64(0); w.Start(k) < int64(n); k++ {
+		groups := map[int32]bool{}
+		for i := w.Start(k); i < w.End(k) && i < int64(n); i++ {
+			groups[syn.ReadInt32(stream[i*int64(tsz):], 2)] = true
+		}
+		end := off + len(groups)*osz
+		if end > len(cpu) {
+			t.Fatalf("window %d: output ends after %d rows", k, off/osz)
+		}
+		got, want := sortedRows(out, hybrid[off:end]), sortedRows(out, cpu[off:end])
+		if !slices.Equal(got, want) {
+			t.Fatalf("window %d:\n hybrid %v\n cpu    %v", k, got, want)
+		}
+		off = end
+	}
+	if off != len(cpu) {
+		t.Fatalf("%d rows beyond the last window", (len(cpu)-off)/osz)
 	}
 }
 

@@ -56,8 +56,8 @@ type resultStage struct {
 	// end-of-batch timestamp of the last task drained — the input replay
 	// cursor and window.Context continuity at the frontier. Guarded by
 	// drainMu (updated by the drainer, read by the checkpoint capture).
-	lastFreeTo  [2]int64
-	lastPrevTS  [2]int64
+	lastFreeTo [2]int64
+	lastPrevTS [2]int64
 }
 
 type overflowEntry struct {

@@ -9,8 +9,10 @@ import (
 )
 
 // processAggregate runs the windowed-aggregation batch operator function:
-// it computes the batch's window fragments and produces one WindowPartial
-// per fragment. Sliding windows use incremental computation (paper §5.3):
+// it computes the batch's window fragments, renders every window that
+// opens and closes in the batch into result rows, and produces one
+// WindowPartial per other fragment (TaskResult.route). Sliding windows
+// use incremental computation (paper §5.3):
 // for invertible functions (count/sum/avg) the scalar path takes O(1) per
 // fragment off prefix sums, and the grouped path maintains a rolling group
 // table that is updated with the tuples entering and leaving consecutive
@@ -254,7 +256,7 @@ func (p *Plan) emitPrefixFrags(sc *scratch, view tsView, prefC []int64, prefV []
 		for a := 0; a < m; a++ {
 			part.Vals[a] = prefV[f.End*m+a] - prefV[f.Start*m+a]
 		}
-		res.Partials = append(res.Partials, part)
+		res.route(p, part)
 	}
 }
 
@@ -308,7 +310,7 @@ func (p *Plan) aggScalarDirect(in Batch, sc *scratch, view tsView, res *TaskResu
 				}
 			}
 		}
-		res.Partials = append(res.Partials, part)
+		res.route(p, part)
 	}
 }
 
@@ -385,7 +387,7 @@ func (p *Plan) aggScalarDirectVec(in Batch, sc *scratch, view tsView, res *TaskR
 			}
 			part.Vals[a] = acc
 		}
-		res.Partials = append(res.Partials, part)
+		res.route(p, part)
 	}
 }
 
@@ -493,7 +495,7 @@ func (p *Plan) aggGroupedRolling(in Batch, sc *scratch, view tsView, res *TaskRe
 		}
 		curEnd = f.End
 
-		res.Partials = append(res.Partials, p.snapshotRolling(roll, f, view))
+		p.emitRolling(roll, f, view, res)
 	}
 	sc.keyBuf = keyBuf
 }
@@ -549,15 +551,25 @@ func (p *Plan) aggGroupedRollingVec(in Batch, sc *scratch, view tsView, res *Tas
 		}
 		curEnd = f.End
 
-		res.Partials = append(res.Partials, p.snapshotRolling(roll, f, view))
+		p.emitRolling(roll, f, view, res)
 	}
 	sc.keyBuf = keyBuf
 }
 
+// emitRolling renders a window complete in this task straight from the
+// rolling table and snapshots any other fragment into a partial. A group's
+// max contributing timestamp stays correct under rolling removal because
+// removals always drop the window's oldest tuples.
+func (p *Plan) emitRolling(roll *HashTable, f window.Fragment, view tsView, res *TaskResult) {
+	if f.Opens && f.Closes {
+		res.Stream = p.appendGroupRows(res.Stream, roll, fragLastTS(view, f.Start, f.End))
+		return
+	}
+	res.Partials = append(res.Partials, p.snapshotRolling(roll, f, view))
+}
+
 // snapshotRolling copies the rolling table's live groups into a pooled
-// per-fragment table. A group's max contributing timestamp stays correct
-// under rolling removal because removals always drop the window's oldest
-// tuples.
+// per-fragment table.
 func (p *Plan) snapshotRolling(roll *HashTable, f window.Fragment, view tsView) WindowPartial {
 	snap := p.newTable()
 	roll.Range(func(sl Slot) {
@@ -596,7 +608,7 @@ func (p *Plan) aggGroupedDirect(in Batch, sc *scratch, view tsView, res *TaskRes
 			p.addTupleToSlot(sl, tuple, +1)
 			sl.ObserveTS(view.At(i))
 		}
-		res.Partials = append(res.Partials, WindowPartial{
+		res.route(p, WindowPartial{
 			Window:     f.Window,
 			OpenedHere: f.Opens,
 			ClosedHere: f.Closes,
@@ -626,7 +638,7 @@ func (p *Plan) aggGroupedDirectVec(in Batch, sc *scratch, view tsView, res *Task
 			p.addColsToSlot(sl, sc.cols, n, i, +1)
 			sl.ObserveTS(view.At(i))
 		}
-		res.Partials = append(res.Partials, WindowPartial{
+		res.route(p, WindowPartial{
 			Window:     f.Window,
 			OpenedHere: f.Opens,
 			ClosedHere: f.Closes,

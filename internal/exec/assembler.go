@@ -22,19 +22,20 @@ func NewAssembler(p *Plan) *Assembler {
 func (a *Assembler) Pending() int { return len(a.pending) }
 
 // Drain consumes one task's result and appends any output-stream bytes
-// that became complete. The caller may release res afterwards; Drain
+// that became complete: first the windows its partials close, which
+// opened in earlier tasks, then its Stream — IStream output, or windows
+// complete in this task, which have higher window indices than any
+// window closing here. The caller may release res afterwards; Drain
 // steals any resources it needs to keep.
 func (a *Assembler) Drain(res *TaskResult, dst []byte) []byte {
-	if a.p.Kind == Map {
-		// IStream: concatenation in task order is the whole assembly.
-		return append(dst, res.Stream...)
-	}
 	for i := range res.Partials {
 		part := &res.Partials[i]
 		acc, ok := a.pending[part.Window]
 		if !ok {
 			if part.ClosedHere {
-				// Complete in this task: finalise without buffering.
+				// Complete in this task (GPU kernels emit those as
+				// partials), or its earlier fragments were lost to a
+				// quarantined task: finalise without buffering.
 				dst = a.p.Finalize(part, dst)
 				continue
 			}
@@ -53,7 +54,7 @@ func (a *Assembler) Drain(res *TaskResult, dst []byte) []byte {
 			delete(a.pending, part.Window)
 		}
 	}
-	return dst
+	return append(dst, res.Stream...)
 }
 
 // Flush finalises every still-open window, in window order, as if the

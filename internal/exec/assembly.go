@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"slices"
 
 	"saber/internal/query"
 	"saber/internal/schema"
@@ -113,7 +114,7 @@ func (p *Plan) finalizeScalar(part *WindowPartial, dst []byte) []byte {
 		return dst // empty window: no row (CQL aggregate over empty input)
 	}
 	base := len(dst)
-	dst = append(dst, make([]byte, p.out.TupleSize())...)
+	dst = extend(dst, p.out.TupleSize())
 	tuple := dst[base:]
 	p.out.SetTimestamp(tuple, part.MaxTS)
 	for i, spec := range p.aggs {
@@ -129,18 +130,27 @@ func (p *Plan) finalizeGrouped(part *WindowPartial, dst []byte) []byte {
 	if part.Table == nil {
 		return dst
 	}
+	return p.appendGroupRows(dst, part.Table, part.MaxTS)
+}
+
+// appendGroupRows renders one window's group table as output rows, in
+// the table's insertion order, growing dst once for the whole window.
+// Groups with no live tuples are skipped: a rolling table keeps groups
+// whose rows all rolled out, with a stale MaxTS. fallbackTS stamps groups
+// that carry no timestamp of their own.
+func (p *Plan) appendGroupRows(dst []byte, t *HashTable, fallbackTS int64) []byte {
 	out := p.out
 	osz := out.TupleSize()
-	part.Table.Range(func(sl Slot) {
+	w := len(dst)
+	dst = extend(dst, t.Len()*osz)
+	t.Range(func(sl Slot) {
 		if sl.Count() <= 0 {
 			return
 		}
-		base := len(dst)
-		dst = append(dst, make([]byte, osz)...)
-		tuple := dst[base:]
+		tuple := dst[w : w+osz]
 		ts := sl.MaxTS()
 		if ts == minInt64 {
-			ts = part.MaxTS
+			ts = fallbackTS
 		}
 		out.SetTimestamp(tuple, ts)
 		// Group key bytes land directly after the timestamp: the output
@@ -151,9 +161,19 @@ func (p *Plan) finalizeGrouped(part *WindowPartial, dst []byte) []byte {
 			p.writeAggValue(tuple, spec, sl.Val(i), sl.Count())
 		}
 		if p.having != nil && !p.having.EvalTuple(tuple) {
-			dst = dst[:base]
+			return // the next row overwrites the same fields
 		}
+		w += osz
 	})
+	return dst[:w]
+}
+
+// extend returns dst grown by n zeroed bytes, allocating only when dst
+// lacks the capacity (appending a fresh make allocates under -race).
+func extend(dst []byte, n int) []byte {
+	l := len(dst)
+	dst = slices.Grow(dst, n)[:l+n]
+	clear(dst[l:])
 	return dst
 }
 

@@ -19,13 +19,15 @@ import (
 // The table uses struct-of-arrays storage backed by flat slices, which is
 // the Go rendition of the paper's byte-array-backed tables: no per-group
 // allocation, trivially poolable, and the state words are plain int32s the
-// GPGPU kernels can CAS on.
+// GPGPU kernels can CAS on. live lists the occupied slots in insertion
+// order, so iteration, reset and rehash cost O(groups), not O(capacity),
+// and Range visits groups in the order they were first inserted.
 type HashTable struct {
 	keyLen int // group key width in bytes
 	nAggs  int // accumulators per group
 	cap    int // slot count, power of two
-	used   int
 
+	live   []int32   // occupied slot indices, in insertion order
 	state  []int32   // 0 = empty, 1 = occupied
 	keys   []byte    // cap * keyLen
 	counts []int64   // tuples per group
@@ -53,7 +55,7 @@ func NewHashTable(keyLen, nAggs, capacity int) *HashTable {
 }
 
 // Len returns the number of occupied groups.
-func (h *HashTable) Len() int { return h.used }
+func (h *HashTable) Len() int { return len(h.live) }
 
 // Cap returns the slot count.
 func (h *HashTable) Cap() int { return h.cap }
@@ -66,13 +68,10 @@ func (h *HashTable) NumAggs() int { return h.nAggs }
 
 // Reset empties the table, retaining capacity.
 func (h *HashTable) Reset() {
-	if h.used == 0 {
-		return
-	}
-	for i := range h.state {
+	for _, i := range h.live {
 		h.state[i] = 0
 	}
-	h.used = 0
+	h.live = h.live[:0]
 }
 
 // Hash is the shared hash function: FNV-1a over the key bytes. Exported so
@@ -161,13 +160,14 @@ func (h *HashTable) Upsert(key []byte, init func(Slot)) Slot {
 	if len(key) != h.keyLen {
 		panic(fmt.Sprintf("exec: key length %d, table expects %d", len(key), h.keyLen))
 	}
-	if h.used*2 >= h.cap {
+	if len(h.live)*2 >= h.cap {
 		h.grow()
 	}
 	i, found := h.slotFor(key)
 	s := Slot{h, i}
 	if !found {
 		h.state[i] = 1
+		h.live = append(h.live, int32(i))
 		copy(h.keys[i*h.keyLen:], key)
 		h.counts[i] = 0
 		h.maxTS[i] = math.MinInt64
@@ -177,7 +177,6 @@ func (h *HashTable) Upsert(key []byte, init func(Slot)) Slot {
 		if init != nil {
 			init(s)
 		}
-		h.used++
 	}
 	return s
 }
@@ -188,36 +187,31 @@ func (h *HashTable) Lookup(key []byte) (Slot, bool) {
 	return Slot{h, i}, found
 }
 
-// Range calls fn for every occupied group, in unspecified order.
+// Range calls fn for every occupied group, in insertion order.
 func (h *HashTable) Range(fn func(Slot)) {
-	for i := 0; i < h.cap; i++ {
-		if h.state[i] == 1 {
-			fn(Slot{h, i})
-		}
+	for _, i := range h.live {
+		fn(Slot{h, int(i)})
 	}
 }
 
 func (h *HashTable) grow() {
 	old := *h
 	h.cap = old.cap * 2
+	h.live = make([]int32, 0, h.cap/2)
 	h.state = make([]int32, h.cap)
 	h.keys = make([]byte, h.cap*h.keyLen)
 	h.counts = make([]int64, h.cap)
 	h.vals = make([]float64, h.cap*h.nAggs)
 	h.maxTS = make([]int64, h.cap)
-	h.used = 0
-	for i := 0; i < old.cap; i++ {
-		if old.state[i] != 1 {
-			continue
-		}
-		key := old.keys[i*old.keyLen : (i+1)*old.keyLen]
+	for _, i := range old.live {
+		key := old.keys[int(i)*old.keyLen : (int(i)+1)*old.keyLen]
 		j, _ := h.slotFor(key)
 		h.state[j] = 1
+		h.live = append(h.live, int32(j))
 		copy(h.keys[j*h.keyLen:], key)
 		h.counts[j] = old.counts[i]
 		h.maxTS[j] = old.maxTS[i]
-		copy(h.vals[j*h.nAggs:(j+1)*h.nAggs], old.vals[i*old.nAggs:(i+1)*old.nAggs])
-		h.used++
+		copy(h.vals[j*h.nAggs:(j+1)*h.nAggs], old.vals[int(i)*old.nAggs:(int(i)+1)*old.nAggs])
 	}
 }
 

@@ -43,7 +43,9 @@ func genStream(n int, seed int64) []byte {
 }
 
 // runPlan executes a plan over the stream split into batches of batchTuples
-// tuples, draining results in task order and flushing open windows.
+// tuples, draining results in task order and flushing open windows. It
+// fails the test if an aggregate window complete in its task reaches the
+// assembler as a partial instead of as rows.
 func runPlan(t *testing.T, p *Plan, stream []byte, batchTuples int) []byte {
 	t.Helper()
 	return runPlanStreams(t, p, [2][]byte{stream, nil}, batchTuples)
@@ -91,6 +93,11 @@ func runPlanStreams(t *testing.T, p *Plan, streams [2][]byte, batchTuples int) [
 		res := p.NewResult()
 		if err := p.Process(in, res); err != nil {
 			t.Fatalf("Process: %v", err)
+		}
+		for _, part := range res.Partials {
+			if p.Kind == Aggregate && part.OpenedHere && part.ClosedHere {
+				t.Fatalf("window %d is complete in its task but left Process as a partial", part.Window)
+			}
 		}
 		out = asm.Drain(res, out)
 		p.ReleaseResult(res)

@@ -7,9 +7,8 @@ import "sort"
 // copies outside the result stage's locks, so they must share no storage
 // with the live assembler or any pooled TaskResult.
 
-// Clone returns a deep copy of the table: same capacity and slot layout,
-// no shared storage. Preserving the exact capacity keeps Range iteration
-// order identical between the original and the copy.
+// Clone returns a deep copy of the table: same capacity, slot layout and
+// insertion order, no shared storage.
 func (h *HashTable) Clone() *HashTable {
 	if h == nil {
 		return nil
@@ -18,7 +17,7 @@ func (h *HashTable) Clone() *HashTable {
 		keyLen: h.keyLen,
 		nAggs:  h.nAggs,
 		cap:    h.cap,
-		used:   h.used,
+		live:   append([]int32(nil), h.live...),
 		state:  append([]int32(nil), h.state...),
 		keys:   append([]byte(nil), h.keys...),
 		counts: append([]int64(nil), h.counts...),

@@ -45,8 +45,8 @@ func (v tsView) At(i int) int64 { return v.s.Timestamp(v.data[i*v.s.TupleSize():
 // WindowPartial is the window fragment result a task produces for one
 // window (paper §3, f_f output). Its payload depends on the operator class:
 //
-//   - IStream operators (π, σ) bypass partials entirely — their output is
-//     TaskResult.Stream.
+//   - IStream operators (π, σ) and aggregate windows complete in one CPU
+//     task bypass partials entirely: their output is TaskResult.Stream.
 //   - Aggregations carry either scalar accumulators (Count/Vals/MaxTS) or a
 //     group hash table (Table).
 //   - Joins carry the result tuples joined so far (Data) plus the window's
@@ -77,11 +77,14 @@ type WindowPartial struct {
 
 // TaskResult is the output of the batch operator function for one task.
 type TaskResult struct {
-	// Stream is the IStream output for π/σ tasks: transformed tuples in
-	// input order. Assembly for these operators is pure concatenation in
-	// task order.
+	// Stream is output that needs no assembly: the IStream output of π/σ
+	// tasks (transformed tuples in input order), and the rows of RStream
+	// windows that opened and closed within this task, finalised by the
+	// worker in window order. The result stage appends it in task order,
+	// after finalising the windows that Partials close.
 	Stream []byte
-	// Partials holds RStream window fragment results in window order.
+	// Partials holds the fragment results of windows that span tasks, in
+	// window order.
 	Partials []WindowPartial
 	// FreeTo, per input, is the absolute ring-buffer offset up to which
 	// the input data is no longer needed once this result is consumed.
@@ -93,6 +96,16 @@ type TaskResult struct {
 	// result's pooled lifetime. Consumers that keep a partial beyond the
 	// result (the assembler's pending map) must copy Vals out.
 	valsArena []float64
+}
+
+// route files one aggregate fragment: a window complete in this task is
+// finalised straight into Stream, any other travels as a partial.
+func (r *TaskResult) route(p *Plan, part WindowPartial) {
+	if part.OpenedHere && part.ClosedHere {
+		r.Stream = p.Finalize(&part, r.Stream)
+		return
+	}
+	r.Partials = append(r.Partials, part)
 }
 
 // AllocVals carves a zeroed m-wide accumulator slice out of the result's

@@ -13,8 +13,10 @@ import (
 
 // These tests pin the vectorized CPU path to the per-tuple scalar path:
 // both plans process the same batch sequence and every TaskResult must be
-// byte-identical — Stream bytes, partial flags, counts, accumulator bits,
-// join payloads, and group-table contents.
+// byte-identical — Stream bytes (map output, and the rows of aggregate
+// windows complete in the task, whose group order both paths fix by
+// inserting groups in tuple order), partial flags, counts, accumulator
+// bits, join payloads, and group-table contents.
 
 // tableSnapshot renders a group table as sorted "key→count/vals/ts" lines
 // so two tables compare as sets of groups (iteration order is layout-

@@ -72,10 +72,10 @@ type Device struct {
 	batchHint atomic.Int64
 
 	// Telemetry.
-	tasksDone    atomic.Int64
-	tasksFailed  atomic.Int64 // tasks that left the pipeline with an error
-	hangs        atomic.Int64 // injected execute-stage stalls
-	bytesMoved   atomic.Int64
+	tasksDone     atomic.Int64
+	tasksFailed   atomic.Int64 // tasks that left the pipeline with an error
+	hangs         atomic.Int64 // injected execute-stage stalls
+	bytesMoved    atomic.Int64
 	inflight      atomic.Int64 // tasks holding a pipeline slot right now
 	stagingGrows  atomic.Int64 // hint-driven staging buffer reallocations
 	gathersElided atomic.Int64 // tasks staged columnar (no row gather)

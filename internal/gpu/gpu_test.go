@@ -154,6 +154,42 @@ func TestMapKernelEmptyAndAllPass(t *testing.T) {
 	}
 }
 
+// TestNoStaleStreamAcrossJobs: with one pipeline slot, an aggregate job
+// reuses the buffers a map job just wrote; it must not copy the map's
+// output into its own Stream.
+func TestNoStaleStreamAcrossJobs(t *testing.T) {
+	d := Open(Config{SMs: 2, WorkgroupTuples: 16, PipelineDepth: 1, Model: model.Default().Scaled(1e-6)})
+	t.Cleanup(d.Close)
+	mapPlan := mustCompile(t, query.NewBuilder("map").From("S", syn, window.NewCount(8, 8)).MustBuild())
+	aggPlan := mustCompile(t, query.NewBuilder("agg").
+		From("S", syn, window.NewCount(8, 8)).
+		Aggregate(query.Count, nil, "n").
+		GroupBy("b").
+		MustBuild())
+	in := [2]exec.Batch{{Data: genStream(64, 9), Ctx: window.Context{PrevTimestamp: window.NoPrev}}}
+
+	res := mapPlan.NewResult()
+	if err := d.Compile(mapPlan).Run(in, res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Stream) == 0 {
+		t.Fatal("map job produced no output; the test needs a non-empty device buffer")
+	}
+	mapPlan.ReleaseResult(res)
+
+	res = aggPlan.NewResult()
+	if err := d.Compile(aggPlan).Run(in, res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Stream) != 0 {
+		t.Fatalf("aggregate job's Stream holds %d stale bytes from the previous map job", len(res.Stream))
+	}
+	if len(res.Partials) == 0 {
+		t.Fatal("aggregate job produced no partials")
+	}
+	aggPlan.ReleaseResult(res)
+}
+
 // rowsAsSet normalises rows for order-insensitive comparison with small
 // float tolerance via formatting.
 func rowsAsSet(p *exec.Plan, out []byte) []string {

@@ -49,8 +49,11 @@ func (p *Program) Run(in [2]exec.Batch, res *exec.TaskResult) error {
 }
 
 // runKernels executes the plan's kernels over the job's device buffers.
-// Called from the pipeline's execute stage.
+// Called from the pipeline's execute stage. The slot pool is shared by
+// every query on the device, so stream output left by the slot's previous
+// job is dropped first; only mapKernel writes devOut.
 func (p *Program) runKernels(j *job) {
+	j.slot.devOut = j.slot.devOut[:0]
 	switch p.plan.Kind {
 	case exec.Map:
 		p.mapKernel(j)
@@ -136,7 +139,6 @@ func (p *Program) mapKernel(j *job) {
 		n = len(data) / tsz
 	}
 	j.tuples = n
-	j.slot.devOut = j.slot.devOut[:0]
 	if n == 0 {
 		return
 	}

@@ -38,9 +38,9 @@ type Buffer struct {
 	// mutex serialises CheckInvariants callers so watermark comparisons
 	// cannot observe stale loads (see CheckInvariants).
 	chk struct {
-		mu           sync.Mutex
-		start, end   int64
-		name         string
+		mu         sync.Mutex
+		start, end int64
+		name       string
 	}
 }
 

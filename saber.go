@@ -311,7 +311,9 @@ func (e *Engine) RegisterQuery(q *Query) (*QueryHandle, error) {
 	return &QueryHandle{h: h}, nil
 }
 
-// Start launches the worker threads; no further queries can be added.
+// Start launches the worker threads and fixes the scheduling policy.
+// Queries may still be registered on the running engine, except under the
+// static policy, whose assignments are fixed at Start.
 func (e *Engine) Start() error { return e.e.Start() }
 
 // Checkpoint cuts one durable epoch immediately (the automatic
