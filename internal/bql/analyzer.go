@@ -1,15 +1,18 @@
 package bql
 
 import (
+	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
-	"saber/internal/cql"
 	"saber/internal/overload"
 	"saber/internal/query"
 	"saber/internal/schema"
-	"saber/internal/workload"
 )
+
+// Streams maps the stream names a SELECT reads FROM to their schemas.
+type Streams map[string]*schema.Schema
 
 // StreamSpec is an analyzed CREATE STREAM: the compiled query plus the
 // engine knobs its WITH clause selected.
@@ -28,53 +31,17 @@ type StreamSpec struct {
 	Into string
 }
 
-// SourceSpec is an analyzed CREATE SOURCE.
-type SourceSpec struct {
-	Name string
-	Type string // "gen" or "tcp"
-	// Schema is the tuple layout of the stream this source feeds, and
-	// SchemaName the workload key it was resolved from (syn, cm, sg, lrb).
-	Schema     *schema.Schema
-	SchemaName string
-	// Gen-source knobs.
-	Seed     int64
-	Rate     float64 // tuples/sec; 0 = as fast as the engine admits
-	Count    int64   // total tuples to emit; 0 = unbounded
-	Vehicles int     // lrb only
-	// Tcp-source knob.
-	Addr string
-}
-
-// SinkSpec is an analyzed CREATE SINK.
-type SinkSpec struct {
-	Name string
-	Type string // "null" or "file"
-	Path string // file only
-}
-
-// genSchemas maps the gen/schema property values onto the built-in
-// workload schemas.
-var genSchemas = map[string]*schema.Schema{
-	"syn": workload.SynSchema,
-	"cm":  workload.CMSchema,
-	"sg":  workload.SGSchema,
-	"lrb": workload.LRBSchema,
-}
-
-// AnalyzeStream compiles a CREATE STREAM against the given stream
-// catalog: the embedded SELECT goes through the cql parser, with parse
-// errors remapped from select-body coordinates to script coordinates,
-// and WITH properties map onto per-query overload knobs.
-func AnalyzeStream(src string, st *CreateStream, cat cql.Catalog) (*StreamSpec, error) {
-	q, err := cql.Parse(st.Name, st.Select, cat)
+// AnalyzeStream compiles a CREATE STREAM against streams — an unknown
+// FROM stream is reported at its name, any other semantic error at the
+// SELECT keyword — and maps its WITH properties onto per-query overload
+// knobs.
+func AnalyzeStream(src string, st *CreateStream, streams Streams) (*StreamSpec, error) {
+	q, err := st.Select.compile(src, streams)
 	if err != nil {
-		if pe, ok := err.(*cql.ParseError); ok {
-			// Shift from select-body coordinates to script coordinates.
-			return nil, errAt(src, st.SelectPos+pe.Offset, "%s", pe.Msg)
+		if _, ok := err.(*Error); !ok {
+			err = ErrorAt(src, st.Select.Pos, "%v", err)
 		}
-		// Semantic errors (validation, unknown columns) carry no offset;
-		// anchor them at the SELECT keyword.
-		return nil, errAt(src, st.SelectPos, "%v", err)
+		return nil, err
 	}
 	spec := &StreamSpec{Query: q, Emitter: st.Emitter, Into: st.Into}
 	if spec.Emitter == EmitDefault {
@@ -95,6 +62,28 @@ func AnalyzeStream(src string, st *CreateStream, cat cql.Catalog) (*StreamSpec, 
 	return spec, nil
 }
 
+// compile binds a copy of the parsed query to the schemas of its FROM
+// streams and validates it. Only an unknown stream comes back as a
+// positioned *Error.
+func (s *Select) compile(src string, streams Streams) (*query.Query, error) {
+	q := *s.Query
+	q.Inputs = slices.Clone(q.Inputs)
+	for i := range q.Inputs {
+		sch, ok := streams[q.Inputs[i].Name]
+		if !ok {
+			return nil, ErrorAt(src, s.From[i], "unknown stream %q", q.Inputs[i].Name)
+		}
+		q.Inputs[i].Schema = sch
+	}
+	if len(q.Aggregates) > 0 && len(q.Projection) > 0 {
+		return nil, fmt.Errorf("query %s selects non-grouping columns alongside aggregates", q.Name)
+	}
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	return &q, nil
+}
+
 // streamOverload builds the per-query overload override from WITH props.
 func streamOverload(src string, props []Prop) (*overload.Config, error) {
 	var cfg *overload.Config
@@ -107,163 +96,48 @@ func streamOverload(src string, props []Prop) (*overload.Config, error) {
 	for _, pr := range props {
 		switch pr.Key {
 		case "max_queue_bytes":
-			n, err := propInt(src, pr)
+			n, err := pr.Int(src)
 			if err != nil {
 				return nil, err
 			}
 			if n <= 0 {
-				return nil, errAt(src, pr.Pos, "max_queue_bytes must be positive, got %d", n)
+				return nil, ErrorAt(src, pr.Pos, "max_queue_bytes must be positive, got %d", n)
 			}
 			ensure().MaxQueueBytes = n
 		case "shed_policy":
 			pol, err := overload.ParsePolicy(pr.Value)
 			if err != nil {
-				return nil, errAt(src, pr.Pos, "shed_policy: %v", err)
+				return nil, ErrorAt(src, pr.Pos, "shed_policy: %v", err)
 			}
 			ensure().Policy = pol
 		case "max_wait_ms":
-			n, err := propInt(src, pr)
+			n, err := pr.Int(src)
 			if err != nil {
 				return nil, err
 			}
 			if n < 0 {
-				return nil, errAt(src, pr.Pos, "max_wait_ms must be non-negative, got %d", n)
+				return nil, ErrorAt(src, pr.Pos, "max_wait_ms must be non-negative, got %d", n)
 			}
 			ensure().MaxWait = time.Duration(n) * time.Millisecond
 		case "seed":
-			n, err := propInt(src, pr)
+			n, err := pr.Int(src)
 			if err != nil {
 				return nil, err
 			}
 			ensure().Seed = n
 		default:
-			return nil, errAt(src, pr.Pos, "unknown stream property %q (want max_queue_bytes, shed_policy, max_wait_ms or seed)", pr.Key)
+			return nil, ErrorAt(src, pr.Pos, "unknown stream property %q (want max_queue_bytes, shed_policy, max_wait_ms or seed)", pr.Key)
 		}
 	}
 	return cfg, nil
 }
 
-// AnalyzeSource resolves a CREATE SOURCE into a runnable spec.
-func AnalyzeSource(src string, st *CreateSource) (*SourceSpec, error) {
-	spec := &SourceSpec{Name: st.Name, Type: st.Type}
-	switch st.Type {
-	case "gen", "tcp":
-	default:
-		return nil, errAt(src, st.Pos, "source %s: unknown type %q (want gen or tcp)", st.Name, st.Type)
-	}
-	schemaKey := ""
-	for _, pr := range st.Props {
-		switch {
-		case pr.Key == "gen" && st.Type == "gen":
-			schemaKey = pr.Value
-		case pr.Key == "schema" && st.Type == "tcp":
-			schemaKey = pr.Value
-		case pr.Key == "seed" && st.Type == "gen":
-			n, err := propInt(src, pr)
-			if err != nil {
-				return nil, err
-			}
-			spec.Seed = n
-		case pr.Key == "rate" && st.Type == "gen":
-			f, err := strconv.ParseFloat(pr.Value, 64)
-			if err != nil || f < 0 {
-				return nil, errAt(src, pr.Pos, "rate must be a non-negative number, got %q", pr.Value)
-			}
-			spec.Rate = f
-		case pr.Key == "count" && st.Type == "gen":
-			n, err := propInt(src, pr)
-			if err != nil {
-				return nil, err
-			}
-			if n < 0 {
-				return nil, errAt(src, pr.Pos, "count must be non-negative, got %d", n)
-			}
-			spec.Count = n
-		case pr.Key == "vehicles" && st.Type == "gen":
-			n, err := propInt(src, pr)
-			if err != nil {
-				return nil, err
-			}
-			if n <= 0 {
-				return nil, errAt(src, pr.Pos, "vehicles must be positive, got %d", n)
-			}
-			spec.Vehicles = int(n)
-		case pr.Key == "addr" && st.Type == "tcp":
-			spec.Addr = pr.Value
-		default:
-			return nil, errAt(src, pr.Pos, "unknown property %q for %s source", pr.Key, st.Type)
-		}
-	}
-	if schemaKey == "" {
-		if st.Type == "gen" {
-			return nil, errAt(src, st.Pos, "source %s: gen source needs gen=syn|cm|sg|lrb", st.Name)
-		}
-		return nil, errAt(src, st.Pos, "source %s: tcp source needs schema=syn|cm|sg|lrb", st.Name)
-	}
-	sch, ok := genSchemas[schemaKey]
-	if !ok {
-		return nil, errAt(src, st.Pos, "source %s: unknown generator %q (want syn, cm, sg or lrb)", st.Name, schemaKey)
-	}
-	spec.Schema, spec.SchemaName = sch, schemaKey
-	if st.Type == "tcp" && spec.Addr == "" {
-		return nil, errAt(src, st.Pos, "source %s: tcp source needs addr='host:port'", st.Name)
-	}
-	return spec, nil
-}
-
-// AnalyzeSink resolves a CREATE SINK into a runnable spec.
-func AnalyzeSink(src string, st *CreateSink) (*SinkSpec, error) {
-	spec := &SinkSpec{Name: st.Name, Type: st.Type}
-	switch st.Type {
-	case "null", "file":
-	default:
-		return nil, errAt(src, st.Pos, "sink %s: unknown type %q (want null or file)", st.Name, st.Type)
-	}
-	for _, pr := range st.Props {
-		switch {
-		case pr.Key == "path" && st.Type == "file":
-			spec.Path = pr.Value
-		default:
-			return nil, errAt(src, pr.Pos, "unknown property %q for %s sink", pr.Key, st.Type)
-		}
-	}
-	if st.Type == "file" && spec.Path == "" {
-		return nil, errAt(src, st.Pos, "sink %s: file sink needs path='...'", st.Name)
-	}
-	return spec, nil
-}
-
-// Gen is the common interface of the built-in workload generators: fill
-// dst with n tuples and return it.
-type Gen interface {
-	Next(dst []byte, n int) []byte
-}
-
-// NewGen constructs the seeded workload generator for a gen source.
-// Distinct sources get independent deterministic streams via their seeds,
-// which is also what makes crash-restart replay reproducible.
-func (s *SourceSpec) NewGen() Gen {
-	switch s.SchemaName {
-	case "syn":
-		return workload.NewSynGen(s.Seed)
-	case "cm":
-		return workload.NewCMGen(s.Seed)
-	case "sg":
-		return workload.NewSGGen(s.Seed)
-	case "lrb":
-		v := s.Vehicles
-		if v == 0 {
-			v = 64
-		}
-		return workload.NewLRBGen(s.Seed, v)
-	}
-	return nil
-}
-
-func propInt(src string, pr Prop) (int64, error) {
+// Int parses the property's value as an integer; src is the script the
+// property was parsed from, for the error position.
+func (pr Prop) Int(src string) (int64, error) {
 	n, err := strconv.ParseInt(pr.Value, 10, 64)
 	if err != nil {
-		return 0, errAt(src, pr.Pos, "property %s must be an integer, got %q", pr.Key, pr.Value)
+		return 0, ErrorAt(src, pr.Pos, "property %s must be an integer, got %q", pr.Key, pr.Value)
 	}
 	return n, nil
 }

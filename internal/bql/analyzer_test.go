@@ -1,22 +1,22 @@
-package bql
+package bql_test
 
 import (
 	"strings"
 	"testing"
 	"time"
 
-	"saber/internal/cql"
+	"saber/internal/bql"
 	"saber/internal/overload"
 	"saber/internal/workload"
 )
 
-func testCatalog() cql.Catalog {
-	return cql.Catalog{"Syn": workload.SynSchema}
+func synStreams() bql.Streams {
+	return bql.Streams{"Syn": workload.SynSchema}
 }
 
-func parseOne(t *testing.T, src string) (*Script, Statement) {
+func parseOne(t *testing.T, src string) (*bql.Script, bql.Statement) {
 	t.Helper()
-	sc, err := Parse(src)
+	sc, err := bql.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +30,11 @@ func TestAnalyzeStreamDefaults(t *testing.T) {
 	// Selection query: default emitter is IStream, no overload override.
 	src := "CREATE STREAM f AS SELECT * FROM Syn [rows 64 slide 32] WHERE a2 < 4;"
 	sc, st := parseOne(t, src)
-	spec, err := AnalyzeStream(sc.Src, st.(*CreateStream), testCatalog())
+	spec, err := bql.AnalyzeStream(sc.Src, st.(*bql.CreateStream), synStreams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Emitter != EmitIStream {
+	if spec.Emitter != bql.EmitIStream {
 		t.Errorf("selection emitter = %v, want istream", spec.Emitter)
 	}
 	if spec.Overload != nil {
@@ -47,22 +47,22 @@ func TestAnalyzeStreamDefaults(t *testing.T) {
 	// Aggregation query: default emitter is RStream (paper §2.4).
 	src = "CREATE STREAM g AS SELECT sum(a2) FROM Syn [range 16 slide 16];"
 	sc, st = parseOne(t, src)
-	spec, err = AnalyzeStream(sc.Src, st.(*CreateStream), testCatalog())
+	spec, err = bql.AnalyzeStream(sc.Src, st.(*bql.CreateStream), synStreams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Emitter != EmitRStream {
+	if spec.Emitter != bql.EmitRStream {
 		t.Errorf("aggregation emitter = %v, want rstream", spec.Emitter)
 	}
 
 	// Explicit emitter wins over the default.
 	src = "CREATE STREAM h AS DSTREAM SELECT sum(a2) FROM Syn [range 16 slide 16];"
 	sc, st = parseOne(t, src)
-	spec, err = AnalyzeStream(sc.Src, st.(*CreateStream), testCatalog())
+	spec, err = bql.AnalyzeStream(sc.Src, st.(*bql.CreateStream), synStreams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Emitter != EmitDStream {
+	if spec.Emitter != bql.EmitDStream {
 		t.Errorf("explicit emitter = %v, want dstream", spec.Emitter)
 	}
 }
@@ -70,7 +70,7 @@ func TestAnalyzeStreamDefaults(t *testing.T) {
 func TestAnalyzeStreamOverloadProps(t *testing.T) {
 	src := "CREATE STREAM f WITH (max_queue_bytes=65536, shed_policy=weighted, max_wait_ms=5, seed=9) AS SELECT * FROM Syn [rows 4];"
 	sc, st := parseOne(t, src)
-	spec, err := AnalyzeStream(sc.Src, st.(*CreateStream), testCatalog())
+	spec, err := bql.AnalyzeStream(sc.Src, st.(*bql.CreateStream), synStreams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,16 +84,16 @@ func TestAnalyzeStreamOverloadProps(t *testing.T) {
 	}
 }
 
-// TestAnalyzeStreamErrorRemap checks that cql errors inside the SELECT
-// body are reported in script coordinates, not select-body coordinates.
-func TestAnalyzeStreamErrorRemap(t *testing.T) {
+// TestAnalyzeStreamUnknownStream checks that binding reports an unknown
+// FROM stream at its name, in script coordinates.
+func TestAnalyzeStreamUnknownStream(t *testing.T) {
 	src := "-- header\nCREATE STREAM f AS\n  SELECT * FROM Nope [rows 4];"
 	sc, st := parseOne(t, src)
-	_, err := AnalyzeStream(sc.Src, st.(*CreateStream), testCatalog())
+	_, err := bql.AnalyzeStream(sc.Src, st.(*bql.CreateStream), synStreams())
 	if err == nil {
 		t.Fatal("analysis of unknown stream succeeded")
 	}
-	be, ok := err.(*Error)
+	be, ok := err.(*bql.Error)
 	if !ok {
 		t.Fatalf("error type %T: %v", err, err)
 	}
@@ -117,107 +117,10 @@ func TestAnalyzeStreamBadProps(t *testing.T) {
 	}
 	for _, src := range cases {
 		sc, st := parseOne(t, src)
-		if _, err := AnalyzeStream(sc.Src, st.(*CreateStream), testCatalog()); err == nil {
+		if _, err := bql.AnalyzeStream(sc.Src, st.(*bql.CreateStream), synStreams()); err == nil {
 			t.Errorf("AnalyzeStream(%q) succeeded", src)
-		} else if _, ok := err.(*Error); !ok {
+		} else if _, ok := err.(*bql.Error); !ok {
 			t.Errorf("AnalyzeStream(%q): error type %T", src, err)
-		}
-	}
-}
-
-func TestAnalyzeSource(t *testing.T) {
-	src := "CREATE SOURCE S TYPE gen WITH (gen='cm', seed=3, rate=5000, count=100000);"
-	sc, st := parseOne(t, src)
-	spec, err := AnalyzeSource(sc.Src, st.(*CreateSource))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Schema != workload.CMSchema || spec.SchemaName != "cm" {
-		t.Errorf("schema: %v (%s)", spec.Schema, spec.SchemaName)
-	}
-	if spec.Seed != 3 || spec.Rate != 5000 || spec.Count != 100000 {
-		t.Errorf("spec: %+v", spec)
-	}
-	if g := spec.NewGen(); g == nil {
-		t.Error("NewGen returned nil")
-	} else {
-		buf := g.Next(nil, 4)
-		if len(buf) != 4*workload.CMSchema.TupleSize() {
-			t.Errorf("generated %d bytes", len(buf))
-		}
-	}
-
-	src = "CREATE SOURCE T TYPE tcp WITH (schema='syn', addr='127.0.0.1:9911');"
-	sc, st = parseOne(t, src)
-	spec, err = AnalyzeSource(sc.Src, st.(*CreateSource))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Schema != workload.SynSchema || spec.Addr != "127.0.0.1:9911" {
-		t.Errorf("tcp spec: %+v", spec)
-	}
-
-	// Every generator key resolves and produces tuples.
-	for _, g := range []string{"syn", "cm", "sg", "lrb"} {
-		sc, st = parseOne(t, "CREATE SOURCE S TYPE gen WITH (gen='"+g+"');")
-		spec, err := AnalyzeSource(sc.Src, st.(*CreateSource))
-		if err != nil {
-			t.Fatalf("%s: %v", g, err)
-		}
-		if buf := spec.NewGen().Next(nil, 2); len(buf) != 2*spec.Schema.TupleSize() {
-			t.Errorf("%s: generated %d bytes", g, len(buf))
-		}
-	}
-}
-
-func TestAnalyzeSourceErrors(t *testing.T) {
-	cases := []string{
-		"CREATE SOURCE S TYPE carrierpigeon;",
-		"CREATE SOURCE S TYPE gen;",
-		"CREATE SOURCE S TYPE gen WITH (gen='nope');",
-		"CREATE SOURCE S TYPE gen WITH (gen='syn', addr='x');",
-		"CREATE SOURCE S TYPE gen WITH (gen='syn', rate=fast);",
-		"CREATE SOURCE S TYPE gen WITH (gen='syn', count=-1);",
-		"CREATE SOURCE S TYPE gen WITH (gen='lrb', vehicles=0);",
-		"CREATE SOURCE S TYPE tcp WITH (schema='syn');",
-		"CREATE SOURCE S TYPE tcp WITH (addr='x');",
-		"CREATE SOURCE S TYPE tcp WITH (schema='syn', addr='x', gen='syn');",
-	}
-	for _, src := range cases {
-		sc, st := parseOne(t, src)
-		if _, err := AnalyzeSource(sc.Src, st.(*CreateSource)); err == nil {
-			t.Errorf("AnalyzeSource(%q) succeeded", src)
-		}
-	}
-}
-
-func TestAnalyzeSink(t *testing.T) {
-	sc, st := parseOne(t, "CREATE SINK devnull TYPE null;")
-	spec, err := AnalyzeSink(sc.Src, st.(*CreateSink))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Type != "null" {
-		t.Errorf("spec: %+v", spec)
-	}
-
-	sc, st = parseOne(t, "CREATE SINK f TYPE file WITH (path='/tmp/x');")
-	spec, err = AnalyzeSink(sc.Src, st.(*CreateSink))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Path != "/tmp/x" {
-		t.Errorf("spec: %+v", spec)
-	}
-
-	for _, src := range []string{
-		"CREATE SINK s TYPE smoke_signals;",
-		"CREATE SINK s TYPE file;",
-		"CREATE SINK s TYPE null WITH (path='/tmp/x');",
-	} {
-		sc, st := parseOne(t, src)
-		if _, err := AnalyzeSink(sc.Src, st.(*CreateSink)); err == nil {
-			t.Errorf("AnalyzeSink(%q) succeeded", src)
 		}
 	}
 }

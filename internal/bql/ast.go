@@ -1,6 +1,10 @@
 package bql
 
-import "strings"
+import (
+	"strings"
+
+	"saber/internal/query"
+)
 
 // Emitter selects the relation-to-stream operator applied to a stream's
 // window results (paper §2.4): RStream emits the full window relation,
@@ -46,15 +50,20 @@ type Prop struct {
 	Quoted bool
 }
 
-// Statement is one parsed BQL statement.
+// Statement is one parsed BQL statement: *CreateSource, *CreateSink,
+// *CreateStream, *Drop, *Pause or *Resume.
 type Statement interface {
-	// Position returns the statement's starting byte offset in the script.
-	Position() int
-	stmt()
+	span() *Span
 }
 
-// Script is a parsed BQL script: the raw source (kept for error position
-// remapping against embedded SELECT spans) and its statements in order.
+// Span is a statement's byte range in its script: Pos at the statement's
+// first keyword, End just past its terminating ';' (or at end of input).
+type Span struct{ Pos, End int }
+
+func (s *Span) span() *Span { return s }
+
+// Script is a parsed BQL script: the raw source (statement text and
+// analysis error positions refer to it) and its statements in order.
 type Script struct {
 	Src   string
 	Stmts []Statement
@@ -64,110 +73,68 @@ type Script struct {
 // terminating semicolon — the canonical replayable form the catalog logs
 // into checkpoints.
 func (sc *Script) Text(st Statement) string {
-	end := statementEnd(st)
-	if end <= st.Position() || end > len(sc.Src) {
+	s := st.span()
+	end := s.End
+	if end <= s.Pos || end > len(sc.Src) {
 		end = len(sc.Src)
 	}
-	return strings.TrimRight(strings.TrimSpace(sc.Src[st.Position():end]), ";")
-}
-
-func statementEnd(st Statement) int {
-	switch st := st.(type) {
-	case *CreateSource:
-		return st.End
-	case *CreateSink:
-		return st.End
-	case *CreateStream:
-		return st.End
-	case *Drop:
-		return st.End
-	case *Pause:
-		return st.End
-	case *Resume:
-		return st.End
-	}
-	return 0
-}
-
-func setStatementEnd(st Statement, end int) {
-	switch st := st.(type) {
-	case *CreateSource:
-		st.End = end
-	case *CreateSink:
-		st.End = end
-	case *CreateStream:
-		st.End = end
-	case *Drop:
-		st.End = end
-	case *Pause:
-		st.End = end
-	case *Resume:
-		st.End = end
-	}
+	return strings.TrimRight(strings.TrimSpace(sc.Src[s.Pos:end]), ";")
 }
 
 // CreateSource declares a named input: CREATE SOURCE name TYPE gen|tcp
 // WITH (...). The source's name is the stream name that CREATE STREAM
 // selects FROM.
 type CreateSource struct {
-	Pos, End int
-	Name     string
-	Type     string
-	Props    []Prop
+	Span
+	Name  string
+	Type  string
+	Props []Prop
 }
 
 // CreateSink declares a named output: CREATE SINK name TYPE null|file
 // WITH (...).
 type CreateSink struct {
-	Pos, End int
-	Name     string
-	Type     string
-	Props    []Prop
+	Span
+	Name  string
+	Type  string
+	Props []Prop
 }
 
 // CreateStream registers a continuous query: CREATE STREAM name
-// [WITH (...)] AS [emitter] SELECT ... [INTO sink]. Select holds the
-// verbatim cql text starting at SelectPos in the script source; it is
-// parsed during analysis so Parse stays schema-free.
+// [WITH (...)] AS [emitter] SELECT ... [INTO sink].
 type CreateStream struct {
-	Pos, End  int
-	Name      string
-	Props     []Prop
-	Emitter   Emitter
-	Select    string
-	SelectPos int
-	Into      string // sink name; "" routes to the default sink
+	Span
+	Name    string
+	Props   []Prop
+	Emitter Emitter
+	Select  *Select
+	Into    string // sink name; "" routes to the default sink
+}
+
+// Select is a parsed SELECT. Its query's inputs carry name, alias and
+// window but no schema: the analyzer binds each FROM stream by name
+// (AnalyzeStream, ParseQuery), so parsing never needs schemas.
+type Select struct {
+	Pos   int // byte offset of the SELECT keyword
+	Query *query.Query
+	From  []int // byte offset of each FROM stream name, one per Query.Inputs
 }
 
 // Drop removes a catalog object: DROP STREAM|SOURCE|SINK name.
 type Drop struct {
-	Pos, End int
-	Kind     ObjectKind
-	Name     string
+	Span
+	Kind ObjectKind
+	Name string
 }
 
 // Pause quiesces a stream at a task boundary: PAUSE STREAM name.
 type Pause struct {
-	Pos, End int
-	Name     string
+	Span
+	Name string
 }
 
 // Resume restarts a paused stream: RESUME STREAM name.
 type Resume struct {
-	Pos, End int
-	Name     string
+	Span
+	Name string
 }
-
-func (s *CreateSource) Position() int { return s.Pos }
-func (s *CreateSink) Position() int   { return s.Pos }
-func (s *CreateStream) Position() int { return s.Pos }
-func (s *Drop) Position() int         { return s.Pos }
-func (s *Pause) Position() int        { return s.Pos }
-func (s *Resume) Position() int       { return s.Pos }
-
-func (*CreateSource) stmt() {}
-func (*CreateSink) stmt()   {}
-func (*CreateStream) stmt() {}
-func (*Drop) stmt()         {}
-func (*Pause) stmt()        {}
-func (*Resume) stmt()       {}

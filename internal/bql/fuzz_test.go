@@ -1,19 +1,19 @@
-package bql
+package bql_test
 
 import (
 	"strings"
 	"testing"
 
-	"saber/internal/cql"
-	"saber/internal/workload"
+	"saber/internal/bql"
+	"saber/internal/catalog"
 )
 
-// FuzzParse runs arbitrary scripts through the statement lexer + parser
-// and, for scripts that parse, through analysis of every statement. The
-// contract: malformed input always comes back as an error (never a panic,
-// hang or out-of-range slice), parsing is deterministic, and every error
-// is positioned inside the source. Scripts reach this path verbatim from
-// operator-supplied .bql files and the admin DDL endpoint.
+// FuzzParse runs arbitrary scripts through the lexer + parser and, for
+// scripts that parse, through analysis of every statement. The contract:
+// malformed input always comes back as an error (never a panic, hang or
+// out-of-range slice), parsing is deterministic, and every error is a
+// *bql.Error positioned inside the source. Scripts reach this path
+// verbatim from operator-supplied .bql files and the admin DDL endpoint.
 func FuzzParse(f *testing.F) {
 	// Every statement form...
 	f.Add(`CREATE SOURCE Syn TYPE gen WITH (gen='syn', seed=1, rate=1000, count=50000);`)
@@ -47,10 +47,9 @@ func FuzzParse(f *testing.F) {
 	f.Add(strings.Repeat("CREATE STREAM s AS SELECT * FROM Syn [rows 4]; ", 50))
 	f.Add("CREATE\x00STREAM s;")
 
-	cat := cql.Catalog{"Syn": workload.SynSchema}
 	f.Fuzz(func(t *testing.T, src string) {
-		sc1, err1 := Parse(src)
-		sc2, err2 := Parse(src)
+		sc1, err1 := bql.Parse(src)
+		sc2, err2 := bql.Parse(src)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("non-deterministic outcome for %q: %v vs %v", src, err1, err2)
 		}
@@ -66,12 +65,12 @@ func FuzzParse(f *testing.F) {
 		for _, st := range sc1.Stmts {
 			var err error
 			switch st := st.(type) {
-			case *CreateStream:
-				_, err = AnalyzeStream(sc1.Src, st, cat)
-			case *CreateSource:
-				_, err = AnalyzeSource(sc1.Src, st)
-			case *CreateSink:
-				_, err = AnalyzeSink(sc1.Src, st)
+			case *bql.CreateStream:
+				_, err = bql.AnalyzeStream(sc1.Src, st, synStreams())
+			case *bql.CreateSource:
+				_, err = catalog.AnalyzeSource(sc1.Src, st)
+			case *bql.CreateSink:
+				_, err = catalog.AnalyzeSink(sc1.Src, st)
 			}
 			if err != nil {
 				checkErr(t, src, err)
@@ -82,11 +81,63 @@ func FuzzParse(f *testing.F) {
 
 func checkErr(t *testing.T, src string, err error) {
 	t.Helper()
-	be, ok := err.(*Error)
+	be, ok := err.(*bql.Error)
 	if !ok {
 		t.Fatalf("error for %q is %T, not *bql.Error: %v", src, err, err)
 	}
 	if be.Offset < 0 || be.Offset > len(src) || be.Line < 1 || be.Col < 1 {
 		t.Fatalf("error position out of range for %q: %+v", src, be)
 	}
+}
+
+// FuzzParseQuery feeds arbitrary text through ParseQuery: lexer, SELECT
+// rules, binding and validation. Malformed input must come back as an
+// error — never a panic, hang or out-of-range access — and the outcome
+// must be deterministic, since the engine exposes ParseQuery to
+// application-supplied query strings.
+func FuzzParseQuery(f *testing.F) {
+	// Well-formed queries covering every clause the dialect has...
+	f.Add(`select * from TaskEvents [rows 1024 slide 512] where cpu > 0.5`)
+	f.Add(`select timestamp, category, count(*) as n from TaskEvents [rows 8] group by category`)
+	f.Add(`select distinct vehicle from PosSpeedStr [rows 16]`)
+	f.Add(`select sum(cpu) as c, avg(ram) as r from TaskEvents [range 60 slide 1] group by jobId having c > 10.0`)
+	f.Add(`select * from TaskEvents [rows 4] where cpu > -0.5 and -priority < 0 or not (ram >= 1.0)`)
+	f.Add(`select (cpu + ram) * 2.0 as load from TaskEvents [rows 4] -- comment`)
+	f.Add(`select * from SmartGridStr [range unbounded]`)
+	f.Add(`select timestamp, value from SmartGridStr [range 3600 slide 1] where house = 7`)
+	// ...and malformed ones seeding the error paths.
+	f.Add(`from TaskEvents [rows 4]`)
+	f.Add(`select * from Nope [rows 4]`)
+	f.Add(`select * from TaskEvents [banana 4]`)
+	f.Add(`select * from TaskEvents [rows 4] where cpu >`)
+	f.Add(`select # from TaskEvents [rows 4]`)
+	f.Add(`select * from TaskEvents [rows 4] where (cpu > 1`)
+	f.Add(`select * from TaskEvents [rows 99999999999999999999999]`)
+	f.Add(`select sum(`)
+	f.Add(`[[[[`)
+	f.Add(strings.Repeat(`(`, 1000))
+	f.Add("select * from TaskEvents [rows 4]\x00")
+
+	streams := paperStreams()
+	f.Fuzz(func(t *testing.T, src string) {
+		q1, err1 := bql.ParseQuery("fuzz", src, streams)
+		if err1 == nil && q1 == nil {
+			t.Fatalf("nil query without error for %q", src)
+		}
+		// Determinism: a second parse of the same input must agree.
+		q2, err2 := bql.ParseQuery("fuzz", src, streams)
+		if (err1 == nil) != (err2 == nil) {
+			t.Fatalf("non-deterministic outcome for %q: %v vs %v", src, err1, err2)
+		}
+		if err1 != nil {
+			return
+		}
+		if q2 == nil || q1.String() != q2.String() {
+			t.Fatalf("non-deterministic parse for %q", src)
+		}
+		// An accepted query must have survived its own validation.
+		if err := q1.Validate(); err != nil {
+			t.Fatalf("accepted query fails validation: %q: %v", src, err)
+		}
+	})
 }

@@ -1,9 +1,10 @@
-// Package bql implements SABER's statement-level streaming SQL dialect:
-// DDL statements that create and manage named sources, continuous
-// streams and sinks on a live engine, with the per-stream SELECT bodies
-// delegated to the internal/cql expression dialect.
+// Package bql is SABER's streaming SQL front end: the windowed SELECT
+// dialect of the paper's Appendix A ("TaskEvents [range 60 slide 1]",
+// WHERE/GROUP BY/HAVING, aggregation functions, arithmetic select
+// expressions) and the statements that create and manage named sources,
+// continuous streams and sinks on a live engine.
 //
-// The grammar (DESIGN.md §14):
+// The statement grammar (DESIGN.md §14):
 //
 //	CREATE SOURCE <name> TYPE <gen|tcp> [WITH (k=v, ...)] ;
 //	CREATE SINK   <name> TYPE <null|file> [WITH (k=v, ...)] ;
@@ -13,24 +14,26 @@
 //	PAUSE  STREAM <name> ;
 //	RESUME STREAM <name> ;
 //
-// Statements are ';'-separated; '--' starts a line comment. The pipeline
-// is lex → statement AST (Parse) → analysis (Analyze*) → engine actions,
-// with each stage unit-testable on its own: Parse never needs schemas,
-// and the analyzers never need a running engine.
+// Statements are ';'-separated; '--' starts a line comment. One lexer and
+// one recursive-descent parser read both a script (Parse) and a bare
+// SELECT (ParseQuery). Keywords are contextual: the statement rules and
+// the SELECT rules each reserve their own words, so "count" is an
+// aggregate inside a SELECT but a key in WITH (count=...), and "type" or
+// "stream" name columns inside a SELECT. Parse needs no schemas — a
+// script's CREATE SOURCE defines the schema a later CREATE STREAM reads —
+// so the analyzer binds each FROM stream to its schema (AnalyzeStream).
 package bql
 
 import (
 	"fmt"
 	"strings"
 	"unicode"
-
-	"saber/internal/cql"
 )
 
-// Error is a BQL parse or analysis error with 1-based source position.
+// Error is a parse or analysis error with its position in the source.
 type Error struct {
-	Offset    int
-	Line, Col int
+	Offset    int // byte offset
+	Line, Col int // 1-based
 	Msg       string
 }
 
@@ -38,10 +41,26 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("bql: line %d col %d: %s", e.Line, e.Col, e.Msg)
 }
 
-// errAt builds an Error anchored at a byte offset of src.
-func errAt(src string, offset int, format string, args ...any) error {
-	line, col := cql.Position(src, offset)
+// ErrorAt builds an Error anchored at a byte offset of src.
+func ErrorAt(src string, offset int, format string, args ...any) error {
+	line, col := Position(src, offset)
 	return &Error{Offset: offset, Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
+}
+
+// Position converts a byte offset into a 1-based line/column pair over
+// src. Offsets beyond src report the position just past the last byte.
+func Position(src string, offset int) (line, col int) {
+	offset = min(offset, len(src))
+	line, col = 1, 1
+	for i := 0; i < offset; i++ {
+		if src[i] == '\n' {
+			line++
+			col = 1
+		} else {
+			col++
+		}
+	}
+	return line, col
 }
 
 type tokenKind uint8
@@ -49,9 +68,11 @@ type tokenKind uint8
 const (
 	tokEOF tokenKind = iota
 	tokIdent
-	tokNumber
-	tokString // single-quoted literal, text holds the unquoted value
+	tokNumber // integer or decimal literal, kept as text
+	tokString // single-quoted literal; text holds the unquoted value
 	tokPunct
+	// tokKeyword is a word the grammar being parsed reserves. The lexer
+	// emits every word as tokIdent; parser.cur resolves keywords.
 	tokKeyword
 )
 
@@ -61,21 +82,10 @@ type token struct {
 	pos  int    // byte offset
 }
 
-// Statement-level keywords. Everything else — including cql keywords
-// inside a SELECT body, which this lexer only ever skips over — stays an
-// identifier.
-var keywords = map[string]bool{
-	"create": true, "drop": true, "pause": true, "resume": true,
-	"stream": true, "source": true, "sink": true,
-	"type": true, "with": true, "as": true, "into": true,
-	"istream": true, "dstream": true, "rstream": true,
-	"select": true,
-}
-
-// lex tokenizes a BQL script. The punctuation set is a superset of the
-// cql dialect's, so the statement scanner can skip over an embedded
-// SELECT body to its terminating ';' without a lexical error.
-func lex(src string) ([]token, error) {
+// lex tokenizes src. String literals and ';' exist only in the statement
+// grammar: a bare SELECT (script false) rejects them as unexpected
+// characters.
+func lex(src string, script bool) ([]token, error) {
 	var toks []token
 	i := 0
 	for i < len(src) {
@@ -87,16 +97,13 @@ func lex(src string) ([]token, error) {
 			for i < len(src) && src[i] != '\n' {
 				i++
 			}
-		case c == '\'':
+		case c == '\'' && script:
 			j := i + 1
-			for j < len(src) && src[j] != '\'' {
-				if src[j] == '\n' {
-					return nil, errAt(src, i, "unterminated string literal")
-				}
+			for j < len(src) && src[j] != '\'' && src[j] != '\n' {
 				j++
 			}
-			if j >= len(src) {
-				return nil, errAt(src, i, "unterminated string literal")
+			if j >= len(src) || src[j] == '\n' {
+				return nil, ErrorAt(src, i, "unterminated string literal")
 			}
 			toks = append(toks, token{tokString, src[i+1 : j], i})
 			i = j + 1
@@ -105,13 +112,7 @@ func lex(src string) ([]token, error) {
 			for j < len(src) && isIdentPart(rune(src[j])) {
 				j++
 			}
-			word := src[i:j]
-			lower := strings.ToLower(word)
-			if keywords[lower] {
-				toks = append(toks, token{tokKeyword, lower, i})
-			} else {
-				toks = append(toks, token{tokIdent, word, i})
-			}
+			toks = append(toks, token{tokIdent, src[i:j], i})
 			i = j
 		case c >= '0' && c <= '9':
 			j := i + 1
@@ -129,27 +130,22 @@ func lex(src string) ([]token, error) {
 			toks = append(toks, token{tokNumber, src[i:j], i})
 			i = j
 		default:
-			two := ""
 			if i+1 < len(src) {
-				two = src[i : i+2]
+				switch two := src[i : i+2]; two {
+				case "==", "!=", "<=", ">=":
+					toks = append(toks, token{tokPunct, two, i})
+					i += 2
+					continue
+				}
 			}
-			switch two {
-			case "==", "!=", "<=", ">=":
-				toks = append(toks, token{tokPunct, two, i})
-				i += 2
-				continue
+			if !strings.ContainsRune("()[],.*+-/%<>=", rune(c)) && (c != ';' || !script) {
+				return nil, ErrorAt(src, i, "unexpected character %q", c)
 			}
-			switch c {
-			case '(', ')', '[', ']', ',', '.', '*', '+', '-', '/', '%', '<', '>', '=', ';':
-				toks = append(toks, token{tokPunct, string(c), i})
-				i++
-			default:
-				return nil, errAt(src, i, "unexpected character %q", c)
-			}
+			toks = append(toks, token{tokPunct, string(c), i})
+			i++
 		}
 	}
-	toks = append(toks, token{tokEOF, "", len(src)})
-	return toks, nil
+	return append(toks, token{tokEOF, "", len(src)}), nil
 }
 
 func isIdentStart(r rune) bool { return r == '_' || unicode.IsLetter(r) }

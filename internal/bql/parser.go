@@ -1,97 +1,154 @@
 package bql
 
-import "strings"
+import (
+	"strconv"
+	"strings"
+	"unicode"
 
-// Parse lexes and parses a BQL script into statements. Embedded SELECT
-// bodies are captured verbatim (statement parsing needs no schemas);
-// they are compiled against the catalog during analysis, with errors
-// remapped to script positions.
+	"saber/internal/query"
+)
+
+// Reserved words of the two grammars. A word is a keyword only where the
+// rules reading it reserve it; everywhere else it is an identifier.
+var (
+	stmtKeywords = map[string]bool{
+		"create": true, "drop": true, "pause": true, "resume": true,
+		"stream": true, "source": true, "sink": true,
+		"type": true, "with": true, "as": true, "into": true,
+		"istream": true, "dstream": true, "rstream": true,
+		"select": true,
+	}
+	selectKeywords = map[string]bool{
+		"select": true, "distinct": true, "from": true, "where": true,
+		"group": true, "by": true, "having": true, "as": true,
+		"and": true, "or": true, "not": true,
+		"range": true, "rows": true, "slide": true, "unbounded": true,
+		"partition": true,
+		"sum":       true, "avg": true, "count": true, "min": true, "max": true,
+	}
+)
+
+// Parse lexes and parses a script into statements. It needs no schemas:
+// AnalyzeStream binds each SELECT's streams.
 func Parse(src string) (*Script, error) {
-	toks, err := lex(src)
+	toks, err := lex(src, true)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{src: src, toks: toks}
+	p := &parser{src: src, toks: toks, script: true}
 	sc := &Script{Src: src}
-	for p.cur().kind != tokEOF {
+	for !p.at(tokEOF, "") {
 		// Tolerate stray semicolons between statements.
-		if p.isPunct(";") {
-			p.i++
+		if p.accept(tokPunct, ";") {
 			continue
 		}
+		start := p.cur().pos
 		st, err := p.parseStatement()
 		if err != nil {
 			return nil, err
 		}
-		setStatementEnd(st, p.lastEnd)
+		*st.span() = Span{Pos: start, End: p.lastEnd}
 		sc.Stmts = append(sc.Stmts, st)
 	}
 	return sc, nil
+}
+
+// ParseQuery parses a bare SELECT named name, binds its FROM streams and
+// validates it.
+func ParseQuery(name, src string, streams Streams) (*query.Query, error) {
+	toks, err := lex(src, false)
+	if err != nil {
+		return nil, err
+	}
+	p := &parser{src: src, toks: toks, inSelect: true}
+	sel, err := p.parseSelect(name)
+	if err != nil {
+		return nil, err
+	}
+	return sel.compile(src, streams)
 }
 
 type parser struct {
 	src  string
 	toks []token
 	i    int
+	// script is set when parsing a script rather than a bare SELECT;
+	// inSelect while the SELECT rules read.
+	script, inSelect bool
 	// lastEnd is the byte offset just past the most recently terminated
 	// statement (its ';', or EOF), recorded by expectEnd.
 	lastEnd int
 }
 
-func (p *parser) cur() token  { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
+// cur returns the current token as the active rules see it: a word they
+// reserve is a lower-cased keyword, and inside a script's SELECT the
+// statement's ';' or INTO reads as end of input, placed where the SELECT
+// text ends.
+func (p *parser) cur() token {
+	t := p.toks[p.i]
+	keywords := stmtKeywords
+	if p.inSelect {
+		keywords = selectKeywords
+		if p.script && (t.kind == tokEOF || t.kind == tokPunct && t.text == ";" ||
+			t.kind == tokIdent && strings.EqualFold(t.text, "into")) {
+			return token{kind: tokEOF, pos: len(strings.TrimRightFunc(p.src[:t.pos], unicode.IsSpace))}
+		}
+	}
+	if t.kind == tokIdent {
+		if lower := strings.ToLower(t.text); keywords[lower] {
+			return token{tokKeyword, lower, t.pos}
+		}
+	}
+	return t
+}
 
-func (p *parser) isPunct(s string) bool {
+func (p *parser) next() token { t := p.cur(); p.i++; return t }
+
+// at reports whether the current token has the kind and, unless text is
+// empty, the text.
+func (p *parser) at(kind tokenKind, text string) bool {
 	t := p.cur()
-	return t.kind == tokPunct && t.text == s
+	return t.kind == kind && (text == "" || t.text == text)
 }
 
-func (p *parser) isKeyword(s string) bool {
-	t := p.cur()
-	return t.kind == tokKeyword && t.text == s
+func (p *parser) accept(kind tokenKind, text string) bool {
+	if p.at(kind, text) {
+		p.i++
+		return true
+	}
+	return false
 }
 
-func (p *parser) errTok(t token, format string, args ...any) error {
-	return errAt(p.src, t.pos, format, args...)
+// expect consumes the keyword or punctuation text.
+func (p *parser) expect(kind tokenKind, text string) (token, error) {
+	if !p.at(kind, text) {
+		return token{}, p.errf("expected %q, found %s", text, describe(p.cur()))
+	}
+	return p.next(), nil
 }
 
-// describe renders a token for error messages.
+// expectIdent consumes an identifier; what names it in the error.
+func (p *parser) expectIdent(what string) (token, error) {
+	if !p.at(tokIdent, "") {
+		return token{}, p.errf("expected %s, found %s", what, describe(p.cur()))
+	}
+	return p.next(), nil
+}
+
+// describe names a token in error messages.
 func describe(t token) string {
 	switch t.kind {
 	case tokEOF:
 		return "end of input"
 	case tokString:
 		return "'" + t.text + "'"
-	default:
-		return "\"" + t.text + "\""
 	}
+	return strconv.Quote(t.text)
 }
 
-func (p *parser) expectKeyword(kw string) (token, error) {
-	t := p.cur()
-	if t.kind != tokKeyword || t.text != kw {
-		return t, p.errTok(t, "expected %q, found %s", kw, describe(t))
-	}
-	p.i++
-	return t, nil
-}
-
-func (p *parser) expectPunct(s string) (token, error) {
-	t := p.cur()
-	if t.kind != tokPunct || t.text != s {
-		return t, p.errTok(t, "expected %q, found %s", s, describe(t))
-	}
-	p.i++
-	return t, nil
-}
-
-func (p *parser) expectIdent(what string) (token, error) {
-	t := p.cur()
-	if t.kind != tokIdent {
-		return t, p.errTok(t, "expected %s, found %s", what, describe(t))
-	}
-	p.i++
-	return t, nil
+// errf builds an Error at the current token.
+func (p *parser) errf(format string, args ...any) error {
+	return ErrorAt(p.src, p.cur().pos, format, args...)
 }
 
 // expectEnd consumes the statement's terminating ';' (EOF is accepted for
@@ -101,7 +158,7 @@ func (p *parser) expectEnd() error {
 		p.lastEnd = t.pos
 		return nil
 	}
-	t, err := p.expectPunct(";")
+	t, err := p.expect(tokPunct, ";")
 	if err == nil {
 		p.lastEnd = t.pos + 1
 	}
@@ -109,43 +166,29 @@ func (p *parser) expectEnd() error {
 }
 
 func (p *parser) parseStatement() (Statement, error) {
-	t := p.cur()
-	if t.kind != tokKeyword {
-		return nil, p.errTok(t, "expected statement keyword (create, drop, pause, resume), found %s", describe(t))
-	}
-	switch t.text {
-	case "create":
+	switch {
+	case p.at(tokKeyword, "create"):
 		return p.parseCreate()
-	case "drop":
+	case p.at(tokKeyword, "drop"):
 		return p.parseDrop()
-	case "pause", "resume":
+	case p.at(tokKeyword, "pause"), p.at(tokKeyword, "resume"):
 		return p.parsePauseResume()
-	default:
-		return nil, p.errTok(t, "expected statement keyword (create, drop, pause, resume), found %s", describe(t))
 	}
+	return nil, p.errf("expected statement keyword (create, drop, pause, resume), found %s", describe(p.cur()))
 }
 
 // parseKind consumes STREAM | SOURCE | SINK.
 func (p *parser) parseKind() (ObjectKind, error) {
-	t := p.cur()
-	if t.kind == tokKeyword {
-		switch t.text {
-		case "stream":
-			p.i++
-			return KindStream, nil
-		case "source":
-			p.i++
-			return KindSource, nil
-		case "sink":
-			p.i++
-			return KindSink, nil
+	for k := KindStream; k <= KindSink; k++ {
+		if p.accept(tokKeyword, k.String()) {
+			return k, nil
 		}
 	}
-	return 0, p.errTok(t, "expected \"stream\", \"source\" or \"sink\", found %s", describe(t))
+	return 0, p.errf("expected \"stream\", \"source\" or \"sink\", found %s", describe(p.cur()))
 }
 
 func (p *parser) parseCreate() (Statement, error) {
-	start := p.next() // create
+	p.next() // create
 	kind, err := p.parseKind()
 	if err != nil {
 		return nil, err
@@ -155,10 +198,10 @@ func (p *parser) parseCreate() (Statement, error) {
 		return nil, err
 	}
 	if kind == KindStream {
-		return p.parseCreateStream(start, name.text)
+		return p.parseCreateStream(name.text)
 	}
 	// CREATE SOURCE|SINK name TYPE t [WITH (...)] ;
-	if _, err := p.expectKeyword("type"); err != nil {
+	if _, err := p.expect(tokKeyword, "type"); err != nil {
 		return nil, err
 	}
 	typ, err := p.expectIdent(kind.String() + " type")
@@ -173,69 +216,38 @@ func (p *parser) parseCreate() (Statement, error) {
 		return nil, err
 	}
 	if kind == KindSource {
-		return &CreateSource{Pos: start.pos, Name: name.text, Type: strings.ToLower(typ.text), Props: props}, nil
+		return &CreateSource{Name: name.text, Type: strings.ToLower(typ.text), Props: props}, nil
 	}
-	return &CreateSink{Pos: start.pos, Name: name.text, Type: strings.ToLower(typ.text), Props: props}, nil
+	return &CreateSink{Name: name.text, Type: strings.ToLower(typ.text), Props: props}, nil
 }
 
-func (p *parser) parseCreateStream(start token, name string) (Statement, error) {
+var emitters = map[string]Emitter{"istream": EmitIStream, "dstream": EmitDStream, "rstream": EmitRStream}
+
+func (p *parser) parseCreateStream(name string) (Statement, error) {
 	props, err := p.parseWith()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expectKeyword("as"); err != nil {
+	if _, err := p.expect(tokKeyword, "as"); err != nil {
 		return nil, err
 	}
-	emitter := EmitDefault
-	if t := p.cur(); t.kind == tokKeyword {
-		switch t.text {
-		case "istream":
-			emitter = EmitIStream
-			p.i++
-		case "dstream":
-			emitter = EmitDStream
-			p.i++
-		case "rstream":
-			emitter = EmitRStream
-			p.i++
-		}
-	}
-	selTok := p.cur()
-	if selTok.kind != tokKeyword || selTok.text != "select" {
-		return nil, p.errTok(selTok, "expected \"select\", found %s", describe(selTok))
-	}
-	// Capture the SELECT body verbatim: scan to the first top-level ';' or
-	// INTO. Depth tracking lets parenthesised expressions and window specs
-	// contain anything the cql lexer accepts.
-	depth := 0
-	end := selTok
-scan:
-	for {
-		t := p.cur()
-		switch {
-		case t.kind == tokEOF:
-			end = t
-			break scan
-		case t.kind == tokPunct && (t.text == "(" || t.text == "["):
-			depth++
-		case t.kind == tokPunct && (t.text == ")" || t.text == "]"):
-			depth--
-		case depth == 0 && t.kind == tokPunct && t.text == ";":
-			end = t
-			break scan
-		case depth == 0 && t.kind == tokKeyword && t.text == "into":
-			end = t
-			break scan
-		}
+	st := &CreateStream{Name: name, Props: props}
+	if e, ok := emitters[p.cur().text]; ok && p.at(tokKeyword, "") {
+		st.Emitter = e
 		p.i++
 	}
-	sel := strings.TrimSpace(p.src[selTok.pos:end.pos])
-	st := &CreateStream{
-		Pos: start.pos, Name: name, Props: props,
-		Emitter: emitter, Select: sel, SelectPos: selTok.pos,
+	// Checked here so the message names the token as the statement rules
+	// see it.
+	if !p.at(tokKeyword, "select") {
+		return nil, p.errf("expected \"select\", found %s", describe(p.cur()))
 	}
-	if p.isKeyword("into") {
-		p.i++
+	p.inSelect = true
+	st.Select, err = p.parseSelect(name)
+	p.inSelect = false
+	if err != nil {
+		return nil, err
+	}
+	if p.accept(tokKeyword, "into") {
 		sink, err := p.expectIdent("sink name")
 		if err != nil {
 			return nil, err
@@ -249,7 +261,7 @@ scan:
 }
 
 func (p *parser) parseDrop() (Statement, error) {
-	start := p.next() // drop
+	p.next() // drop
 	kind, err := p.parseKind()
 	if err != nil {
 		return nil, err
@@ -261,15 +273,13 @@ func (p *parser) parseDrop() (Statement, error) {
 	if err := p.expectEnd(); err != nil {
 		return nil, err
 	}
-	return &Drop{Pos: start.pos, Kind: kind, Name: name.text}, nil
+	return &Drop{Kind: kind, Name: name.text}, nil
 }
 
 func (p *parser) parsePauseResume() (Statement, error) {
-	start := p.next() // pause | resume
+	verb := p.next() // pause | resume
 	// The STREAM keyword is optional: PAUSE name == PAUSE STREAM name.
-	if p.isKeyword("stream") {
-		p.i++
-	}
+	p.accept(tokKeyword, "stream")
 	name, err := p.expectIdent("stream name")
 	if err != nil {
 		return nil, err
@@ -277,19 +287,18 @@ func (p *parser) parsePauseResume() (Statement, error) {
 	if err := p.expectEnd(); err != nil {
 		return nil, err
 	}
-	if start.text == "pause" {
-		return &Pause{Pos: start.pos, Name: name.text}, nil
+	if verb.text == "pause" {
+		return &Pause{Name: name.text}, nil
 	}
-	return &Resume{Pos: start.pos, Name: name.text}, nil
+	return &Resume{Name: name.text}, nil
 }
 
 // parseWith parses an optional WITH (k=v, ...) clause.
 func (p *parser) parseWith() ([]Prop, error) {
-	if !p.isKeyword("with") {
+	if !p.accept(tokKeyword, "with") {
 		return nil, nil
 	}
-	p.i++
-	if _, err := p.expectPunct("("); err != nil {
+	if _, err := p.expect(tokPunct, "("); err != nil {
 		return nil, err
 	}
 	var props []Prop
@@ -298,41 +307,34 @@ func (p *parser) parseWith() ([]Prop, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expectPunct("="); err != nil {
+		if _, err := p.expect(tokPunct, "="); err != nil {
 			return nil, err
 		}
 		pr := Prop{Pos: key.pos, Key: strings.ToLower(key.text)}
-		neg := false
-		if p.isPunct("-") {
-			neg = true
-			p.i++
-		}
-		val := p.cur()
-		switch {
+		neg := p.accept(tokPunct, "-")
+		switch val := p.cur(); {
 		case val.kind == tokNumber:
 			pr.Value = val.text
 			if neg {
 				pr.Value = "-" + pr.Value
 			}
 		case neg:
-			return nil, p.errTok(val, "expected number after \"-\", found %s", describe(val))
+			return nil, p.errf("expected number after \"-\", found %s", describe(val))
 		case val.kind == tokIdent || val.kind == tokKeyword:
 			pr.Value = val.text
 		case val.kind == tokString:
 			pr.Value = val.text
 			pr.Quoted = true
 		default:
-			return nil, p.errTok(val, "expected property value, found %s", describe(val))
+			return nil, p.errf("expected property value, found %s", describe(val))
 		}
 		p.i++
 		props = append(props, pr)
-		if p.isPunct(",") {
-			p.i++
-			continue
+		if !p.accept(tokPunct, ",") {
+			break
 		}
-		break
 	}
-	if _, err := p.expectPunct(")"); err != nil {
+	if _, err := p.expect(tokPunct, ")"); err != nil {
 		return nil, err
 	}
 	return props, nil

@@ -56,11 +56,14 @@ func TestParseScript(t *testing.T) {
 	if flt.Emitter != EmitDefault || flt.Into != "" || len(flt.Props) != 0 {
 		t.Errorf("filtered: emitter=%v into=%q props=%v", flt.Emitter, flt.Into, flt.Props)
 	}
-	if want := "SELECT timestamp, a, b FROM Syn [rows 64 slide 32] WHERE b < 4"; flt.Select != want {
-		t.Errorf("filtered select span:\n got %q\nwant %q", flt.Select, want)
+	if want := "select timestamp, a, b from Syn [rows 64 slide 32] where b < 4"; flt.Select.Query.String() != want {
+		t.Errorf("filtered select:\n got %q\nwant %q", flt.Select.Query, want)
 	}
-	if sampleScript[flt.SelectPos:flt.SelectPos+6] != "SELECT" {
-		t.Errorf("SelectPos %d does not point at SELECT", flt.SelectPos)
+	if sampleScript[flt.Select.Pos:flt.Select.Pos+6] != "SELECT" {
+		t.Errorf("Select.Pos %d does not point at SELECT", flt.Select.Pos)
+	}
+	if from := flt.Select.From; len(from) != 1 || sampleScript[from[0]:from[0]+3] != "Syn" {
+		t.Errorf("Select.From %v does not point at Syn", from)
 	}
 
 	tot, ok := sc.Stmts[3].(*CreateStream)
@@ -70,8 +73,11 @@ func TestParseScript(t *testing.T) {
 	if tot.Emitter != EmitRStream || tot.Into != "results" {
 		t.Errorf("totals: emitter=%v into=%q", tot.Emitter, tot.Into)
 	}
-	if !strings.HasPrefix(tot.Select, "SELECT sum(a)") || strings.Contains(tot.Select, "INTO") {
-		t.Errorf("totals select span: %q", tot.Select)
+	if want := "select sum(a) from Syn [range 16 slide 16] group by c"; tot.Select.Query.String() != want {
+		t.Errorf("totals select: %q", tot.Select.Query)
+	}
+	if got := sc.Text(tot); !strings.HasSuffix(got, "INTO results") {
+		t.Errorf("totals text: %q", got)
 	}
 	if len(tot.Props) != 2 || tot.Props[0].Key != "max_queue_bytes" || tot.Props[1].Value != "oldest" {
 		t.Errorf("totals props: %+v", tot.Props)
@@ -161,11 +167,11 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// TestSelectSpanNesting checks the span scanner tracks bracket depth, so
-// punctuation inside parentheses or window specs never terminates the
-// SELECT body early.
+// TestSelectSpanNesting checks that punctuation inside parentheses or
+// window specs never ends a script's SELECT early: only the statement's
+// own ';' or INTO does.
 func TestSelectSpanNesting(t *testing.T) {
-	src := "CREATE STREAM s AS SELECT sum(a+b) FROM x [rows 4] HAVING sum(a+b) > 2; DROP STREAM s;"
+	src := "CREATE STREAM s AS SELECT sum(a+b) AS t FROM x [rows 4] HAVING t > (2); DROP STREAM s;"
 	sc, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +180,10 @@ func TestSelectSpanNesting(t *testing.T) {
 		t.Fatalf("got %d statements, want 2", len(sc.Stmts))
 	}
 	st := sc.Stmts[0].(*CreateStream)
-	if want := "SELECT sum(a+b) FROM x [rows 4] HAVING sum(a+b) > 2"; st.Select != want {
-		t.Errorf("select span: %q", st.Select)
+	if want := "select sum((a + b)) as t from x [rows 4 slide 4] having t > 2"; st.Select.Query.String() != want {
+		t.Errorf("select: %q", st.Select.Query)
+	}
+	if got := sc.Text(st); got != src[:strings.Index(src, ";")] {
+		t.Errorf("text: %q", got)
 	}
 }

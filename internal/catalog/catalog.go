@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 
 	"saber/internal/bql"
-	"saber/internal/cql"
 	"saber/internal/engine"
 )
 
@@ -157,7 +156,7 @@ func (m *Manager) execStatement(sc *bql.Script, st bql.Statement) error {
 }
 
 func (m *Manager) createSource(sc *bql.Script, st *bql.CreateSource) error {
-	spec, err := bql.AnalyzeSource(sc.Src, st)
+	spec, err := AnalyzeSource(sc.Src, st)
 	if err != nil {
 		return err
 	}
@@ -177,7 +176,7 @@ func (m *Manager) createSource(sc *bql.Script, st *bql.CreateSource) error {
 }
 
 func (m *Manager) createSink(sc *bql.Script, st *bql.CreateSink) error {
-	spec, err := bql.AnalyzeSink(sc.Src, st)
+	spec, err := AnalyzeSink(sc.Src, st)
 	if err != nil {
 		return err
 	}
@@ -193,18 +192,18 @@ func (m *Manager) createSink(sc *bql.Script, st *bql.CreateSink) error {
 	return nil
 }
 
-// cqlCatalog derives the schema catalog the SELECT bodies compile
-// against: one entry per registered source. Callers hold m.mu.
-func (m *Manager) cqlCatalog() cql.Catalog {
-	cat := make(cql.Catalog, len(m.sources))
+// sourceStreams maps each registered source to its schema: the streams a
+// SELECT can read FROM. Callers hold m.mu.
+func (m *Manager) sourceStreams() bql.Streams {
+	streams := make(bql.Streams, len(m.sources))
 	for name, s := range m.sources {
-		cat[name] = s.spec.Schema
+		streams[name] = s.spec.Schema
 	}
-	return cat
+	return streams
 }
 
 func (m *Manager) createStream(sc *bql.Script, st *bql.CreateStream) error {
-	spec, err := bql.AnalyzeStream(sc.Src, st, m.cqlCatalog())
+	spec, err := bql.AnalyzeStream(sc.Src, st, m.sourceStreams())
 	if err != nil {
 		return err
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"saber/internal/bql"
-	"saber/internal/cql"
 	"saber/internal/engine"
 	"saber/internal/workload"
 )
@@ -69,7 +68,7 @@ func refRun(t *testing.T, stmt string, input []byte) []byte {
 	if !ok {
 		t.Fatalf("reference statement is %T", sc.Stmts[0])
 	}
-	spec, err := bql.AnalyzeStream(sc.Src, cs, cql.Catalog{"Syn": workload.SynSchema})
+	spec, err := bql.AnalyzeStream(sc.Src, cs, bql.Streams{"Syn": workload.SynSchema})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"saber/internal/bql"
-	"saber/internal/cql"
 	"saber/internal/engine"
 	"saber/internal/workload"
 )
@@ -54,7 +53,7 @@ func TestCrashRestartDifferential(t *testing.T) {
 	// A query the catalog does not know about: its snapshot entry will
 	// have no replayed statement and must be skipped on restore.
 	ghostSc, _ := bql.Parse("CREATE STREAM ghost AS SELECT * FROM Syn [rows 32] WHERE a3 < 0;")
-	ghostSpec, err := bql.AnalyzeStream(ghostSc.Src, ghostSc.Stmts[0].(*bql.CreateStream), cql.Catalog{"Syn": workload.SynSchema})
+	ghostSpec, err := bql.AnalyzeStream(ghostSc.Src, ghostSc.Stmts[0].(*bql.CreateStream), bql.Streams{"Syn": workload.SynSchema})
 	if err != nil {
 		t.Fatal(err)
 	}

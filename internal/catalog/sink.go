@@ -3,15 +3,13 @@ package catalog
 import (
 	"os"
 	"sync"
-
-	"saber/internal/bql"
 )
 
 // sink is one live CREATE SINK: a byte-stream destination shared by the
 // streams that INTO it. writers is guarded by Manager.mu; write runs on
 // engine result goroutines and serialises through its own lock.
 type sink struct {
-	spec    *bql.SinkSpec
+	spec    *SinkSpec
 	writers map[string]bool
 
 	mu    sync.Mutex
@@ -19,7 +17,7 @@ type sink struct {
 	bytes int64
 }
 
-func newSink(spec *bql.SinkSpec) (*sink, error) {
+func newSink(spec *SinkSpec) (*sink, error) {
 	s := &sink{spec: spec, writers: make(map[string]bool)}
 	if spec.Type == "file" {
 		f, err := os.Create(spec.Path)

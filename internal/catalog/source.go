@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"saber/internal/bql"
 	"saber/internal/engine"
 	"saber/internal/ingest"
 )
@@ -17,7 +16,7 @@ import (
 // on). Tcp sources run one ingest server fanning arriving frames out to
 // every attached input.
 type source struct {
-	spec *bql.SourceSpec
+	spec *SourceSpec
 	srv  *ingest.Server // tcp only
 
 	// readers maps attached streams to their input sides; guarded by
@@ -33,7 +32,7 @@ type fanTap struct {
 	side int
 }
 
-func newSource(spec *bql.SourceSpec) (*source, error) {
+func newSource(spec *SourceSpec) (*source, error) {
 	s := &source{spec: spec, readers: make(map[*stream][]int)}
 	s.fan.Store([]fanTap{})
 	if spec.Type == "tcp" {
@@ -130,7 +129,7 @@ type feeder struct {
 	once  sync.Once
 }
 
-func newFeeder(h *engine.Handle, side int, spec *bql.SourceSpec, cursor int64) *feeder {
+func newFeeder(h *engine.Handle, side int, spec *SourceSpec, cursor int64) *feeder {
 	f := &feeder{stopc: make(chan struct{}), done: make(chan struct{})}
 	go f.run(h, side, spec, cursor)
 	return f
@@ -144,7 +143,7 @@ func (f *feeder) signal() { f.once.Do(func() { close(f.stopc) }) }
 // engine quiesce, or simply a live consumer).
 func (f *feeder) wait() { <-f.done }
 
-func (f *feeder) run(h *engine.Handle, side int, spec *bql.SourceSpec, cursor int64) {
+func (f *feeder) run(h *engine.Handle, side int, spec *SourceSpec, cursor int64) {
 	defer close(f.done)
 	g := spec.NewGen()
 	tsz := spec.Schema.TupleSize()

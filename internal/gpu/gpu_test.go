@@ -11,6 +11,7 @@ import (
 
 	"saber/internal/exec"
 	"saber/internal/expr"
+	"saber/internal/fault"
 	"saber/internal/model"
 	"saber/internal/query"
 	"saber/internal/schema"
@@ -309,45 +310,59 @@ func TestJoinKernelMatchesCPU(t *testing.T) {
 	}
 }
 
-// TestPipelineOverlap: with modelled stage times, a depth-4 pipeline must
-// finish a burst of tasks in much less time than the sequential device.
+// TestPipelineOverlap parks the first task in the execute stage (an
+// injected device hang) and checks where the next task gets meanwhile. At
+// depth 4 it passes copy-in and move-in and queues at the execute stage's
+// input; at depth 1 the parked task holds the only buffer slot, so the next
+// task cannot even be staged. Nothing is timed: the hang only bounds how
+// long the depth-4 wait may take.
 func TestPipelineOverlap(t *testing.T) {
-	mk := func(depth int) time.Duration {
-		m := model.Default()
-		// Inflate transfers so each stage is ~5 ms for a 64 KB task.
-		m.PCIeNsPerByte = 80
-		m.HostCopyNsPerByte = 80
-		m.GPULaunchNs = 5e6
-		d := Open(Config{SMs: 2, PipelineDepth: depth, Model: m})
-		defer d.Close()
-		q := query.NewBuilder("id").From("S", syn, window.NewCount(8, 8)).MustBuild()
-		p := mustCompile(t, q)
-		prog := d.Compile(p)
-		stream := genStream(2730, 7) // ~64 KB
-		const tasks = 8
-		start := time.Now()
-		dones := make([]<-chan error, 0, tasks)
-		results := make([]*exec.TaskResult, 0, tasks)
-		for i := 0; i < tasks; i++ {
-			res := p.NewResult()
-			results = append(results, res)
-			dones = append(dones, prog.Submit([2]exec.Batch{{Data: stream, Ctx: window.Context{FirstIndex: int64(i * 2730), PrevTimestamp: int64(i*2730 - 1)}}, {}}, res))
-		}
-		for _, c := range dones {
-			if err := <-c; err != nil {
-				t.Fatal(err)
-			}
-		}
-		elapsed := time.Since(start)
-		for _, r := range results {
-			p.ReleaseResult(r)
-		}
-		return elapsed
+	const hang = 500 * time.Millisecond
+	q := query.NewBuilder("id").From("S", syn, window.NewCount(8, 8)).MustBuild()
+	p := mustCompile(t, q)
+	stream := genStream(64, 7)
+	batch := func(i int) [2]exec.Batch {
+		return [2]exec.Batch{{Data: stream, Ctx: window.Context{FirstIndex: int64(i * 64), PrevTimestamp: int64(i*64 - 1)}}, {}}
 	}
-	seq := mk(1)
-	pipe := mk(4)
-	if pipe*2 > seq {
-		t.Fatalf("pipelining ineffective: depth4 %v vs depth1 %v", pipe, seq)
+	for _, depth := range []int{1, 4} {
+		inj := fault.New(1)
+		inj.Arm(fault.GPUHang, fault.Spec{Rate: 1, Limit: 1, Delay: hang})
+		d := Open(Config{SMs: 2, PipelineDepth: depth, Model: model.Default().Scaled(1e-6), Fault: inj})
+		prog := d.Compile(p)
+		res := [2]*exec.TaskResult{p.NewResult(), p.NewResult()}
+		first := prog.Submit(batch(0), res[0])
+		waitFor(t, "first task parked in execute", func() bool { return d.Hangs() == 1 })
+		second := make(chan (<-chan error), 1)
+		go func() { second <- prog.Submit(batch(1), res[1]) }()
+		if depth > 1 {
+			waitFor(t, "second task queued for execute", func() bool { return len(d.pipe.cExec) == 1 })
+			select {
+			case <-first:
+				t.Fatalf("depth %d: the parked task left before the next one moved in", depth)
+			default:
+			}
+		} else if free, busy := len(d.pipe.slots), d.inflight.Load(); free != 0 || busy != 1 || len(d.pipe.cExec) != 0 {
+			t.Fatalf("depth 1: next task admitted beside the parked one (free slots %d, in flight %d)", free, busy)
+		}
+		if err := <-first; err != nil {
+			t.Fatal(err)
+		}
+		if err := <-<-second; err != nil {
+			t.Fatal(err)
+		}
+		d.Close()
+		p.ReleaseResult(res[0])
+		p.ReleaseResult(res[1])
+	}
+}
+
+// waitFor polls cond until it holds, failing after a generous deadline.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for: %s", what)
+		}
 	}
 }
 

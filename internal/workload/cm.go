@@ -3,7 +3,7 @@ package workload
 import (
 	"math/rand"
 
-	"saber/internal/cql"
+	"saber/internal/bql"
 	"saber/internal/query"
 	"saber/internal/schema"
 )
@@ -96,23 +96,32 @@ func (g *CMGen) Next(dst []byte, n int) []byte {
 	return append(dst, b.Bytes()...)
 }
 
-// CMCatalog registers the TaskEvents stream for CQL parsing.
-func CMCatalog() cql.Catalog { return cql.Catalog{"TaskEvents": CMSchema} }
+// CMStreams names the TaskEvents stream for the SQL front end.
+func CMStreams() bql.Streams { return bql.Streams{"TaskEvents": CMSchema} }
+
+// mustParse parses a statically known query; an error is a bug.
+func mustParse(name, src string, streams bql.Streams) *query.Query {
+	q, err := bql.ParseQuery(name, src, streams)
+	if err != nil {
+		panic(err)
+	}
+	return q
+}
 
 // CM1 is Appendix A.1 Query 1: CPU usage per category.
 func CM1() *query.Query {
-	return cql.MustParse("CM1", `
+	return mustParse("CM1", `
 		select timestamp, category, sum(cpu) as totalCpu
 		from TaskEvents [range 60 slide 1]
-		group by category`, CMCatalog())
+		group by category`, CMStreams())
 }
 
 // CM2 is Appendix A.1 Query 2: average requested CPU per job for
 // scheduled tasks.
 func CM2() *query.Query {
-	return cql.MustParse("CM2", `
+	return mustParse("CM2", `
 		select timestamp, jobId, avg(cpu) as avgCpu
 		from TaskEvents [range 60 slide 1]
 		where eventType == 1
-		group by jobId`, CMCatalog())
+		group by jobId`, CMStreams())
 }

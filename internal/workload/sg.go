@@ -4,7 +4,7 @@ import (
 	"math"
 	"math/rand"
 
-	"saber/internal/cql"
+	"saber/internal/bql"
 	"saber/internal/expr"
 	"saber/internal/query"
 	"saber/internal/schema"
@@ -75,9 +75,9 @@ func (g *SGGen) Next(dst []byte, n int) []byte {
 	return append(dst, b.Bytes()...)
 }
 
-// SGCatalog registers the smart-grid streams for CQL parsing.
-func SGCatalog() cql.Catalog {
-	return cql.Catalog{
+// SGStreams names the smart-grid streams for the SQL front end.
+func SGStreams() bql.Streams {
+	return bql.Streams{
 		"SmartGridStr":  SGSchema,
 		"GlobalLoadStr": SGGlobalSchema,
 		"LocalLoadStr":  SGLocalSchema,

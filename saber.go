@@ -25,6 +25,13 @@
 //	eng.Drain()
 //	eng.Close()
 //
+// Queries are written in the windowed streaming SQL of the paper's
+// Appendix A. One front end, internal/bql, parses both the bare SELECTs
+// Engine.Query takes and the statement scripts (CREATE SOURCE/STREAM/
+// SINK, DROP, PAUSE, RESUME) Engine.BootScript and Catalog.Exec run.
+// Syntax errors and unknown streams name their position:
+// "bql: line L col C: msg".
+//
 // See DESIGN.md for the architecture and the mapping from the paper's
 // sections to the packages under internal/.
 package saber
@@ -35,9 +42,9 @@ import (
 	"time"
 
 	"saber/internal/adapt"
+	"saber/internal/bql"
 	"saber/internal/catalog"
 	"saber/internal/ckpt"
-	"saber/internal/cql"
 	"saber/internal/engine"
 	"saber/internal/gpu"
 	"saber/internal/model"
@@ -61,7 +68,7 @@ type (
 	Window = window.Def
 	// Query is a validated logical query.
 	Query = query.Query
-	// QueryBuilder builds queries programmatically (the CQL front end
+	// QueryBuilder builds queries programmatically (the SQL front end
 	// covers the common cases).
 	QueryBuilder = query.Builder
 	// UDF is a user-defined window operator function (paper §2.4),
@@ -236,7 +243,7 @@ type Config struct {
 // ingest, drain.
 type Engine struct {
 	e       *engine.Engine
-	catalog cql.Catalog
+	streams bql.Streams
 }
 
 // New creates an engine.
@@ -274,19 +281,19 @@ func New(cfg Config) *Engine {
 	}
 	return &Engine{
 		e:       engine.New(ecfg),
-		catalog: cql.Catalog{},
+		streams: bql.Streams{},
 	}
 }
 
-// DeclareStream names a stream schema for use in CQL FROM clauses.
+// DeclareStream names a stream schema for use in SQL FROM clauses.
 func (e *Engine) DeclareStream(name string, s *Schema) {
-	e.catalog[name] = s
+	e.streams[name] = s
 }
 
-// Query parses a CQL query against the declared streams, compiles it and
+// Query parses a SELECT against the declared streams, compiles it and
 // registers it. Must be called before Start.
 func (e *Engine) Query(name, src string) (*QueryHandle, error) {
-	q, err := cql.Parse(name, src, e.catalog)
+	q, err := bql.ParseQuery(name, src, e.streams)
 	if err != nil {
 		return nil, err
 	}
