@@ -98,9 +98,6 @@ type adaptReport struct {
 	// a percentage of the best fixed-ϕ throughput. The CI gate requires
 	// ≥90 with Adaptive.MeetsSLO true.
 	AdaptiveVsBestPct float64 `json:"adaptive_vs_best_pct"`
-	// Metrics embeds the adaptive run's final snapshot (saber.adapt.*
-	// included) so the JSON is self-describing.
-	Metrics obs.Snapshot `json:"metrics"`
 }
 
 // adaptEngine builds the experiment's engine + device pair.
@@ -264,9 +261,6 @@ func adaptive(o Options) Report {
 		f2(js.Adaptive.GBps), "-", f2(js.Adaptive.P99Ms), f2(js.Adaptive.P99FullMs),
 		fmt.Sprint(js.Adaptive.MeetsSLO), f2(js.Adaptive.GPUShare)})
 
-	// Re-run snapshot embedding: the adaptive run's registry was private;
-	// record a compact summary instead of re-plumbing it out — the
-	// decisions and trajectory are already in js.Adaptive.
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("SLO %v tail p99 = ingest batching p99 + e2e p99 (steady-state, first %v of controller convergence excluded)", adaptSLO, adaptWarmup),
 		fmt.Sprintf("burst %0.fMB/s over %0.fMB/s base, %d%% duty; unscaled model, %d CPU workers",

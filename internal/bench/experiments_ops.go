@@ -9,10 +9,8 @@ import (
 	"sort"
 	"time"
 
-	"saber/internal/engine"
 	"saber/internal/exec"
 	"saber/internal/expr"
-	"saber/internal/model"
 	"saber/internal/obs"
 	"saber/internal/query"
 	"saber/internal/ringbuf"
@@ -22,13 +20,14 @@ import (
 )
 
 // The operators experiment measures the CPU batch operator functions at
-// native speed — no model padding, no engine — comparing the per-tuple
-// scalar reference against the vectorized batch kernels over one pinned
-// query-task batch per operator. Alongside the text report it writes a
-// machine-readable BENCH_operators.json for CI and regression tracking.
+// native speed — no model padding, no engine — over one pinned query-task
+// batch per operator: bare, over row versus pre-shredded column batches,
+// and with the engine's per-task observability bundle. Alongside the text
+// report it writes a machine-readable BENCH_operators.json for CI and
+// regression tracking.
 
 func init() {
-	register("operators", "CPU operator kernels: scalar vs vectorized (native speed)", operators)
+	register("operators", "CPU operator kernels: row vs columnar, metrics overhead (native speed)", operators)
 }
 
 // operatorsJSONPath is where the experiment drops its JSON twin; tests
@@ -41,20 +40,19 @@ var operatorsJSONPath = "BENCH_operators.json"
 const opTrials = 7
 
 type opResult struct {
-	Name           string  `json:"name"`
-	ScalarMtps     float64 `json:"scalar_mtps"`
+	Name string `json:"name"`
+	// VectorizedMtps is the kernel's bare rate over a row-only batch.
 	VectorizedMtps float64 `json:"vectorized_mtps"`
-	Speedup        float64 `json:"speedup"`
-	// ColumnarMtps re-measures the vectorized kernel over a batch that
-	// carries pre-shredded column segments (exec.Batch.Cols), the layout
-	// the engine's columnar ring hands every task; ColumnarVsRow is the
-	// ratio against the row-gather vectorized rate. CI gates columnar ≥
-	// row on every operator (tools/benchguard). Operators whose kernels
-	// read rows regardless (joins) sit at ~1.0.
+	// ColumnarMtps re-measures the kernel over a batch that carries
+	// pre-shredded column segments (exec.Batch.Cols), the layout the
+	// engine's columnar ring hands every task; ColumnarVsRow is the ratio
+	// against the row-only rate. CI gates columnar ≥ row on every operator
+	// (tools/benchguard). Operators whose kernels read rows regardless
+	// (joins) sit at ~1.0.
 	ColumnarMtps  float64 `json:"columnar_mtps"`
 	ColumnarVsRow float64 `json:"columnar_vs_row"`
-	// MetricsOnMtps re-measures the vectorized kernel with the engine's
-	// full per-task observability bundle (counters, latency histogram,
+	// MetricsOnMtps re-measures the kernel with the engine's full
+	// per-task observability bundle (counters, latency histogram,
 	// lifecycle trace) applied once per batch; MetricsOverheadPct is the
 	// throughput cost in percent. One 4096-tuple bench batch stands in
 	// for a 1 MiB engine task, so this overstates the engine's actual
@@ -63,28 +61,10 @@ type opResult struct {
 	MetricsOverheadPct float64 `json:"metrics_overhead_pct"`
 }
 
-// ingestResult is the end-to-end ingest-bandwidth comparison: the same
-// stream through a full engine (dispatch → tasks → workers → assembly,
-// no model padding) on the row-only seed layout versus the default
-// columnar ring. GatherElided/GatherCopied count the columnar run's
-// zero-copy column views and wrap-fallback copies; together they equal
-// the number of per-task row gathers the row layout would have done.
-type ingestResult struct {
-	Query         string  `json:"query"`
-	Tuples        int     `json:"tuples"`
-	RowMtps       float64 `json:"row_mtps"`
-	ColumnarMtps  float64 `json:"columnar_mtps"`
-	ColumnarVsRow float64 `json:"columnar_vs_row"`
-	GatherElided  int64   `json:"gather_elided"`
-	GatherCopied  int64   `json:"gather_copied"`
-}
-
 type opsReport struct {
 	TupleBytes  int        `json:"tuple_bytes"`
 	BatchTuples int        `json:"batch_tuples"`
 	Operators   []opResult `json:"operators"`
-	// IngestBandwidth is the end-to-end row vs columnar engine run.
-	IngestBandwidth *ingestResult `json:"ingest_bandwidth"`
 	// MetricsOverheadPct is the geometric-mean metrics-on overhead across
 	// operators; CI fails the build when it exceeds 3 (tools/benchguard).
 	MetricsOverheadPct float64 `json:"metrics_overhead_pct"`
@@ -96,8 +76,7 @@ type opsReport struct {
 // shredCols builds the per-field column segments for one pinned batch
 // through the same ColumnStore the engine's ingest path uses, returning
 // zero-copy views over the whole batch. Shredding happens once, outside
-// the timed loop — in the engine it rides the ingest memcpy, and the
-// ingest-bandwidth section measures that end to end.
+// the timed loop — in the engine it rides the ingest memcpy.
 func shredCols(s *schema.Schema, data []byte) [][]byte {
 	offs := make([]int, s.NumFields())
 	widths := make([]int, s.NumFields())
@@ -115,74 +94,17 @@ func shredCols(s *schema.Schema, data []byte) [][]byte {
 	return views
 }
 
-// measureOp processes the same batch repeatedly through one compiled plan
-// and returns millions of input tuples per second. columnar attaches
-// pre-shredded column segments to the batches, the layout engine tasks
-// carry by default.
-func measureOp(q *query.Query, streams [2][]byte, vec, columnar bool) float64 {
-	p, err := exec.Compile(q)
-	if err != nil {
-		panic(fmt.Sprintf("operators: compile %s: %v", q.Name, err))
-	}
-	p.SetVectorized(vec)
-	var batches [2]exec.Batch
-	tuples := 0
-	for i := 0; i < p.NumInputs(); i++ {
-		batches[i] = exec.Batch{Data: streams[i], Ctx: window.Context{PrevTimestamp: window.NoPrev}}
-		if columnar && len(streams[i]) > 0 {
-			batches[i].Cols = shredCols(p.InputSchema(i), streams[i])
-		}
-		tuples += len(streams[i]) / p.InputSchema(i).TupleSize()
-	}
-	iter := func() {
-		res := p.NewResult()
-		if err := p.Process(batches, res); err != nil {
-			panic(err)
-		}
-		p.ReleaseResult(res)
-	}
-	iter() // warm the pools and the branch predictor
-	// Start each measurement with a fully swept heap: earlier tests in
-	// the same process can leave tens of MiB of garbage whose lazy sweep
-	// debt is paid by the measurement loop's allocations, taxing the
-	// allocation-heavier vectorized path disproportionately (observed as
-	// a ~15% speedup-ratio depression on single-core hosts).
-	debug.FreeOSMemory()
-	// Best-of-trials: scheduler contention (e.g. other test packages
-	// running in parallel) only ever slows a trial down, so the fastest
-	// trial is the robust estimate of the kernel's actual rate.
-	const trials = opTrials
-	const minWall = 8 * time.Millisecond
-	best := 0.0
-	for t := 0; t < trials; t++ {
-		n := 0
-		start := time.Now()
-		var elapsed time.Duration
-		for {
-			iter()
-			n++
-			if elapsed = time.Since(start); elapsed >= minWall && n >= 2 {
-				break
-			}
-		}
-		if r := float64(tuples) * float64(n) / elapsed.Seconds() / 1e6; r > best {
-			best = r
-		}
-	}
-	return best
-}
-
-// measureOpColPair measures the vectorized kernel with row-gather
-// batches and with pre-shredded column batches, interleaving the trials
-// (as in measureOpPair) so the columnar/row ratio is taken within one
-// host-speed regime — on a shared host the absolute rate drifts far more
-// between two measurement blocks than the layouts differ.
+// measureOpColPair measures the kernel with row-gather batches and with
+// pre-shredded column batches, interleaving the trials (as in
+// measureOpPair) so the columnar/row ratio is taken within one host-speed
+// regime — on a shared host the absolute rate drifts far more between two
+// measurement blocks than the layouts differ. Both rates are best-of
+// trials: scheduler contention only ever slows a trial down.
 func measureOpColPair(q *query.Query, streams [2][]byte) (row, col float64) {
 	p, err := exec.Compile(q)
 	if err != nil {
 		panic(fmt.Sprintf("operators: compile %s: %v", q.Name, err))
 	}
-	p.SetVectorized(true)
 	var rowB, colB [2]exec.Batch
 	tuples := 0
 	for i := 0; i < p.NumInputs(); i++ {
@@ -200,8 +122,11 @@ func measureOpColPair(q *query.Query, streams [2][]byte) (row, col float64) {
 		}
 		p.ReleaseResult(res)
 	}
-	iter(rowB)
+	iter(rowB) // warm the pools and the branch predictor
 	iter(colB)
+	// Start the trials with a fully swept heap: earlier tests in the same
+	// process can leave tens of MiB of garbage whose lazy sweep debt the
+	// measurement loop's allocations would pay.
 	debug.FreeOSMemory()
 	const minWall = 8 * time.Millisecond
 	trial := func(b [2]exec.Batch) float64 {
@@ -260,8 +185,8 @@ func newOpInstr(reg *obs.Registry, op string) *opInstr {
 	}
 }
 
-// measureOpPair measures the vectorized kernel bare and with the
-// engine's per-task observability bundle applied once per batch: ingest
+// measureOpPair measures the kernel bare and with the engine's per-task
+// observability bundle applied once per batch: ingest
 // counters and trace begin, queue/exec stage stamps, delivery mark,
 // output counters, latency accumulation and trace finish (histogram
 // observes + postmortem ring write). Bare and instrumented trials are
@@ -278,7 +203,6 @@ func measureOpPair(q *query.Query, streams [2][]byte, in *opInstr) (bare, instr,
 	if err != nil {
 		panic(fmt.Sprintf("operators: compile %s: %v", q.Name, err))
 	}
-	p.SetVectorized(true)
 	var batches [2]exec.Batch
 	tuples, inBytes := 0, 0
 	for i := 0; i < p.NumInputs(); i++ {
@@ -320,7 +244,7 @@ func measureOpPair(q *query.Query, streams [2][]byte, in *opInstr) (bare, instr,
 	}
 	iterBare()
 	iterInstr()
-	debug.FreeOSMemory() // as in measureOp: keep sweep debt out of the trials
+	debug.FreeOSMemory() // as in measureOpColPair: keep sweep debt out of the trials
 	const minWall = 8 * time.Millisecond
 	trial := func(iter func()) float64 {
 		n := 0
@@ -352,80 +276,6 @@ func measureOpPair(q *query.Query, streams [2][]byte, in *opInstr) (bare, instr,
 	return bare, instr, overheadPct
 }
 
-// ingestBandwidth runs the same aggregation stream end-to-end through
-// two engines — row-only layout vs the default columnar ring — at native
-// speed (no model padding) and reports Mtuples/s for each plus the
-// columnar run's gather telemetry. This is the tentpole number: the
-// whole ingest → dispatch → operator path with and without per-task row
-// gathers. The workload is a sliding sum because aggregation is where
-// the layout shows up end to end: the kernel touches one 4-byte field
-// per 32-byte tuple, so projection pushdown shreds exactly that field at
-// ingest (1/8th of the stream bytes) and every task reads a dense 4-byte
-// column instead of walking 32-byte rows. An identity-output selection
-// would re-read the full rows for its output copy either way, shreds
-// nothing, and measures only layout-neutral dispatch.
-func ingestBandwidth(o Options) ingestResult {
-	q := workload.Agg(query.Sum, window.NewCount(512, 64))
-	vol := o.MB << 20
-	stream := synStream(44, 64, vol)
-	tuples := len(stream) / workload.SynTupleSize
-
-	runOnce := func(rowLayout bool) (mtps float64, elided, copied int64) {
-		reg := obs.NewRegistry()
-		eng := engine.New(engine.Config{
-			CPUWorkers: o.Workers,
-			TaskSize:   256 << 10,
-			DisablePad: true,
-			Model:      model.Default(),
-			Metrics:    reg,
-			RowLayout:  rowLayout,
-		})
-		h, err := eng.Register(q)
-		if err != nil {
-			panic(fmt.Sprintf("operators: register ingest query: %v", err))
-		}
-		h.OnResult(func([]byte) {})
-		if err := eng.Start(); err != nil {
-			panic(err)
-		}
-		const chunk = 64 << 10
-		start := time.Now()
-		for off := 0; off < len(stream); off += chunk {
-			end := off + chunk
-			if end > len(stream) {
-				end = len(stream)
-			}
-			h.Insert(stream[off:end])
-		}
-		eng.Drain()
-		elapsed := time.Since(start)
-		eng.Close()
-		snap := reg.Snapshot()
-		return float64(tuples) / elapsed.Seconds() / 1e6,
-			int64(snap.Gauges["saber.ring.q0.in0.gather.elided"]),
-			int64(snap.Gauges["saber.ring.q0.in0.gather.copied"])
-	}
-
-	res := ingestResult{Query: q.Name, Tuples: tuples}
-	// Best-of-trials, interleaved so both layouts see the same host-speed
-	// regime (as in measureOpPair).
-	for t := 0; t < 3; t++ {
-		if r, _, _ := runOnce(true); r > res.RowMtps {
-			res.RowMtps = r
-		}
-		c, elided, copied := runOnce(false)
-		if c > res.ColumnarMtps {
-			res.ColumnarMtps = c
-			res.GatherElided, res.GatherCopied = elided, copied
-		}
-	}
-	res.RowMtps, res.ColumnarMtps = round2(res.RowMtps), round2(res.ColumnarMtps)
-	if res.RowMtps > 0 {
-		res.ColumnarVsRow = round2(res.ColumnarMtps / res.RowMtps)
-	}
-	return res
-}
-
 func operators(o Options) Report {
 	o = o.WithDefaults()
 	const batchTuples = 4096
@@ -454,8 +304,8 @@ func operators(o Options) Report {
 
 	rep := Report{
 		ID:     "operators",
-		Title:  "CPU operator kernels: scalar vs vectorized vs columnar (native speed, Mt/s)",
-		Header: []string{"operator", "scalar Mt/s", "vectorized Mt/s", "speedup", "columnar Mt/s", "col/row", "metrics-on Mt/s", "overhead %"},
+		Title:  "CPU operator kernels: row vs columnar batches, metrics overhead (native speed, Mt/s)",
+		Header: []string{"operator", "bare Mt/s", "columnar Mt/s", "col/row", "metrics-on Mt/s", "overhead %"},
 	}
 	reg := o.Metrics
 	if reg == nil {
@@ -464,12 +314,11 @@ func operators(o Options) Report {
 	js := opsReport{TupleBytes: workload.SynTupleSize, BatchTuples: batchTuples}
 	geomean, measured := 0.0, 0
 	for _, c := range cases {
-		s := measureOp(c.q, c.streams, false, false)
 		rowV, col := measureOpColPair(c.q, c.streams)
 		v, m, over := measureOpPair(c.q, c.streams, newOpInstr(reg, c.name))
-		rep.Rows = append(rep.Rows, []string{c.name, f1(s), f1(v), f2(v / s), f1(col), f2(col / rowV), f1(m), f2(over)})
+		rep.Rows = append(rep.Rows, []string{c.name, f1(v), f1(col), f2(col / rowV), f1(m), f2(over)})
 		js.Operators = append(js.Operators, opResult{
-			Name: c.name, ScalarMtps: round2(s), VectorizedMtps: round2(v), Speedup: round2(v / s),
+			Name: c.name, VectorizedMtps: round2(v),
 			ColumnarMtps: round2(col), ColumnarVsRow: round2(col / rowV),
 			MetricsOnMtps: round2(m), MetricsOverheadPct: round2(over),
 		})
@@ -479,11 +328,6 @@ func operators(o Options) Report {
 	if measured > 0 {
 		js.MetricsOverheadPct = round2(math.Expm1(geomean / float64(measured)))
 	}
-	ing := ingestBandwidth(o)
-	js.IngestBandwidth = &ing
-	rep.Notes = append(rep.Notes, fmt.Sprintf(
-		"ingest-bandwidth (%s, %d tuples end-to-end, no padding): row %.1f Mt/s, columnar %.1f Mt/s (%.2fx), %d gathers elided / %d wrap copies",
-		ing.Query, ing.Tuples, ing.RowMtps, ing.ColumnarMtps, ing.ColumnarVsRow, ing.GatherElided, ing.GatherCopied))
 	js.Metrics = reg.Snapshot()
 
 	if buf, err := json.MarshalIndent(js, "", "  "); err == nil {
@@ -494,7 +338,7 @@ func operators(o Options) Report {
 		}
 	}
 	rep.Notes = append(rep.Notes,
-		"native-speed Plan.Process over one pinned batch; no model padding, so numbers are host-dependent — compare the scalar/vectorized ratio, not absolutes")
+		"native-speed Plan.Process over one pinned batch; no model padding, so numbers are host-dependent — compare the col/row ratio and overhead, not absolutes")
 	return rep
 }
 

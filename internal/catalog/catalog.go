@@ -38,8 +38,8 @@ type Manager struct {
 	streams map[string]*stream
 	log     []logEntry
 	// running flips when StartFeeds is called (engine started): from then
-	// on CREATE starts a stream's feeders immediately; before it, feeders
-	// stay parked so Restore can rebase the rings first.
+	// on a CREATE starts its stream's feeders once its script has applied;
+	// before it, feeders stay parked so Restore can rebase the rings first.
 	running bool
 	closed  bool
 
@@ -105,24 +105,23 @@ func (m *Manager) logRemove(key string) {
 // ExecScript parses and executes a whole BQL script, stopping at the
 // first failing statement.
 func (m *Manager) ExecScript(src string) error {
-	sc, err := bql.Parse(src)
-	if err != nil {
-		return err
-	}
-	for _, st := range sc.Stmts {
-		if err := m.execStatement(sc, st); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := m.Exec(src)
+	return err
 }
 
-// Exec executes one or more DDL statements and reports how many applied.
+// Exec executes one or more DDL statements and reports how many applied,
+// stopping at the first failing statement. The script applies under one
+// hold of the catalog lock, and the streams it creates start feeding only
+// once it has applied, so a script's own PAUSE (create paused, attach a
+// tap, resume) takes effect before any tuple reaches the new query.
 func (m *Manager) Exec(src string) (int, error) {
 	sc, err := bql.Parse(src)
 	if err != nil {
 		return 0, err
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	defer m.startCreatedFeeds()
 	for i, st := range sc.Stmts {
 		if err := m.execStatement(sc, st); err != nil {
 			return i, err
@@ -131,9 +130,20 @@ func (m *Manager) Exec(src string) (int, error) {
 	return len(sc.Stmts), nil
 }
 
+// startCreatedFeeds starts the feeders of streams created since the last
+// call once the engine is running (startFeeds skips streams already
+// feeding). Callers hold m.mu.
+func (m *Manager) startCreatedFeeds() {
+	if !m.running || m.closed {
+		return
+	}
+	for _, str := range m.streams {
+		str.startFeeds()
+	}
+}
+
+// execStatement applies one statement. Callers hold m.mu.
 func (m *Manager) execStatement(sc *bql.Script, st bql.Statement) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.closed {
 		return fmt.Errorf("catalog: closed")
 	}
@@ -253,9 +263,6 @@ func (m *Manager) createStream(sc *bql.Script, st *bql.CreateStream) error {
 		s.attach(str, side)
 	}
 	m.streams[st.Name] = str
-	if m.running {
-		str.startFeeds()
-	}
 	return nil
 }
 

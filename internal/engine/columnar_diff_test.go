@@ -16,16 +16,15 @@ import (
 	"saber/internal/window"
 )
 
-// Differential layout tests: the same stream through two engines — one
-// forced onto the row-only seed path (Config.RowLayout) and one on the
-// default columnar mirror — must produce byte-identical output. The row
-// path is the reference implementation; these tests are what lets the
-// columnar fast path claim correctness rather than just speed (see
-// DESIGN.md §11).
+// Columnar differential tests: the same stream through the engine, whose
+// tasks carry column views of the columnar ring mirror, and through
+// directRun (Plan.Process over row-only batches, no engine) must produce
+// the same output. These tests are what lets the columnar path claim
+// correctness rather than just speed (see DESIGN.md §11).
 
-// runLayout feeds one query through a fresh engine in the given layout
-// and returns the collected output plus the handle (for telemetry
-// assertions after Close).
+// runLayout feeds one query through a fresh engine and returns the
+// collected output plus the handle (for telemetry assertions after
+// Close).
 func runLayout(t *testing.T, mk func() *query.Query, cfg Config, feed func(h *Handle, eng *Engine)) ([]byte, *Handle) {
 	t.Helper()
 	eng := New(cfg)
@@ -41,7 +40,7 @@ func runLayout(t *testing.T, mk func() *query.Query, cfg Config, feed func(h *Ha
 	eng.Drain()
 	eng.Close()
 	if err := h.CheckQuiesced(); err != nil {
-		t.Errorf("layout row=%v: %v", cfg.RowLayout, err)
+		t.Error(err)
 	}
 	return out.buf, h
 }
@@ -88,29 +87,18 @@ func projQuery(t *testing.T) *query.Query {
 // TestColumnarDiffSelection: ordered selection output — the strictest
 // comparison (bytes.Equal, no sorting). An identity-projection selection
 // streams whole rows for its output, so the plan reads no columns and
-// projection pushdown skips the column store entirely on BOTH layouts:
-// the differential check here is that pruning changes nothing about the
-// bytes produced.
+// projection pushdown skips the column store entirely: the differential
+// check here is that pruning changes nothing about the bytes produced.
 func TestColumnarDiffSelection(t *testing.T) {
 	stream := genStream(40000, 101)
 	want := directRun(t, selQuery(t), [2][]byte{stream, nil}, 128)
-
-	rowCfg := fastConfig(4)
-	rowCfg.RowLayout = true
-	rowOut, rowH := runLayout(t, func() *query.Query { return selQuery(t) }, rowCfg, chunkedFeed(stream, 102))
 	colOut, colH := runLayout(t, func() *query.Query { return selQuery(t) }, fastConfig(4), chunkedFeed(stream, 102))
 
-	if !bytes.Equal(rowOut, want) {
-		t.Fatalf("row layout diverged from direct run: got %d bytes, want %d", len(rowOut), len(want))
-	}
-	if !bytes.Equal(colOut, rowOut) {
-		t.Fatalf("columnar output != row output: got %d bytes, want %d", len(colOut), len(rowOut))
+	if !bytes.Equal(colOut, want) {
+		t.Fatalf("engine output diverged from direct run: got %d bytes, want %d", len(colOut), len(want))
 	}
 	if colH.r.ins[0].cols != nil {
 		t.Error("identity-projection plan reads no columns, yet the engine built a column store")
-	}
-	if rowH.r.ins[0].cols != nil {
-		t.Error("RowLayout engine built a column store")
 	}
 }
 
@@ -119,17 +107,10 @@ func TestColumnarDiffSelection(t *testing.T) {
 func TestColumnarDiffProjection(t *testing.T) {
 	stream := genStream(30000, 103)
 	want := directRun(t, projQuery(t), [2][]byte{stream, nil}, 128)
-
-	rowCfg := fastConfig(4)
-	rowCfg.RowLayout = true
-	rowOut, _ := runLayout(t, func() *query.Query { return projQuery(t) }, rowCfg, chunkedFeed(stream, 104))
 	colOut, colH := runLayout(t, func() *query.Query { return projQuery(t) }, fastConfig(4), chunkedFeed(stream, 104))
 
-	if !bytes.Equal(rowOut, want) {
-		t.Fatalf("row layout diverged from direct run: got %d bytes, want %d", len(rowOut), len(want))
-	}
-	if !bytes.Equal(colOut, rowOut) {
-		t.Fatalf("columnar output != row output: got %d bytes, want %d", len(colOut), len(rowOut))
+	if !bytes.Equal(colOut, want) {
+		t.Fatalf("columnar output diverged from direct run: got %d bytes, want %d", len(colOut), len(want))
 	}
 	if v, _ := colStats(colH); v == 0 {
 		t.Error("columnar run elided no gathers")
@@ -142,23 +123,16 @@ func TestColumnarDiffProjection(t *testing.T) {
 func TestColumnarDiffAggregation(t *testing.T) {
 	stream := genStream(30000, 105)
 	want := directRun(t, aggQuery(t), [2][]byte{stream, nil}, 128)
-
-	rowCfg := fastConfig(8)
-	rowCfg.RowLayout = true
-	rowOut, _ := runLayout(t, func() *query.Query { return aggQuery(t) }, rowCfg, chunkedFeed(stream, 106))
 	colOut, _ := runLayout(t, func() *query.Query { return aggQuery(t) }, fastConfig(8), chunkedFeed(stream, 106))
 
 	sch := aggQuery(t).OutputSchema()
-	ref := sortedRows(sch, want)
-	for name, out := range map[string][]byte{"row": rowOut, "columnar": colOut} {
-		got := sortedRows(sch, out)
-		if len(got) != len(ref) {
-			t.Fatalf("%s rows: got %d want %d", name, len(got), len(ref))
-		}
-		for i := range got {
-			if got[i] != ref[i] {
-				t.Fatalf("%s row %d: got %s want %s", name, i, got[i], ref[i])
-			}
+	ref, got := sortedRows(sch, want), sortedRows(sch, colOut)
+	if len(got) != len(ref) {
+		t.Fatalf("columnar rows: got %d want %d", len(got), len(ref))
+	}
+	for i := range got {
+		if got[i] != ref[i] {
+			t.Fatalf("columnar row %d: got %s want %s", i, got[i], ref[i])
 		}
 	}
 }
@@ -197,24 +171,12 @@ func TestColumnarDiffJoin(t *testing.T) {
 		}
 	}
 
-	rowCfg := fastConfig(4)
-	rowCfg.RowLayout = true
-	rowOut, _ := runLayout(t, mk, rowCfg, feed)
 	colOut, colH := runLayout(t, mk, fastConfig(4), feed)
 
 	want := directRun(t, mk(), [2][]byte{lb.Bytes(), rb.Bytes()}, 96)
 	sch := mk().OutputSchema()
-	ref := sortedRows(sch, want)
-	for name, out := range map[string][]byte{"row": rowOut, "columnar": colOut} {
-		got := sortedRows(sch, out)
-		if len(got) != len(ref) {
-			t.Fatalf("%s rows: got %d want %d", name, len(got), len(ref))
-		}
-		for i := range got {
-			if got[i] != ref[i] {
-				t.Fatalf("%s row %d mismatch", name, i)
-			}
-		}
+	if got, ref := sortedRows(sch, colOut), sortedRows(sch, want); !slices.Equal(got, ref) {
+		t.Fatalf("columnar join diverged from direct run: %d vs %d rows", len(got), len(ref))
 	}
 	if v, c := colStats(colH); v+c == 0 {
 		t.Error("join columnar run produced no column views")
@@ -229,17 +191,10 @@ func TestColumnarDiffResize(t *testing.T) {
 	want := directRun(t, selQuery(t), [2][]byte{stream, nil}, 128)
 
 	for _, seed := range []int64{1, 2, 3} {
-		rowCfg := fastConfig(4)
-		rowCfg.RowLayout = true
-		var rowApplied, colApplied []int
-		rowOut, _ := runLayout(t, func() *query.Query { return selQuery(t) }, rowCfg,
-			func(h *Handle, eng *Engine) { rowApplied = insertResizing(h, eng, stream, 12, seed) })
+		var colApplied []int
 		colOut, _ := runLayout(t, func() *query.Query { return selQuery(t) }, fastConfig(4),
 			func(h *Handle, eng *Engine) { colApplied = insertResizing(h, eng, stream, 12, seed) })
 
-		if !bytes.Equal(rowOut, want) {
-			t.Fatalf("seed %d: row layout diverged under resizes %v", seed, rowApplied)
-		}
 		if !bytes.Equal(colOut, want) {
 			t.Fatalf("seed %d: columnar layout diverged under resizes %v: got %d bytes, want %d",
 				seed, colApplied, len(colOut), len(want))
@@ -255,32 +210,22 @@ func TestColumnarDiffGPUFailover(t *testing.T) {
 	stream := genStream(60000, 109)
 	want := directRun(t, projQuery(t), [2][]byte{stream, nil}, 128)
 
-	run := func(rowLayout bool) ([]byte, *gpu.Device, *fault.Injector) {
-		inj := fault.New(55)
-		inj.Arm(fault.GPUKernel, fault.Spec{Rate: 0.3, Limit: 200})
-		dev := gpu.Open(gpu.Config{SMs: 2, Model: model.Default().Scaled(1e-6), Fault: inj})
-		cfg := fastConfig(4)
-		cfg.GPU = dev
-		cfg.RowLayout = rowLayout
-		out, _ := runLayout(t, func() *query.Query { return projQuery(t) }, cfg,
-			func(h *Handle, eng *Engine) { insertResizing(h, eng, stream, 15, 21) })
-		dev.Close()
-		return out, dev, inj
-	}
+	inj := fault.New(55)
+	inj.Arm(fault.GPUKernel, fault.Spec{Rate: 0.3, Limit: 200})
+	dev := gpu.Open(gpu.Config{SMs: 2, Model: model.Default().Scaled(1e-6), Fault: inj})
+	cfg := fastConfig(4)
+	cfg.GPU = dev
+	colOut, _ := runLayout(t, func() *query.Query { return projQuery(t) }, cfg,
+		func(h *Handle, eng *Engine) { insertResizing(h, eng, stream, 15, 21) })
+	dev.Close()
 
-	rowOut, _, rowInj := run(true)
-	colOut, colDev, colInj := run(false)
-
-	if rowInj.TotalInjections() == 0 || colInj.TotalInjections() == 0 {
+	if inj.TotalInjections() == 0 {
 		t.Fatal("no faults injected — test exercised nothing")
-	}
-	if !bytes.Equal(rowOut, want) {
-		t.Fatalf("row layout diverged under failover: got %d bytes, want %d", len(rowOut), len(want))
 	}
 	if !bytes.Equal(colOut, want) {
 		t.Fatalf("columnar layout diverged under failover: got %d bytes, want %d", len(colOut), len(want))
 	}
-	if colDev.GathersElided() == 0 {
+	if dev.GathersElided() == 0 {
 		t.Error("GPU staged no columnar tasks despite RowFreeMap plan")
 	}
 }
@@ -288,27 +233,24 @@ func TestColumnarDiffGPUFailover(t *testing.T) {
 // TestColumnarProjectionPushdown: the engine shreds exactly the fields
 // the compiled plan reads through columns — for the grouped aggregation
 // (SUM(a) GROUP BY b) that is a and b, while timestamp and c stay
-// row-only — and the results still match the row layout exactly.
+// row-only — and the results still match the row-only direct run.
 func TestColumnarProjectionPushdown(t *testing.T) {
 	stream := genStream(30000, 120)
-
-	rowCfg := fastConfig(4)
-	rowCfg.RowLayout = true
-	rowOut, _ := runLayout(t, func() *query.Query { return aggQuery(t) }, rowCfg, chunkedFeed(stream, 121))
+	want := directRun(t, aggQuery(t), [2][]byte{stream, nil}, 128)
 	colOut, colH := runLayout(t, func() *query.Query { return aggQuery(t) }, fastConfig(4), chunkedFeed(stream, 121))
 
 	outS := colH.r.plan.OutputSchema()
-	if rows, want := sortedRows(outS, colOut), sortedRows(outS, rowOut); !slices.Equal(rows, want) {
-		t.Fatalf("pushdown run diverged from row layout: %d vs %d rows", len(rows), len(want))
+	if rows, ref := sortedRows(outS, colOut), sortedRows(outS, want); !slices.Equal(rows, ref) {
+		t.Fatalf("pushdown run diverged from direct run: %d vs %d rows", len(rows), len(ref))
 	}
 	cs := colH.r.ins[0].cols
 	if cs == nil {
 		t.Fatal("aggregation engine built no column store")
 	}
-	want := map[int]bool{1: true, 2: true} // a (arg), b (group key)
+	shredded := map[int]bool{1: true, 2: true} // a (arg), b (group key)
 	for f := 0; f < syn.NumFields(); f++ {
-		if cs.Shredded(f) != want[f] {
-			t.Errorf("field %s shredded=%v, want %v", syn.Field(f).Name, cs.Shredded(f), want[f])
+		if cs.Shredded(f) != shredded[f] {
+			t.Errorf("field %s shredded=%v, want %v", syn.Field(f).Name, cs.Shredded(f), shredded[f])
 		}
 	}
 	if v, c := colStats(colH); v+c == 0 {

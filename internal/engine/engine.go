@@ -56,13 +56,6 @@ type Config struct {
 	Model      model.Params
 	DisablePad bool
 
-	// RowLayout disables the columnar ring mirror: tasks then carry only
-	// the packed row view, reproducing the pre-columnar engine. The
-	// default (false) shreds ingested tuples into per-column segments
-	// alongside the row ring and hands every task zero-copy column views;
-	// the differential tests compare the two layouts byte for byte.
-	RowLayout bool
-
 	// MaxTaskRetries bounds how many times a failing task is re-executed
 	// before it is quarantined (its window range is recorded as a gap and
 	// assembly continues past it). Default 3.

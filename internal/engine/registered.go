@@ -111,9 +111,9 @@ type inputStream struct {
 	ring      *ringbuf.Buffer
 	tupleSize int
 	// cols mirrors the ring's retained window as per-field column
-	// segments (nil under Config.RowLayout). The dispatcher appends right
-	// after ring.Put accepts the same bytes; the result stage releases
-	// columns before the ring (see ringbuf.ColumnStore).
+	// segments (nil when the plan reads no columns). The dispatcher
+	// appends right after ring.Put accepts the same bytes; the result
+	// stage releases columns before the ring (see ringbuf.ColumnStore).
 	cols *ringbuf.ColumnStore
 	// colViews counts tasks handed zero-copy column views; colCopies
 	// counts the wrap fallback (one memcpy per column, still no per-tuple
@@ -151,28 +151,26 @@ func newRegistered(e *Engine, idx int, plan *exec.Plan, ov *overload.Config) *re
 			prevTS:    window.NoPrev,
 		}
 		r.ins[i].ring.SetInvariantName(fmt.Sprintf("ringbuf[q%d/in%d]", idx, i))
-		if !e.cfg.RowLayout {
-			// Shred only the fields the compiled plan reads through column
-			// views (projection pushdown to ingest): the dispatcher-thread
-			// shred cost then scales with the query's working columns, and a
-			// plan that reads no columns at all — e.g. an identity-projection
-			// selection, which streams whole rows for its output anyway —
-			// skips the column store entirely.
-			read := plan.ColumnsRead(i)
-			any := false
-			for _, r := range read {
-				any = any || r
+		// Shred only the fields the compiled plan reads through column
+		// views (projection pushdown to ingest): the dispatcher-thread
+		// shred cost then scales with the query's working columns, and a
+		// plan that reads no columns at all — e.g. an identity-projection
+		// selection, which streams whole rows for its output anyway —
+		// skips the column store entirely.
+		read := plan.ColumnsRead(i)
+		any := false
+		for _, r := range read {
+			any = any || r
+		}
+		if any {
+			offs := make([]int, s.NumFields())
+			widths := make([]int, s.NumFields())
+			for f := range offs {
+				offs[f] = s.Offset(f)
+				widths[f] = s.Field(f).Type.Size()
 			}
-			if any {
-				offs := make([]int, s.NumFields())
-				widths := make([]int, s.NumFields())
-				for f := range offs {
-					offs[f] = s.Offset(f)
-					widths[f] = s.Field(f).Type.Size()
-				}
-				r.ins[i].cols = ringbuf.MustNewColumnStore(offs, widths, read, s.TupleSize(),
-					e.cfg.InputBufferSize/s.TupleSize())
-			}
+			r.ins[i].cols = ringbuf.MustNewColumnStore(offs, widths, read, s.TupleSize(),
+				e.cfg.InputBufferSize/s.TupleSize())
 		}
 	}
 	r.result = newResultStage(r, e.cfg.ResultSlots)

@@ -12,16 +12,15 @@ import (
 // it computes the batch's window fragments, renders every window that
 // opens and closes in the batch into result rows, and produces one
 // WindowPartial per other fragment (TaskResult.route). Sliding windows
-// use incremental computation (paper §5.3):
-// for invertible functions (count/sum/avg) the scalar path takes O(1) per
-// fragment off prefix sums, and the grouped path maintains a rolling group
-// table that is updated with the tuples entering and leaving consecutive
-// fragments instead of being rebuilt.
+// use incremental computation (paper §5.3): for invertible functions
+// (count/sum/avg) a non-grouped aggregate takes O(1) per fragment off
+// prefix sums, and a grouped one maintains a rolling group table that is
+// updated with the tuples entering and leaving consecutive fragments
+// instead of being rebuilt.
 //
-// The vectorized variants batch-evaluate the filter into a selection
-// vector and every aggregate argument into a value column once per batch,
-// ahead of the fragment loops; the per-tuple scalar variants remain the
-// reference implementation (SetVectorized(false)).
+// Every kernel batch-evaluates the filter into a selection vector and
+// every aggregate argument into a value column once per batch, ahead of
+// the fragment loops.
 func (p *Plan) processAggregate(in Batch, res *TaskResult) {
 	s := p.in[0]
 	tsz := s.TupleSize()
@@ -37,29 +36,13 @@ func (p *Plan) processAggregate(in Batch, res *TaskResult) {
 
 	switch {
 	case p.grouped && p.invertApl:
-		if p.vec {
-			p.aggGroupedRollingVec(in, sc, view, res)
-		} else {
-			p.aggGroupedRolling(in, sc, view, res)
-		}
+		p.aggGroupedRollingVec(in, sc, view, res)
 	case p.grouped:
-		if p.vec {
-			p.aggGroupedDirectVec(in, sc, view, res)
-		} else {
-			p.aggGroupedDirect(in, sc, view, res)
-		}
+		p.aggGroupedDirectVec(in, sc, view, res)
 	case p.invertApl:
-		if p.vec {
-			p.aggScalarPrefixVec(in, sc, view, res)
-		} else {
-			p.aggScalarPrefix(in, sc, view, res)
-		}
+		p.aggScalarPrefixVec(in, sc, view, res)
 	default:
-		if p.vec {
-			p.aggScalarDirectVec(in, sc, view, res)
-		} else {
-			p.aggScalarDirect(in, sc, view, res)
-		}
+		p.aggScalarDirectVec(in, sc, view, res)
 	}
 }
 
@@ -107,40 +90,9 @@ func lowerBound(sel []int32, v int32) int {
 	return sort.Search(len(sel), func(i int) bool { return sel[i] >= v })
 }
 
-// aggScalarPrefix computes non-grouped invertible aggregates with prefix
-// sums: each fragment's partial is a difference of two prefix entries.
-func (p *Plan) aggScalarPrefix(in Batch, sc *scratch, view tsView, res *TaskResult) {
-	n := view.Len()
-	m := len(p.aggs)
-	prefC := growI64(sc.prefixC, n+1)
-	prefV := growF64(sc.prefixV, (n+1)*m)
-	sc.prefixC, sc.prefixV = prefC, prefV
-	prefC[0] = 0
-	for a := 0; a < m; a++ {
-		prefV[a] = 0
-	}
-	for i := 0; i < n; i++ {
-		tuple := p.tupleAt(in, i)
-		pass := p.filter == nil || p.filter.EvalTuple(tuple)
-		d := int64(0)
-		if pass {
-			d = 1
-		}
-		prefC[i+1] = prefC[i] + d
-		for a, spec := range p.aggs {
-			v := 0.0
-			if pass && spec.arg != nil {
-				v = spec.arg.EvalFloat(tuple, nil)
-			}
-			prefV[(i+1)*m+a] = prefV[i*m+a] + v
-		}
-	}
-	p.emitPrefixFrags(sc, view, prefC, prefV, m, res)
-}
-
-// aggScalarPrefixVec builds the same prefix arrays from the batch-
-// evaluated selection vector and value columns, then shares the fragment
-// emission with the scalar path.
+// aggScalarPrefixVec computes non-grouped invertible aggregates with
+// prefix sums over the batch-evaluated selection vector and value columns:
+// each fragment's partial is a difference of two prefix entries.
 func (p *Plan) aggScalarPrefixVec(in Batch, sc *scratch, view tsView, res *TaskResult) {
 	n := view.Len()
 	m := len(p.aggs)
@@ -155,9 +107,8 @@ func (p *Plan) aggScalarPrefixVec(in Batch, sc *scratch, view tsView, res *TaskR
 	// One fused pass builds the count prefix and all value prefixes
 	// together: the m running sums are independent dependency chains, so
 	// interleaving them hides the FP add latency that per-agg passes would
-	// serialise. Rejected rows add 0.0, exactly like the scalar loop, so
-	// the running sums stay bit-identical. Queries with up to three
-	// aggregates keep the running sums in registers.
+	// serialise. Queries with up to three aggregates keep the running sums
+	// in registers.
 	cols := sc.cols
 	si := 0
 	cnt := int64(0)
@@ -172,8 +123,6 @@ func (p *Plan) aggScalarPrefixVec(in Batch, sc *scratch, view tsView, res *TaskR
 				}
 				cnt++
 				v0 += c0[i]
-			} else {
-				v0 += 0.0
 			}
 			prefC[i+1] = cnt
 			prefV[i+1] = v0
@@ -189,9 +138,6 @@ func (p *Plan) aggScalarPrefixVec(in Batch, sc *scratch, view tsView, res *TaskR
 				cnt++
 				v0 += c0[i]
 				v1 += c1[i]
-			} else {
-				v0 += 0.0
-				v1 += 0.0
 			}
 			prefC[i+1] = cnt
 			prefV[(i+1)*2] = v0
@@ -209,10 +155,6 @@ func (p *Plan) aggScalarPrefixVec(in Batch, sc *scratch, view tsView, res *TaskR
 				v0 += c0[i]
 				v1 += c1[i]
 				v2 += c2[i]
-			} else {
-				v0 += 0.0
-				v1 += 0.0
-				v2 += 0.0
 			}
 			prefC[i+1] = cnt
 			prefV[(i+1)*3] = v0
@@ -234,9 +176,7 @@ func (p *Plan) aggScalarPrefixVec(in Batch, sc *scratch, view tsView, res *TaskR
 				}
 			} else {
 				prefC[i+1] = prefC[i]
-				for a := 0; a < m; a++ {
-					prefV[nbase+a] = prefV[base+a] + 0.0
-				}
+				copy(prefV[nbase:nbase+m], prefV[base:base+m])
 			}
 		}
 	}
@@ -271,52 +211,10 @@ func (p *Plan) seedVals(vals []float64) {
 	}
 }
 
-// aggScalarDirect recomputes each fragment by scanning its tuple range;
-// used when a non-invertible function (min/max) is present. This is also
-// the ablation path for BenchmarkAblationIncremental.
-func (p *Plan) aggScalarDirect(in Batch, sc *scratch, view tsView, res *TaskResult) {
-	m := len(p.aggs)
-	for _, f := range sc.frags {
-		part := WindowPartial{
-			Window:     f.Window,
-			OpenedHere: f.Opens,
-			ClosedHere: f.Closes,
-			MaxTS:      fragLastTS(view, f.Start, f.End),
-			Vals:       res.AllocVals(m),
-		}
-		p.seedVals(part.Vals)
-		for i := f.Start; i < f.End; i++ {
-			tuple := p.tupleAt(in, i)
-			if p.filter != nil && !p.filter.EvalTuple(tuple) {
-				continue
-			}
-			part.Count++
-			for a, spec := range p.aggs {
-				if spec.arg == nil {
-					continue
-				}
-				v := spec.arg.EvalFloat(tuple, nil)
-				switch spec.op {
-				case OpAdd:
-					part.Vals[a] += v
-				case OpMin:
-					if v < part.Vals[a] {
-						part.Vals[a] = v
-					}
-				case OpMax:
-					if v > part.Vals[a] {
-						part.Vals[a] = v
-					}
-				}
-			}
-		}
-		res.route(p, part)
-	}
-}
-
 // aggScalarDirectVec rescans each fragment off the pre-evaluated value
 // columns: one tight fold per aggregate over the fragment's (selected)
-// rows, in the same ascending order as the scalar path.
+// rows, in ascending row order. It serves non-invertible functions
+// (min/max) and the SetIncremental(false) ablation.
 func (p *Plan) aggScalarDirectVec(in Batch, sc *scratch, view tsView, res *TaskResult) {
 	n := view.Len()
 	m := len(p.aggs)
@@ -414,27 +312,9 @@ func (p *Plan) seedSlot(sl Slot) {
 	}
 }
 
-// addTupleToSlot folds one tuple into a group slot with weight +1/-1.
-func (p *Plan) addTupleToSlot(sl Slot, tuple []byte, sign float64) {
-	sl.AddCount(int64(sign))
-	for a, spec := range p.aggs {
-		if spec.arg == nil {
-			continue
-		}
-		v := spec.arg.EvalFloat(tuple, nil)
-		switch spec.op {
-		case OpAdd:
-			sl.AddVal(a, sign*v)
-		case OpMin:
-			sl.MinVal(a, v)
-		case OpMax:
-			sl.MaxVal(a, v)
-		}
-	}
-}
-
-// addColsToSlot folds row i into a group slot off the pre-evaluated
-// value columns — same folds as addTupleToSlot, no expression calls.
+// addColsToSlot folds row i into a group slot with weight +1/-1 off the
+// pre-evaluated value columns — same folds as FoldTuple, no expression
+// calls.
 func (p *Plan) addColsToSlot(sl Slot, cols []float64, n, i int, sign float64) {
 	sl.AddCount(int64(sign))
 	for a, spec := range p.aggs {
@@ -453,57 +333,12 @@ func (p *Plan) addColsToSlot(sl Slot, cols []float64, n, i int, sign float64) {
 	}
 }
 
-// aggGroupedRolling computes grouped fragments incrementally: the rolling
-// table always holds the current fragment's groups; moving to the next
-// fragment removes the tuples that leave the window and adds those that
-// enter. Requires invertible aggregates.
-func (p *Plan) aggGroupedRolling(in Batch, sc *scratch, view tsView, res *TaskResult) {
-	if sc.rolling == nil || sc.rolling.KeyLen() != p.keyLen || sc.rolling.NumAggs() != len(p.aggs) {
-		sc.rolling = NewHashTable(p.keyLen, len(p.aggs), 256)
-	}
-	roll := sc.rolling
-	roll.Reset()
-	keyBuf := sc.keyBuf
-	curStart, curEnd := sc.frags[0].Start, sc.frags[0].Start
-
-	for _, f := range sc.frags {
-		// Remove tuples leaving the window.
-		for i := curStart; i < f.Start; i++ {
-			tuple := p.tupleAt(in, i)
-			if p.filter != nil && !p.filter.EvalTuple(tuple) {
-				continue
-			}
-			keyBuf = p.key(keyBuf, tuple)
-			if sl, ok := roll.Lookup(keyBuf); ok {
-				p.addTupleToSlot(sl, tuple, -1)
-			}
-		}
-		curStart = f.Start
-		if curEnd < curStart {
-			curEnd = curStart
-		}
-		// Add tuples entering the window.
-		for i := curEnd; i < f.End; i++ {
-			tuple := p.tupleAt(in, i)
-			if p.filter != nil && !p.filter.EvalTuple(tuple) {
-				continue
-			}
-			keyBuf = p.key(keyBuf, tuple)
-			sl := roll.Upsert(keyBuf, p.seedSlot)
-			p.addTupleToSlot(sl, tuple, +1)
-			sl.ObserveTS(view.At(i))
-		}
-		curEnd = f.End
-
-		p.emitRolling(roll, f, view, res)
-	}
-	sc.keyBuf = keyBuf
-}
-
-// aggGroupedRollingVec is the rolling path over the batch-evaluated
-// selection vector and value columns: the remove and add scans walk two
-// monotonic cursors over the selection vector instead of re-evaluating
-// the filter and arguments per tuple.
+// aggGroupedRollingVec computes grouped fragments incrementally: the
+// rolling table always holds the current fragment's groups; moving to the
+// next fragment removes the tuples that leave the window and adds those
+// that enter. Requires invertible aggregates. The remove and add scans
+// walk two monotonic cursors over the batch-evaluated selection vector and
+// fold off the value columns.
 func (p *Plan) aggGroupedRollingVec(in Batch, sc *scratch, view tsView, res *TaskResult) {
 	n := view.Len()
 	sel, all := p.evalAggBatch(sc, in, p.in[0].TupleSize(), n)
@@ -592,35 +427,9 @@ func (p *Plan) snapshotRolling(roll *HashTable, f window.Fragment, view tsView) 
 	}
 }
 
-// aggGroupedDirect rebuilds each fragment's group table from scratch; used
-// when a non-invertible function is present.
-func (p *Plan) aggGroupedDirect(in Batch, sc *scratch, view tsView, res *TaskResult) {
-	keyBuf := sc.keyBuf
-	for _, f := range sc.frags {
-		table := p.newTable()
-		for i := f.Start; i < f.End; i++ {
-			tuple := p.tupleAt(in, i)
-			if p.filter != nil && !p.filter.EvalTuple(tuple) {
-				continue
-			}
-			keyBuf = p.key(keyBuf, tuple)
-			sl := table.Upsert(keyBuf, p.seedSlot)
-			p.addTupleToSlot(sl, tuple, +1)
-			sl.ObserveTS(view.At(i))
-		}
-		res.route(p, WindowPartial{
-			Window:     f.Window,
-			OpenedHere: f.Opens,
-			ClosedHere: f.Closes,
-			Table:      table,
-			MaxTS:      fragLastTS(view, f.Start, f.End),
-		})
-	}
-	sc.keyBuf = keyBuf
-}
-
-// aggGroupedDirectVec rebuilds each fragment's table off the selection
-// vector and pre-evaluated value columns.
+// aggGroupedDirectVec rebuilds each fragment's group table from scratch
+// off the selection vector and pre-evaluated value columns; used when a
+// non-invertible function is present.
 func (p *Plan) aggGroupedDirectVec(in Batch, sc *scratch, view tsView, res *TaskResult) {
 	n := view.Len()
 	sel, all := p.evalAggBatch(sc, in, p.in[0].TupleSize(), n)

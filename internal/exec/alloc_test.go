@@ -40,17 +40,19 @@ func allocQuery(kind string) *query.Query {
 	panic("unknown kind " + kind)
 }
 
-func steadyStateAllocs(tb testing.TB, kind string, vec bool) float64 {
+func steadyStateAllocs(tb testing.TB, kind string, cols bool) float64 {
 	tb.Helper()
 	p, err := Compile(allocQuery(kind))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	p.SetVectorized(vec)
 	if kind == "grouped-direct" {
 		p.SetIncremental(false)
 	}
 	in := [2]Batch{{Data: genStream(4096, 9), Ctx: window.Context{PrevTimestamp: window.NoPrev}}}
+	if cols {
+		in[0].Cols = shredCols(p, 0, in[0].Data)
+	}
 	res := p.NewResult()
 	run := func() {
 		res.Reset()
@@ -69,36 +71,36 @@ func TestAggregateSteadyStateAllocs(t *testing.T) {
 		t.Skip("allocation counting is slow under -short")
 	}
 	for _, kind := range []string{"grouped-rolling", "grouped-direct", "scalar-prefix", "scalar-direct"} {
-		for _, vec := range []bool{false, true} {
-			name := kind
-			if vec {
-				name += "/vec"
-			} else {
-				name += "/scalar"
+		t.Run(kind, func(t *testing.T) {
+			for _, cols := range []bool{false, true} {
+				name := "rows"
+				if cols {
+					name = "cols"
+				}
+				t.Run(name, func(t *testing.T) {
+					got := steadyStateAllocs(t, kind, cols)
+					// 4096 tuples, 64 windows per batch. Scalar partials draw
+					// their accumulators from the result's arena, so those
+					// paths must be (near) zero. Grouped partials each carry a
+					// snapshot hash table whose ownership transfers to the
+					// assembler — inherently a few allocations per window —
+					// so their budget is per-window; a regression to per-tuple
+					// work (4096+) or per-group scratch still trips it.
+					budget := 48.0
+					if kind == "grouped-rolling" || kind == "grouped-direct" {
+						budget = 64 * 10
+					}
+					if got > budget {
+						t.Errorf("%s/%s: %.0f allocs/op, budget %.0f — a per-task scratch buffer is not pooled", kind, name, got, budget)
+					}
+				})
 			}
-			t.Run(name, func(t *testing.T) {
-				got := steadyStateAllocs(t, kind, vec)
-				// 4096 tuples, 64 windows per batch. Scalar partials draw
-				// their accumulators from the result's arena, so those
-				// paths must be (near) zero. Grouped partials each carry a
-				// snapshot hash table whose ownership transfers to the
-				// assembler — inherently a few allocations per window —
-				// so their budget is per-window; a regression to per-tuple
-				// work (4096+) or per-group scratch still trips it.
-				budget := 48.0
-				if kind == "grouped-rolling" || kind == "grouped-direct" {
-					budget = 64 * 10
-				}
-				if got > budget {
-					t.Errorf("%s: %.0f allocs/op, budget %.0f — a per-task scratch buffer is not pooled", name, got, budget)
-				}
-			})
-		}
+		})
 	}
 }
 
 // BenchmarkAggAllocs reports allocs/op for the aggregate paths; the CI
-// bench artifacts track the vectorized grouped path at (near) zero.
+// bench artifacts track the grouped path at (near) zero.
 func BenchmarkAggAllocs(b *testing.B) {
 	for _, kind := range []string{"grouped-rolling", "scalar-prefix"} {
 		b.Run(kind, func(b *testing.B) {
@@ -106,7 +108,6 @@ func BenchmarkAggAllocs(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			p.SetVectorized(true)
 			in := [2]Batch{{Data: genStream(4096, 9), Ctx: window.Context{PrevTimestamp: window.NoPrev}}}
 			res := p.NewResult()
 			b.ReportAllocs()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -14,19 +13,15 @@ import (
 )
 
 // rowsAsSet renders output rows as sorted strings (row order within a
-// window is not part of the contract, so grouped results compare as sets;
-// we fold the timestamp in to keep rows distinct across windows).
+// window is not part of the contract, so grouped results compare as
+// sets). Floats print in their shortest round-trip form, so equal strings
+// mean bit-equal values.
 func rowsAsSet(p *Plan, out []byte) []string {
-	osz := p.OutputSchema().TupleSize()
 	s := p.OutputSchema()
+	osz := s.TupleSize()
 	var rows []string
 	for i := 0; i+osz <= len(out); i += osz {
-		row := out[i : i+osz]
-		var b strings.Builder
-		for f := 0; f < s.NumFields(); f++ {
-			fmt.Fprintf(&b, "%s=%.4f;", s.Field(f).Name, s.ReadFloat(row, f))
-		}
-		rows = append(rows, b.String())
+		rows = append(rows, s.Format(out[i:i+osz]))
 	}
 	sort.Strings(rows)
 	return rows
@@ -76,61 +71,12 @@ func TestGroupedRollingMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestGroupedAgainstReference checks grouped sums/counts against a naive
-// per-window map computation.
+// TestGroupedAgainstReference checks grouped sums/counts against the
+// oracle.
 func TestGroupedAgainstReference(t *testing.T) {
-	w := window.NewCount(20, 5)
 	stream := genStream(200, 12)
-	p := groupedPlan(t, w, true)
-	got := rowsAsSet(p, runPlan(t, p, stream, 23))
-
-	// Naive reference.
-	tsz := synSchema.TupleSize()
-	n := len(stream) / tsz
-	type key struct {
-		win int64
-		b   int32
-	}
-	type acc struct {
-		sum float64
-		cnt int64
-		ts  int64
-	}
-	ref := map[key]*acc{}
-	for i := 0; i < n; i++ {
-		tu := stream[i*tsz : (i+1)*tsz]
-		for k := int64(0); w.Start(k) <= int64(i); k++ {
-			if int64(i) >= w.End(k) {
-				continue
-			}
-			kk := key{k, synSchema.ReadInt32(tu, 2)}
-			a := ref[kk]
-			if a == nil {
-				a = &acc{}
-				ref[kk] = a
-			}
-			a.sum += float64(synSchema.ReadFloat32(tu, 1))
-			a.cnt++
-			// Rows are stamped with the group's last contributing
-			// timestamp; tuples arrive in timestamp order.
-			a.ts = synSchema.Timestamp(tu)
-		}
-	}
-	var want []string
-	for kk, a := range ref {
-		_ = kk
-		want = append(want, fmt.Sprintf("timestamp=%.4f;b=%.4f;s=%.4f;n=%.4f;",
-			float64(a.ts), float64(kk.b), a.sum, float64(a.cnt)))
-	}
-	sort.Strings(want)
-	if len(got) != len(want) {
-		t.Fatalf("rows: got %d want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("row %d:\n got  %s\n want %s", i, got[i], want[i])
-		}
-	}
+	p := groupedPlan(t, window.NewCount(20, 5), true)
+	runOracle(t, p.Q, [2][]byte{stream, nil}).check(t, p, runPlan(t, p, stream, 23))
 }
 
 func TestGroupedMinMaxPath(t *testing.T) {
@@ -247,22 +193,17 @@ func TestDistinctValidation(t *testing.T) {
 // into batches. We run the same grouped sliding aggregation under random
 // batch sizes — smaller and larger than the window, so windows complete
 // in the worker and windows assembled across tasks both occur — and
-// compare with the single-batch run window by window (runPlan also
-// checks that no complete window leaves Process as a partial).
+// compare with the oracle window by window (runPlan also checks that no
+// complete window leaves Process as a partial).
 func TestBatchingInvarianceProperty(t *testing.T) {
 	stream := gapStream(256, 16)
 	for _, w := range []window.Def{window.NewCount(12, 5), window.NewTime(12, 5)} {
-		counts := windowRowCounts(stream, w, routeCase{
-			pass:     func([]byte) bool { return true },
-			key:      func(tu []byte) int32 { return synSchema.ReadInt32(tu, 2) },
-			minCount: 1,
-		})
+		want := runOracle(t, groupedPlan(t, w, true).Q, [2][]byte{stream, nil})
 		for _, incremental := range []bool{true, false} {
-			p := groupedPlan(t, w, incremental)
-			ref := runPlan(t, p, stream, 256)
 			f := func(batchSeed uint8) bool {
 				batch := int(batchSeed%60) + 1
-				sameWindows(t, p, runPlan(t, groupedPlan(t, w, incremental), stream, batch), ref, counts)
+				p := groupedPlan(t, w, incremental)
+				want.check(t, p, runPlan(t, p, stream, batch))
 				return true
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

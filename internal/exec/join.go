@@ -167,29 +167,16 @@ func (p *Plan) JoinPartial(pr JoinPair, in [2]Batch) WindowPartial {
 // in (a, b) scan order. sc may be nil (assembly-time callers); batch-time
 // callers pass their task scratch.
 //
-// The vectorized path evaluates the predicate for one left tuple against
-// the whole right fragment per inner pass. When the predicate carries an
-// integer equality conjunct, the right fragment is bucketed by key first,
-// so each left tuple only tests its key-equal candidates; candidate
-// chains are built in ascending order to preserve the nested-loop output
-// byte-for-byte.
+// It evaluates the predicate for one left tuple against the whole right
+// fragment per inner pass. When the predicate carries an integer equality
+// conjunct, the right fragment is bucketed by key first, so each left
+// tuple only tests its key-equal candidates; candidate chains are built in
+// ascending order so the output keeps (a, b) scan order.
 func (p *Plan) joinCross(dst, aData, bData []byte, sc *scratch) []byte {
 	if len(aData) == 0 || len(bData) == 0 {
 		return dst
 	}
 	asz, bsz := p.in[0].TupleSize(), p.in[1].TupleSize()
-	if !p.vec {
-		for ao := 0; ao+asz <= len(aData); ao += asz {
-			a := aData[ao : ao+asz]
-			for bo := 0; bo+bsz <= len(bData); bo += bsz {
-				b := bData[bo : bo+bsz]
-				if p.joinPred.Eval(a, b) {
-					dst = p.writeOut(dst, a, b)
-				}
-			}
-		}
-		return dst
-	}
 	if sc == nil {
 		sc = p.getScratch()
 		defer p.putScratch(sc)

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"fmt"
-	"sort"
 	"testing"
 
 	"saber/internal/expr"
@@ -41,97 +39,22 @@ func joinPlan(t *testing.T, w window.Def, pred expr.Pred) *Plan {
 	return mustCompile(t, q)
 }
 
-// refJoin computes the per-window equi-join naively: for count window k
-// over both streams, all pairs (i, j) with i, j in [start, end) and
-// v[i] == w[j].
-func refJoin(l, r []byte, w window.Def, n int) []string {
-	var rows []string
-	lsz, rsz := leftSchema.TupleSize(), rightSchema.TupleSize()
-	for k := int64(0); w.Start(k) < int64(n); k++ {
-		s, e := w.Start(k), w.End(k)
-		if e > int64(n) {
-			e = int64(n)
-		}
-		for i := s; i < e; i++ {
-			for j := s; j < e; j++ {
-				lv := leftSchema.ReadInt32(l[int(i)*lsz:], 1)
-				rv := rightSchema.ReadInt32(r[int(j)*rsz:], 1)
-				if lv == rv {
-					rows = append(rows, fmt.Sprintf("k%d:%d-%d", k, i, j))
-				}
-			}
-		}
-	}
-	sort.Strings(rows)
-	return rows
-}
-
-// gotJoin renders join output rows as window-less pair identifiers using
-// the timestamps carried through (L.timestamp, R.timestamp identify i, j).
-func gotJoin(p *Plan, out []byte, w window.Def) []string {
-	s := p.OutputSchema()
-	osz := s.TupleSize()
-	lts := s.IndexOf("timestamp")
-	rts := s.IndexOf("R_timestamp")
-	var rows []string
-	for o := 0; o+osz <= len(out); o += osz {
-		i := s.ReadInt(out[o:], lts)
-		j := s.ReadInt(out[o:], rts)
-		// Recover the window: both i and j lie in it; for slide==size the
-		// window is i/size; for general windows a pair may belong to
-		// several, so we tag with the earliest containing window.
-		k := maxI64((i-w.Size+w.Slide)/w.Slide, (j-w.Size+w.Slide)/w.Slide)
-		if k < 0 {
-			k = 0
-		}
-		rows = append(rows, fmt.Sprintf("k%d:%d-%d", k, i, j))
-	}
-	sort.Strings(rows)
-	return rows
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func TestJoinTumblingWithinBatch(t *testing.T) {
-	w := window.NewCount(8, 8)
-	p := joinPlan(t, w, expr.Cmp{Op: expr.Eq, Left: expr.Col("v"), Right: expr.Col("w")})
+	p := joinPlan(t, window.NewCount(8, 8), expr.Cmp{Op: expr.Eq, Left: expr.Col("v"), Right: expr.Col("w")})
 	l, r := genPair(64, 4)
-	out := runPlanStreams(t, p, [2][]byte{l, r}, 16) // batches hold whole windows
-	got := gotJoin(p, out, w)
-	want := refJoin(l, r, w, 64)
-	if len(got) != len(want) {
-		t.Fatalf("rows = %d, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("row %d: got %s want %s", i, got[i], want[i])
-		}
-	}
+	streams := [2][]byte{l, r}
+	runOracle(t, p.Q, streams).check(t, p, runPlanStreams(t, p, streams, 16)) // batches hold whole windows
 }
 
 // TestJoinWindowSpansBatches: windows larger than the batch require the
 // assembly stage to join cross-task pairs.
 func TestJoinWindowSpansBatches(t *testing.T) {
-	w := window.NewCount(16, 16)
-	p := joinPlan(t, w, expr.Cmp{Op: expr.Eq, Left: expr.Col("v"), Right: expr.Col("w")})
+	p := joinPlan(t, window.NewCount(16, 16), expr.Cmp{Op: expr.Eq, Left: expr.Col("v"), Right: expr.Col("w")})
 	l, r := genPair(64, 4)
+	streams := [2][]byte{l, r}
+	want := runOracle(t, p.Q, streams)
 	for _, batch := range []int{3, 5, 7} {
-		out := runPlanStreams(t, p, [2][]byte{l, r}, batch)
-		got := gotJoin(p, out, w)
-		want := refJoin(l, r, w, 64)
-		if len(got) != len(want) {
-			t.Fatalf("batch %d: rows = %d, want %d", batch, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("batch %d row %d: got %s want %s", batch, i, got[i], want[i])
-			}
-		}
+		want.check(t, p, runPlanStreams(t, p, streams, batch))
 	}
 }
 
@@ -178,15 +101,10 @@ func TestJoinProjectionOutput(t *testing.T) {
 }
 
 func TestJoinTimeWindows(t *testing.T) {
-	w := window.NewTime(4, 4)
-	p := joinPlan(t, w, expr.Cmp{Op: expr.Eq, Left: expr.Col("v"), Right: expr.Col("w")})
-	l, r := genPair(32, 4) // timestamps == indices, so time==count here
-	out := runPlanStreams(t, p, [2][]byte{l, r}, 5)
-	want := refJoin(l, r, window.NewCount(4, 4), 32)
-	got := gotJoin(p, out, window.NewCount(4, 4))
-	if len(got) != len(want) {
-		t.Fatalf("rows = %d, want %d", len(got), len(want))
-	}
+	p := joinPlan(t, window.NewTime(4, 4), expr.Cmp{Op: expr.Eq, Left: expr.Col("v"), Right: expr.Col("w")})
+	l, r := genPair(32, 4)
+	streams := [2][]byte{l, r}
+	runOracle(t, p.Q, streams).check(t, p, runPlanStreams(t, p, streams, 5))
 }
 
 func TestJoinMismatchedWindowKindsRejected(t *testing.T) {
@@ -210,7 +128,6 @@ func TestJoinLaggingInput(t *testing.T) {
 
 	asm := NewAssembler(p)
 	var out []byte
-	lsz, rsz := leftSchema.TupleSize(), rightSchema.TupleSize()
 
 	// Task 1: all of L, none of R. Task 2: none of L, all of R.
 	tasks := [][2]Batch{
@@ -225,18 +142,5 @@ func TestJoinLaggingInput(t *testing.T) {
 		out = asm.Drain(res, out)
 		p.ReleaseResult(res)
 	}
-	out = asm.Flush(out)
-
-	want := refJoin(l, r, window.NewCount(4, 4), 32) // ts == index
-	got := gotJoin(p, out, window.NewCount(4, 4))
-	if len(got) != len(want) {
-		t.Fatalf("rows = %d, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("row %d: got %s want %s", i, got[i], want[i])
-		}
-	}
-	_ = lsz
-	_ = rsz
+	runOracle(t, p.Q, [2][]byte{l, r}).check(t, p, asm.Flush(out))
 }

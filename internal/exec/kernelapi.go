@@ -125,7 +125,23 @@ func (p *Plan) NewTable() *HashTable { return p.newTable() }
 func (p *Plan) SeedSlot(sl Slot) { p.seedSlot(sl) }
 
 // FoldTuple folds one tuple into a group slot.
-func (p *Plan) FoldTuple(sl Slot, tuple []byte) { p.addTupleToSlot(sl, tuple, +1) }
+func (p *Plan) FoldTuple(sl Slot, tuple []byte) {
+	sl.AddCount(1)
+	for a, spec := range p.aggs {
+		if spec.arg == nil {
+			continue
+		}
+		v := spec.arg.EvalFloat(tuple, nil)
+		switch spec.op {
+		case OpAdd:
+			sl.AddVal(a, v)
+		case OpMin:
+			sl.MinVal(a, v)
+		case OpMax:
+			sl.MaxVal(a, v)
+		}
+	}
+}
 
 // TimestampOf returns the timestamp of tuple i in a packed batch of
 // input side's schema.

@@ -4,15 +4,10 @@ package exec
 // stateless and use IStream semantics, so the window definition does not
 // influence the output (which is why Fig. 11a is flat).
 //
-// The vectorized path mirrors the GPU's two-pass count+compact kernel
-// (§5.4): a batch predicate evaluation fills the selection vector, then
-// writeOutBatch compacts the selected rows column-at-a-time. The scalar
-// per-tuple loop remains the reference implementation.
+// It mirrors the GPU's two-pass count+compact kernel (§5.4): a batch
+// predicate evaluation fills the selection vector, then writeOutBatch
+// compacts the selected rows column-at-a-time.
 func (p *Plan) processMap(in Batch, res *TaskResult) {
-	if !p.vec {
-		p.processMapScalar(in, res)
-		return
-	}
 	s := p.in[0]
 	tsz := s.TupleSize()
 	n := len(in.Data) / tsz
@@ -23,18 +18,4 @@ func (p *Plan) processMap(in Batch, res *TaskResult) {
 	sel, all := p.filterSel(sc, in, tsz, n)
 	res.Stream = p.writeOutBatch(res.Stream, in, tsz, n, sel, all, sc)
 	p.putScratch(sc)
-}
-
-// processMapScalar is the per-tuple reference path (SetVectorized(false)).
-func (p *Plan) processMapScalar(in Batch, res *TaskResult) {
-	s := p.in[0]
-	ts := s.TupleSize()
-	n := len(in.Data) / ts
-	for i := 0; i < n; i++ {
-		tuple := in.Data[i*ts : (i+1)*ts]
-		if p.filter != nil && !p.filter.EvalTuple(tuple) {
-			continue
-		}
-		res.Stream = p.writeOut(res.Stream, tuple, nil)
-	}
 }

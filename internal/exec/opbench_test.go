@@ -8,47 +8,32 @@ import (
 	"saber/internal/window"
 )
 
-// Operator microbenchmarks comparing the vectorized batch kernels against
-// the per-tuple scalar reference. Each sub-benchmark processes one batch
-// per iteration; b.SetBytes makes `go test -bench` report MB/s, and
-// tuples/s = bytes/s ÷ 32.
+// Operator microbenchmarks for the CPU batch kernels. Each benchmark
+// processes one batch per iteration; b.SetBytes makes `go test -bench`
+// report MB/s, and tuples/s = bytes/s ÷ 32.
 
 const benchTuples = 4096
 
-func benchPlan(b *testing.B, q *query.Query, vec bool) *Plan {
+func benchProcess(b *testing.B, q *query.Query, streams [2][]byte) {
 	b.Helper()
 	p, err := Compile(q)
 	if err != nil {
 		b.Fatal(err)
 	}
-	p.SetVectorized(vec)
-	return p
-}
-
-func benchProcess(b *testing.B, q *query.Query, streams [2][]byte) {
-	b.Helper()
-	for _, mode := range []struct {
-		name string
-		vec  bool
-	}{{"scalar", false}, {"vectorized", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			p := benchPlan(b, q, mode.vec)
-			var in [2]Batch
-			total := 0
-			for i := 0; i < p.NumInputs(); i++ {
-				in[i] = Batch{Data: streams[i], Ctx: window.Context{PrevTimestamp: window.NoPrev}}
-				total += len(streams[i])
-			}
-			res := p.NewResult()
-			b.SetBytes(int64(total))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res.Reset()
-				if err := p.Process(in, res); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	var in [2]Batch
+	total := 0
+	for i := 0; i < p.NumInputs(); i++ {
+		in[i] = Batch{Data: streams[i], Ctx: window.Context{PrevTimestamp: window.NoPrev}}
+		total += len(streams[i])
+	}
+	res := p.NewResult()
+	b.SetBytes(int64(total))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res.Reset()
+		if err := p.Process(in, res); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

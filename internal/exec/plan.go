@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"saber/internal/expr"
 	"saber/internal/query"
@@ -83,11 +82,6 @@ type Plan struct {
 	invertApl bool              // incremental (rolling) computation applies
 	having    *expr.PredProgram // over the output schema
 
-	// vec selects the vectorized batch operators; the per-tuple scalar
-	// path stays behind SetVectorized(false) as the reference
-	// implementation for differential tests and ablation.
-	vec bool
-
 	// colOffs/colW describe each input schema's columnar layout (field
 	// byte offsets within the row tuple, and field widths), precomputed so
 	// batch evaluation can attach Batch.Cols views without per-task work.
@@ -117,9 +111,9 @@ type scratch struct {
 	prefixV []float64 // prefix sums, nAggs-strided
 	rolling *HashTable
 
-	// Vectorized-path scratch: the register columns behind batch
-	// evaluation, the selection vectors, and the per-batch value columns.
-	// All are owned by one Process call at a time via the scratch pool.
+	// Batch-evaluation scratch: the register columns, the selection
+	// vectors, and the per-batch value columns. All are owned by one
+	// Process call at a time via the scratch pool.
 	vec  expr.VecScratch
 	sel  []int32   // filter selection vector
 	selJ []int32   // join inner-pass selection vector
@@ -128,7 +122,7 @@ type scratch struct {
 	fcol []float64 // computed projection column (float programs)
 
 	// keyBuf is the grouped-aggregation key assembly buffer; pooled here
-	// so the four grouped paths stop allocating one per task.
+	// so the grouped kernels stop allocating one per task.
 	keyBuf []byte
 	// colsBuf holds per-range column view headers for FilterSelect.
 	colsBuf [][]byte
@@ -139,27 +133,6 @@ type scratch struct {
 	eqNext []int32
 }
 
-// defaultVec is the package-wide default for newly compiled plans.
-var defaultVec atomic.Bool
-
-func init() { defaultVec.Store(true) }
-
-// SetDefaultVectorized toggles whether newly compiled plans use the
-// vectorized batch operators (the default) or the per-tuple scalar
-// reference path. Exposed for end-to-end differential tests and
-// ablation runs; existing plans are unaffected.
-func SetDefaultVectorized(on bool) { defaultVec.Store(on) }
-
-// DefaultVectorized reports the current compile-time default.
-func DefaultVectorized() bool { return defaultVec.Load() }
-
-// SetVectorized switches this plan between the vectorized operators and
-// the scalar reference path. Not safe to call concurrently with Process.
-func (p *Plan) SetVectorized(on bool) { p.vec = on }
-
-// Vectorized reports which path the plan runs.
-func (p *Plan) Vectorized() bool { return p.vec }
-
 // Compile builds an executable plan from a validated query.
 func Compile(q *query.Query) (*Plan, error) {
 	if q.OutputSchema() == nil {
@@ -167,7 +140,7 @@ func Compile(q *query.Query) (*Plan, error) {
 			return nil, err
 		}
 	}
-	p := &Plan{Q: q, out: q.OutputSchema(), vec: DefaultVectorized()}
+	p := &Plan{Q: q, out: q.OutputSchema()}
 	for i, in := range q.Inputs {
 		p.in[i] = in.Schema
 		p.windows[i] = in.Window
@@ -723,7 +696,7 @@ func (p *Plan) fieldAt(side, off int) int {
 // at all); identity projections and scalar-fallback programs keep the
 // row staging path.
 func (p *Plan) RowFreeMap() bool {
-	if p.Kind != Map || !p.vec || p.writers == nil {
+	if p.Kind != Map || p.writers == nil {
 		return false
 	}
 	has := func(side, off int) bool { return side == 0 && p.fieldAt(0, off) >= 0 }

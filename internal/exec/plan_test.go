@@ -3,6 +3,7 @@ package exec
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"saber/internal/expr"
@@ -24,14 +25,15 @@ var synSchema = schema.MustNew(
 )
 
 // genStream builds n synthetic tuples with timestamps 0..n-1 and small
-// attribute domains (to force group collisions).
+// attribute domains (to force group collisions). a is a multiple of 1/64
+// in [0, 100), so sums of a are exact in any order.
 func genStream(n int, seed int64) []byte {
 	rnd := rand.New(rand.NewSource(seed))
 	b := schema.NewTupleBuilder(synSchema, n)
 	for i := 0; i < n; i++ {
 		b.Begin().
 			Timestamp(int64(i)).
-			Float32("a", float32(rnd.Intn(1000))/10).
+			Float32("a", float32(rnd.Intn(6400))/64).
 			Int32("b", int32(rnd.Intn(8))).
 			Int32("c", int32(rnd.Intn(100))).
 			Int32("d", int32(rnd.Intn(4))).
@@ -52,6 +54,15 @@ func runPlan(t *testing.T, p *Plan, stream []byte, batchTuples int) []byte {
 }
 
 func runPlanStreams(t *testing.T, p *Plan, streams [2][]byte, batchTuples int) []byte {
+	t.Helper()
+	return runPlanLayout(t, p, streams, batchTuples, false)
+}
+
+// runPlanLayout is runPlanStreams with a choice of input layout: with
+// cols set, every batch also carries the column segments the engine
+// attaches (shredCols), so the kernels read through their columnar paths
+// instead of the strided row walk.
+func runPlanLayout(t *testing.T, p *Plan, streams [2][]byte, batchTuples int, cols bool) []byte {
 	t.Helper()
 	asm := NewAssembler(p)
 	var out []byte
@@ -85,6 +96,9 @@ func runPlanStreams(t *testing.T, p *Plan, streams [2][]byte, batchTuples int) [
 				FirstIndex:    int64(pos[i]),
 				PrevTimestamp: prevTS[i],
 			}}
+			if cols {
+				in[i].Cols = shredCols(p, i, data)
+			}
 			if n > 0 {
 				prevTS[i] = s.Timestamp(data[(n-1)*tsz:])
 			}
@@ -103,6 +117,33 @@ func runPlanStreams(t *testing.T, p *Plan, streams [2][]byte, batchTuples int) [
 		p.ReleaseResult(res)
 	}
 	return asm.Flush(out)
+}
+
+// shredCols builds the columnar view the engine attaches to a batch of
+// input i: a dense segment for every field the plan reads through column
+// views (ColumnsRead), nil for the rest. Like the engine, it attaches
+// nothing to an empty batch or to a plan that reads no columns.
+func shredCols(p *Plan, i int, data []byte) [][]byte {
+	s := p.InputSchema(i)
+	tsz := s.TupleSize()
+	n := len(data) / tsz
+	read := p.ColumnsRead(i)
+	if n == 0 || !slices.Contains(read, true) {
+		return nil
+	}
+	cols := make([][]byte, len(read))
+	for f, r := range read {
+		if !r {
+			continue
+		}
+		off, w := s.Offset(f), s.Field(f).Type.Size()
+		col := make([]byte, 0, n*w)
+		for k := 0; k < n; k++ {
+			col = append(col, data[k*tsz+off:k*tsz+off+w]...)
+		}
+		cols[f] = col
+	}
+	return cols
 }
 
 func TestMapIdentity(t *testing.T) {
@@ -184,188 +225,45 @@ func TestProjectionByteForwardingAndCompute(t *testing.T) {
 	}
 }
 
-// refScalarAgg computes the expected per-window scalar aggregates naively.
-type refRow struct {
-	cnt             int64
-	sum, minV, maxV float64
-	maxTS           int64
-}
-
-func refWindows(t *testing.T, stream []byte, w window.Def, filter func([]byte) bool, arg func([]byte) float64) map[int64]*refRow {
-	t.Helper()
-	tsz := synSchema.TupleSize()
-	n := len(stream) / tsz
-	out := map[int64]*refRow{}
-	add := func(k int64, tuple []byte, ts int64) {
-		r := out[k]
-		if r == nil {
-			r = &refRow{minV: math.Inf(1), maxV: math.Inf(-1), maxTS: math.MinInt64}
-			out[k] = r
-		}
-		if ts > r.maxTS {
-			r.maxTS = ts
-		}
-		if filter != nil && !filter(tuple) {
-			return
-		}
-		r.cnt++
-		v := arg(tuple)
-		r.sum += v
-		if v < r.minV {
-			r.minV = v
-		}
-		if v > r.maxV {
-			r.maxV = v
-		}
-	}
-	for i := 0; i < n; i++ {
-		tuple := stream[i*tsz : (i+1)*tsz]
-		ts := synSchema.Timestamp(tuple)
-		switch w.Kind {
-		case window.Count:
-			for k := int64(0); w.Start(k) <= int64(i); k++ {
-				if int64(i) < w.End(k) {
-					add(k, tuple, ts)
-				}
-			}
-		case window.Time:
-			for k := int64(0); w.Start(k) <= ts; k++ {
-				if ts < w.End(k) {
-					add(k, tuple, ts)
-				}
-			}
-		}
-	}
-	return out
-}
-
 func TestScalarAggSlidingCount(t *testing.T) {
+	q := query.NewBuilder("agg").
+		From("S", synSchema, window.NewCount(10, 3)).
+		Aggregate(query.Sum, expr.Col("a"), "s").
+		Aggregate(query.Count, nil, "n").
+		Aggregate(query.Avg, expr.Col("a"), "m").
+		MustBuild()
+	stream := genStream(200, 4)
+	want := runOracle(t, q, [2][]byte{stream, nil})
 	for _, batch := range []int{5, 16, 37, 1000} {
-		w := window.NewCount(10, 3)
-		q := query.NewBuilder("agg").
-			From("S", synSchema, w).
-			Aggregate(query.Sum, expr.Col("a"), "s").
-			Aggregate(query.Count, nil, "n").
-			Aggregate(query.Avg, expr.Col("a"), "m").
-			MustBuild()
-		p, _ := Compile(q)
+		p := mustCompile(t, q)
 		if !p.invertApl {
 			t.Fatal("prefix path not selected")
 		}
-		stream := genStream(200, 4)
-		got := runPlan(t, p, stream, batch)
-		ref := refWindows(t, stream, w, nil, func(tu []byte) float64 {
-			return float64(synSchema.ReadFloat32(tu, 1))
-		})
-
-		out := p.OutputSchema()
-		osz := out.TupleSize()
-		nRows := len(got) / osz
-		// Every window with ≥1 tuple yields a row, in window order.
-		var wantRows int64
-		for range ref {
-			wantRows++
-		}
-		if int64(nRows) != wantRows {
-			t.Fatalf("batch %d: rows = %d, want %d", batch, nRows, wantRows)
-		}
-		prevTS := int64(-1)
-		for r := 0; r < nRows; r++ {
-			row := got[r*osz : (r+1)*osz]
-			k := int64(r) // windows dense from 0 for this stream
-			want := ref[k]
-			if want == nil {
-				t.Fatalf("unexpected row %d", r)
-			}
-			if got := out.ReadInt(row, 2); got != want.cnt {
-				t.Fatalf("batch %d window %d count = %d, want %d", batch, k, got, want.cnt)
-			}
-			if got := out.ReadFloat(row, 1); math.Abs(got-want.sum) > 1e-3 {
-				t.Fatalf("batch %d window %d sum = %g, want %g", batch, k, got, want.sum)
-			}
-			if got := out.ReadFloat(row, 3); math.Abs(got-want.sum/float64(want.cnt)) > 1e-3 {
-				t.Fatalf("batch %d window %d avg mismatch", batch, k)
-			}
-			ts := out.Timestamp(row)
-			if ts < prevTS {
-				t.Fatalf("row timestamps regress: %d after %d", ts, prevTS)
-			}
-			prevTS = ts
-		}
+		want.check(t, p, runPlan(t, p, stream, batch))
 	}
 }
 
 func TestScalarAggMinMaxDirectPath(t *testing.T) {
-	w := window.NewCount(8, 4)
 	q := query.NewBuilder("mm").
-		From("S", synSchema, w).
+		From("S", synSchema, window.NewCount(8, 4)).
 		Aggregate(query.Min, expr.Col("a"), "lo").
 		Aggregate(query.Max, expr.Col("a"), "hi").
 		MustBuild()
-	p, _ := Compile(q)
+	p := mustCompile(t, q)
 	if p.invertApl {
 		t.Fatal("min/max must disable the prefix path")
 	}
 	stream := genStream(100, 5)
-	got := runPlan(t, p, stream, 13)
-	ref := refWindows(t, stream, w, nil, func(tu []byte) float64 {
-		return float64(synSchema.ReadFloat32(tu, 1))
-	})
-	out := p.OutputSchema()
-	osz := out.TupleSize()
-	for r := 0; r*osz < len(got); r++ {
-		row := got[r*osz : (r+1)*osz]
-		k := int64(r)
-		if math.Abs(out.ReadFloat(row, 1)-ref[k].minV) > 1e-4 ||
-			math.Abs(out.ReadFloat(row, 2)-ref[k].maxV) > 1e-4 {
-			t.Fatalf("window %d min/max mismatch", k)
-		}
-	}
+	runOracle(t, q, [2][]byte{stream, nil}).check(t, p, runPlan(t, p, stream, 13))
 }
 
 func TestScalarAggWithFilter(t *testing.T) {
-	w := window.NewTime(20, 5)
-	filter := expr.Cmp{Op: expr.Eq, Left: expr.Col("d"), Right: expr.IntConst(1)}
 	q := query.NewBuilder("fagg").
-		From("S", synSchema, w).
-		Where(filter).
+		From("S", synSchema, window.NewTime(20, 5)).
+		Where(expr.Cmp{Op: expr.Eq, Left: expr.Col("d"), Right: expr.IntConst(1)}).
 		Aggregate(query.Count, nil, "n").
 		MustBuild()
-	p, _ := Compile(q)
+	p := mustCompile(t, q)
 	stream := genStream(300, 6)
-	got := runPlan(t, p, stream, 41)
-	ref := refWindows(t, stream, w,
-		func(tu []byte) bool { return synSchema.ReadInt32(tu, 4) == 1 },
-		func(tu []byte) float64 { return 0 })
-
-	out := p.OutputSchema()
-	osz := out.TupleSize()
-	rows := map[int64]int64{}
-	// Map rows back to windows via position: collect counts in order and
-	// compare against ref windows (non-empty ones) in window order.
-	var ks []int64
-	for k, r := range ref {
-		if r.cnt > 0 {
-			ks = append(ks, k)
-		}
-	}
-	if len(got)/osz != len(ks) {
-		t.Fatalf("rows = %d, want %d", len(got)/osz, len(ks))
-	}
-	for r := 0; r*osz < len(got); r++ {
-		rows[int64(r)] = out.ReadInt(got[r*osz:(r+1)*osz], 1)
-	}
-	// Window order equals emission order; sort ks.
-	for i := 0; i < len(ks); i++ {
-		for j := i + 1; j < len(ks); j++ {
-			if ks[j] < ks[i] {
-				ks[i], ks[j] = ks[j], ks[i]
-			}
-		}
-	}
-	for i, k := range ks {
-		if rows[int64(i)] != ref[k].cnt {
-			t.Fatalf("window %d count = %d, want %d", k, rows[int64(i)], ref[k].cnt)
-		}
-	}
+	runOracle(t, q, [2][]byte{stream, nil}).check(t, p, runPlan(t, p, stream, 41))
 }

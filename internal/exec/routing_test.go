@@ -17,22 +17,14 @@ import (
 // travel as partials (runPlan fails on a complete partial), and the
 // assembled output does not depend on where that split falls.
 
-// routeCase is one aggregate query plus what windowRowCounts needs to
-// count its rows per window: the filter, the group key (nil: one scalar
-// row) and the HAVING bound on the group count.
+// routeCase is one aggregate query over a window definition.
 type routeCase struct {
-	name     string
-	build    func(w window.Def) *query.Query
-	pass     func(tuple []byte) bool
-	key      func(tuple []byte) int32
-	minCount int
-	direct   bool // force the non-incremental path
+	name   string
+	build  func(w window.Def) *query.Query
+	direct bool // force the non-incremental path
 }
 
 func routeCases() []routeCase {
-	all := func([]byte) bool { return true }
-	cBelow60 := func(tu []byte) bool { return synSchema.ReadInt32(tu, 3) < 60 }
-	byB := func(tu []byte) int32 { return synSchema.ReadInt32(tu, 2) }
 	grouped := func(w window.Def) *query.Query {
 		return query.NewBuilder("g").From("S", synSchema, w).
 			Where(expr.Cmp{Op: expr.Lt, Left: expr.Col("c"), Right: expr.IntConst(60)}).
@@ -42,13 +34,13 @@ func routeCases() []routeCase {
 			MustBuild()
 	}
 	return []routeCase{
-		{name: "scalar-prefix", pass: all, minCount: 1, build: func(w window.Def) *query.Query {
+		{name: "scalar-prefix", build: func(w window.Def) *query.Query {
 			return query.NewBuilder("sp").From("S", synSchema, w).
 				Aggregate(query.Sum, expr.Col("a"), "s").
 				Aggregate(query.Count, nil, "n").
 				MustBuild()
 		}},
-		{name: "scalar-direct-having", pass: all, minCount: 3, build: func(w window.Def) *query.Query {
+		{name: "scalar-direct-having", build: func(w window.Def) *query.Query {
 			return query.NewBuilder("sd").From("S", synSchema, w).
 				Aggregate(query.Min, expr.Col("a"), "lo").
 				Aggregate(query.Max, expr.Col("c"), "hi").
@@ -56,9 +48,9 @@ func routeCases() []routeCase {
 				Having(expr.Cmp{Op: expr.Gt, Left: expr.Col("n"), Right: expr.IntConst(2)}).
 				MustBuild()
 		}},
-		{name: "grouped-rolling", build: grouped, pass: cBelow60, key: byB, minCount: 1},
-		{name: "grouped-direct", build: grouped, pass: cBelow60, key: byB, minCount: 1, direct: true},
-		{name: "grouped-having", pass: all, key: byB, minCount: 2, build: func(w window.Def) *query.Query {
+		{name: "grouped-rolling", build: grouped},
+		{name: "grouped-direct", build: grouped, direct: true},
+		{name: "grouped-having", build: func(w window.Def) *query.Query {
 			return query.NewBuilder("gh").From("S", synSchema, w).
 				Aggregate(query.Sum, expr.Col("c"), "s").
 				Aggregate(query.Count, nil, "n").
@@ -66,13 +58,13 @@ func routeCases() []routeCase {
 				Having(expr.Cmp{Op: expr.Gt, Left: expr.Col("n"), Right: expr.IntConst(1)}).
 				MustBuild()
 		}},
-		{name: "grouped-minmax", pass: all, key: byB, minCount: 1, build: func(w window.Def) *query.Query {
+		{name: "grouped-minmax", build: func(w window.Def) *query.Query {
 			return query.NewBuilder("gm").From("S", synSchema, w).
 				Aggregate(query.Max, expr.Col("a"), "hi").
 				GroupBy("b").
 				MustBuild()
 		}},
-		{name: "distinct", pass: all, key: byB, minCount: 1, build: func(w window.Def) *query.Query {
+		{name: "distinct", build: func(w window.Def) *query.Query {
 			return query.NewBuilder("di").From("S", synSchema, w).
 				Select("timestamp", "b").
 				Distinct().
@@ -94,43 +86,6 @@ func gapStream(n int, seed int64) []byte {
 		synSchema.SetTimestamp(stream[i*tsz:], ts)
 	}
 	return stream
-}
-
-// windowRowCounts counts, naively from the window definition, the output
-// rows of every window in window order: the groups of the window's
-// filtered tuples whose count reaches c.minCount.
-func windowRowCounts(stream []byte, w window.Def, c routeCase) []int {
-	tsz := synSchema.TupleSize()
-	n := len(stream) / tsz
-	pos := func(i int) int64 {
-		if w.Kind == window.Time {
-			return synSchema.Timestamp(stream[i*tsz:])
-		}
-		return int64(i)
-	}
-	var counts []int
-	for k := int64(0); w.Start(k) <= pos(n-1); k++ {
-		groups := map[int32]int{}
-		for i := 0; i < n; i++ {
-			tu := stream[i*tsz : (i+1)*tsz]
-			if x := pos(i); x < w.Start(k) || x >= w.End(k) || !c.pass(tu) {
-				continue
-			}
-			key := int32(0)
-			if c.key != nil {
-				key = c.key(tu)
-			}
-			groups[key]++
-		}
-		rows := 0
-		for _, g := range groups {
-			if g >= c.minCount {
-				rows++
-			}
-		}
-		counts = append(counts, rows)
-	}
-	return counts
 }
 
 // sameWindows splits both outputs into windows by the given row counts
@@ -157,9 +112,10 @@ func sameWindows(t *testing.T, p *Plan, got, want []byte, counts []int) {
 
 // TestCompleteWindowRoutingProperty: for count and time windows, batch
 // sizes from one tuple to beyond the window, scalar and grouped plans on
-// the incremental and direct paths, HAVING and DISTINCT, vectorized or
-// not: no complete window leaves Process as a partial, and the assembled
-// output equals the single-batch run window by window.
+// the incremental and direct paths, HAVING and DISTINCT, over row-only
+// batches and batches carrying column segments: no complete window leaves
+// Process as a partial, and the assembled output equals the oracle's
+// window by window.
 func TestCompleteWindowRoutingProperty(t *testing.T) {
 	const n = 240
 	windows := []window.Def{
@@ -173,25 +129,19 @@ func TestCompleteWindowRoutingProperty(t *testing.T) {
 	for _, c := range routeCases() {
 		for wi, w := range windows {
 			stream := gapStream(n, int64(30+wi))
-			counts := windowRowCounts(stream, w, c)
-			for _, vec := range []bool{true, false} {
-				compile := func() *Plan {
-					p := mustCompile(t, c.build(w))
-					p.SetVectorized(vec)
-					if c.direct {
-						p.SetIncremental(false)
-					}
-					return p
-				}
-				p := compile()
-				ref := runPlan(t, p, stream, n)
-				batches := []int{1, 2, int(w.Size) - 1, int(w.Size), int(w.Size) + 1, 3 * int(w.Size), 1 + rnd.Intn(n)}
+			want := runOracle(t, c.build(w), [2][]byte{stream, nil})
+			batches := []int{1, 2, int(w.Size) - 1, int(w.Size), int(w.Size) + 1, 3 * int(w.Size), 1 + rnd.Intn(n)}
+			for _, cols := range []bool{true, false} {
 				for _, b := range batches {
 					if b < 1 {
 						continue
 					}
-					t.Run(fmt.Sprintf("%s/%v/vec=%v/batch=%d", c.name, w, vec, b), func(t *testing.T) {
-						sameWindows(t, p, runPlan(t, compile(), stream, b), ref, counts)
+					t.Run(fmt.Sprintf("%s/%v/cols=%v/batch=%d", c.name, w, cols, b), func(t *testing.T) {
+						p := mustCompile(t, c.build(w))
+						if c.direct {
+							p.SetIncremental(false)
+						}
+						want.check(t, p, runPlanLayout(t, p, [2][]byte{stream, nil}, b, cols))
 					})
 				}
 			}

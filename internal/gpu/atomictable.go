@@ -3,6 +3,7 @@ package gpu
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -59,15 +60,18 @@ func newAtomicTable(keyLen, nAggs, capacity int) *atomicTable {
 }
 
 // upsert finds or claims the slot for key and returns its index, or -1
-// when the table is beyond its load limit (callers spill).
+// when key is absent and the table is beyond its load limit (callers
+// spill). Only moving to the next slot counts as a probe: waiting on a
+// slot another thread is claiming must not exhaust the probe budget, or
+// a key already in the table would be spilled as a second group.
 func (t *atomicTable) upsert(key []byte, seed []float64) int {
-	if int(t.used.Load())*2 > t.mask+1 {
-		return -1
-	}
 	i := int(exec.Hash(key)) & t.mask
-	for probes := 0; probes <= t.mask; probes++ {
+	for probes := 0; probes <= t.mask; {
 		switch t.state[i].Load() {
 		case 0:
+			if int(t.used.Load())*2 > t.mask+1 {
+				return -1
+			}
 			if t.state[i].CompareAndSwap(0, 1) {
 				copy(t.keys[i*t.keyLen:], key)
 				t.maxTS[i].Store(math.MinInt64)
@@ -78,14 +82,15 @@ func (t *atomicTable) upsert(key []byte, seed []float64) int {
 				t.state[i].Store(2)
 				return i
 			}
-			continue // lost the race: re-examine the slot
+			// lost the race: re-examine the slot
 		case 1:
-			continue // another thread is writing the key: spin
+			runtime.Gosched() // another thread is writing the key: wait
 		case 2:
 			if bytes.Equal(t.keys[i*t.keyLen:(i+1)*t.keyLen], key) {
 				return i
 			}
 			i = (i + 1) & t.mask
+			probes++
 		}
 	}
 	return -1

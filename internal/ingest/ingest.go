@@ -707,5 +707,19 @@ func (c *Client) abortMidFrame(hdr, tuples []byte, stall time.Duration, site fau
 	return fault.Errorf(site, "connection lost mid-frame (%d bytes)", len(tuples))
 }
 
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+// Close closes the connection. A credit-mode client first half-closes
+// its side and discards grants until the server has read the stream to
+// EOF: closing a socket with unread grants in its receive buffer resets
+// the connection, and the server would fail its next grant write and
+// drop the frames it had not read yet. The wait is bounded by
+// DefaultReadTimeout; a server that closes or resets the connection ends
+// it at once.
+func (c *Client) Close() error {
+	if tc, ok := c.conn.(*net.TCPConn); ok && c.credits {
+		if err := tc.CloseWrite(); err == nil {
+			_ = tc.SetReadDeadline(time.Now().Add(DefaultReadTimeout))
+			_, _ = io.Copy(io.Discard, tc)
+		}
+	}
+	return c.conn.Close()
+}

@@ -257,7 +257,8 @@ func (rc *ReconnectClient) CreditWaits() int64 {
 	return n
 }
 
-// Close closes the current connection, if any.
+// Close closes the current connection, if any. In credit mode it waits
+// for the server to read the connection to EOF (see Client.Close).
 func (rc *ReconnectClient) Close() error {
 	if rc.c == nil {
 		return nil

@@ -15,10 +15,7 @@
 //     -col-min (default 0.9 — kernel-level parity with a noise
 //     allowance; the batch fits in cache, so the layouts are expected
 //     to tie per-operator and structural regressions show up as large
-//     drops). The ingest_bandwidth section must be present with at
-//     least one elided gather and an end-to-end columnar/row ratio of
-//     at least -ingest-min (default 1.0): the whole point of shredding
-//     at ingest is that the full pipeline gets faster, not slower.
+//     drops).
 //
 //   - Adaptive task sizing (-adaptive, BENCH_adaptive.json, the
 //     adaptive experiment): fails unless the adaptive run meets the
@@ -63,7 +60,6 @@ func main() {
 	max := flag.Float64("max", 3, "maximum allowed aggregate metrics-on overhead, percent")
 	minPct := flag.Float64("min-pct", 90, "with -adaptive: minimum adaptive throughput as a percentage of the best fixed ϕ")
 	colMin := flag.Float64("col-min", 0.9, "minimum per-operator columnar/row throughput ratio")
-	ingestMin := flag.Float64("ingest-min", 1.0, "minimum end-to-end ingest-bandwidth columnar/row ratio")
 	ckptMax := flag.Float64("ckpt-max", 5, "with -ckpt: maximum allowed paired checkpoint-on overhead, percent")
 	goodputMin := flag.Float64("goodput-min", 80, "with -overload: minimum oldest-policy goodput as a percentage of blocking capacity")
 	flag.Parse()
@@ -107,14 +103,6 @@ func main() {
 			MetricsOnMtps      float64 `json:"metrics_on_mtps"`
 			MetricsOverheadPct float64 `json:"metrics_overhead_pct"`
 		} `json:"operators"`
-		IngestBandwidth *struct {
-			Query         string  `json:"query"`
-			RowMtps       float64 `json:"row_mtps"`
-			ColumnarMtps  float64 `json:"columnar_mtps"`
-			ColumnarVsRow float64 `json:"columnar_vs_row"`
-			GatherElided  int64   `json:"gather_elided"`
-			GatherCopied  int64   `json:"gather_copied"`
-		} `json:"ingest_bandwidth"`
 		MetricsOverheadPct float64 `json:"metrics_overhead_pct"`
 		Metrics            struct {
 			Counters map[string]int64 `json:"counters"`
@@ -149,22 +137,6 @@ func main() {
 	if len(js.Metrics.Counters) == 0 {
 		fmt.Fprintf(os.Stderr, "benchguard: %s: embedded metrics snapshot is empty\n", *file)
 		os.Exit(2)
-	}
-	ing := js.IngestBandwidth
-	if ing == nil {
-		fmt.Fprintf(os.Stderr, "benchguard: %s: no ingest_bandwidth section (pre-columnar file?)\n", *file)
-		os.Exit(2)
-	}
-	fmt.Printf("ingest-bandwidth (%s): row %.2f Mt/s, columnar %.2f Mt/s (%.2fx), %d gathers elided / %d wrap copies\n",
-		ing.Query, ing.RowMtps, ing.ColumnarMtps, ing.ColumnarVsRow, ing.GatherElided, ing.GatherCopied)
-	if ing.GatherElided <= 0 {
-		fmt.Fprintf(os.Stderr, "benchguard: ingest-bandwidth run elided no gathers — the columnar path never engaged\n")
-		failed = true
-	}
-	if ing.ColumnarVsRow < *ingestMin {
-		fmt.Fprintf(os.Stderr, "benchguard: ingest-bandwidth columnar/row ratio %.2f below the %.2f floor\n",
-			ing.ColumnarVsRow, *ingestMin)
-		failed = true
 	}
 	fmt.Printf("aggregate overhead %.2f%% (budget %.2f%%)\n", js.MetricsOverheadPct, *max)
 	if js.MetricsOverheadPct > *max {
