@@ -76,7 +76,7 @@ func TestGroupedRollingMatchesDirect(t *testing.T) {
 func TestGroupedAgainstReference(t *testing.T) {
 	stream := genStream(200, 12)
 	p := groupedPlan(t, window.NewCount(20, 5), true)
-	runOracle(t, p.Q, [2][]byte{stream, nil}).check(t, p, runPlan(t, p, stream, 23))
+	runOracle(t, p.Q, [2][]byte{stream, nil}).check(t, p, runPlan(t, p, stream, 23), 23)
 }
 
 func TestGroupedMinMaxPath(t *testing.T) {
@@ -203,7 +203,7 @@ func TestBatchingInvarianceProperty(t *testing.T) {
 			f := func(batchSeed uint8) bool {
 				batch := int(batchSeed%60) + 1
 				p := groupedPlan(t, w, incremental)
-				want.check(t, p, runPlan(t, p, stream, batch))
+				want.check(t, p, runPlan(t, p, stream, batch), batch)
 				return true
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"testing"
 
 	"saber/internal/expr"
@@ -29,6 +30,35 @@ func genPair(n int, mod int32) (l, r []byte) {
 	return lb.Bytes(), rb.Bytes()
 }
 
+// left64 and right64 carry Int64 join keys for the wrap-around cases.
+var left64 = schema.MustNew(
+	schema.Field{Name: "timestamp", Type: schema.Int64},
+	schema.Field{Name: "v", Type: schema.Int64},
+)
+
+var right64 = schema.MustNew(
+	schema.Field{Name: "timestamp", Type: schema.Int64},
+	schema.Field{Name: "w", Type: schema.Int64},
+)
+
+// wrapPair builds n-tuple streams whose keys lie within 8 of
+// math.MaxInt64 or math.MinInt64, with both extremes in every 16 tuples.
+func wrapPair(n int) (l, r []byte) {
+	lb := schema.NewTupleBuilder(left64, n)
+	rb := schema.NewTupleBuilder(right64, n)
+	near := func(high bool, j int) int64 {
+		if high {
+			return math.MaxInt64 - int64(j)
+		}
+		return math.MinInt64 + int64(j)
+	}
+	for i := 0; i < n; i++ {
+		lb.Begin().Timestamp(int64(i)).Int64("v", near(i/8%2 == 0, i%8))
+		rb.Begin().Timestamp(int64(i)).Int64("w", near(i/4%2 == 1, 3*i%8))
+	}
+	return lb.Bytes(), rb.Bytes()
+}
+
 func joinPlan(t *testing.T, w window.Def, pred expr.Pred) *Plan {
 	t.Helper()
 	q := query.NewBuilder("join").
@@ -43,7 +73,7 @@ func TestJoinTumblingWithinBatch(t *testing.T) {
 	p := joinPlan(t, window.NewCount(8, 8), expr.Cmp{Op: expr.Eq, Left: expr.Col("v"), Right: expr.Col("w")})
 	l, r := genPair(64, 4)
 	streams := [2][]byte{l, r}
-	runOracle(t, p.Q, streams).check(t, p, runPlanStreams(t, p, streams, 16)) // batches hold whole windows
+	runOracle(t, p.Q, streams).check(t, p, runPlanStreams(t, p, streams, 16), 16) // batches hold whole windows
 }
 
 // TestJoinWindowSpansBatches: windows larger than the batch require the
@@ -54,7 +84,7 @@ func TestJoinWindowSpansBatches(t *testing.T) {
 	streams := [2][]byte{l, r}
 	want := runOracle(t, p.Q, streams)
 	for _, batch := range []int{3, 5, 7} {
-		want.check(t, p, runPlanStreams(t, p, streams, batch))
+		want.check(t, p, runPlanStreams(t, p, streams, batch), batch)
 	}
 }
 
@@ -104,7 +134,7 @@ func TestJoinTimeWindows(t *testing.T) {
 	p := joinPlan(t, window.NewTime(4, 4), expr.Cmp{Op: expr.Eq, Left: expr.Col("v"), Right: expr.Col("w")})
 	l, r := genPair(32, 4)
 	streams := [2][]byte{l, r}
-	runOracle(t, p.Q, streams).check(t, p, runPlanStreams(t, p, streams, 5))
+	runOracle(t, p.Q, streams).check(t, p, runPlanStreams(t, p, streams, 5), 5)
 }
 
 func TestJoinMismatchedWindowKindsRejected(t *testing.T) {
@@ -142,5 +172,5 @@ func TestJoinLaggingInput(t *testing.T) {
 		out = asm.Drain(res, out)
 		p.ReleaseResult(res)
 	}
-	runOracle(t, p.Q, [2][]byte{l, r}).check(t, p, asm.Flush(out))
+	runOracle(t, p.Q, [2][]byte{l, r}).check(t, p, asm.Flush(out), 0)
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math/rand"
 	"testing"
 
 	"saber/internal/expr"
@@ -106,4 +107,33 @@ func BenchmarkOpJoinTheta(b *testing.B) {
 		MustBuild()
 	l, r := genPair(1024, 256)
 	benchProcess(b, q, [2][]byte{l, r})
+}
+
+// BenchmarkOpJoinBand is the benchmark's join-band query: a band θ-join
+// A.c < B.c < A.c+8 with no equality conjunct, over 32-byte synthetic
+// tuples whose join column is uniform in [0, 1024).
+func BenchmarkOpJoinBand(b *testing.B) {
+	w := window.NewCount(128, 128)
+	cA, cB := expr.QCol("A", "c"), expr.QCol("B", "c")
+	q := query.NewBuilder("jband").
+		FromAs("A", "A", synSchema, w).
+		FromAs("B", "B", synSchema, w).
+		Join(expr.And{Preds: []expr.Pred{
+			expr.Cmp{Op: expr.Lt, Left: cA, Right: cB},
+			expr.Cmp{Op: expr.Lt, Left: cB, Right: expr.Arith{Op: expr.Add, Left: cA, Right: expr.IntConst(8)}},
+		}}).
+		SelectAs(expr.QCol("A", "timestamp"), "timestamp").
+		SelectAs(cA, "c").
+		SelectAs(expr.QCol("B", "timestamp"), "ts2").
+		MustBuild()
+	band := func(seed int64) []byte {
+		s := genStream(benchTuples/4, seed)
+		rnd := rand.New(rand.NewSource(seed))
+		tsz, c := synSchema.TupleSize(), synSchema.IndexOf("c")
+		for i := 0; i < len(s)/tsz; i++ {
+			synSchema.WriteInt32(s[i*tsz:], c, int32(rnd.Intn(1024)))
+		}
+		return s
+	}
+	benchProcess(b, q, [2][]byte{band(6), band(7)})
 }

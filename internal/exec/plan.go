@@ -87,21 +87,44 @@ type Plan struct {
 	// batch evaluation can attach Batch.Cols views without per-task work.
 	colOffs [2][]int32
 	colW    [2][]int
-	// eqJoin, when ok, is the bucketed fast path for equality join
-	// predicates on integer columns.
-	eqJoin eqJoinInfo
+	// keyRange, when ok, is the key-range join path: the join predicate
+	// bounds an integer right-side column to a finite band around an
+	// integer left-side column.
+	keyRange keyRange
 
 	resultPool  sync.Pool // *TaskResult
 	tablePool   sync.Pool // *HashTable
 	scratchPool sync.Pool // *scratch
 }
 
-// eqJoinInfo locates the integer key columns of an equality join
-// conjunct, one per side.
-type eqJoinInfo struct {
+// keyRange records that the join predicate implies x+lo ≤ y ≤ x+hi for
+// the integer key columns x = a (left input) and y = b (right input).
+// Equality is the band lo == hi == 0.
+//
+// exact reports that the predicate is nothing but the conjuncts the band
+// was built from, so for a left key in [kMin, kMax] — where no x+c of
+// theirs, nor x+lo or x+hi, overflows — it holds exactly on the band.
+type keyRange struct {
 	ok         bool
-	aOff, bOff int
-	aTyp, bTyp schema.Type
+	a, b       intCol
+	lo, hi     int64
+	exact      bool
+	kMin, kMax int64
+}
+
+// intCol locates an integer column within a row tuple.
+type intCol struct {
+	off int
+	typ schema.Type
+}
+
+// read returns the column as a sign-extended int64 — the domain every
+// integer comparison in expr uses.
+func (c intCol) read(tuple []byte) int64 {
+	if c.typ == schema.Int32 {
+		return int64(int32(binary.LittleEndian.Uint32(tuple[c.off:])))
+	}
+	return int64(binary.LittleEndian.Uint64(tuple[c.off:]))
 }
 
 type scratch struct {
@@ -127,10 +150,11 @@ type scratch struct {
 	// colsBuf holds per-range column view headers for FilterSelect.
 	colsBuf [][]byte
 
-	// Join scratch: reused fragment pairing and equality buckets.
-	pairs  []JoinPair
-	eqHead map[int64]int32
-	eqNext []int32
+	// Join scratch: reused fragment pairing and the right fragment's
+	// key-pointer array.
+	pairs     []JoinPair
+	kpa       []keyPtr
+	kpaPacked []uint64
 }
 
 // Compile builds an executable plan from a validated query.
@@ -172,7 +196,7 @@ func Compile(q *query.Query) (*Plan, error) {
 		if p.joinPred, err = expr.CompilePred(q.JoinPred, res); err != nil {
 			return nil, err
 		}
-		p.eqJoin = detectEquiJoin(q.JoinPred, res)
+		p.keyRange = detectKeyRange(q.JoinPred, res)
 		if err := p.compileWriters(res); err != nil {
 			return nil, err
 		}
@@ -238,64 +262,129 @@ func (p *Plan) compileWriters(res expr.Resolver) error {
 	return nil
 }
 
-// detectEquiJoin looks for an equality conjunct over integer columns on
-// opposite sides of the join predicate — either the predicate itself or
-// any top-level AND conjunct. Such a conjunct lets joinCross bucket the
-// right fragment by key instead of testing every pair; the remaining
-// conjuncts are applied to the (few) key-equal candidates.
-func detectEquiJoin(pred expr.Pred, res expr.Resolver) eqJoinInfo {
-	var conjuncts []expr.Pred
-	switch v := pred.(type) {
-	case expr.Cmp:
-		conjuncts = []expr.Pred{v}
-	case expr.And:
-		conjuncts = v.Preds
-	default:
-		return eqJoinInfo{}
+// detectKeyRange looks for integer columns x (left input) and y (right
+// input) that the join predicate — the predicate itself or its top-level
+// AND conjuncts — relates as y op x+c, with op one of = < ≤ > ≥ in either
+// operand order and the left operand written x, x+c, c+x or x−c for an
+// integer constant c. The conjuncts on the first such pair intersect into
+// y ∈ [x+lo, x+hi]. The path applies only when both bounds are finite —
+// equality or a band: a one-sided range passes about half the pairs, and
+// sorting for it costs more than the nested loop saves. Float columns, ≠
+// and OR never match; unless the band is the whole predicate, joinCross
+// re-tests the full predicate on every candidate, so conjuncts left
+// unmatched still apply.
+func detectKeyRange(pred expr.Pred, res expr.Resolver) keyRange {
+	conjuncts := []expr.Pred{pred}
+	if and, ok := pred.(expr.And); ok {
+		conjuncts = and.Preds
 	}
+	kr := keyRange{lo: math.MinInt64, hi: math.MaxInt64}
+	hasLo, hasHi := false, false
+	used := 0            // conjuncts that went into the band
+	var cMin, cMax int64 // extremes of 0 and the used conjuncts' constants
 	for _, c := range conjuncts {
 		cmp, ok := c.(expr.Cmp)
-		if !ok || cmp.Op != expr.Eq {
+		if !ok {
 			continue
 		}
-		lc, lok := cmp.Left.(expr.Column)
-		rc, rok := cmp.Right.(expr.Column)
-		if !lok || !rok {
+		x, y, op, k, ok := keyConjunct(cmp, res)
+		if !ok || used > 0 && (x != kr.a || y != kr.b) {
 			continue
 		}
-		lSide, lf, ls, err := res.Resolve(lc)
-		if err != nil {
-			continue
+		switch op {
+		case expr.Eq:
+			kr.lo, kr.hi = max(kr.lo, k), min(kr.hi, k)
+			hasLo, hasHi = true, true
+		case expr.Lt:
+			if k == math.MinInt64 {
+				continue
+			}
+			kr.hi, hasHi = min(kr.hi, k-1), true
+		case expr.Le:
+			kr.hi, hasHi = min(kr.hi, k), true
+		case expr.Gt:
+			if k == math.MaxInt64 {
+				continue
+			}
+			kr.lo, hasLo = max(kr.lo, k+1), true
+		case expr.Ge:
+			kr.lo, hasLo = max(kr.lo, k), true
 		}
-		rSide, rf, rs, err := res.Resolve(rc)
-		if err != nil || lSide == rSide {
-			continue
-		}
-		lTyp, rTyp := ls.Field(lf).Type, rs.Field(rf).Type
-		isInt := func(t schema.Type) bool { return t == schema.Int32 || t == schema.Int64 }
-		if !isInt(lTyp) || !isInt(rTyp) {
-			continue // float equality keeps scalar compare semantics (NaN)
-		}
-		info := eqJoinInfo{ok: true}
-		if lSide == 0 {
-			info.aOff, info.aTyp = ls.Offset(lf), lTyp
-			info.bOff, info.bTyp = rs.Offset(rf), rTyp
-		} else {
-			info.aOff, info.aTyp = rs.Offset(rf), rTyp
-			info.bOff, info.bTyp = ls.Offset(lf), lTyp
-		}
-		return info
+		kr.a, kr.b = x, y
+		used++
+		cMin, cMax = min(cMin, k), max(cMax, k)
 	}
-	return eqJoinInfo{}
+	kr.ok = hasLo && hasHi
+	if kr.ok {
+		cMin, cMax = min(cMin, kr.lo, kr.hi), max(cMax, kr.lo, kr.hi)
+		kr.exact = used == len(conjuncts)
+		kr.kMin, kr.kMax = math.MinInt64-cMin, math.MaxInt64-cMax
+	}
+	return kr
 }
 
-// readIntKey reads an integer column as a sign-extended int64 — the
-// integer-compare domain both scalar and vectorized equality use.
-func readIntKey(tuple []byte, off int, typ schema.Type) int64 {
-	if typ == schema.Int32 {
-		return int64(int32(binary.LittleEndian.Uint32(tuple[off:])))
+// mirrorOp[op] is the comparison that holds with op's operands swapped.
+var mirrorOp = [...]expr.CmpOp{expr.Eq: expr.Eq, expr.Ne: expr.Ne,
+	expr.Lt: expr.Gt, expr.Le: expr.Ge, expr.Gt: expr.Lt, expr.Ge: expr.Le}
+
+// keyConjunct matches cmp as y op x+c (see detectKeyRange) and returns
+// x, y, op rewritten so that y is its left operand, and c.
+func keyConjunct(cmp expr.Cmp, res expr.Resolver) (intCol, intCol, expr.CmpOp, int64, bool) {
+	if cmp.Op != expr.Ne {
+		for _, swap := range []bool{false, true} {
+			l, r, op := cmp.Left, cmp.Right, cmp.Op
+			if swap {
+				l, r, op = r, l, mirrorOp[op]
+			}
+			yc, isCol := l.(expr.Column)
+			xc, c, isOff := colPlusConst(r)
+			if !isCol || !isOff {
+				continue
+			}
+			y, yok := resolveIntCol(yc, 1, res)
+			x, xok := resolveIntCol(xc, 0, res)
+			if xok && yok {
+				return x, y, op, c, true
+			}
+		}
 	}
-	return int64(binary.LittleEndian.Uint64(tuple[off:]))
+	return intCol{}, intCol{}, 0, 0, false
+}
+
+// colPlusConst matches e as column+c: a bare column, col+c, c+col or
+// col−c with c an integer constant.
+func colPlusConst(e expr.Expr) (expr.Column, int64, bool) {
+	switch v := e.(type) {
+	case expr.Column:
+		return v, 0, true
+	case expr.Arith:
+		lc, lCol := v.Left.(expr.Column)
+		rc, rCol := v.Right.(expr.Column)
+		lk, lConst := v.Left.(expr.IntConst)
+		rk, rConst := v.Right.(expr.IntConst)
+		switch {
+		case v.Op == expr.Add && lCol && rConst:
+			return lc, int64(rk), true
+		case v.Op == expr.Add && lConst && rCol:
+			return rc, int64(lk), true
+		case v.Op == expr.Sub && lCol && rConst && rk != math.MinInt64:
+			return lc, -int64(rk), true
+		}
+	}
+	return expr.Column{}, 0, false
+}
+
+// resolveIntCol locates c if it is an integer column of the given input.
+func resolveIntCol(c expr.Column, input int, res expr.Resolver) (intCol, bool) {
+	side, f, s, err := res.Resolve(c)
+	if err != nil || side != input {
+		return intCol{}, false
+	}
+	typ := s.Field(f).Type
+	if typ != schema.Int32 && typ != schema.Int64 {
+		return intCol{}, false
+	}
+	return intCol{off: s.Offset(f), typ: typ}, true
 }
 
 func (p *Plan) compileAggregation(res expr.Resolver) error {
@@ -768,15 +857,6 @@ func (p *Plan) ColumnsRead(input int) []bool {
 		// Group keys are assembled from the row bytes today; marking them
 		// keeps the set correct if key extraction ever goes columnar.
 		for _, f := range p.groupIdx {
-			read[f] = true
-		}
-	}
-	if p.eqJoin.ok {
-		off := p.eqJoin.aOff
-		if input == 1 {
-			off = p.eqJoin.bOff
-		}
-		if f := p.fieldAt(input, off); f >= 0 {
 			read[f] = true
 		}
 	}

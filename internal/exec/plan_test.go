@@ -239,7 +239,7 @@ func TestScalarAggSlidingCount(t *testing.T) {
 		if !p.invertApl {
 			t.Fatal("prefix path not selected")
 		}
-		want.check(t, p, runPlan(t, p, stream, batch))
+		want.check(t, p, runPlan(t, p, stream, batch), batch)
 	}
 }
 
@@ -254,7 +254,7 @@ func TestScalarAggMinMaxDirectPath(t *testing.T) {
 		t.Fatal("min/max must disable the prefix path")
 	}
 	stream := genStream(100, 5)
-	runOracle(t, q, [2][]byte{stream, nil}).check(t, p, runPlan(t, p, stream, 13))
+	runOracle(t, q, [2][]byte{stream, nil}).check(t, p, runPlan(t, p, stream, 13), 13)
 }
 
 func TestScalarAggWithFilter(t *testing.T) {
@@ -265,5 +265,5 @@ func TestScalarAggWithFilter(t *testing.T) {
 		MustBuild()
 	p := mustCompile(t, q)
 	stream := genStream(300, 6)
-	runOracle(t, q, [2][]byte{stream, nil}).check(t, p, runPlan(t, p, stream, 41))
+	runOracle(t, q, [2][]byte{stream, nil}).check(t, p, runPlan(t, p, stream, 41), 41)
 }

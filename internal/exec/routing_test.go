@@ -141,7 +141,7 @@ func TestCompleteWindowRoutingProperty(t *testing.T) {
 						if c.direct {
 							p.SetIncremental(false)
 						}
-						want.check(t, p, runPlanLayout(t, p, [2][]byte{stream, nil}, b, cols))
+						want.check(t, p, runPlanLayout(t, p, [2][]byte{stream, nil}, b, cols), b)
 					})
 				}
 			}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"saber/internal/expr"
@@ -14,8 +15,8 @@ func kernelOf(p *Plan) string {
 	switch {
 	case p.Kind == Map:
 		return "map"
-	case p.Kind == Join && p.eqJoin.ok:
-		return "equi-join"
+	case p.Kind == Join && p.keyRange.ok:
+		return "key-range-join"
 	case p.Kind == Join:
 		return "theta-join"
 	case p.grouped && p.invertApl:
@@ -32,7 +33,8 @@ func kernelOf(p *Plan) string {
 // batch operator functions and the assembler at batch sizes 1, w-1, w,
 // w+1 and 3w (w the window size), over row-only batches and batches
 // carrying column segments, and requires the output to equal the naive
-// window oracle's exactly.
+// window oracle's exactly — join rows in nested-loop order wherever whole
+// windows fit in a batch (oracleResult.check).
 func TestKernelsAgainstOracle(t *testing.T) {
 	syn := [2][]byte{genStream(600, 11), nil}
 	gaps := [2][]byte{gapStream(600, 12), nil}
@@ -45,7 +47,13 @@ func TestKernelsAgainstOracle(t *testing.T) {
 			Join(pred).
 			MustBuild()
 	}
-	vEqW := expr.Cmp{Op: expr.Eq, Left: expr.Col("v"), Right: expr.Col("w")}
+	v, w := expr.Col("v"), expr.Col("w")
+	plus := func(e expr.Expr, c int64) expr.Expr {
+		return expr.Arith{Op: expr.Add, Left: e, Right: expr.IntConst(c)}
+	}
+	vEqW := expr.Cmp{Op: expr.Eq, Left: v, Right: w}
+	wl, wr := wrapPair(160)
+	wrap := [2][]byte{wl, wr}
 
 	cases := []struct {
 		name    string
@@ -121,30 +129,77 @@ func TestKernelsAgainstOracle(t *testing.T) {
 			Select("timestamp", "b", "d").
 			Distinct().
 			MustBuild(), syn},
-		{"join-equi", "equi-join", joinQ("deq", window.NewCount(16, 16), vEqW), pair},
-		// Equality conjunct plus a residual θ-conjunct: the bucketed path
+		{"join-equi", "key-range-join", joinQ("deq", window.NewCount(16, 16), vEqW), pair},
+		// Equality conjunct plus a residual θ-conjunct: the key-range path
 		// must still apply the full predicate.
-		{"join-equi-residual", "equi-join", joinQ("deqr", window.NewCount(16, 8), expr.And{Preds: []expr.Pred{
+		{"join-equi-residual", "key-range-join", joinQ("deqr", window.NewCount(16, 8), expr.And{Preds: []expr.Pred{
 			vEqW,
 			expr.Cmp{Op: expr.Lt, Left: expr.QCol("L", "timestamp"), Right: expr.QCol("R", "timestamp")},
 		}}), pair},
+		// v < w < v+3, one bound in each operand order: w ∈ [v+1, v+2].
+		{"join-band", "key-range-join", joinQ("dband", window.NewCount(16, 16), expr.And{Preds: []expr.Pred{
+			expr.Cmp{Op: expr.Lt, Left: v, Right: w},
+			expr.Cmp{Op: expr.Lt, Left: w, Right: plus(v, 3)},
+		}}), pair},
+		// 2+v ≥ w ≥ v−1: w ∈ [v−1, v+2] over sliding windows.
+		{"join-band-inclusive", "key-range-join", joinQ("dbandi", window.NewCount(16, 8), expr.And{Preds: []expr.Pred{
+			expr.Cmp{Op: expr.Ge, Left: expr.Arith{Op: expr.Add, Left: expr.IntConst(2), Right: v}, Right: w},
+			expr.Cmp{Op: expr.Ge, Left: w, Right: expr.Arith{Op: expr.Sub, Left: v, Right: expr.IntConst(1)}},
+		}}), pair},
+		// w > v+2 and w < v+1: lo 3 > hi 0.
+		{"join-band-empty", "key-range-join", joinQ("dbande", window.NewCount(16, 16), expr.And{Preds: []expr.Pred{
+			expr.Cmp{Op: expr.Gt, Left: w, Right: plus(v, 2)},
+			expr.Cmp{Op: expr.Lt, Left: w, Right: plus(v, 1)},
+		}}), pair},
+		// Equality with an offset inside a band on the same pair: w = v+1.
+		{"join-equi-band", "key-range-join", joinQ("deqb", window.NewCount(16, 16), expr.And{Preds: []expr.Pred{
+			expr.Cmp{Op: expr.Le, Left: v, Right: w},
+			expr.Cmp{Op: expr.Eq, Left: plus(v, 1), Right: w},
+			expr.Cmp{Op: expr.Le, Left: w, Right: plus(v, 3)},
+		}}), pair},
+		// Int64 keys within 8 of the int64 limits: for v near MaxInt64 both
+		// v+3 and v+6 wrap, and the wrapped predicate matches w near
+		// MinInt64.
+		{"join-band-wrap", "key-range-join", query.NewBuilder("dwrap").
+			FromAs("L", "L", left64, window.NewCount(16, 16)).
+			FromAs("R", "R", right64, window.NewCount(16, 16)).
+			Join(expr.And{Preds: []expr.Pred{
+				expr.Cmp{Op: expr.Gt, Left: w, Right: plus(v, 2)},
+				expr.Cmp{Op: expr.Le, Left: w, Right: plus(v, 6)},
+			}}).
+			MustBuild(), wrap},
+		// The same below: for v near MinInt64, v−3 and v−6 wrap.
+		{"join-band-wrap-low", "key-range-join", query.NewBuilder("dwrapl").
+			FromAs("L", "L", left64, window.NewCount(16, 16)).
+			FromAs("R", "R", right64, window.NewCount(16, 16)).
+			Join(expr.And{Preds: []expr.Pred{
+				expr.Cmp{Op: expr.Lt, Left: w, Right: plus(v, -2)},
+				expr.Cmp{Op: expr.Ge, Left: w, Right: plus(v, -6)},
+			}}).
+			MustBuild(), wrap},
 		{"join-theta", "theta-join", joinQ("dth", window.NewCount(8, 8),
-			expr.Cmp{Op: expr.Lt, Left: expr.Col("v"), Right: expr.Col("w")}), pair},
+			expr.Cmp{Op: expr.Lt, Left: v, Right: w}), pair},
+		// Two lower bounds and no upper one: still the nested loop.
+		{"join-one-sided", "theta-join", joinQ("dos", window.NewCount(8, 8), expr.And{Preds: []expr.Pred{
+			expr.Cmp{Op: expr.Lt, Left: v, Right: w},
+			expr.Cmp{Op: expr.Ge, Left: w, Right: expr.Arith{Op: expr.Sub, Left: v, Right: expr.IntConst(2)}},
+		}}), pair},
 	}
 	for _, c := range cases {
 		want := runOracle(t, c.q, c.streams)
-		if len(want.out) == 0 {
-			t.Fatalf("%s: oracle produced no output", c.name)
+		// Only the cases named *-empty are meant to produce no rows.
+		if empty := strings.HasSuffix(c.name, "-empty"); (len(want.out) == 0) != empty {
+			t.Fatalf("%s: oracle produced %d bytes", c.name, len(want.out))
 		}
-		w := int(c.q.Inputs[0].Window.Size)
+		size := int(c.q.Inputs[0].Window.Size)
 		for _, cols := range []bool{false, true} {
-			for _, batch := range []int{1, w - 1, w, w + 1, 3 * w} {
+			for _, batch := range []int{1, size - 1, size, size + 1, 3 * size} {
 				t.Run(fmt.Sprintf("%s/cols=%v/batch=%d", c.name, cols, batch), func(t *testing.T) {
 					p := mustCompile(t, c.q)
 					if k := kernelOf(p); k != c.kernel {
 						t.Fatalf("plan runs the %s kernel, want %s", k, c.kernel)
 					}
-					want.check(t, p, runPlanLayout(t, p, c.streams, batch, cols))
+					want.check(t, p, runPlanLayout(t, p, c.streams, batch, cols), batch)
 				})
 			}
 		}

@@ -259,6 +259,11 @@ func (rc *ReconnectClient) CreditWaits() int64 {
 
 // Close closes the current connection, if any. In credit mode it waits
 // for the server to read the connection to EOF (see Client.Close).
+// Otherwise it waits for nothing: a nil Send, and then Close, only mean
+// the frames are in a socket buffer. They reach the sink if the server
+// serves this connection before its Close grace ends (Server.Close drains
+// queued connections too); only resume mode can re-deliver frames a
+// server dropped.
 func (rc *ReconnectClient) Close() error {
 	if rc.c == nil {
 		return nil
