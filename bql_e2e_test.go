@@ -26,7 +26,7 @@ func TestBQLEndToEnd(t *testing.T) {
 		count = 20000
 	)
 	dir := t.TempDir()
-	cfg := Config{CPUWorkers: 4, TaskSize: 4096, NativeSpeed: true,
+	cfg := Config{CPUWorkers: 4, TaskSize: 4096, DisablePad: true,
 		CheckpointDir: dir, CheckpointInterval: -1}
 
 	// Non-aggregate streams default to IStream, which is the identity on
@@ -132,7 +132,7 @@ CREATE STREAM slim AS ` + queries["slim"] + `;`
 		"wide": queries["wide"], "agg": queries["agg"], "late": lateQuery,
 	}
 	for name, q := range refQueries {
-		ref := New(Config{CPUWorkers: 4, TaskSize: 4096, NativeSpeed: true})
+		ref := New(Config{CPUWorkers: 4, TaskSize: 4096, DisablePad: true})
 		ref.DeclareStream("Syn", workload.SynSchema)
 		qh, err := ref.Query(name, q)
 		if err != nil {

@@ -106,18 +106,20 @@ func main() {
 	}
 
 	cfg := saber.Config{
-		CPUWorkers:  *workers,
-		Model:       saber.DefaultModel().Scaled(*scale),
-		NativeSpeed: *native,
-		LatencySLO:  *latencySLO,
-		MinTaskSize: *minPhi,
-		MaxTaskSize: *maxPhi,
+		CPUWorkers: *workers,
+		Model:      saber.DefaultModel().Scaled(*scale),
+		DisablePad: *native,
 
 		CheckpointDir:      *ckptDir,
 		CheckpointInterval: *ckptInterval,
-
-		MaxQueueBytes: *maxQueueBytes,
-		ShedPolicy:    shed,
+	}
+	// Adaptive sizing and overload protection are armed only when their
+	// flags ask for them.
+	if *latencySLO > 0 {
+		cfg.Adapt = &saber.AdaptConfig{SLO: *latencySLO, MinPhi: *minPhi, MaxPhi: *maxPhi}
+	}
+	if *maxQueueBytes > 0 || shed != saber.ShedNone {
+		cfg.Overload = &saber.OverloadConfig{MaxQueueBytes: *maxQueueBytes, Policy: shed}
 	}
 	if *useGPU {
 		dev := saber.OpenGPU(saber.GPUConfig{Model: cfg.Model})

@@ -17,7 +17,7 @@ import (
 
 func main() {
 	// Stage 1: LRB1 over the raw position reports.
-	stage1 := saber.New(saber.Config{CPUWorkers: 4, TaskSize: 256 << 10, NativeSpeed: true})
+	stage1 := saber.New(saber.Config{CPUWorkers: 4, TaskSize: 256 << 10, DisablePad: true})
 	lrb1, err := stage1.RegisterQuery(workload.LRB1())
 	if err != nil {
 		panic(err)
@@ -44,7 +44,7 @@ func main() {
 	stage1.Close()
 
 	// Stage 2: LRB3 and LRB4 over SegSpeedStr.
-	stage2 := saber.New(saber.Config{CPUWorkers: 4, TaskSize: 256 << 10, NativeSpeed: true})
+	stage2 := saber.New(saber.Config{CPUWorkers: 4, TaskSize: 256 << 10, DisablePad: true})
 	lrb3, err := stage2.RegisterQuery(workload.LRB3())
 	if err != nil {
 		panic(err)

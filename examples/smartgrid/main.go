@@ -18,7 +18,7 @@ import (
 
 func main() {
 	// Stage 1: SG1 + SG2 over the raw meter readings.
-	stage1 := saber.New(saber.Config{CPUWorkers: 4, TaskSize: 128 << 10, NativeSpeed: true})
+	stage1 := saber.New(saber.Config{CPUWorkers: 4, TaskSize: 128 << 10, DisablePad: true})
 	const windowScale = 60 // shrink the paper's 3600-unit windows for the demo
 	sg1, err := stage1.RegisterQuery(workload.SG1(windowScale))
 	if err != nil {
@@ -57,7 +57,7 @@ func main() {
 	stage1.Close()
 
 	// Stage 2: the SG3 outlier join over the derived streams.
-	stage2 := saber.New(saber.Config{CPUWorkers: 4, TaskSize: 64 << 10, NativeSpeed: true})
+	stage2 := saber.New(saber.Config{CPUWorkers: 4, TaskSize: 64 << 10, DisablePad: true})
 	sg3, err := stage2.RegisterQuery(workload.SG3Join())
 	if err != nil {
 		panic(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"saber/internal/engine"
 	"saber/internal/exec"
 	"saber/internal/gpu"
 	"saber/internal/query"
@@ -36,9 +37,9 @@ func ablLookahead(o Options) Report {
 	}
 	measure := func(policy string) float64 {
 		rs := run(runSpec{
-			opts: o, queries: w1, mode: modeHybrid, policy: policy,
-			taskSize: defaultPhi, streams: streams,
-			sequential: true, alpha: 0.5,
+			opts: o, queries: w1, mode: modeHybrid, streams: streams,
+			cfg:        engine.Config{Policy: policy, TaskSize: defaultPhi, MatrixAlpha: 0.5},
+			sequential: true,
 		})
 		return rs.paperGBps(o)
 	}

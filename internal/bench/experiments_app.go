@@ -221,11 +221,11 @@ func fig07(o Options) Report {
 	esperCfg := syncengine.Defaults() // scale-1 costs: already paper-equivalent
 	for _, c := range cases {
 		rs := run(runSpec{
-			opts:     o,
-			queries:  []*query.Query{c.q},
-			mode:     modeHybrid,
-			taskSize: defaultPhi,
-			streams:  [][2][]byte{c.streams},
+			opts:    o,
+			queries: []*query.Query{c.q},
+			mode:    modeHybrid,
+			cfg:     engine.Config{TaskSize: defaultPhi},
+			streams: [][2][]byte{c.streams},
 		})
 
 		esper := 0.0
@@ -344,11 +344,11 @@ func fig09(o Options) Report {
 	sparkCfg := microbatch.Defaults() // scale-1: paper-equivalent directly
 	for _, c := range cases {
 		rs := run(runSpec{
-			opts:     o,
-			queries:  []*query.Query{c.q},
-			mode:     modeHybrid,
-			taskSize: defaultPhi,
-			streams:  [][2][]byte{{c.stream, nil}},
+			opts:    o,
+			queries: []*query.Query{c.q},
+			mode:    modeHybrid,
+			cfg:     engine.Config{TaskSize: defaultPhi},
+			streams: [][2][]byte{{c.stream, nil}},
 		})
 		s := c.q.Inputs[0].Schema
 		mq := microbatch.Query{

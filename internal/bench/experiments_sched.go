@@ -65,14 +65,16 @@ func fig15(o Options) Report {
 			streams[i] = [2][]byte{synStream(int64(50+i), 4, vol)}
 		}
 		rs := run(runSpec{
-			opts:     o,
-			queries:  qs,
-			mode:     modeHybrid,
-			policy:   policy,
-			static:   static,
-			taskSize: defaultPhi,
-			streams:  streams,
-			alpha:    0.5, // learn the preference within the run
+			opts:    o,
+			queries: qs,
+			mode:    modeHybrid,
+			cfg: engine.Config{
+				Policy:       policy,
+				StaticAssign: static,
+				TaskSize:     defaultPhi,
+				MatrixAlpha:  0.5, // learn the preference within the run
+			},
+			streams: streams,
 			// The paper executes the two queries in sequence; ring-buffer
 			// backpressure enforces the phases while leaving enough
 			// reordering slack for cross-processor task completion.
@@ -148,15 +150,17 @@ func fig16(o Options) Report {
 	var mu sync.Mutex
 	var samples []sample
 	rs := run(runSpec{
-		opts:     o,
-		queries:  []*query.Query{q},
-		mode:     modeHybrid,
-		taskSize: defaultPhi,
-		streams:  [][2][]byte{{stream, nil}},
-		alpha:    0.5, // the paper refreshes the matrix every 100 ms
-		// A small ring keeps ingestion tracking processing, so samples
-		// attribute to the segment actually being executed.
-		inputBuf:    2 << 20,
+		opts:    o,
+		queries: []*query.Query{q},
+		mode:    modeHybrid,
+		cfg: engine.Config{
+			TaskSize:    defaultPhi,
+			MatrixAlpha: 0.5, // the paper refreshes the matrix every 100 ms
+			// A small ring keeps ingestion tracking processing, so samples
+			// attribute to the segment actually being executed.
+			InputBufferSize: 2 << 20,
+		},
+		streams:     [][2][]byte{{stream, nil}},
 		sampleEvery: 10 * time.Millisecond,
 		sample: func(elapsed time.Duration, handles []*engine.Handle) {
 			st := handles[0].Stats()

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"saber/internal/engine"
 	"saber/internal/expr"
 	"saber/internal/query"
 	"saber/internal/window"
@@ -37,11 +38,11 @@ func threeModes(o Options, q *query.Query, streams [2][]byte, taskSize int) map[
 	out := map[mode]runResult{}
 	for _, m := range []mode{modeCPU, modeGPU, modeHybrid} {
 		out[m] = run(runSpec{
-			opts:     o,
-			queries:  []*query.Query{q},
-			mode:     m,
-			taskSize: taskSize,
-			streams:  [][2][]byte{streams},
+			opts:    o,
+			queries: []*query.Query{q},
+			mode:    m,
+			cfg:     engine.Config{TaskSize: taskSize},
+			streams: [][2][]byte{streams},
 		})
 	}
 	return out
@@ -226,11 +227,11 @@ func fig13(o Options) Report {
 		row := []string{fmt.Sprintf("%dKB", phi>>10)}
 		for _, d := range defs {
 			rs := run(runSpec{
-				opts:     o,
-				queries:  []*query.Query{workload.Select(1, d)},
-				mode:     modeHybrid,
-				taskSize: phi,
-				streams:  [][2][]byte{stream},
+				opts:    o,
+				queries: []*query.Query{workload.Select(1, d)},
+				mode:    modeHybrid,
+				cfg:     engine.Config{TaskSize: phi},
+				streams: [][2][]byte{stream},
 			})
 			row = append(row, f3(rs.paperGBps(o)))
 		}
@@ -253,11 +254,11 @@ func fig14(o Options) Report {
 		oo := o
 		oo.Workers = workers
 		rs := run(runSpec{
-			opts:     oo,
-			queries:  []*query.Query{q},
-			mode:     modeCPU,
-			taskSize: defaultPhi,
-			streams:  [][2][]byte{stream},
+			opts:    oo,
+			queries: []*query.Query{q},
+			mode:    modeCPU,
+			cfg:     engine.Config{TaskSize: defaultPhi},
+			streams: [][2][]byte{stream},
 		})
 		rep.Rows = append(rep.Rows, []string{fmt.Sprintf("%d", workers), f3(rs.paperGBps(oo))})
 	}

@@ -8,7 +8,6 @@ import (
 	"saber/internal/model"
 	"saber/internal/obs"
 	"saber/internal/query"
-	"saber/internal/sched"
 	"saber/internal/workload"
 )
 
@@ -66,31 +65,23 @@ const (
 
 // runSpec describes one measured engine run.
 type runSpec struct {
-	opts     Options
-	queries  []*query.Query
-	mode     mode
-	policy   string // "" = hls (or fcfs when single-class)
-	static   []sched.Processor
-	taskSize int
+	opts    Options
+	queries []*query.Query
+	mode    mode
+	// cfg is the engine configuration. run sets GPU, CPUWorkers (by mode),
+	// Model and Metrics, and defaults SwitchThreshold to 40.
+	cfg engine.Config
 	// streams[q][side] supplies the pre-generated input per query input.
 	streams [][2][]byte
-	// chunk is the Insert granularity in bytes (default taskSize).
+	// chunk is the Insert granularity in bytes (default cfg.TaskSize).
 	chunk int
 	// sample, when set, is called every sampleEvery during the run with
 	// the elapsed time (Fig. 16's timeline).
 	sample      func(elapsed time.Duration, handles []*engine.Handle)
 	sampleEvery time.Duration
-	// alpha overrides the matrix EWMA weight (Fig. 16 adaptation).
-	alpha float64
-	// switchThreshold overrides HLS's St (0 = engine default).
-	switchThreshold int
 	// sequential feeds each query's stream to completion before the
 	// next query's (the paper's Fig. 15 workloads run "in sequence").
 	sequential bool
-	// inputBuf overrides the per-input ring capacity (0 = default);
-	// sequential runs use a small buffer so backpressure actually phases
-	// the queries.
-	inputBuf int
 }
 
 // runResult is one run's measurements.
@@ -116,33 +107,23 @@ func (r runResult) paperLatencyMS(o Options) float64 {
 // bytes over wall time.
 func run(spec runSpec) runResult {
 	o := spec.opts
-	var dev *gpu.Device
+	cfg := spec.cfg
 	if spec.mode != modeCPU {
-		dev = gpu.Open(gpu.Config{Model: o.params()})
-		defer dev.Close()
+		cfg.GPU = gpu.Open(gpu.Config{Model: o.params()})
+		defer cfg.GPU.Close()
 	}
-	workers := o.Workers
+	cfg.CPUWorkers = o.Workers
 	if spec.mode == modeGPU {
-		workers = -1
+		cfg.CPUWorkers = -1
 	}
-	if spec.switchThreshold == 0 {
+	cfg.Model = o.params()
+	cfg.Metrics = o.Metrics
+	if cfg.SwitchThreshold == 0 {
 		// At benchmark volumes (tens to hundreds of tasks per run) the
 		// engine's default threshold forces exploration so often that the
 		// GPGPU worker stalls waiting for busy CPU workers to reset the
 		// streak; 40 keeps exploration alive at ~2% of tasks.
-		spec.switchThreshold = 40
-	}
-	cfg := engine.Config{
-		CPUWorkers:      workers,
-		GPU:             dev,
-		TaskSize:        spec.taskSize,
-		InputBufferSize: spec.inputBuf,
-		Policy:          spec.policy,
-		StaticAssign:    spec.static,
-		Model:           o.params(),
-		MatrixAlpha:     spec.alpha,
-		SwitchThreshold: spec.switchThreshold,
-		Metrics:         o.Metrics,
+		cfg.SwitchThreshold = 40
 	}
 	eng := engine.New(cfg)
 	handles := make([]*engine.Handle, len(spec.queries))
@@ -159,7 +140,7 @@ func run(spec runSpec) runResult {
 
 	chunk := spec.chunk
 	if chunk <= 0 {
-		chunk = spec.taskSize
+		chunk = cfg.TaskSize
 	}
 	if chunk <= 0 {
 		chunk = 1 << 20
@@ -219,33 +200,10 @@ func run(spec runSpec) runResult {
 			}
 		}
 	}
-	for {
-		progressed := false
+	for progressed := true; progressed; {
+		progressed = false
 		for qi := range spec.streams {
-			for side := 0; side < 2; side++ {
-				data := spec.streams[qi][side]
-				off := offsets[qi][side]
-				if off >= len(data) {
-					continue
-				}
-				tsz := spec.queries[qi].Inputs[side].Schema.TupleSize()
-				c := chunk - chunk%tsz
-				if c < tsz {
-					c = tsz
-				}
-				end := off + c
-				if end > len(data) {
-					end = len(data)
-				}
-				end -= (end - off) % tsz
-				handles[qi].InsertInto(side, data[off:end])
-				offsets[qi][side] = end
-				total += int64(end - off)
-				progressed = true
-			}
-		}
-		if !progressed {
-			break
+			progressed = feedOne(qi) || progressed
 		}
 	}
 	eng.Drain()

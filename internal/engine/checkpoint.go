@@ -110,51 +110,20 @@ func (e *Engine) Checkpoint() (*ckpt.Snapshot, error) {
 }
 
 // ckptLoop is the automatic epoch coordinator: it cuts an epoch every
-// CheckpointInterval, or as soon as CheckpointEveryTasks new tasks have
-// drained (whichever comes first), until Close.
+// CheckpointInterval until Close. A failed epoch is counted in
+// saber.ckpt.failures and retried at the next tick.
 func (e *Engine) ckptLoop() {
 	defer e.ckptWG.Done()
-	interval := e.cfg.CheckpointInterval
-	poll := interval
-	if e.cfg.CheckpointEveryTasks > 0 {
-		// The task gate needs a faster pulse than the wall-clock period.
-		poll = interval / 8
-		if poll < time.Millisecond {
-			poll = time.Millisecond
-		}
-	}
-	tick := time.NewTicker(poll)
+	tick := time.NewTicker(e.cfg.CheckpointInterval)
 	defer tick.Stop()
-	last := time.Now()
-	lastDrained := e.totalDrained()
 	for {
 		select {
 		case <-e.ckptStop:
 			return
 		case <-tick.C:
-			drained := e.totalDrained()
-			due := time.Since(last) >= interval
-			if n := e.cfg.CheckpointEveryTasks; n > 0 && drained-lastDrained >= int64(n) {
-				due = true
-			}
-			if !due {
-				continue
-			}
-			if _, err := e.Checkpoint(); err != nil {
-				continue // counted in saber.ckpt.failures; retry next tick
-			}
-			last = time.Now()
-			lastDrained = drained
+			_, _ = e.Checkpoint()
 		}
 	}
-}
-
-func (e *Engine) totalDrained() int64 {
-	var n int64
-	for _, r := range e.queries() {
-		n += r.result.drained.Load()
-	}
-	return n
 }
 
 // capture snapshots one query at its drain frontier. Holding drainMu

@@ -244,7 +244,6 @@ func TestRestoreColdStart(t *testing.T) {
 func TestAutomaticCheckpointLoop(t *testing.T) {
 	cfg := ckptConfig(2, t.TempDir())
 	cfg.CheckpointInterval = 2 * 1e6 // 2ms
-	cfg.CheckpointEveryTasks = 8
 	eng := New(cfg)
 	h, err := eng.Register(selQuery(t))
 	if err != nil {

@@ -101,10 +101,6 @@ type Config struct {
 	// the automatic coordinator (epochs are cut only by explicit
 	// Checkpoint calls — tests and final-checkpoint-on-shutdown paths).
 	CheckpointInterval time.Duration
-	// CheckpointEveryTasks, when positive, additionally cuts an epoch as
-	// soon as this many new tasks have drained since the last one,
-	// without waiting out the full interval.
-	CheckpointEveryTasks int
 	// CheckpointKeep is how many epochs the store retains (older files
 	// are garbage-collected). Default 3.
 	CheckpointKeep int
@@ -115,9 +111,6 @@ type Config struct {
 	// uncontended atomic adds per task). Share one registry across
 	// engines only if their query indices do not collide.
 	Metrics *obs.Registry
-	// TraceRing bounds the tracer's postmortem ring of recent task
-	// traces. 0 selects the default (128).
-	TraceRing int
 }
 
 func (c Config) withDefaults() Config {
@@ -295,7 +288,7 @@ func New(cfg Config) *Engine {
 	if e.reg == nil {
 		e.reg = obs.NewRegistry()
 	}
-	e.tracer = obs.NewTracer(e.reg, e.cfg.TraceRing)
+	e.tracer = obs.NewTracer(e.reg, 0)
 	e.taskSize.Store(int64(e.cfg.TaskSize))
 	e.ckm = newCkptMetrics(e.reg)
 	e.stalls = e.reg.Counter("saber.overload.stalls")

@@ -242,34 +242,49 @@ func (r *registered) insert(side int, data []byte) {
 			r.insMu.Unlock()
 			return
 		}
-		if in.pendingSince == 0 {
-			in.pendingSince = time.Now().UnixNano()
-		}
-		if in.cols != nil {
-			// Shred into the column segments while the chunk is still hot
-			// in cache: ring admission above is the capacity gate, so the
-			// append cannot overflow.
-			in.cols.Append(data[off:end])
-		}
-		r.stats.bytesIn.Add(int64(end - off))
-		if !r.paused.Load() {
-			if r.plan.NumInputs() == 1 {
-				for r.pendingBytes(0) >= r.e.taskSize.Load() {
-					r.cutSingle()
-				}
-			} else {
-				for r.combinedPending() >= r.e.taskSize.Load() {
-					if !r.cutPair(false) {
-						break
-					}
-				}
-			}
-		}
+		r.admitted(in, data[off:end])
 	}
 	r.insMu.Unlock()
+	r.pad(start, len(data))
+}
 
+// admitted books p, which ring admission has just accepted into in, and
+// cuts every full ϕ now pending unless the query is paused. Called with
+// insMu held.
+func (r *registered) admitted(in *inputStream, p []byte) {
+	if in.pendingSince == 0 {
+		in.pendingSince = time.Now().UnixNano()
+	}
+	if in.cols != nil {
+		// Shred into the column segments while the chunk is still hot in
+		// cache: ring admission is the capacity gate, so the append cannot
+		// overflow.
+		in.cols.Append(p)
+	}
+	r.stats.bytesIn.Add(int64(len(p)))
+	if !r.paused.Load() {
+		r.cutFull()
+	}
+}
+
+// cutFull cuts every full ϕ of pending input into tasks. Called with
+// insMu held.
+func (r *registered) cutFull() {
+	if r.plan.NumInputs() == 1 {
+		for r.pendingBytes(0) >= r.e.taskSize.Load() {
+			r.cutSingle()
+		}
+		return
+	}
+	for r.combinedPending() >= r.e.taskSize.Load() && r.cutPair(false) {
+	}
+}
+
+// pad holds an Insert of n bytes that began at start to the model's
+// dispatch cost, unless padding is disabled.
+func (r *registered) pad(start time.Time, n int) {
 	if !r.e.cfg.DisablePad {
-		model.Pad(start, r.e.cfg.Model.DispatchTime(len(data)))
+		model.Pad(start, r.e.cfg.Model.DispatchTime(n))
 	}
 }
 
@@ -589,31 +604,9 @@ func (r *registered) tryInsert(side int, data []byte) bool {
 	// rejected TryInsert leaves the bytes with the caller, so they are
 	// neither offered nor shed.
 	r.over.bytesOffered.Add(int64(len(data)))
-	if in.pendingSince == 0 {
-		in.pendingSince = time.Now().UnixNano()
-	}
-	if in.cols != nil {
-		in.cols.Append(data)
-	}
-	r.stats.bytesIn.Add(int64(len(data)))
-	if !r.paused.Load() {
-		if r.plan.NumInputs() == 1 {
-			for r.pendingBytes(0) >= r.e.taskSize.Load() {
-				r.cutSingle()
-			}
-		} else {
-			for r.combinedPending() >= r.e.taskSize.Load() {
-				if !r.cutPair(false) {
-					break
-				}
-			}
-		}
-	}
+	r.admitted(in, data)
 	r.insMu.Unlock()
-
-	if !r.e.cfg.DisablePad {
-		model.Pad(start, r.e.cfg.Model.DispatchTime(len(data)))
-	}
+	r.pad(start, len(data))
 	return true
 }
 
@@ -644,17 +637,7 @@ func (r *registered) cutBacklog() {
 	if r.ins[0] == nil || r.ins[0].ring == nil {
 		return
 	}
-	if r.plan.NumInputs() == 1 {
-		for r.pendingBytes(0) >= r.e.taskSize.Load() {
-			r.cutSingle()
-		}
-	} else {
-		for r.combinedPending() >= r.e.taskSize.Load() {
-			if !r.cutPair(false) {
-				break
-			}
-		}
-	}
+	r.cutFull()
 }
 
 // awaitTaskBoundary blocks until every task cut so far has drained —

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"saber/internal/engine"
 	"saber/internal/fault"
 )
 
@@ -35,8 +36,8 @@ func ChaosScenarios(seed int64) []ChaosScenario {
 		}
 		cfg.Seed = seed + int64(len(out))*1009
 		cfg.Chaos = inj
-		if cfg.MaxTaskRetries == 0 {
-			cfg.MaxTaskRetries = 6
+		if cfg.Engine.MaxTaskRetries == 0 {
+			cfg.Engine.MaxTaskRetries = 6
 		}
 		out = append(out, ChaosScenario{Name: name, Cfg: cfg, Check: check})
 	}
@@ -45,13 +46,11 @@ func ChaosScenarios(seed int64) []ChaosScenario {
 	// classes busy (and the queue deep enough that the device keeps
 	// receiving tasks to fail).
 	hybrid := Config{
-		Workload:        WorkloadJitter,
-		Tuples:          25000,
-		Workers:         4,
-		TaskSize:        1024,
-		GPU:             true,
-		SwitchThreshold: 3,
-		MaxJitter:       time.Millisecond,
+		Workload:  WorkloadJitter,
+		Tuples:    25000,
+		Engine:    engine.Config{CPUWorkers: 4, TaskSize: 1024, SwitchThreshold: 3},
+		GPU:       true,
+		MaxJitter: time.Millisecond,
 	}
 
 	add("gpu-kernel-fault", hybrid,
@@ -78,7 +77,7 @@ func ChaosScenarios(seed int64) []ChaosScenario {
 
 	hang := hybrid
 	hang.Tuples = 15000
-	hang.GPUTaskTimeout = 8 * time.Millisecond
+	hang.Engine.GPUTaskTimeout = 8 * time.Millisecond
 	add("gpu-device-hang", hang,
 		map[fault.Site]fault.Spec{
 			fault.GPUHang: {Rate: 0.05, Delay: 30 * time.Millisecond, Limit: 10},
@@ -93,8 +92,7 @@ func ChaosScenarios(seed int64) []ChaosScenario {
 	add("cpu-plan-error", Config{
 		Workload: WorkloadPassthrough,
 		Tuples:   40000,
-		Workers:  8,
-		TaskSize: 1024,
+		Engine:   engine.Config{CPUWorkers: 8, TaskSize: 1024},
 	},
 		map[fault.Site]fault.Spec{
 			fault.PlanExec: {Rate: 0.03, Limit: 100},
@@ -109,8 +107,7 @@ func ChaosScenarios(seed int64) []ChaosScenario {
 	add("ingest-disconnect", Config{
 		Workload: WorkloadPassthrough,
 		Tuples:   20000,
-		Workers:  4,
-		TaskSize: 1024,
+		Engine:   engine.Config{CPUWorkers: 4, TaskSize: 1024},
 		Ingest:   true,
 	},
 		map[fault.Site]fault.Spec{
@@ -125,7 +122,7 @@ func ChaosScenarios(seed int64) []ChaosScenario {
 		})
 
 	mixed := hybrid
-	mixed.Workers = 6
+	mixed.Engine.CPUWorkers = 6
 	add("hybrid-mixed-storm", mixed,
 		map[fault.Site]fault.Spec{
 			fault.GPUKernel: {Rate: 0.1, Limit: 100},

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"saber/internal/adapt"
+	"saber/internal/engine"
 	"saber/internal/fault"
 	"saber/internal/workload"
 )
@@ -51,18 +52,20 @@ func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 	// burst by enough tasks for the half-open probe to find work, succeed,
 	// and re-close the breaker before the queue drains.
 	rep := runClean(t, Config{
-		Seed:             Seed(7100),
-		Workload:         WorkloadJitter,
-		Tuples:           30000,
-		Workers:          4,
-		TaskSize:         1024,
-		GPU:              true,
-		SwitchThreshold:  3,
-		MaxJitter:        time.Millisecond,
-		Chaos:            inj,
-		MaxTaskRetries:   6,
-		BreakerThreshold: 4,
-		BreakerCooldown:  2 * time.Millisecond,
+		Seed:     Seed(7100),
+		Workload: WorkloadJitter,
+		Tuples:   30000,
+		Engine: engine.Config{
+			CPUWorkers:       4,
+			TaskSize:         1024,
+			SwitchThreshold:  3,
+			MaxTaskRetries:   6,
+			BreakerThreshold: 4,
+			BreakerCooldown:  2 * time.Millisecond,
+		},
+		GPU:       true,
+		MaxJitter: time.Millisecond,
+		Chaos:     inj,
 	})
 	if rep.BreakerOpens == 0 {
 		t.Fatalf("12 consecutive GPU failures never opened the breaker: %s", rep)
@@ -90,22 +93,24 @@ func TestChaosBurstAdapt(t *testing.T) {
 	inj.Arm(fault.GPUKernel, fault.Spec{Rate: 0.1, Limit: 150})
 
 	rep := runClean(t, Config{
-		Seed:            Seed(7300),
-		Workload:        WorkloadJitter,
-		Tuples:          scale(12000, 40000),
-		Workers:         4,
-		TaskSize:        4096, // start at MaxPhi: the tight SLO must pull ϕ down
-		GPU:             true,
-		SwitchThreshold: 3,
-		MaxJitter:       time.Millisecond,
-		Chaos:           inj,
-		MaxTaskRetries:  6,
-		Adapt: &adapt.Config{
-			MinPhi:   256,
-			MaxPhi:   4096,
-			SLO:      2 * time.Millisecond,
-			Interval: 10 * time.Millisecond,
+		Seed:     Seed(7300),
+		Workload: WorkloadJitter,
+		Tuples:   scale(12000, 40000),
+		Engine: engine.Config{
+			CPUWorkers:      4,
+			TaskSize:        4096, // start at MaxPhi: the tight SLO must pull ϕ down
+			SwitchThreshold: 3,
+			MaxTaskRetries:  6,
+			Adapt: &adapt.Config{
+				MinPhi:   256,
+				MaxPhi:   4096,
+				SLO:      2 * time.Millisecond,
+				Interval: 10 * time.Millisecond,
+			},
 		},
+		GPU:       true,
+		MaxJitter: time.Millisecond,
+		Chaos:     inj,
 		// ~1.3 MB/s average with 6× bursts: enough pressure that the
 		// jittered workers queue up during each burst.
 		PacedRate: workload.BurstRate(0.6e6, 3.6e6, 250*time.Millisecond, 80*time.Millisecond),
@@ -145,7 +150,7 @@ func TestChaosSeedDeterminism(t *testing.T) {
 			Seed:     4242,
 			Workload: WorkloadPassthrough,
 			Tuples:   scale(5000, 20000),
-			Workers:  4,
+			Engine:   engine.Config{CPUWorkers: 4},
 			Chaos:    inj,
 		})
 	}

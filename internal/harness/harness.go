@@ -27,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"saber/internal/adapt"
 	"saber/internal/engine"
 	"saber/internal/fault"
 	"saber/internal/gpu"
@@ -66,33 +65,31 @@ type Config struct {
 	// Queries is the number of identical queries registered and fed
 	// concurrently. Default 1.
 	Queries int
-	// Workers is the engine's CPU worker count. Default 4.
-	Workers int
-	// TaskSize is ϕ in bytes. Small values maximise task boundaries.
-	// Default 1024 (32 tuples).
-	TaskSize int
-	// ResultSlots sizes the per-query reordering window. Tiny values
-	// (e.g. 4) force the overflow map. Default 0 (engine default).
-	ResultSlots int
-	// InputBufferSize sizes the input rings. Small values force
-	// wrap-heavy operation and backpressure. Default 1<<14.
-	InputBufferSize int
+	// Engine configures the engine under test. Run defaults CPUWorkers
+	// to 4, TaskSize to 1024 (32 tuples: small ϕ maximises task
+	// boundaries) and InputBufferSize to 1<<14 (small rings force
+	// wrap-heavy operation and backpressure), always runs unpadded, and
+	// sets Fault to Chaos. Tiny ResultSlots (e.g. 4) force the overflow
+	// map. Adapt resizes ϕ from the live latency histograms while the
+	// stress load (and any armed chaos) runs. Overload with a shedding
+	// policy is expected to drop tuples under pressure: the harness then
+	// swaps the exactly-once passthrough checker for the shed-tolerant
+	// one and verifies the conservation ledger instead: offered ==
+	// admitted + admission-shed and admitted == out + shed.
+	Engine engine.Config
 	// WindowSize is the tumbling window size in tuples. Default 64.
 	WindowSize int64
 	// GPU attaches a simulated GPGPU device (hybrid execution).
 	GPU bool
-	// SwitchThreshold is HLS's switch threshold (hybrid runs). Default
-	// engine default.
-	SwitchThreshold int
 	// MaxJitter bounds the jitter workload's per-fragment delay.
 	// Default 2ms.
 	MaxJitter time.Duration
 	// MinProcess puts a deterministic floor under the jitter workload's
 	// per-fragment service time. With it the pipeline's capacity has a
-	// computable upper bound (Workers * TaskSize / MinProcess bytes/sec),
-	// which is what lets the overload scenarios pace a feed at a known
-	// multiple of capacity instead of estimating it from wall clocks.
-	// 0 keeps the service time purely jitter-driven.
+	// computable upper bound (CPUWorkers * TaskSize / MinProcess
+	// bytes/sec), which is what lets the overload scenarios pace a feed
+	// at a known multiple of capacity instead of estimating it from wall
+	// clocks. 0 keeps the service time purely jitter-driven.
 	MinProcess time.Duration
 	// PollInterval is the invariant poller's period. Default 200µs.
 	PollInterval time.Duration
@@ -104,28 +101,10 @@ type Config struct {
 	// mid-frame connection drops. nil runs fault-free. The injector's own
 	// seed governs which decisions fire; Config.Seed governs the data.
 	Chaos *fault.Injector
-	// GPUTaskTimeout, MaxTaskRetries, BreakerThreshold and BreakerCooldown
-	// pass through to the engine's fault-tolerance knobs (zero = engine
-	// default).
-	GPUTaskTimeout   time.Duration
-	MaxTaskRetries   int
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Ingest feeds each query over a real TCP loopback connection through
 	// internal/ingest (reconnecting client, read-deadline-guarded server)
 	// instead of direct Insert calls — the path chaos disconnects target.
 	Ingest bool
-	// Adapt enables adaptive task sizing (dynamic ϕ): the engine's
-	// controller resizes ϕ from the live latency histograms while the
-	// stress load — and any armed chaos — runs. nil keeps ϕ fixed.
-	Adapt *adapt.Config
-	// Overload arms the engine's overload protection (queue budgets,
-	// tiered shedding, stall watchdog). With a shedding policy set the
-	// run is expected to drop tuples under pressure; the harness then
-	// swaps the exactly-once passthrough checker for the shed-tolerant
-	// one and verifies the conservation ledger instead:
-	// offered == admitted + admission-shed and admitted == out + shed.
-	Overload *overload.Config
 	// SourceCredits, with Ingest, arms credit-based flow control on the
 	// loopback feed: the server advertises this window (tuples) and the
 	// reconnecting client paces itself on the returned grants.
@@ -164,15 +143,7 @@ func (c Config) withDefaults() Config {
 	if c.Queries <= 0 {
 		c.Queries = 1
 	}
-	if c.Workers == 0 {
-		c.Workers = 4
-	}
-	if c.TaskSize <= 0 {
-		c.TaskSize = 1024
-	}
-	if c.InputBufferSize <= 0 {
-		c.InputBufferSize = 1 << 14
-	}
+	c.Engine = harnessEngine(c.Engine, 1024, 1<<14, c.Chaos)
 	if c.WindowSize <= 0 {
 		c.WindowSize = 64
 	}
@@ -194,6 +165,25 @@ func (c Config) withDefaults() Config {
 		}
 	}
 	return c
+}
+
+// harnessEngine fills in the engine settings every runner shares: 4 CPU
+// workers and the runner's ϕ and ring size when unset (a zero ring size
+// keeps the engine default), native speed, and chaos as the CPU
+// fault injector.
+func harnessEngine(e engine.Config, taskSize, inputBuf int, chaos *fault.Injector) engine.Config {
+	if e.CPUWorkers == 0 {
+		e.CPUWorkers = 4
+	}
+	if e.TaskSize <= 0 {
+		e.TaskSize = taskSize
+	}
+	if e.InputBufferSize <= 0 {
+		e.InputBufferSize = inputBuf
+	}
+	e.DisablePad = true
+	e.Fault = chaos
+	return e
 }
 
 // Report aggregates a run's counters and invariant violations. The
@@ -296,22 +286,7 @@ func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := &Report{Seed: cfg.Seed}
 
-	ecfg := engine.Config{
-		CPUWorkers:       cfg.Workers,
-		TaskSize:         cfg.TaskSize,
-		InputBufferSize:  cfg.InputBufferSize,
-		ResultSlots:      cfg.ResultSlots,
-		SwitchThreshold:  cfg.SwitchThreshold,
-		DisablePad:       true,
-		Model:            model.Default(),
-		Fault:            cfg.Chaos,
-		GPUTaskTimeout:   cfg.GPUTaskTimeout,
-		MaxTaskRetries:   cfg.MaxTaskRetries,
-		BreakerThreshold: cfg.BreakerThreshold,
-		BreakerCooldown:  cfg.BreakerCooldown,
-		Adapt:            cfg.Adapt,
-		Overload:         cfg.Overload,
-	}
+	ecfg := cfg.Engine
 	var dev *gpu.Device
 	if cfg.GPU {
 		// The scaled model makes the simulated device fast enough to
@@ -346,7 +321,7 @@ func Run(cfg Config) (*Report, error) {
 		switch {
 		case isAggWorkload(cfg.Workload):
 			qr.checker = &aggChecker{out: q.OutputSchema()}
-		case cfg.Overload != nil && cfg.Overload.Policy != overload.ShedNone:
+		case ecfg.Overload != nil && ecfg.Overload.Policy != overload.ShedNone:
 			// A shedding run legitimately drops tuples: integrity and order
 			// still hold per tuple, but coverage is checked against the shed
 			// ledger instead of demanding the full sequence.
@@ -634,7 +609,7 @@ func Run(cfg Config) (*Report, error) {
 		rep.FaultsInjected = cfg.Chaos.TotalInjections()
 	}
 	rep.Stalls = snap.Counters["saber.overload.stalls"]
-	if cfg.Adapt != nil {
+	if ecfg.Adapt != nil {
 		rep.AdaptTicks = snap.Counters["saber.adapt.ticks"]
 		rep.AdaptGrows = snap.Counters["saber.adapt.grow"]
 		rep.AdaptShrinks = snap.Counters["saber.adapt.shrink"]

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"saber/internal/engine"
 )
 
 // runClean executes the config and fails the test on any invariant
@@ -38,12 +40,10 @@ func scale(short, full int) int {
 // concurrently; the identity workload proves byte-exact conservation.
 func TestPassthroughWrapHeavy(t *testing.T) {
 	rep := runClean(t, Config{
-		Seed:            Seed(101),
-		Workload:        WorkloadPassthrough,
-		Tuples:          scale(30000, 120000),
-		Workers:         8,
-		TaskSize:        1024,
-		InputBufferSize: 1 << 14,
+		Seed:     Seed(101),
+		Workload: WorkloadPassthrough,
+		Tuples:   scale(30000, 120000),
+		Engine:   engine.Config{CPUWorkers: 8, TaskSize: 1024, InputBufferSize: 1 << 14},
 	})
 	if rep.RingWraps == 0 {
 		t.Fatal("stress run never wrapped the input ring; configuration too tame")
@@ -59,13 +59,11 @@ func TestPassthroughWrapHeavy(t *testing.T) {
 // with zero coverage before this harness existed.
 func TestJitterForcesOverflow(t *testing.T) {
 	rep := runClean(t, Config{
-		Seed:        Seed(202),
-		Workload:    WorkloadJitter,
-		Tuples:      scale(8000, 30000),
-		Workers:     2,
-		TaskSize:    1024,
-		ResultSlots: 4,
-		MaxJitter:   2 * time.Millisecond,
+		Seed:      Seed(202),
+		Workload:  WorkloadJitter,
+		Tuples:    scale(8000, 30000),
+		Engine:    engine.Config{CPUWorkers: 2, TaskSize: 1024, ResultSlots: 4},
+		MaxJitter: 2 * time.Millisecond,
 	})
 	if rep.OverflowDeliveries == 0 {
 		t.Fatal("stress run never hit the overflow map; configuration too tame")
@@ -80,15 +78,12 @@ func TestJitterForcesOverflow(t *testing.T) {
 // backend mid-stream without losing or duplicating a single tuple.
 func TestHybridBackendFlips(t *testing.T) {
 	rep := runClean(t, Config{
-		Seed:            Seed(303),
-		Workload:        WorkloadJitter,
-		Tuples:          scale(8000, 30000),
-		Workers:         4,
-		TaskSize:        1024,
-		ResultSlots:     8,
-		GPU:             true,
-		SwitchThreshold: 3,
-		MaxJitter:       time.Millisecond,
+		Seed:      Seed(303),
+		Workload:  WorkloadJitter,
+		Tuples:    scale(8000, 30000),
+		Engine:    engine.Config{CPUWorkers: 4, TaskSize: 1024, ResultSlots: 8, SwitchThreshold: 3},
+		GPU:       true,
+		MaxJitter: time.Millisecond,
 	})
 	if rep.TasksCPU == 0 || rep.TasksGPU == 0 {
 		t.Fatalf("both backends should execute tasks: cpu=%d gpu=%d", rep.TasksCPU, rep.TasksGPU)
@@ -107,8 +102,7 @@ func TestAggConservationMultiQuery(t *testing.T) {
 		Workload: WorkloadAgg,
 		Tuples:   scale(20000, 60000),
 		Queries:  3,
-		Workers:  8,
-		TaskSize: 1024,
+		Engine:   engine.Config{CPUWorkers: 8, TaskSize: 1024},
 	})
 	if rep.TuplesOut == 0 {
 		t.Fatal("aggregation emitted no windows")
@@ -124,7 +118,7 @@ func TestSeedDeterminism(t *testing.T) {
 		Seed:     Seed(505),
 		Workload: WorkloadPassthrough,
 		Tuples:   scale(5000, 20000),
-		Workers:  4,
+		Engine:   engine.Config{CPUWorkers: 4},
 	}
 	a := runClean(t, cfg)
 	b := runClean(t, cfg)
@@ -199,7 +193,7 @@ func TestInvariantsCatchInjectedBugs(t *testing.T) {
 				Seed:         Seed(606),
 				Workload:     WorkloadPassthrough,
 				Tuples:       scale(3000, 10000),
-				Workers:      4,
+				Engine:       engine.Config{CPUWorkers: 4},
 				MutateOutput: tc.mutate,
 			})
 			if err != nil {

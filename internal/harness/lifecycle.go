@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -9,7 +10,6 @@ import (
 
 	"saber/internal/catalog"
 	"saber/internal/engine"
-	"saber/internal/model"
 	"saber/internal/workload"
 )
 
@@ -27,9 +27,9 @@ type LifecycleConfig struct {
 	// Rate paces the source (tuples/sec) so the DDL churn lands
 	// genuinely mid-stream. Default 300000.
 	Rate int
-	// Workers and TaskSize configure the engine. Defaults 4 and 4096.
-	Workers  int
-	TaskSize int
+	// Engine configures the engine. CPUWorkers and TaskSize default to 4
+	// and 4096; the run is always unpadded.
+	Engine engine.Config
 	// BaseStreams is the number of streams registered at boot. Default 3.
 	BaseStreams int
 	// Rounds is the number of churn rounds; each creates a stream,
@@ -52,12 +52,7 @@ func (c LifecycleConfig) withDefaults() LifecycleConfig {
 	if c.Rate <= 0 {
 		c.Rate = 300000
 	}
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
-	if c.TaskSize <= 0 {
-		c.TaskSize = 4096
-	}
+	c.Engine = harnessEngine(c.Engine, 4096, 0, nil)
 	if c.BaseStreams <= 0 {
 		c.BaseStreams = 3
 	}
@@ -86,11 +81,7 @@ func (r *LifecycleReport) Err() error {
 	if len(r.Violations) == 0 {
 		return nil
 	}
-	errs := make([]string, len(r.Violations))
-	for i, e := range r.Violations {
-		errs[i] = e.Error()
-	}
-	return fmt.Errorf("lifecycle(seed=%d): %s", r.Seed, strings.Join(errs, "; "))
+	return fmt.Errorf("lifecycle(seed=%d): %w", r.Seed, errors.Join(r.Violations...))
 }
 
 // String summarises the run for logs.
@@ -119,12 +110,7 @@ func RunLifecycle(cfg LifecycleConfig) (*LifecycleReport, error) {
 	rep := &LifecycleReport{Seed: cfg.Seed}
 	tsz := int64(workload.SynSchema.TupleSize())
 
-	eng := engine.New(engine.Config{
-		CPUWorkers: cfg.Workers,
-		TaskSize:   cfg.TaskSize,
-		DisablePad: true,
-		Model:      model.Default(),
-	})
+	eng := engine.New(cfg.Engine)
 	m := catalog.New(eng)
 
 	var script strings.Builder

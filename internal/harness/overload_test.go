@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"saber/internal/adapt"
+	"saber/internal/engine"
 	"saber/internal/overload"
 	"saber/internal/workload"
 )
@@ -19,13 +20,11 @@ func overloadShape(seed int64) Config {
 	return Config{
 		Seed:     seed,
 		Workload: WorkloadJitter,
-		Workers:  4,
-		TaskSize: 1024,
 		// The ring must dwarf the queue budget: overload protection is the
 		// budget acting first, not ring backpressure (a ring no bigger than
 		// the budget would throttle the feeder before the budget ever
 		// trips and no shedding could be observed).
-		InputBufferSize: 1 << 18,
+		Engine: engine.Config{CPUWorkers: 4, TaskSize: 1024, InputBufferSize: 1 << 18},
 		// One whole window per ϕ-sized task: the oldest-first rung sheds at
 		// task granularity, so aligning windows to tasks means a shed drops
 		// whole windows. A straddling window would instead be stranded open
@@ -40,7 +39,7 @@ func overloadShape(seed int64) Config {
 // shapeCapacity is the shape's capacity upper bound in bytes/sec: every
 // worker moves at most one ϕ-sized task per MinProcess.
 func shapeCapacity(shape Config) float64 {
-	return float64(shape.Workers*shape.TaskSize) / shape.MinProcess.Seconds()
+	return float64(shape.Engine.CPUWorkers*shape.Engine.TaskSize) / shape.MinProcess.Seconds()
 }
 
 // TestOverloadShedOldestAtTwiceCapacity is the sustained-overload chaos
@@ -61,7 +60,7 @@ func TestOverloadShedOldestAtTwiceCapacity(t *testing.T) {
 
 	cfg := shape
 	cfg.Tuples = scale(8000, 24000)
-	cfg.Overload = &overload.Config{
+	cfg.Engine.Overload = &overload.Config{
 		MaxQueueBytes: 16 << 10,
 		Policy:        overload.ShedOldest,
 		MaxWait:       50 * time.Microsecond,
@@ -97,7 +96,7 @@ func TestOverloadShedWeightedAtTwiceCapacity(t *testing.T) {
 
 	cfg := shape
 	cfg.Tuples = scale(8000, 24000)
-	cfg.Overload = &overload.Config{
+	cfg.Engine.Overload = &overload.Config{
 		MaxQueueBytes: 16 << 10,
 		Policy:        overload.ShedWeighted,
 		MaxWait:       50 * time.Microsecond,
@@ -124,7 +123,7 @@ func TestOverloadMutationDetectsLeak(t *testing.T) {
 	shape := overloadShape(Seed(9303))
 	cfg := shape
 	cfg.Tuples = scale(6000, 16000)
-	cfg.Overload = &overload.Config{
+	cfg.Engine.Overload = &overload.Config{
 		MaxQueueBytes: 8 << 10,
 		Policy:        overload.ShedOldest,
 		MaxWait:       50 * time.Microsecond,
@@ -161,14 +160,14 @@ func TestOverloadAdaptLastRungSheds(t *testing.T) {
 	shape := overloadShape(Seed(9304))
 	cfg := shape
 	cfg.Tuples = scale(8000, 24000)
-	cfg.Workers = 2
-	cfg.Adapt = &adapt.Config{
+	cfg.Engine.CPUWorkers = 2
+	cfg.Engine.Adapt = &adapt.Config{
 		MinPhi:   1024,
 		MaxPhi:   1024,
 		SLO:      time.Microsecond,
 		Interval: 5 * time.Millisecond,
 	}
-	cfg.Overload = &overload.Config{
+	cfg.Engine.Overload = &overload.Config{
 		MaxQueueBytes: 8 << 10,
 		Policy:        overload.ShedOldest,
 		MaxWait:       50 * time.Microsecond,

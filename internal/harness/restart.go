@@ -12,8 +12,6 @@ import (
 	"saber/internal/engine"
 	"saber/internal/fault"
 	"saber/internal/ingest"
-	"saber/internal/model"
-	"saber/internal/overload"
 )
 
 // RestartConfig tunes one crash-restart differential run: a reference
@@ -35,11 +33,18 @@ type RestartConfig struct {
 	Workload string
 	// Tuples is the stream length. Default 40000.
 	Tuples int
-	// Workers, TaskSize, InputBufferSize, WindowSize as in Config.
-	Workers         int
-	TaskSize        int
-	InputBufferSize int
-	WindowSize      int64
+	// Engine configures all three engines, as in Config, except that the
+	// runner owns the checkpoint fields. Defaults: CPUWorkers 4, TaskSize
+	// 1024, InputBufferSize 1<<15, and MaxTaskRetries 6 under Chaos,
+	// keeping the retry budget above any plausible failure streak so
+	// nothing quarantines. Overload arms the admission-control/shedding
+	// layer; the differential requires that the policy never actuates (a
+	// shed tuple voids byte identity), so configs set a budget the run
+	// cannot exhaust: the point is proving the armed layer is inert on a
+	// healthy pipeline and its ledger counters survive the restore.
+	Engine engine.Config
+	// WindowSize as in Config.
+	WindowSize int64
 	// InsertMaxTuples bounds the seeded chunk size. Default 300.
 	InsertMaxTuples int
 	// CheckpointEveryChunks cuts an epoch after every N feed chunks.
@@ -60,18 +65,9 @@ type RestartConfig struct {
 	// and the reconnecting client replays the lost suffix from its
 	// replay window.
 	Ingest bool
-	// Overload arms the admission-control/shedding layer on all three
-	// engines. The differential requires that the policy never actuates
-	// (a shed tuple voids byte identity), so configs set a budget the run
-	// cannot exhaust: the point is proving the armed layer is inert on a
-	// healthy pipeline and its ledger counters survive the restore.
-	Overload *overload.Config
 	// Chaos arms seeded fault injection (plan-execution errors, ingest
-	// drops) on the crash and recovery engines. MaxTaskRetries defaults
-	// to 6 when set, keeping the retry budget above any plausible
-	// failure streak so nothing quarantines.
-	Chaos          *fault.Injector
-	MaxTaskRetries int
+	// drops) on the engines.
+	Chaos *fault.Injector
 	// Dir is the checkpoint directory; empty creates (and removes) a
 	// temporary one.
 	Dir string
@@ -87,15 +83,7 @@ func (c RestartConfig) withDefaults() RestartConfig {
 	if c.Tuples <= 0 {
 		c.Tuples = 40000
 	}
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
-	if c.TaskSize <= 0 {
-		c.TaskSize = 1024
-	}
-	if c.InputBufferSize <= 0 {
-		c.InputBufferSize = 1 << 15
-	}
+	c.Engine = harnessEngine(c.Engine, 1024, 1<<15, c.Chaos)
 	if c.WindowSize <= 0 {
 		c.WindowSize = 64
 	}
@@ -105,8 +93,8 @@ func (c RestartConfig) withDefaults() RestartConfig {
 	if c.CheckpointEveryChunks <= 0 {
 		c.CheckpointEveryChunks = 6
 	}
-	if c.Chaos != nil && c.MaxTaskRetries == 0 {
-		c.MaxTaskRetries = 6
+	if c.Chaos != nil && c.Engine.MaxTaskRetries == 0 {
+		c.Engine.MaxTaskRetries = 6
 	}
 	return c
 }
@@ -184,20 +172,10 @@ func restartEngine(cfg RestartConfig, dir string) (*engine.Engine, *engine.Handl
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	eng := engine.New(engine.Config{
-		CPUWorkers:      cfg.Workers,
-		TaskSize:        cfg.TaskSize,
-		InputBufferSize: cfg.InputBufferSize,
-		DisablePad:      true,
-		Model:           model.Default(),
-		Fault:           cfg.Chaos,
-		MaxTaskRetries:  cfg.MaxTaskRetries,
-
-		Overload: cfg.Overload,
-
-		CheckpointDir:      dir,
-		CheckpointInterval: -1, // the runner cuts epochs at seeded chunk counts
-	})
+	ecfg := cfg.Engine
+	ecfg.CheckpointDir = dir
+	ecfg.CheckpointInterval = -1 // the runner cuts epochs at seeded chunk counts
+	eng := engine.New(ecfg)
 	h, err := eng.Register(q)
 	if err != nil {
 		return nil, nil, nil, err
@@ -457,7 +435,7 @@ func RunCrashRestart(cfg RestartConfig) (*RestartReport, error) {
 		rep.Violations = append(rep.Violations,
 			fmt.Errorf("%d tuples shed — an overload policy actuated mid-differential", rep.Shed))
 	}
-	if cfg.Overload != nil {
+	if cfg.Engine.Overload != nil {
 		// The admission ledger must balance on the recovery engine at
 		// quiesce even though its offered/in counters were seeded from the
 		// restored snapshot: offered == in + shed-at-admission.
@@ -508,10 +486,9 @@ func CrashRestartScenario(seed int64) RestartConfig {
 	inj := fault.New(seed ^ 0xc4a5)
 	inj.Arm(fault.PlanExec, fault.Spec{Rate: 0.03, Limit: 120})
 	return RestartConfig{
-		Seed:           seed,
-		Workload:       WorkloadPassthrough,
-		Tuples:         30000,
-		Chaos:          inj,
-		MaxTaskRetries: 6,
+		Seed:     seed,
+		Workload: WorkloadPassthrough,
+		Tuples:   30000,
+		Chaos:    inj,
 	}
 }

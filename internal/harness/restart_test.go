@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"saber/internal/engine"
 	"saber/internal/overload"
 )
 
@@ -53,9 +54,9 @@ func TestCrashRestartAggTime(t *testing.T) {
 // absolute addressing survives the restart.
 func TestCrashRestartMidRingWrap(t *testing.T) {
 	rep := runRestart(t, RestartConfig{
-		Seed:            Seed(24),
-		Tuples:          60000,
-		InputBufferSize: 1 << 14,
+		Seed:   Seed(24),
+		Tuples: 60000,
+		Engine: engine.Config{InputBufferSize: 1 << 14},
 	})
 	if rep.RingWraps == 0 {
 		t.Fatal("recovery engine never wrapped its ring — config did not exercise the wrap path")
@@ -94,11 +95,11 @@ func TestChaosCrashRestart(t *testing.T) {
 func TestCrashRestartOverloadArmed(t *testing.T) {
 	rep := runRestart(t, RestartConfig{
 		Seed: Seed(28),
-		Overload: &overload.Config{
+		Engine: engine.Config{Overload: &overload.Config{
 			MaxQueueBytes: 64 << 20,
 			Policy:        overload.ShedOldest,
 			MaxWait:       200 * time.Microsecond,
-		},
+		}},
 	})
 	if rep.Shed != 0 {
 		t.Fatalf("overload policy actuated on a healthy differential: %s", rep)

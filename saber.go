@@ -25,6 +25,12 @@
 //	eng.Drain()
 //	eng.Close()
 //
+// Config is the engine's own configuration type. Adaptive task sizing
+// and overload protection are armed by setting Config.Adapt
+// (AdaptConfig) and Config.Overload (OverloadConfig), checkpointing by
+// Config.CheckpointDir; Config.DisablePad runs at native speed instead
+// of padding to the calibrated performance model.
+//
 // Queries are written in the windowed streaming SQL of the paper's
 // Appendix A. One front end, internal/bql, parses both the bare SELECTs
 // Engine.Query takes and the statement scripts (CREATE SOURCE/STREAM/
@@ -39,7 +45,6 @@ package saber
 import (
 	"fmt"
 	"net/http"
-	"time"
 
 	"saber/internal/adapt"
 	"saber/internal/bql"
@@ -93,9 +98,23 @@ type (
 	// TraceRecord is one finished task's lifecycle trace from the
 	// tracer's postmortem ring.
 	TraceRecord = obs.TraceRecord
+	// Config tunes the engine. It is internal/engine's Config, where every
+	// field is documented; the zero value reproduces the paper's setup (15
+	// CPU workers, 1 MiB tasks, HLS scheduling, calibrated model).
+	Config = engine.Config
+	// AdaptConfig enables adaptive task sizing (dynamic ϕ) when set as
+	// Config.Adapt: a controller resizes ϕ within [MinPhi, MaxPhi] to keep
+	// the end-to-end p99 latency under SLO.
+	AdaptConfig = adapt.Config
+	// OverloadConfig enables overload protection when set as
+	// Config.Overload: a per-query, per-input queue budget
+	// (MaxQueueBytes), the shedding Policy applied once the bounded
+	// admission wait (MaxWait) expires, and a stall watchdog.
+	OverloadConfig = overload.Config
 	// ShedPolicy selects what overload protection does when a query's
 	// input queue exceeds its budget and the bounded admission wait
-	// expires (see Config.MaxQueueBytes).
+	// expires (see OverloadConfig.MaxQueueBytes). With Config.Adapt also
+	// set, shedding actuates only once resizing ϕ has run out of room.
 	ShedPolicy = overload.Policy
 )
 
@@ -113,7 +132,7 @@ const (
 	OnGPU = sched.GPU
 )
 
-// Shedding policies for Config.ShedPolicy.
+// Shedding policies for OverloadConfig.Policy.
 const (
 	// ShedNone never drops data: a full queue blocks Insert (quiesce-
 	// aware backpressure) until it drains below budget.
@@ -160,85 +179,6 @@ func OpenGPU(cfg GPUConfig) *GPUDevice { return gpu.Open(cfg) }
 // Scaled to shrink experiment wall time.
 func DefaultModel() ModelParams { return model.Default() }
 
-// Config tunes the engine; the zero value reproduces the paper's setup
-// (15 CPU workers, 1 MiB tasks, HLS scheduling, calibrated model).
-type Config struct {
-	// CPUWorkers is the number of CPU worker threads (default 15).
-	CPUWorkers int
-	// GPU attaches a simulated GPGPU; nil runs CPU-only.
-	GPU *GPUDevice
-	// TaskSize is ϕ, the query task size in bytes (default 1 MiB).
-	TaskSize int
-	// Policy is "hls" (default), "fcfs", or "static".
-	Policy string
-	// StaticAssign maps query registration order to processors for the
-	// static policy.
-	StaticAssign []Processor
-	// SwitchThreshold is HLS's exploration threshold (default 10).
-	SwitchThreshold int
-	// Model calibrates simulated performance; zero selects DefaultModel.
-	Model ModelParams
-	// NativeSpeed disables the performance model's padding and runs at
-	// raw Go speed (for correctness tests; relative performance then
-	// reflects this host, not the paper's hardware).
-	NativeSpeed bool
-	// InputBufferSize and ResultSlots override engine internals; zero
-	// selects defaults.
-	InputBufferSize int
-	ResultSlots     int
-
-	// LatencySLO enables adaptive task sizing (dynamic ϕ): when set, a
-	// feedback controller resizes tasks within [MinTaskSize, MaxTaskSize]
-	// to keep the end-to-end p99 latency under this target while growing
-	// ϕ whenever the GPU pipeline is dispatch-bound. TaskSize becomes the
-	// starting ϕ. Controller state is exported as saber.adapt.* metrics.
-	LatencySLO time.Duration
-	// MinTaskSize and MaxTaskSize bound the adaptive ϕ in bytes; zero
-	// selects 4 KiB and 4 MiB. Ignored unless LatencySLO is set.
-	MinTaskSize, MaxTaskSize int
-	// AdaptInterval is the controller's tick period (default 50ms).
-	// Ignored unless LatencySLO is set.
-	AdaptInterval time.Duration
-
-	// CheckpointDir enables epoch-based checkpointing: the engine
-	// periodically persists each query's state (committed output
-	// frontier, open windows, input cursors, ϕ, learned scheduler rates)
-	// to this directory, and Restore rebuilds from the newest valid
-	// epoch after a crash. Empty disables checkpointing.
-	CheckpointDir string
-	// CheckpointInterval is the automatic epoch period. Zero selects
-	// 500ms when CheckpointDir is set; a negative value disables the
-	// automatic coordinator (manual Checkpoint calls only).
-	CheckpointInterval time.Duration
-	// CheckpointKeep is how many epochs to retain on disk (default 3);
-	// older epochs are the fallback past a torn or corrupt newest file.
-	CheckpointKeep int
-
-	// MaxQueueBytes arms overload protection with a per-query,
-	// per-input admission budget in bytes: once a query buffers this
-	// much unprocessed input, further Inserts block (ShedNone) or, after
-	// a bounded wait, actuate the shedding policy. The budget is floored
-	// at two task sizes so the dispatcher can always cut a task. Zero
-	// leaves the ring capacity as the only bound, and shedding never
-	// actuates — the policy fires only when this budget is the binding
-	// constraint; plain ring backpressure always stays lossless.
-	MaxQueueBytes int64
-	// ShedPolicy is the tiered load-shedding rung applied when the
-	// budget binds and the bounded wait expires: ShedNone (default)
-	// blocks losslessly, ShedOldest cuts the stalest buffered window
-	// range, ShedWeighted drops arriving chunks probabilistically.
-	// Every shed tuple is counted in Stats (TuplesShed, TuplesShedAdmit)
-	// and the saber.overload.* metrics, so offered == out + shed holds
-	// exactly. With adaptive sizing (LatencySLO) armed, shedding only
-	// actuates while the controller reports the last-rung overload
-	// signal — resizing ϕ is always tried first.
-	ShedPolicy ShedPolicy
-	// ShedMaxWait bounds how long a blocked Insert waits for budget
-	// headroom before the policy actuates (default 2ms). Ignored when
-	// ShedPolicy is ShedNone.
-	ShedMaxWait time.Duration
-}
-
 // Engine is a SABER instance: declare streams, register queries, start,
 // ingest, drain.
 type Engine struct {
@@ -248,41 +188,7 @@ type Engine struct {
 
 // New creates an engine.
 func New(cfg Config) *Engine {
-	ecfg := engine.Config{
-		CPUWorkers:      cfg.CPUWorkers,
-		GPU:             cfg.GPU,
-		TaskSize:        cfg.TaskSize,
-		InputBufferSize: cfg.InputBufferSize,
-		ResultSlots:     cfg.ResultSlots,
-		Policy:          cfg.Policy,
-		StaticAssign:    cfg.StaticAssign,
-		SwitchThreshold: cfg.SwitchThreshold,
-		Model:           cfg.Model,
-		DisablePad:      cfg.NativeSpeed,
-
-		CheckpointDir:      cfg.CheckpointDir,
-		CheckpointInterval: cfg.CheckpointInterval,
-		CheckpointKeep:     cfg.CheckpointKeep,
-	}
-	if cfg.MaxQueueBytes > 0 || cfg.ShedPolicy != ShedNone {
-		ecfg.Overload = &overload.Config{
-			MaxQueueBytes: cfg.MaxQueueBytes,
-			Policy:        cfg.ShedPolicy,
-			MaxWait:       cfg.ShedMaxWait,
-		}
-	}
-	if cfg.LatencySLO > 0 {
-		ecfg.Adapt = &adapt.Config{
-			SLO:      cfg.LatencySLO,
-			MinPhi:   cfg.MinTaskSize,
-			MaxPhi:   cfg.MaxTaskSize,
-			Interval: cfg.AdaptInterval,
-		}
-	}
-	return &Engine{
-		e:       engine.New(ecfg),
-		streams: bql.Streams{},
-	}
+	return &Engine{e: engine.New(cfg), streams: bql.Streams{}}
 }
 
 // DeclareStream names a stream schema for use in SQL FROM clauses.
@@ -356,7 +262,7 @@ func (e *Engine) Close() { e.e.Close() }
 func (e *Engine) QueueLen() int { return e.e.QueueLen() }
 
 // TaskSize reports the live task size ϕ in bytes — constant unless
-// adaptive sizing (Config.LatencySLO) is enabled.
+// adaptive sizing (Config.Adapt) is enabled.
 func (e *Engine) TaskSize() int { return e.e.TaskSize() }
 
 // Metrics returns the engine's observability registry. Always non-nil;

@@ -3,6 +3,7 @@ package saber
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"saber/internal/expr"
 	"saber/internal/ingest"
@@ -25,7 +26,7 @@ func testStream(n int) (*Schema, []byte) {
 
 func TestPublicAPIQuickstart(t *testing.T) {
 	s, stream := testStream(10000)
-	eng := New(Config{CPUWorkers: 2, TaskSize: 4096, NativeSpeed: true})
+	eng := New(Config{CPUWorkers: 2, TaskSize: 4096, DisablePad: true})
 	eng.DeclareStream("S", s)
 
 	q, err := eng.Query("avg", `
@@ -67,7 +68,7 @@ func TestPublicAPIHybrid(t *testing.T) {
 	dev := OpenGPU(GPUConfig{SMs: 2, Model: DefaultModel().Scaled(1e-6)})
 	defer dev.Close()
 	s, stream := testStream(50000)
-	eng := New(Config{CPUWorkers: 2, TaskSize: 4096, GPU: dev, NativeSpeed: true, SwitchThreshold: 3})
+	eng := New(Config{CPUWorkers: 2, TaskSize: 4096, GPU: dev, DisablePad: true, SwitchThreshold: 3})
 	eng.DeclareStream("S", s)
 	q := eng.MustQuery("sel", `select * from S [rows 64] where value > 4.0`)
 	var mu sync.Mutex
@@ -94,7 +95,7 @@ func TestPublicAPIHybrid(t *testing.T) {
 
 func TestPublicAPIBuilderAndWindows(t *testing.T) {
 	s, stream := testStream(5000)
-	eng := New(Config{CPUWorkers: 1, TaskSize: 8192, NativeSpeed: true})
+	eng := New(Config{CPUWorkers: 1, TaskSize: 8192, DisablePad: true})
 	q := NewQuery("built").
 		From("S", s, CountWindow(500, 250)).
 		Aggregate(query.Sum, expr.Col("value"), "total").
@@ -123,7 +124,7 @@ func TestPublicAPIBuilderAndWindows(t *testing.T) {
 }
 
 func TestPublicAPIErrors(t *testing.T) {
-	eng := New(Config{CPUWorkers: 1, NativeSpeed: true})
+	eng := New(Config{CPUWorkers: 1, DisablePad: true})
 	if _, err := eng.Query("q", `select * from Missing [rows 4]`); err == nil {
 		t.Error("unknown stream accepted")
 	}
@@ -135,9 +136,84 @@ func TestPublicAPIErrors(t *testing.T) {
 	eng.MustQuery("q", `select`)
 }
 
+// TestConfigReachesEngine checks that the public Config's sub-configs
+// and knobs take effect in the engine they configure.
+func TestConfigReachesEngine(t *testing.T) {
+	s, stream := testStream(20000)
+	const budget = 16 << 10
+	cases := []struct {
+		name string
+		cfg  Config
+		// run drives the engine with q registered; the test closes it.
+		run func(t *testing.T, eng *Engine, q *QueryHandle)
+	}{{
+		name: "overload budget",
+		cfg: Config{CPUWorkers: 1, TaskSize: 4096, DisablePad: true,
+			Overload: &OverloadConfig{MaxQueueBytes: budget}},
+		run: func(t *testing.T, eng *Engine, q *QueryHandle) {
+			// Unstarted, the engine drains nothing: a payload of exactly the
+			// budget is admitted and any further tuple is over it.
+			if !q.TryInsert(stream[:budget]) {
+				t.Fatal("TryInsert refused a payload within MaxQueueBytes")
+			}
+			if q.TryInsert(stream[budget : budget+s.TupleSize()]) {
+				t.Fatal("TryInsert admitted a tuple past MaxQueueBytes")
+			}
+		},
+	}, {
+		name: "adaptive task size",
+		cfg: Config{CPUWorkers: 1, TaskSize: 4096, DisablePad: true,
+			Adapt: &AdaptConfig{SLO: 50 * time.Millisecond, Interval: time.Millisecond}},
+		run: func(t *testing.T, eng *Engine, q *QueryHandle) {
+			if err := eng.Start(); err != nil {
+				t.Fatal(err)
+			}
+			q.Insert(stream)
+			deadline := time.Now().Add(5 * time.Second)
+			for eng.Metrics().Snapshot().Counters["saber.adapt.ticks"] == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("adapt controller never ticked within 5s")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			eng.Drain()
+		},
+	}, {
+		name: "unpadded",
+		// Padded, this model would hold the Insert for about 1s.
+		cfg: Config{CPUWorkers: 1, TaskSize: 4096, DisablePad: true,
+			Model: DefaultModel().Scaled(2e4)},
+		run: func(t *testing.T, eng *Engine, q *QueryHandle) {
+			var mu sync.Mutex
+			got := 0
+			q.OnResult(func(rows []byte) { mu.Lock(); got += len(rows); mu.Unlock() })
+			if err := eng.Start(); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			q.Insert(stream)
+			if d := time.Since(start); d > 500*time.Millisecond {
+				t.Fatalf("Insert took %v: DisablePad did not reach the engine", d)
+			}
+			eng.Drain()
+			if got != len(stream)/2 {
+				t.Fatalf("output bytes = %d, want %d", got, len(stream)/2)
+			}
+		},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := New(tc.cfg)
+			defer eng.Close()
+			eng.DeclareStream("S", s)
+			tc.run(t, eng, eng.MustQuery("sel", `select * from S [rows 64] where value > 4.0`))
+		})
+	}
+}
+
 func TestNetworkIngestEndToEnd(t *testing.T) {
 	s, stream := testStream(20000)
-	eng := New(Config{CPUWorkers: 2, TaskSize: 4096, NativeSpeed: true})
+	eng := New(Config{CPUWorkers: 2, TaskSize: 4096, DisablePad: true})
 	eng.DeclareStream("S", s)
 	q := eng.MustQuery("net", `select timestamp, key, count(*) as n from S [rows 1000] group by key`)
 	var mu sync.Mutex
