@@ -8,7 +8,9 @@
 //	saber-bench -experiment all -scale 20 -mb 16 -workers 15
 //
 // Output units are paper-equivalent (see internal/bench and DESIGN.md §2:
-// measured throughput × time scale).
+// measured throughput × time scale). The exit status is 1 when any
+// experiment run reports a failed gate condition (adaptive, overload),
+// after every report has printed.
 package main
 
 import (
@@ -23,7 +25,6 @@ import (
 
 	"saber/internal/bench"
 	"saber/internal/obs"
-	"saber/internal/overload"
 )
 
 func main() {
@@ -34,9 +35,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "CPU worker threads (0 = default 15)")
 		list       = flag.Bool("list", false, "list experiments and exit")
 
-		maxQueueBytes = flag.Int64("max-queue-bytes", 0, "overload experiment: admission budget override in bytes (0 = experiment default)")
-		shedPolicy    = flag.String("shed-policy", "", "overload experiment: which shedding run (oldest | weighted) the BENCH_overload.json gate reads; empty selects oldest")
-		metricsAddr   = flag.String("metrics-addr", "", "serve the admin endpoint (/varz, /metrics, /debug/pprof) on this address while experiments run; empty disables it")
+		metricsAddr = flag.String("metrics-addr", "", "serve the admin endpoint (/varz, /metrics, /debug/pprof) on this address while experiments run; empty disables it")
 	)
 	flag.Parse()
 
@@ -47,14 +46,7 @@ func main() {
 		return
 	}
 
-	if *shedPolicy != "" {
-		if _, err := overload.ParsePolicy(*shedPolicy); err != nil {
-			fmt.Fprintf(os.Stderr, "saber-bench: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	opts := bench.Options{Scale: *scale, MB: *mb, Workers: *workers,
-		MaxQueueBytes: *maxQueueBytes, ShedPolicy: *shedPolicy}
+	opts := bench.Options{Scale: *scale, MB: *mb, Workers: *workers}
 	if *metricsAddr != "" {
 		// One process-wide registry shared by every experiment's engines:
 		// counters accumulate across runs, gauges track the newest engine.
@@ -83,11 +75,13 @@ func main() {
 		signal.Stop(sigs)
 	}()
 
+	failed := false
 	run := func(e bench.Experiment) {
 		start := time.Now()
 		rep := e.Run(opts)
 		rep.Notes = append(rep.Notes, fmt.Sprintf("experiment wall time: %v", time.Since(start).Round(time.Millisecond)))
 		rep.Print(os.Stdout)
+		failed = failed || len(rep.Failures) > 0
 	}
 
 	if *experiment == "all" {
@@ -98,12 +92,15 @@ func main() {
 			}
 			run(e)
 		}
-		return
+	} else {
+		e, ok := bench.Lookup(*experiment)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "saber-bench: unknown experiment %q (use -list)\n", *experiment)
+			os.Exit(1)
+		}
+		run(e)
 	}
-	e, ok := bench.Lookup(*experiment)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "saber-bench: unknown experiment %q (use -list)\n", *experiment)
+	if failed {
 		os.Exit(1)
 	}
-	run(e)
 }

@@ -2,9 +2,9 @@ package bench
 
 import (
 	"encoding/json"
-	"io"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -39,7 +39,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig10a", "fig10b", "fig11a", "fig11b", "fig12", "fig13",
 		"fig14", "fig15", "fig16",
 		"abl-lookahead", "abl-incremental", "abl-pipeline", "abl-dispatcher",
-		"operators", "adaptive", "ckpt", "overload",
+		"adaptive", "overload",
 	}
 	for _, id := range want {
 		if _, ok := Lookup(id); !ok {
@@ -57,56 +57,10 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-func TestOperatorsExperiment(t *testing.T) {
-	old := operatorsJSONPath
-	operatorsJSONPath = t.TempDir() + "/BENCH_operators.json"
-	defer func() { operatorsJSONPath = old }()
-	rep := operators(tiny())
-	if len(rep.Rows) != 7 {
-		t.Fatalf("rows = %d", len(rep.Rows))
-	}
-	buf, err := os.ReadFile(operatorsJSONPath)
-	if err != nil {
-		t.Fatalf("JSON twin not written: %v", err)
-	}
-	var js opsReport
-	if err := json.Unmarshal(buf, &js); err != nil {
-		t.Fatalf("JSON twin malformed: %v", err)
-	}
-	if len(js.Operators) != len(rep.Rows) || js.TupleBytes != 32 {
-		t.Fatalf("JSON twin content: %+v", js)
-	}
-	// The metrics-on measurement and its embedded snapshot (PR 5): every
-	// operator reports an instrumented rate, and the snapshot carries the
-	// per-operator counters the instrumented loop incremented.
-	for _, op := range js.Operators {
-		if op.VectorizedMtps <= 0 {
-			t.Errorf("%s: no bare measurement", op.Name)
-		}
-		if op.MetricsOnMtps <= 0 {
-			t.Errorf("%s: no metrics-on measurement", op.Name)
-		}
-		if op.MetricsOverheadPct < 0 {
-			t.Errorf("%s: negative overhead %g", op.Name, op.MetricsOverheadPct)
-		}
-		if op.ColumnarMtps <= 0 || op.ColumnarVsRow <= 0 {
-			t.Errorf("%s: no columnar measurement (%g Mt/s, ratio %g)", op.Name, op.ColumnarMtps, op.ColumnarVsRow)
-		}
-		if n := js.Metrics.Counters["saber.bench.ops."+op.Name+".tasks.created"]; n <= 0 {
-			t.Errorf("%s: snapshot missing instrumented counters (tasks.created = %d)", op.Name, n)
-		}
-	}
-	if js.MetricsOverheadPct < 0 {
-		t.Errorf("aggregate overhead %g < 0", js.MetricsOverheadPct)
-	}
-	if _, ok := js.Metrics.Histograms["saber.trace.e2e"]; !ok {
-		t.Error("snapshot missing saber.trace.e2e histogram")
-	}
-}
-
 // TestOverloadExperiment smoke-runs the overload experiment at reduced
-// duration and checks the JSON twin's structure; the timing-shape gates
-// (goodput ratio, SLO) are benchguard's job on the full-length run.
+// duration and checks the JSON twin's structure. It leaves the report's
+// Failures alone: the timing-shape gate (goodput ratio, SLO) only holds
+// at full length, and TestGates covers its logic.
 func TestOverloadExperiment(t *testing.T) {
 	oldPath, oldProbe, oldDur := overloadJSONPath, overloadCapacityProbe, overloadDuration
 	overloadJSONPath = t.TempDir() + "/BENCH_overload.json"
@@ -152,8 +106,86 @@ func TestOverloadExperiment(t *testing.T) {
 }
 
 func TestReportPrint(t *testing.T) {
-	rep := Report{ID: "x", Title: "t", Header: []string{"a", "bb"}, Rows: [][]string{{"1", "2"}}, Notes: []string{"n"}}
-	rep.Print(io.Discard)
+	rep := Report{ID: "x", Title: "t", Header: []string{"a", "bb"}, Rows: [][]string{{"1", "2"}},
+		Notes: []string{"n"}, Failures: []string{"gate missed"}}
+	var buf strings.Builder
+	rep.Print(&buf)
+	if !strings.Contains(buf.String(), "FAIL: gate missed") {
+		t.Errorf("failure not printed:\n%s", buf.String())
+	}
+}
+
+// TestGates feeds hand-built reports to the adaptive and overload gates:
+// a passing report yields no failures, and breaking one condition yields
+// exactly one failure naming it.
+func TestGates(t *testing.T) {
+	adaptOK := func() adaptReport {
+		return adaptReport{
+			SLOMs:             12,
+			AdaptiveVsBestPct: 95,
+			Adaptive:          adaptRun{P99Ms: 8, MeetsSLO: true, PhiStart: 1 << 20, PhiFinal: 64 << 10, Shrinks: 4},
+		}
+	}
+	overloadOK := func() overloadReport {
+		runs := []overloadRun{
+			{Policy: "blocking", GoodputVsCapacityPct: 100, P99Ms: 400},
+			{Policy: "oldest", GoodputVsCapacityPct: 92, ShedFrac: 0.4, P99Ms: 10, MeetsSLO: true},
+			{Policy: "weighted", GoodputVsCapacityPct: 90, ShedFrac: 0.45, P99Ms: 12, MeetsSLO: true},
+		}
+		return overloadReport{SLOMs: 25, Runs: runs, Gate: runs[1]}
+	}
+	cases := []struct {
+		name string
+		fail func() []string
+		want string // substring of the single failure; "" expects none
+	}{
+		{"adaptive pass", func() []string { return adaptGate(adaptOK()) }, ""},
+		{"adaptive SLO miss", func() []string {
+			r := adaptOK()
+			r.Adaptive.MeetsSLO, r.Adaptive.P99Ms = false, 15
+			return adaptGate(r)
+		}, "SLO"},
+		{"adaptive below best fixed", func() []string {
+			r := adaptOK()
+			r.AdaptiveVsBestPct = 89.9
+			return adaptGate(r)
+		}, "best fixed"},
+		{"adaptive inert", func() []string {
+			r := adaptOK()
+			r.Adaptive.Shrinks = 0
+			return adaptGate(r)
+		}, "never resized"},
+		{"overload pass", func() []string { return overloadGate(overloadOK()) }, ""},
+		{"overload goodput", func() []string {
+			r := overloadOK()
+			r.Gate.GoodputVsCapacityPct = 79.9
+			return overloadGate(r)
+		}, "goodput"},
+		{"overload no shed", func() []string {
+			r := overloadOK()
+			r.Gate.ShedFrac = 0
+			return overloadGate(r)
+		}, "shed nothing"},
+		{"overload p99", func() []string {
+			r := overloadOK()
+			r.Gate.MeetsSLO, r.Gate.P99Ms = false, 30
+			return overloadGate(r)
+		}, "SLO"},
+		{"overload stall", func() []string {
+			r := overloadOK()
+			r.Runs[0].Stalls = 1
+			return overloadGate(r)
+		}, "blocking run tripped the stall watchdog"},
+	}
+	for _, c := range cases {
+		fails := c.fail()
+		switch {
+		case c.want == "" && len(fails) != 0:
+			t.Errorf("%s: unexpected failures %q", c.name, fails)
+		case c.want != "" && (len(fails) != 1 || !strings.Contains(fails[0], c.want)):
+			t.Errorf("%s: failures %q, want exactly one naming %q", c.name, fails, c.want)
+		}
+	}
 }
 
 func TestTab01AllQueriesCompile(t *testing.T) {

@@ -22,8 +22,8 @@ import (
 // and the adaptive controller, started from the engine's default 1 MiB,
 // must shrink into the band that meets the SLO without giving up paced
 // throughput. Alongside the text report it writes a machine-readable
-// BENCH_adaptive.json; CI gates on it via tools/benchguard -adaptive
-// (tail p99 within SLO at ≥90% of the best fixed-ϕ throughput).
+// BENCH_adaptive.json, and adaptGate fails the run unless the adaptive
+// tail p99 meets the SLO at ≥90% of the best fixed-ϕ throughput.
 
 func init() {
 	register("adaptive", "Adaptive task sizing (dynamic ϕ) vs fixed-ϕ sweep under bursty load", adaptive)
@@ -63,6 +63,9 @@ const (
 	adaptWorkers  = 2
 	adaptMinPhi   = 16 << 10
 	adaptMaxPhi   = 1 << 20
+	// adaptMinVsBestPct is the gate's throughput floor: adaptive throughput
+	// as a percentage of the best fixed ϕ's.
+	adaptMinVsBestPct = 90
 )
 
 type adaptRun struct {
@@ -95,9 +98,29 @@ type adaptReport struct {
 	Adaptive      adaptRun   `json:"adaptive"`
 	BestFixedGBps float64    `json:"best_fixed_gbps"`
 	// AdaptiveVsBestPct is the acceptance ratio: adaptive throughput as
-	// a percentage of the best fixed-ϕ throughput. The CI gate requires
-	// ≥90 with Adaptive.MeetsSLO true.
+	// a percentage of the best fixed-ϕ throughput. The gate requires
+	// ≥adaptMinVsBestPct with Adaptive.MeetsSLO true.
 	AdaptiveVsBestPct float64 `json:"adaptive_vs_best_pct"`
+}
+
+// adaptGate returns the adaptive gate's failed conditions: the adaptive
+// run must meet the SLO that the large fixed configurations violate,
+// keep at least adaptMinVsBestPct of the best fixed configuration's
+// paced throughput, and have resized ϕ at least once.
+func adaptGate(js adaptReport) []string {
+	var fails []string
+	a := js.Adaptive
+	if !a.MeetsSLO {
+		fails = append(fails, fmt.Sprintf("adaptive run misses the %.0f ms SLO (tail p99 %.2f ms)", js.SLOMs, a.P99Ms))
+	}
+	if js.AdaptiveVsBestPct < adaptMinVsBestPct {
+		fails = append(fails, fmt.Sprintf("adaptive throughput %.1f%% of the best fixed ϕ, below the %d%% floor",
+			js.AdaptiveVsBestPct, adaptMinVsBestPct))
+	}
+	if a.Grows+a.Shrinks == 0 {
+		fails = append(fails, "adaptive run never resized ϕ: the controller was inert")
+	}
+	return fails
 }
 
 // adaptEngine builds the experiment's engine + device pair.
@@ -265,7 +288,7 @@ func adaptive(o Options) Report {
 		fmt.Sprintf("SLO %v tail p99 = ingest batching p99 + e2e p99 (steady-state, first %v of controller convergence excluded)", adaptSLO, adaptWarmup),
 		fmt.Sprintf("burst %0.fMB/s over %0.fMB/s base, %d%% duty; unscaled model, %d CPU workers",
 			adaptBurstRate/1e6, adaptBaseRate/1e6, int(js.BurstDuty*100), adaptWorkers),
-		fmt.Sprintf("adaptive vs best fixed: %.1f%% (gate ≥90%% with SLO met)", js.AdaptiveVsBestPct))
+		fmt.Sprintf("adaptive vs best fixed: %.1f%% (gate ≥%d%% with SLO met)", js.AdaptiveVsBestPct, adaptMinVsBestPct))
 
 	if buf, err := json.MarshalIndent(js, "", "  "); err == nil {
 		if werr := os.WriteFile(adaptiveJSONPath, append(buf, '\n'), 0o644); werr != nil {
@@ -274,5 +297,6 @@ func adaptive(o Options) Report {
 			rep.Notes = append(rep.Notes, "machine-readable twin written to "+adaptiveJSONPath)
 		}
 	}
+	rep.Failures = adaptGate(js)
 	return rep
 }

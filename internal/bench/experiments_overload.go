@@ -21,9 +21,9 @@ import (
 // grow to the ring; the shedding policies hold the queue at the budget,
 // keep goodput at capacity and keep the tail inside the SLO at the cost
 // of an exactly-accounted shed fraction. Alongside the text report the
-// experiment writes a machine-readable BENCH_overload.json; CI gates on
-// it via tools/benchguard -overload (oldest-policy goodput ≥80% of
-// capacity, a real shed fraction, p99 within SLO, zero stalls).
+// experiment writes a machine-readable BENCH_overload.json, and
+// overloadGate fails the run unless the oldest-policy goodput holds ≥80%
+// of capacity with a real shed fraction, p99 within SLO and zero stalls.
 
 func init() {
 	register("overload", "Overload protection: goodput and tail latency at 2x capacity under blocking vs shedding", overloadExp)
@@ -54,6 +54,11 @@ const (
 	overloadFeedTick = time.Millisecond
 	overloadOffered  = 2.0 // offered load as a multiple of capacity
 	overloadSLO      = 25 * time.Millisecond
+	// overloadGatePolicy names the shedding run the gate reads, and
+	// overloadMinGoodputPct its goodput floor as a percentage of the
+	// blocking baseline's.
+	overloadGatePolicy    = "oldest"
+	overloadMinGoodputPct = 80
 )
 
 type overloadRun struct {
@@ -84,11 +89,37 @@ type overloadReport struct {
 	BudgetBytes  int64   `json:"budget_bytes"`
 	// Runs holds the blocking baseline and the two shedding policies.
 	Runs []overloadRun `json:"runs"`
-	// Gate duplicates the "oldest" run the CI gate reads.
+	// Gate duplicates the overloadGatePolicy run the gate reads.
 	Gate overloadRun `json:"gate"`
 	// Metrics embeds the oldest-policy run's final snapshot
 	// (saber.overload.* included) so the JSON is self-describing.
 	Metrics obs.Snapshot `json:"metrics"`
+}
+
+// overloadGate returns the overload gate's failed conditions: under the
+// 2x-capacity feed the gate run must keep goodput at or above
+// overloadMinGoodputPct of the blocking baseline's, really shed (a zero
+// shed fraction means the overload path was never exercised) and hold
+// its tail p99 inside the SLO, and no run may trip the stall watchdog.
+func overloadGate(js overloadReport) []string {
+	var fails []string
+	g := js.Gate
+	if g.GoodputVsCapacityPct < overloadMinGoodputPct {
+		fails = append(fails, fmt.Sprintf("%s goodput %.1f%% of capacity, below the %d%% floor",
+			g.Policy, g.GoodputVsCapacityPct, overloadMinGoodputPct))
+	}
+	if g.ShedFrac <= 0 {
+		fails = append(fails, fmt.Sprintf("%s run shed nothing: the overload path was never exercised", g.Policy))
+	}
+	if !g.MeetsSLO {
+		fails = append(fails, fmt.Sprintf("%s run misses the %.0f ms SLO (tail p99 %.2f ms)", g.Policy, js.SLOMs, g.P99Ms))
+	}
+	for _, r := range js.Runs {
+		if r.Stalls != 0 {
+			fails = append(fails, fmt.Sprintf("%s run tripped the stall watchdog %d time(s)", r.Policy, r.Stalls))
+		}
+	}
+	return fails
 }
 
 // overloadEngine builds one CPU-only engine with the experiment's shape.
@@ -180,29 +211,18 @@ func overloadMeasure(paceGBps float64, ov *overload.Config) (overloadRun, obs.Sn
 	return run, snap
 }
 
-func overloadExp(o Options) Report {
+func overloadExp(Options) Report {
 	rep := Report{
 		ID:     "overload",
 		Title:  "Overload protection: goodput and tail latency at 2x capacity under blocking vs shedding",
 		Header: []string{"policy", "offered GB/s", "goodput GB/s", "vs capacity %", "shed frac", "p99 ms", "meets SLO", "stalls"},
 	}
 
-	// -max-queue-bytes / -shed-policy let a run override the budget and
-	// which shedding run the gate publishes; defaults reproduce CI.
-	budget := int64(overloadBudget)
-	if o.MaxQueueBytes > 0 {
-		budget = o.MaxQueueBytes
-	}
-	gatePolicy := "oldest"
-	if p, err := overload.ParsePolicy(o.ShedPolicy); err == nil && p != overload.ShedNone {
-		gatePolicy = p.String()
-	}
-
 	pace := overloadCapacity()
 	js := overloadReport{
 		SLOMs:       float64(overloadSLO.Milliseconds()),
 		OfferedX:    overloadOffered,
-		BudgetBytes: budget,
+		BudgetBytes: overloadBudget,
 	}
 
 	policies := []struct {
@@ -210,8 +230,8 @@ func overloadExp(o Options) Report {
 		cfg  *overload.Config
 	}{
 		{"blocking", nil},
-		{"oldest", &overload.Config{MaxQueueBytes: budget, Policy: overload.ShedOldest, MaxWait: overloadMaxWait}},
-		{"weighted", &overload.Config{MaxQueueBytes: budget, Policy: overload.ShedWeighted, MaxWait: overloadMaxWait, Seed: 11}},
+		{"oldest", &overload.Config{MaxQueueBytes: overloadBudget, Policy: overload.ShedOldest, MaxWait: overloadMaxWait}},
+		{"weighted", &overload.Config{MaxQueueBytes: overloadBudget, Policy: overload.ShedWeighted, MaxWait: overloadMaxWait, Seed: 11}},
 	}
 	var snaps []obs.Snapshot
 	for _, p := range policies {
@@ -229,7 +249,7 @@ func overloadExp(o Options) Report {
 		if capacity > 0 {
 			js.Runs[i].GoodputVsCapacityPct = round2(js.Runs[i].GoodputGBps / capacity * 100)
 		}
-		if js.Runs[i].Policy == gatePolicy {
+		if js.Runs[i].Policy == overloadGatePolicy {
 			js.Gate = js.Runs[i]
 			js.Metrics = snaps[i]
 		}
@@ -241,7 +261,7 @@ func overloadExp(o Options) Report {
 
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("capacity %.2f GB/s (blocking baseline goodput); offered %.0fx the probe rate over %v, budget %d KiB, ϕ %d KiB, %d workers; gate reads the %q run",
-			capacity, overloadOffered, overloadDuration, budget>>10, overloadPhi>>10, overloadWorkers, gatePolicy),
+			capacity, overloadOffered, overloadDuration, overloadBudget>>10, overloadPhi>>10, overloadWorkers, overloadGatePolicy),
 		fmt.Sprintf("SLO %v on tail p99 (e2e + ingest batching); shed fraction is exact from the admission ledger", overloadSLO),
 		"sheds are paced one MaxWait apart, so overload beyond the shed rate backpressures the source instead of free-falling")
 
@@ -252,5 +272,6 @@ func overloadExp(o Options) Report {
 			rep.Notes = append(rep.Notes, "machine-readable twin written to "+overloadJSONPath)
 		}
 	}
+	rep.Failures = overloadGate(js)
 	return rep
 }

@@ -21,6 +21,9 @@ type Report struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
+	// Failures names each condition of the experiment's gate that the run
+	// missed; empty for experiments without a gate and for passing runs.
+	Failures []string
 }
 
 // Print renders the report as an aligned text table.
@@ -59,6 +62,9 @@ func (r Report) Print(w io.Writer) {
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(w, "  note: %s\n", n)
+	}
+	for _, f := range r.Failures {
+		fmt.Fprintf(w, "  FAIL: %s\n", f)
 	}
 	fmt.Fprintln(w)
 }
@@ -113,3 +119,5 @@ func IDs() []string {
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
+
+func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }

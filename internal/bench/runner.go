@@ -22,14 +22,6 @@ type Options struct {
 	MB int
 	// Workers is the CPU worker count (default 15, the paper's).
 	Workers int
-	// MaxQueueBytes overrides the overload experiment's admission budget
-	// in bytes (0 keeps the experiment default). Other experiments
-	// ignore it.
-	MaxQueueBytes int64
-	// ShedPolicy selects which shedding policy run ("oldest" or
-	// "weighted") the overload experiment publishes as its gate; ""
-	// keeps the default "oldest". Other experiments ignore it.
-	ShedPolicy string
 	// Metrics, when set, is shared by every engine the experiments build,
 	// so a live admin endpoint (saber-bench -metrics-addr) sees the run in
 	// progress. Counters accumulate across sequential runs; gauges and

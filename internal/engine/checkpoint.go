@@ -42,13 +42,17 @@ func newCkptMetrics(reg *obs.Registry) ckptMetrics {
 	}
 }
 
+// ckptKeep is how many epochs the store retains; older files are
+// garbage-collected.
+const ckptKeep = 3
+
 // store lazily opens the checkpoint store (New cannot return an error).
 func (e *Engine) store() (*ckpt.Store, error) {
 	if e.cfg.CheckpointDir == "" {
 		return nil, fmt.Errorf("engine: Checkpoint without Config.CheckpointDir")
 	}
 	e.ckptOnce.Do(func() {
-		e.ckptStore, e.ckptErr = ckpt.Open(e.cfg.CheckpointDir, e.cfg.CheckpointKeep)
+		e.ckptStore, e.ckptErr = ckpt.Open(e.cfg.CheckpointDir, ckptKeep)
 	})
 	return e.ckptStore, e.ckptErr
 }

@@ -101,9 +101,6 @@ type Config struct {
 	// the automatic coordinator (epochs are cut only by explicit
 	// Checkpoint calls — tests and final-checkpoint-on-shutdown paths).
 	CheckpointInterval time.Duration
-	// CheckpointKeep is how many epochs the store retains (older files
-	// are garbage-collected). Default 3.
-	CheckpointKeep int
 
 	// Metrics is the observability registry every engine counter,
 	// histogram and mirror registers in. nil gives the engine a private
@@ -168,13 +165,8 @@ func (c Config) withDefaults() Config {
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 50 * time.Millisecond
 	}
-	if c.CheckpointDir != "" {
-		if c.CheckpointInterval == 0 {
-			c.CheckpointInterval = 500 * time.Millisecond
-		}
-		if c.CheckpointKeep <= 0 {
-			c.CheckpointKeep = 3
-		}
+	if c.CheckpointDir != "" && c.CheckpointInterval == 0 {
+		c.CheckpointInterval = 500 * time.Millisecond
 	}
 	if c.Overload != nil {
 		ov := c.Overload.WithDefaults()
