@@ -79,6 +79,37 @@ func TestColumnsRead(t *testing.T) {
 		expectFields(t, fieldsOf(t, compile(q), 0), "timestamp", "a", "c", "d")
 	})
 
+	// The filter's compares read their columns through the batch
+	// predicate: an OR of typed compares and a mixed-domain compare (Int32
+	// column against a float constant, evaluated as a register program)
+	// both shred the compared field and keep the plan row-free, so the
+	// GPU stages its columns with no gather.
+	for _, c := range []struct {
+		name   string
+		filter expr.Pred
+		want   []string
+	}{
+		{"or-filter", expr.Or{Preds: []expr.Pred{
+			expr.Cmp{Op: expr.Lt, Left: expr.Col("c"), Right: expr.IntConst(30)},
+			expr.Cmp{Op: expr.Gt, Left: expr.Col("d"), Right: expr.IntConst(2)},
+		}}, []string{"timestamp", "a", "c", "d"}},
+		{"mixed-domain-filter", expr.Cmp{Op: expr.Lt, Left: expr.Col("c"), Right: expr.FloatConst(30.5)},
+			[]string{"timestamp", "a", "c"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			q := query.NewBuilder(c.name).
+				From("S", synSchema, window.NewCount(64, 64)).
+				Where(c.filter).
+				Select("timestamp", "a").
+				MustBuild()
+			p := compile(q)
+			expectFields(t, fieldsOf(t, p, 0), c.want...)
+			if !p.RowFreeMap() {
+				t.Error("RowFreeMap() = false, want the no-gather path")
+			}
+		})
+	}
+
 	t.Run("aggregation", func(t *testing.T) {
 		q := query.NewBuilder("agg").
 			From("S", synSchema, window.NewCount(512, 64)).

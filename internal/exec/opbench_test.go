@@ -49,6 +49,27 @@ func BenchmarkOpSelection(b *testing.B) {
 	benchProcess(b, q, [2][]byte{genStream(benchTuples, 1), nil})
 }
 
+// BenchmarkOpSelectOr is the benchmark's select query: the paper's
+// SELECT_10, a 10-way OR of c < 512/(i+1) over tumbling 1024-tuple
+// windows, with c uniform in [0, 1024) so about half the tuples pass.
+func BenchmarkOpSelectOr(b *testing.B) {
+	preds := make([]expr.Pred, 10)
+	for i := range preds {
+		preds[i] = expr.Cmp{Op: expr.Lt, Left: expr.Col("c"), Right: expr.IntConst(int64(512 / (i + 1)))}
+	}
+	q := query.NewBuilder("selor").
+		From("S", synSchema, window.NewCount(1024, 1024)).
+		Where(expr.Or{Preds: preds}).
+		MustBuild()
+	s := genStream(benchTuples, 8)
+	rnd := rand.New(rand.NewSource(8))
+	tsz, c := synSchema.TupleSize(), synSchema.IndexOf("c")
+	for i := 0; i < benchTuples; i++ {
+		synSchema.WriteInt32(s[i*tsz:], c, int32(rnd.Intn(1024)))
+	}
+	benchProcess(b, q, [2][]byte{s, nil})
+}
+
 func BenchmarkOpProjection(b *testing.B) {
 	q := query.NewBuilder("proj").
 		From("S", synSchema, window.NewCount(1024, 1024)).

@@ -9,7 +9,8 @@ import (
 // NumProgram is a compiled numeric expression. Evaluation takes the raw
 // tuple bytes of each input side (pass nil for unused sides). Per-tuple
 // evaluation runs the closure tree; EvalBatchFloat/EvalBatchInt run the
-// flat batch program (vector.go) when the expression lowered to one.
+// register program (vector.go), or the closure tree per row for a tree too
+// deep for the register file.
 type NumProgram struct {
 	typ   schema.Type
 	fi    func(l, r []byte) int64
@@ -41,13 +42,10 @@ func (p *NumProgram) EvalFloat(l, r []byte) float64 {
 }
 
 // PredProgram is a compiled boolean predicate. Per-tuple evaluation runs
-// the closure tree; EvalBatch prefers the fused compare leaves, then the
-// flat batch program (vector.go).
+// the closure tree; EvalBatch runs its selection-vector tree (vector.go).
 type PredProgram struct {
-	fn     func(l, r []byte) bool
-	fused  bool
-	leaves []leafCmp
-	batch  *predBatchProg
+	fn   func(l, r []byte) bool
+	root selNode
 }
 
 // Eval evaluates the predicate over the input tuples.
@@ -72,13 +70,7 @@ func CompilePred(p Pred, r Resolver) (*PredProgram, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog := &PredProgram{fn: fn}
-	if leaves, ok := flattenAndLeaves(p, r, nil); ok {
-		prog.fused, prog.leaves = true, leaves
-	} else {
-		prog.batch = compilePredBatch(p, r)
-	}
-	return prog, nil
+	return &PredProgram{fn: fn, root: compileSel(p, r)}, nil
 }
 
 func compileNum(e Expr, r Resolver) (*NumProgram, error) {

@@ -1,29 +1,28 @@
 // Vectorized batch evaluation (the CPU analogue of the paper's batch-wide
-// GPGPU kernels, §5.3/§5.4). CompileNum and CompilePred additionally lower
-// the expression tree into a flat register program that evaluates a whole
-// strided tuple batch column-at-a-time: each program op is one tight loop
-// over raw tuple bytes, so the per-tuple cost of the closure-tree
-// interpreter (an indirect call per AST node per tuple) disappears from
-// the batch operator hot path.
+// GPGPU kernels, §5.3/§5.4). Every compiled program also has one batch
+// form that evaluates a whole strided tuple batch column-at-a-time, so the
+// per-tuple cost of the closure-tree interpreter (an indirect call per AST
+// node per tuple) stays off the batch operator hot path:
 //
-// Two layers of lowering:
-//
-//   - Fused fast paths for the dominant shapes. A predicate that is a
-//     single column⋈constant compare — or an AND of such compares — skips
-//     program execution entirely: EvalBatch runs one loop over the raw
-//     bytes, filling the selection vector directly. A numeric expression
-//     that is a plain fixed-offset column load fills the value column in
-//     one typed loop.
-//   - A general flat program. Arbitrary arithmetic/boolean trees compile
-//     to a register machine over int64/float64/bool columns; execution
-//     dispatches once per op per batch instead of once per node per tuple.
+//   - Numbers are register programs. CompileNum lowers the expression to a
+//     flat program over int64/float64 register columns; each op is one
+//     tight loop over the batch, and the caller's column is the result
+//     register, so a plain column load is a single pass.
+//   - Predicates are selection vectors. CompilePred lowers the predicate
+//     to a tree whose every node fills an ascending []int32 of passing
+//     rows. A column⋈constant compare in the column's own domain is one
+//     typed scan over the raw bytes; any other compare evaluates both
+//     operands as register programs and meets them in one compare loop.
+//     AND intersects, OR merge-unions and NOT complements the children's
+//     vectors. A compare with no per-row operand (broadcast sides and
+//     constants only) is decided once for the whole batch.
 //
 // The scalar closure evaluators remain the reference semantics: the batch
 // layer mirrors their promotions (per-node int/float domains, truncating
-// int conversions, division-by-zero yielding 0) exactly, and falls back to
-// them per-tuple for any shape it cannot lower, so batch and scalar
-// evaluation are bit-identical by construction and verified by the
-// differential tests.
+// int conversions, division-by-zero yielding 0) exactly, and a numeric
+// tree too deep for the register file falls back to them per tuple, so
+// batch and scalar evaluation are bit-identical by construction and
+// verified by the differential tests.
 package expr
 
 import (
@@ -46,8 +45,8 @@ type BatchInput struct {
 	// Optional columnar views. When a side's tuples also exist as
 	// contiguous per-field segments (the columnar ring layout), Cols[j]
 	// holds N*width bytes of the field at row-tuple byte offset ColOffs[j],
-	// packed with stride == the field width. Load ops and fused selection
-	// loops prefer these dense segments over the strided row walk; any nil
+	// packed with stride == the field width. Load ops and typed compare
+	// scans prefer these dense segments over the strided row walk; any nil
 	// entry (or an offset with no entry) falls back to the rows. Broadcast
 	// sides (stride 0) always read the row bytes.
 	LCols, RCols       [][]byte
@@ -76,8 +75,7 @@ func (in BatchInput) colView(s uint8, off int32) []byte {
 	return nil
 }
 
-// row returns the scalar-evaluator view of row i (used by the per-tuple
-// fallback path).
+// row returns the scalar-evaluator view of row i.
 func (in BatchInput) row(i int) (l, r []byte) {
 	l, r = in.L, in.R
 	if in.LStride > 0 {
@@ -89,73 +87,50 @@ func (in BatchInput) row(i int) (l, r []byte) {
 	return l, r
 }
 
-// VecScratch holds the reusable register columns that batch evaluation
-// runs on. Callers keep one per worker-scratch and pass it to every
-// EvalBatch* call; steady state allocates nothing. The zero value is
-// ready. Not safe for concurrent use.
+// VecScratch holds the reusable register columns and selection vectors
+// that batch evaluation runs on. Callers keep one per worker-scratch and
+// pass it to every EvalBatch* call; steady state allocates nothing. The
+// zero value is ready. Not safe for concurrent use.
 type VecScratch struct {
 	ints   [][]int64
 	floats [][]float64
-	masks  [][]bool
-	selTmp []int32
+	sels   [][]int32    // one selection vector per predicate-tree depth
+	argI   [2][]int64   // compare operands of an int64-domain leaf
+	argF   [2][]float64 // compare operands of a float64-domain leaf
 }
 
-func (vs *VecScratch) intReg(i, n int) []int64 {
-	for len(vs.ints) <= i {
-		vs.ints = append(vs.ints, nil)
+// reg returns register i of bank with length n, growing the bank as needed.
+func reg[T any](bank *[][]T, i, n int) []T {
+	for len(*bank) <= i {
+		*bank = append(*bank, nil)
 	}
-	if cap(vs.ints[i]) < n {
-		vs.ints[i] = make([]int64, n)
-	}
-	vs.ints[i] = vs.ints[i][:n]
-	return vs.ints[i]
+	(*bank)[i] = grow((*bank)[i], n)
+	return (*bank)[i]
 }
 
-func (vs *VecScratch) floatReg(i, n int) []float64 {
-	for len(vs.floats) <= i {
-		vs.floats = append(vs.floats, nil)
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	if cap(vs.floats[i]) < n {
-		vs.floats[i] = make([]float64, n)
-	}
-	vs.floats[i] = vs.floats[i][:n]
-	return vs.floats[i]
+	return s[:n]
 }
 
-func (vs *VecScratch) maskReg(i, n int) []bool {
-	for len(vs.masks) <= i {
-		vs.masks = append(vs.masks, nil)
-	}
-	if cap(vs.masks[i]) < n {
-		vs.masks[i] = make([]bool, n)
-	}
-	vs.masks[i] = vs.masks[i][:n]
-	return vs.masks[i]
-}
-
-// --- Flat program representation --------------------------------------------
+// --- Numeric register programs ----------------------------------------------
 
 type vecOpCode uint8
 
 const (
-	vLoadI32 vecOpCode = iota // intReg[dst] = sign-extended int32 column
-	vLoadI64                  // intReg[dst] = int64 column
-	vLoadF32                  // floatReg[dst] = float64(float32 column)
-	vLoadF64                  // floatReg[dst] = float64 column
-	vConstI                   // intReg[dst] = ci
-	vConstF                   // floatReg[dst] = cf
-	vConstM                   // maskReg[dst] = ci != 0
-	vCastIF                   // floatReg[dst] = float64(intReg[a])
-	vCastFI                   // intReg[dst] = int64(floatReg[a])
-	vNegI                     // intReg[dst] = -intReg[dst]
-	vNegF                     // floatReg[dst] = -floatReg[dst]
-	vArithI                   // intReg[dst] = intReg[a] op intReg[b]
-	vArithF                   // floatReg[dst] = floatReg[a] op floatReg[b]
-	vCmpI                     // maskReg[dst] = intReg[a] cmp intReg[b]
-	vCmpF                     // maskReg[dst] = floatReg[a] cmp floatReg[b]
-	vAndM                     // maskReg[dst] = maskReg[dst] && maskReg[b]
-	vOrM                      // maskReg[dst] = maskReg[dst] || maskReg[b]
-	vNotM                     // maskReg[dst] = !maskReg[dst]
+	vLoadI32 vecOpCode = iota // ints[dst] = sign-extended int32 column
+	vLoadI64                  // ints[dst] = int64 column
+	vLoadF32                  // floats[dst] = float64(float32 column)
+	vLoadF64                  // floats[dst] = float64 column
+	vConstI                   // ints[dst] = ci
+	vConstF                   // floats[dst] = cf
+	vCastIF                   // floats[dst] = float64(ints[a])
+	vNegI                     // ints[dst] = -ints[dst]
+	vNegF                     // floats[dst] = -floats[dst]
+	vArithI                   // ints[dst] = ints[a] op ints[b]
+	vArithF                   // floats[dst] = floats[a] op floats[b]
 )
 
 type vecOp struct {
@@ -163,7 +138,6 @@ type vecOp struct {
 	dst, adr, b uint8
 	side        uint8
 	arith       ArithOp
-	cmp         CmpOp
 	off         int32
 	ci          int64
 	cf          float64
@@ -174,19 +148,11 @@ type vecOp struct {
 const maxVecRegs = 16
 
 // numBatchProg is a compiled numeric batch program; the result lands in
-// intReg[0] or floatReg[0] depending on isInt.
+// ints[0] or floats[0] depending on isInt.
 type numBatchProg struct {
 	ops   []vecOp
 	isInt bool
 }
-
-// predBatchProg is a compiled predicate batch program; the result lands in
-// maskReg[0].
-type predBatchProg struct {
-	ops []vecOp
-}
-
-// --- Compilation ------------------------------------------------------------
 
 type vecBuilder struct {
 	r   Resolver
@@ -195,8 +161,8 @@ type vecBuilder struct {
 
 func (b *vecBuilder) emit(op vecOp) { b.ops = append(b.ops, op) }
 
-// num lowers e so its value lands in intReg[di] (returning isInt=true) or
-// floatReg[df] (isInt=false). Registers above the frame are free.
+// num lowers e so its value lands in ints[di] (returning isInt=true) or
+// floats[df] (isInt=false). Registers above the frame are free.
 func (b *vecBuilder) num(e Expr, di, df int) (isInt, ok bool) {
 	if di+1 >= maxVecRegs || df+1 >= maxVecRegs {
 		return false, false
@@ -273,77 +239,6 @@ func (b *vecBuilder) num(e Expr, di, df int) (isInt, ok bool) {
 	return false, false
 }
 
-// pred lowers p so its verdict lands in maskReg[dm]. Numeric registers are
-// scratch across predicate children (masks persist in their own bank).
-func (b *vecBuilder) pred(p Pred, dm int) bool {
-	if dm+1 >= maxVecRegs {
-		return false
-	}
-	switch v := p.(type) {
-	case Cmp:
-		lInt, ok := b.num(v.Left, 0, 0)
-		if !ok {
-			return false
-		}
-		rInt, ok := b.num(v.Right, 1, 1)
-		if !ok {
-			return false
-		}
-		if lInt && rInt {
-			b.emit(vecOp{code: vCmpI, cmp: v.Op, dst: uint8(dm), adr: 0, b: 1})
-			return true
-		}
-		if lInt {
-			b.emit(vecOp{code: vCastIF, dst: 0, adr: 0})
-		}
-		if rInt {
-			b.emit(vecOp{code: vCastIF, dst: 1, adr: 1})
-		}
-		b.emit(vecOp{code: vCmpF, cmp: v.Op, dst: uint8(dm), adr: 0, b: 1})
-		return true
-
-	case And:
-		if len(v.Preds) == 0 {
-			b.emit(vecOp{code: vConstM, dst: uint8(dm), ci: 1})
-			return true
-		}
-		if !b.pred(v.Preds[0], dm) {
-			return false
-		}
-		for _, q := range v.Preds[1:] {
-			if !b.pred(q, dm+1) {
-				return false
-			}
-			b.emit(vecOp{code: vAndM, dst: uint8(dm), b: uint8(dm + 1)})
-		}
-		return true
-
-	case Or:
-		if len(v.Preds) == 0 {
-			b.emit(vecOp{code: vConstM, dst: uint8(dm), ci: 0})
-			return true
-		}
-		if !b.pred(v.Preds[0], dm) {
-			return false
-		}
-		for _, q := range v.Preds[1:] {
-			if !b.pred(q, dm+1) {
-				return false
-			}
-			b.emit(vecOp{code: vOrM, dst: uint8(dm), b: uint8(dm + 1)})
-		}
-		return true
-
-	case Not:
-		if !b.pred(v.P, dm) {
-			return false
-		}
-		b.emit(vecOp{code: vNotM, dst: uint8(dm)})
-		return true
-	}
-	return false
-}
-
 func compileNumBatch(e Expr, r Resolver) *numBatchProg {
 	b := vecBuilder{r: r}
 	isInt, ok := b.num(e, 0, 0)
@@ -353,104 +248,6 @@ func compileNumBatch(e Expr, r Resolver) *numBatchProg {
 	return &numBatchProg{ops: b.ops, isInt: isInt}
 }
 
-func compilePredBatch(p Pred, r Resolver) *predBatchProg {
-	b := vecBuilder{r: r}
-	if !b.pred(p, 0) {
-		return nil
-	}
-	return &predBatchProg{ops: b.ops}
-}
-
-// --- Fused compare leaves ---------------------------------------------------
-
-// leafCmp is one column⋈constant compare of a fused predicate. isInt
-// selects integer-domain comparison (both operands integer in the scalar
-// path); otherwise the column value is converted to float64 exactly as
-// the scalar evaluator would.
-type leafCmp struct {
-	side  uint8
-	typ   schema.Type
-	isInt bool
-	op    CmpOp
-	off   int
-	ci    int64
-	cf    float64
-}
-
-func flipCmp(op CmpOp) CmpOp {
-	switch op {
-	case Lt:
-		return Gt
-	case Le:
-		return Ge
-	case Gt:
-		return Lt
-	case Ge:
-		return Le
-	}
-	return op // Eq, Ne are symmetric
-}
-
-func leafFromCmp(c Cmp, r Resolver) (leafCmp, bool) {
-	col, colOK := c.Left.(Column)
-	cst := c.Right
-	op := c.Op
-	if !colOK {
-		// Constant on the left: flip into column-first form.
-		if col, colOK = c.Right.(Column); !colOK {
-			return leafCmp{}, false
-		}
-		cst = c.Left
-		op = flipCmp(op)
-	}
-	switch cst.(type) {
-	case IntConst, FloatConst:
-	default:
-		return leafCmp{}, false
-	}
-	side, field, s, err := r.Resolve(col)
-	if err != nil {
-		return leafCmp{}, false
-	}
-	typ := s.Field(field).Type
-	lf := leafCmp{side: uint8(side), typ: typ, op: op, off: s.Offset(field)}
-	colInt := typ == schema.Int32 || typ == schema.Int64
-	switch k := cst.(type) {
-	case IntConst:
-		if colInt {
-			lf.isInt, lf.ci = true, int64(k)
-		} else {
-			lf.cf = float64(int64(k))
-		}
-	case FloatConst:
-		lf.cf = float64(k)
-	}
-	return lf, true
-}
-
-// flattenAndLeaves lowers p into AND-of-leaves form, or reports failure.
-func flattenAndLeaves(p Pred, r Resolver, dst []leafCmp) ([]leafCmp, bool) {
-	switch v := p.(type) {
-	case Cmp:
-		lf, ok := leafFromCmp(v, r)
-		if !ok {
-			return nil, false
-		}
-		return append(dst, lf), true
-	case And:
-		var ok bool
-		for _, q := range v.Preds {
-			if dst, ok = flattenAndLeaves(q, r, dst); !ok {
-				return nil, false
-			}
-		}
-		return dst, true
-	}
-	return nil, false
-}
-
-// --- Program execution ------------------------------------------------------
-
 var le = binary.LittleEndian
 
 func runVec(ops []vecOp, vs *VecScratch, in BatchInput) {
@@ -459,7 +256,7 @@ func runVec(ops []vecOp, vs *VecScratch, in BatchInput) {
 		op := &ops[oi]
 		switch op.code {
 		case vLoadI32:
-			dst := vs.intReg(int(op.dst), n)
+			dst := reg(&vs.ints, int(op.dst), n)
 			data, stride := in.side(op.side)
 			o := int(op.off)
 			if stride == 0 {
@@ -480,7 +277,7 @@ func runVec(ops []vecOp, vs *VecScratch, in BatchInput) {
 				o += stride
 			}
 		case vLoadI64:
-			dst := vs.intReg(int(op.dst), n)
+			dst := reg(&vs.ints, int(op.dst), n)
 			data, stride := in.side(op.side)
 			o := int(op.off)
 			if stride == 0 {
@@ -501,7 +298,7 @@ func runVec(ops []vecOp, vs *VecScratch, in BatchInput) {
 				o += stride
 			}
 		case vLoadF32:
-			dst := vs.floatReg(int(op.dst), n)
+			dst := reg(&vs.floats, int(op.dst), n)
 			data, stride := in.side(op.side)
 			o := int(op.off)
 			if stride == 0 {
@@ -522,7 +319,7 @@ func runVec(ops []vecOp, vs *VecScratch, in BatchInput) {
 				o += stride
 			}
 		case vLoadF64:
-			dst := vs.floatReg(int(op.dst), n)
+			dst := reg(&vs.floats, int(op.dst), n)
 			data, stride := in.side(op.side)
 			o := int(op.off)
 			if stride == 0 {
@@ -543,47 +340,35 @@ func runVec(ops []vecOp, vs *VecScratch, in BatchInput) {
 				o += stride
 			}
 		case vConstI:
-			dst := vs.intReg(int(op.dst), n)
+			dst := reg(&vs.ints, int(op.dst), n)
 			for i := range dst {
 				dst[i] = op.ci
 			}
 		case vConstF:
-			dst := vs.floatReg(int(op.dst), n)
+			dst := reg(&vs.floats, int(op.dst), n)
 			for i := range dst {
 				dst[i] = op.cf
 			}
-		case vConstM:
-			dst := vs.maskReg(int(op.dst), n)
-			v := op.ci != 0
-			for i := range dst {
-				dst[i] = v
-			}
 		case vCastIF:
-			src := vs.intReg(int(op.adr), n)
-			dst := vs.floatReg(int(op.dst), n)
+			src := reg(&vs.ints, int(op.adr), n)
+			dst := reg(&vs.floats, int(op.dst), n)
 			for i := range dst {
 				dst[i] = float64(src[i])
 			}
-		case vCastFI:
-			src := vs.floatReg(int(op.adr), n)
-			dst := vs.intReg(int(op.dst), n)
-			for i := range dst {
-				dst[i] = int64(src[i])
-			}
 		case vNegI:
-			dst := vs.intReg(int(op.dst), n)
+			dst := reg(&vs.ints, int(op.dst), n)
 			for i := range dst {
 				dst[i] = -dst[i]
 			}
 		case vNegF:
-			dst := vs.floatReg(int(op.dst), n)
+			dst := reg(&vs.floats, int(op.dst), n)
 			for i := range dst {
 				dst[i] = -dst[i]
 			}
 		case vArithI:
-			a := vs.intReg(int(op.adr), n)
-			bb := vs.intReg(int(op.b), n)
-			dst := vs.intReg(int(op.dst), n)
+			a := reg(&vs.ints, int(op.adr), n)
+			bb := reg(&vs.ints, int(op.b), n)
+			dst := reg(&vs.ints, int(op.dst), n)
 			switch op.arith {
 			case Add:
 				for i := range dst {
@@ -615,9 +400,9 @@ func runVec(ops []vecOp, vs *VecScratch, in BatchInput) {
 				}
 			}
 		case vArithF:
-			a := vs.floatReg(int(op.adr), n)
-			bb := vs.floatReg(int(op.b), n)
-			dst := vs.floatReg(int(op.dst), n)
+			a := reg(&vs.floats, int(op.adr), n)
+			bb := reg(&vs.floats, int(op.b), n)
+			dst := reg(&vs.floats, int(op.dst), n)
 			switch op.arith {
 			case Add:
 				for i := range dst {
@@ -636,92 +421,369 @@ func runVec(ops []vecOp, vs *VecScratch, in BatchInput) {
 					dst[i] = a[i] / bb[i]
 				}
 			}
-		case vCmpI:
-			a := vs.intReg(int(op.adr), n)
-			bb := vs.intReg(int(op.b), n)
-			dst := vs.maskReg(int(op.dst), n)
-			switch op.cmp {
-			case Eq:
-				for i := range dst {
-					dst[i] = a[i] == bb[i]
-				}
-			case Ne:
-				for i := range dst {
-					dst[i] = a[i] != bb[i]
-				}
-			case Lt:
-				for i := range dst {
-					dst[i] = a[i] < bb[i]
-				}
-			case Le:
-				for i := range dst {
-					dst[i] = a[i] <= bb[i]
-				}
-			case Gt:
-				for i := range dst {
-					dst[i] = a[i] > bb[i]
-				}
-			case Ge:
-				for i := range dst {
-					dst[i] = a[i] >= bb[i]
-				}
-			}
-		case vCmpF:
-			a := vs.floatReg(int(op.adr), n)
-			bb := vs.floatReg(int(op.b), n)
-			dst := vs.maskReg(int(op.dst), n)
-			switch op.cmp {
-			case Eq:
-				for i := range dst {
-					dst[i] = a[i] == bb[i]
-				}
-			case Ne:
-				for i := range dst {
-					dst[i] = a[i] != bb[i]
-				}
-			case Lt:
-				for i := range dst {
-					dst[i] = a[i] < bb[i]
-				}
-			case Le:
-				for i := range dst {
-					dst[i] = a[i] <= bb[i]
-				}
-			case Gt:
-				for i := range dst {
-					dst[i] = a[i] > bb[i]
-				}
-			case Ge:
-				for i := range dst {
-					dst[i] = a[i] >= bb[i]
-				}
-			}
-		case vAndM:
-			bb := vs.maskReg(int(op.b), n)
-			dst := vs.maskReg(int(op.dst), n)
-			for i := range dst {
-				dst[i] = dst[i] && bb[i]
-			}
-		case vOrM:
-			bb := vs.maskReg(int(op.b), n)
-			dst := vs.maskReg(int(op.dst), n)
-			for i := range dst {
-				dst[i] = dst[i] || bb[i]
-			}
-		case vNotM:
-			dst := vs.maskReg(int(op.dst), n)
-			for i := range dst {
-				dst[i] = !dst[i]
-			}
 		}
 	}
 }
 
-// --- Fused selection loops --------------------------------------------------
+// runInto runs ops with res standing in for result register 0 of bank, so
+// a program in the caller's domain writes straight into the caller's
+// column.
+func runInto[T int64 | float64](bank *[][]T, res []T, ops []vecOp, vs *VecScratch, in BatchInput) {
+	saved := reg(bank, 0, 0)
+	(*bank)[0] = res
+	runVec(ops, vs, in)
+	(*bank)[0] = saved
+}
 
-// The single column⋈constant compare is the dominant predicate shape
-// (paper Table 1's SELECT/GSELECT and every application filter), so each
-// (type, op) pair gets a dedicated loop over the raw bytes.
+// EvalBatchFloat evaluates the expression for every row into dst (grown
+// to N), with float64 semantics identical to per-row EvalFloat.
+func (p *NumProgram) EvalBatchFloat(vs *VecScratch, dst []float64, in BatchInput) []float64 {
+	dst = grow(dst, in.N)
+	switch {
+	case in.N == 0:
+	case p.batch == nil:
+		for i := range dst {
+			dst[i] = p.EvalFloat(in.row(i))
+		}
+	case p.batch.isInt:
+		runVec(p.batch.ops, vs, in)
+		for i, v := range vs.ints[0][:in.N] {
+			dst[i] = float64(v)
+		}
+	default:
+		runInto(&vs.floats, dst, p.batch.ops, vs, in)
+	}
+	return dst
+}
+
+// EvalBatchInt evaluates the expression for every row into dst (grown to
+// N), with integer semantics identical to per-row EvalInt.
+func (p *NumProgram) EvalBatchInt(vs *VecScratch, dst []int64, in BatchInput) []int64 {
+	dst = grow(dst, in.N)
+	switch {
+	case in.N == 0:
+	case p.batch == nil:
+		for i := range dst {
+			dst[i] = p.EvalInt(in.row(i))
+		}
+	case p.batch.isInt:
+		runInto(&vs.ints, dst, p.batch.ops, vs, in)
+	default:
+		runVec(p.batch.ops, vs, in)
+		for i, v := range vs.floats[0][:in.N] {
+			dst[i] = int64(v)
+		}
+	}
+	return dst
+}
+
+// --- Predicate selection-vector trees ---------------------------------------
+
+type selKind uint8
+
+const (
+	selCol selKind = iota // column⋈constant in the column's domain: a typed scan
+	selNum                // any other compare: operand columns, one compare loop
+	selAnd                // intersect the children's vectors
+	selOr                 // merge-union the children's vectors
+	selNot                // complement the child's vector
+)
+
+// selNode is one node of a predicate's batch form.
+type selNode struct {
+	kind selKind
+	kids []selNode
+
+	// Leaves.
+	fn    func(l, r []byte) bool // verdict of a batch with no per-row operand
+	sides uint8                  // bit s set when the compare reads side s
+	col   leafCmp                // selCol
+	l, r  *NumProgram            // selNum operands
+	isInt bool                   // selNum compares in the int64 domain
+	cmp   CmpOp                  // selNum
+}
+
+// leafCmp is a column⋈constant compare in the column's own domain: an
+// integer constant against an integer column, or any constant (converted
+// to float64 as the scalar path does) against a float column.
+type leafCmp struct {
+	side uint8
+	typ  schema.Type
+	op   CmpOp
+	off  int
+	ci   int64
+	cf   float64
+}
+
+// compileSel lowers p to its selection-vector tree. The caller has
+// compiled p's scalar form already, so every compare below compiles.
+func compileSel(p Pred, r Resolver) selNode {
+	var nd selNode
+	var kids []Pred
+	switch v := p.(type) {
+	case Cmp:
+		return compileLeaf(v, r)
+	case And:
+		nd.kind, kids = selAnd, v.Preds
+	case Or:
+		nd.kind, kids = selOr, v.Preds
+	case Not:
+		nd.kind, kids = selNot, []Pred{v.P}
+	}
+	nd.kids = make([]selNode, len(kids))
+	for i, q := range kids {
+		nd.kids[i] = compileSel(q, r)
+	}
+	return nd
+}
+
+// compileLeaf lowers one compare. Its errors are dropped because the
+// scalar compile of the enclosing predicate has already succeeded.
+func compileLeaf(c Cmp, r Resolver) selNode {
+	fn, _ := compilePred(c, r)
+	nd := selNode{fn: fn, cmp: c.Op}
+	for _, col := range PredColumns(c, nil) {
+		side, _, _, _ := r.Resolve(col)
+		nd.sides |= 1 << side
+	}
+	if lf, ok := leafFromCmp(c, r); ok {
+		nd.kind, nd.col = selCol, lf
+		return nd
+	}
+	nd.kind = selNum
+	nd.l, _ = CompileNum(c.Left, r)
+	nd.r, _ = CompileNum(c.Right, r)
+	nd.isInt = nd.l.IsInt() && nd.r.IsInt()
+	return nd
+}
+
+func flipCmp(op CmpOp) CmpOp {
+	switch op {
+	case Lt:
+		return Gt
+	case Le:
+		return Ge
+	case Gt:
+		return Lt
+	case Ge:
+		return Le
+	}
+	return op // Eq, Ne are symmetric
+}
+
+// leafFromCmp matches a column⋈constant compare (either operand order)
+// that compares in the column's own domain.
+func leafFromCmp(c Cmp, r Resolver) (leafCmp, bool) {
+	col, colOK := c.Left.(Column)
+	cst := c.Right
+	op := c.Op
+	if !colOK {
+		// Constant on the left: flip into column-first form.
+		if col, colOK = c.Right.(Column); !colOK {
+			return leafCmp{}, false
+		}
+		cst = c.Left
+		op = flipCmp(op)
+	}
+	side, field, s, err := r.Resolve(col)
+	if err != nil {
+		return leafCmp{}, false
+	}
+	typ := s.Field(field).Type
+	lf := leafCmp{side: uint8(side), typ: typ, op: op, off: s.Offset(field)}
+	colInt := typ == schema.Int32 || typ == schema.Int64
+	switch k := cst.(type) {
+	case IntConst:
+		if colInt {
+			lf.ci = int64(k)
+		} else {
+			lf.cf = float64(int64(k))
+		}
+	case FloatConst:
+		if colInt {
+			return leafCmp{}, false // mixed domain: a selNum leaf
+		}
+		lf.cf = float64(k)
+	default:
+		return leafCmp{}, false
+	}
+	return lf, true
+}
+
+// eval fills dst[:0] with the ascending indices of the rows passing the
+// node and returns it. Selection buffers d and deeper are free for the
+// node's use; each has capacity for N rows, so filling one never
+// reallocates.
+func (nd *selNode) eval(vs *VecScratch, dst []int32, in BatchInput, d int) []int32 {
+	n := in.N
+	dst = dst[:0]
+	switch nd.kind {
+	case selAnd:
+		if len(nd.kids) == 0 {
+			return appendAll(dst, n)
+		}
+		dst = nd.kids[0].eval(vs, dst, in, d+1)
+		for k := 1; k < len(nd.kids) && len(dst) > 0; k++ {
+			dst = intersectSel(dst, nd.kids[k].eval(vs, reg(&vs.sels, d, n), in, d+1))
+		}
+		return dst
+	case selOr:
+		if len(nd.kids) == 0 {
+			return dst
+		}
+		dst = nd.kids[0].eval(vs, dst, in, d+2)
+		for k := 1; k < len(nd.kids) && len(dst) < n; k++ {
+			b := nd.kids[k].eval(vs, reg(&vs.sels, d, n), in, d+2)
+			dst = append(dst[:0], unionSel(reg(&vs.sels, d+1, n)[:0], dst, b)...)
+		}
+		return dst
+	case selNot:
+		return complementSel(dst, nd.kids[0].eval(vs, reg(&vs.sels, d, n), in, d+1), n)
+	}
+	if (nd.sides&1 == 0 || in.LStride == 0) && (nd.sides&2 == 0 || in.RStride == 0) {
+		// No per-row operand (broadcast sides and constants only): one
+		// verdict decides the whole batch.
+		if nd.fn(in.row(0)) {
+			return appendAll(dst, n)
+		}
+		return dst
+	}
+	if nd.kind == selCol {
+		lf := &nd.col
+		data, stride := in.side(lf.side)
+		off := lf.off
+		if c := in.colView(lf.side, int32(off)); c != nil {
+			data, off, stride = c, 0, lf.typ.Size()
+		}
+		switch lf.typ {
+		case schema.Int32:
+			return selI32(dst, data, off, stride, n, lf.op, lf.ci)
+		case schema.Int64:
+			return selI64(dst, data, off, stride, n, lf.op, lf.ci)
+		case schema.Float32:
+			return selF32(dst, data, off, stride, n, lf.op, lf.cf)
+		}
+		return selF64(dst, data, off, stride, n, lf.op, lf.cf)
+	}
+	if nd.isInt {
+		vs.argI[0] = nd.l.EvalBatchInt(vs, vs.argI[0], in)
+		vs.argI[1] = nd.r.EvalBatchInt(vs, vs.argI[1], in)
+		return cmpSel(dst, vs.argI[0], vs.argI[1], nd.cmp)
+	}
+	vs.argF[0] = nd.l.EvalBatchFloat(vs, vs.argF[0], in)
+	vs.argF[1] = nd.r.EvalBatchFloat(vs, vs.argF[1], in)
+	return cmpSel(dst, vs.argF[0], vs.argF[1], nd.cmp)
+}
+
+func appendAll(sel []int32, n int) []int32 {
+	for i := 0; i < n; i++ {
+		sel = append(sel, int32(i))
+	}
+	return sel
+}
+
+// intersectSel compacts a in place to the values also present in b; both
+// inputs are ascending, as every node produces them.
+func intersectSel(a, b []int32) []int32 {
+	w, j := 0, 0
+	for _, v := range a {
+		for j < len(b) && b[j] < v {
+			j++
+		}
+		if j == len(b) {
+			break
+		}
+		if b[j] == v {
+			a[w] = v
+			w++
+			j++
+		}
+	}
+	return a[:w]
+}
+
+// unionSel appends the ascending union of the ascending a and b to dst.
+func unionSel(dst, a, b []int32) []int32 {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			dst = append(dst, a[i])
+			i++
+		case b[j] < a[i]:
+			dst = append(dst, b[j])
+			j++
+		default:
+			dst = append(dst, a[i])
+			i, j = i+1, j+1
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
+}
+
+// complementSel appends to dst the rows of [0, n) missing from the
+// ascending s.
+func complementSel(dst, s []int32, n int) []int32 {
+	j := 0
+	for i := int32(0); i < int32(n); i++ {
+		if j < len(s) && s[j] == i {
+			j++
+			continue
+		}
+		dst = append(dst, i)
+	}
+	return dst
+}
+
+// cmpSel appends the rows where a[i] op b[i] holds: the compare loop of a
+// selNum leaf, in the domain its operands were evaluated in.
+func cmpSel[T int64 | float64](sel []int32, a, b []T, op CmpOp) []int32 {
+	b = b[:len(a)]
+	switch op {
+	case Eq:
+		for i := range a {
+			if a[i] == b[i] {
+				sel = append(sel, int32(i))
+			}
+		}
+	case Ne:
+		for i := range a {
+			if a[i] != b[i] {
+				sel = append(sel, int32(i))
+			}
+		}
+	case Lt:
+		for i := range a {
+			if a[i] < b[i] {
+				sel = append(sel, int32(i))
+			}
+		}
+	case Le:
+		for i := range a {
+			if a[i] <= b[i] {
+				sel = append(sel, int32(i))
+			}
+		}
+	case Gt:
+		for i := range a {
+			if a[i] > b[i] {
+				sel = append(sel, int32(i))
+			}
+		}
+	case Ge:
+		for i := range a {
+			if a[i] >= b[i] {
+				sel = append(sel, int32(i))
+			}
+		}
+	}
+	return sel
+}
+
+// The column⋈constant compare is the dominant leaf (paper Table 1's
+// SELECT/GSELECT and every application filter), so each (type, op) pair
+// gets a dedicated loop over the raw bytes.
 
 func selI32(sel []int32, data []byte, off, stride, n int, op CmpOp, c int64) []int32 {
 	o := off
@@ -919,511 +981,28 @@ func selF64(sel []int32, data []byte, off, stride, n int, op CmpOp, c float64) [
 	return sel
 }
 
-// leafValue decodes the leaf's column for row i in the leaf's comparison
-// domain.
-func (lf *leafCmp) passAt(in BatchInput, i int) bool {
-	data, stride := in.side(lf.side)
-	o := lf.off + i*stride
-	if lf.isInt {
-		var v int64
-		if lf.typ == schema.Int32 {
-			v = int64(int32(le.Uint32(data[o:])))
-		} else {
-			v = int64(le.Uint64(data[o:]))
-		}
-		switch lf.op {
-		case Eq:
-			return v == lf.ci
-		case Ne:
-			return v != lf.ci
-		case Lt:
-			return v < lf.ci
-		case Le:
-			return v <= lf.ci
-		case Gt:
-			return v > lf.ci
-		case Ge:
-			return v >= lf.ci
-		}
-		return false
-	}
-	var v float64
-	switch lf.typ {
-	case schema.Int32:
-		v = float64(int32(le.Uint32(data[o:])))
-	case schema.Int64:
-		v = float64(int64(le.Uint64(data[o:])))
-	case schema.Float32:
-		v = float64(math.Float32frombits(le.Uint32(data[o:])))
-	default:
-		v = math.Float64frombits(le.Uint64(data[o:]))
-	}
-	switch lf.op {
-	case Eq:
-		return v == lf.cf
-	case Ne:
-		return v != lf.cf
-	case Lt:
-		return v < lf.cf
-	case Le:
-		return v <= lf.cf
-	case Gt:
-		return v > lf.cf
-	case Ge:
-		return v >= lf.cf
-	}
-	return false
-}
-
-// selLeaf runs one leaf's specialized typed comparison loop over the
-// given byte source, appending passing rows to sel. ok is false when the
-// leaf has no specialization (an integer column compared in the float
-// domain).
-func selLeaf(lf *leafCmp, sel []int32, data []byte, off, stride, n int) ([]int32, bool) {
-	if lf.isInt {
-		switch lf.typ {
-		case schema.Int32:
-			return selI32(sel, data, off, stride, n, lf.op, lf.ci), true
-		case schema.Int64:
-			return selI64(sel, data, off, stride, n, lf.op, lf.ci), true
-		}
-	} else {
-		switch lf.typ {
-		case schema.Float32:
-			return selF32(sel, data, off, stride, n, lf.op, lf.cf), true
-		case schema.Float64:
-			return selF64(sel, data, off, stride, n, lf.op, lf.cf), true
-		}
-	}
-	return sel, false
-}
-
-// leafSrc picks the densest byte source for a leaf's typed loop: the
-// contiguous column segment when the batch carries one (offset 0, stride
-// = element width), else the row bytes at the leaf's field offset.
-func leafSrc(in BatchInput, lf *leafCmp, data []byte, stride int) ([]byte, int, int) {
-	if c := in.colView(lf.side, int32(lf.off)); c != nil {
-		return c, 0, lf.typ.Size()
-	}
-	return data, lf.off, stride
-}
-
-// intersectSel compacts a in place to the values also present in b; both
-// inputs are ascending, as produced by the selection loops.
-func intersectSel(a, b []int32) []int32 {
-	w, j := 0, 0
-	for _, v := range a {
-		for j < len(b) && b[j] < v {
-			j++
-		}
-		if j == len(b) {
-			break
-		}
-		if b[j] == v {
-			a[w] = v
-			w++
-			j++
-		}
-	}
-	return a[:w]
-}
-
-func evalLeafSel(vs *VecScratch, leaves []leafCmp, sel []int32, in BatchInput) []int32 {
-	n := in.N
-	// Broadcast leaves (a join's pinned left tuple) are row-invariant:
-	// evaluate once and either fold the leaf out or reject the whole batch.
-	// Unspecializable leaves force the generic per-row loop below.
-	specializable := true
-	for k := range leaves {
-		lf := &leaves[k]
-		_, stride := in.side(lf.side)
-		if stride == 0 {
-			if !lf.passAt(in, 0) {
-				return sel
-			}
-			continue
-		}
-		if lf.isInt {
-			continue
-		}
-		if lf.typ != schema.Float32 && lf.typ != schema.Float64 {
-			specializable = false
-		}
-	}
-	if specializable {
-		// One tight typed pass per leaf; conjunction by intersecting the
-		// sorted selection vectors.
-		first := true
-		for k := range leaves {
-			lf := &leaves[k]
-			data, stride := in.side(lf.side)
-			if stride == 0 {
-				continue
-			}
-			src, off, sstride := leafSrc(in, lf, data, stride)
-			if first {
-				sel, _ = selLeaf(lf, sel, src, off, sstride, n)
-				first = false
-			} else {
-				vs.selTmp, _ = selLeaf(lf, vs.selTmp[:0], src, off, sstride, n)
-				sel = intersectSel(sel, vs.selTmp)
-			}
-			if len(sel) == 0 && !first {
-				return sel
-			}
-		}
-		if first { // every leaf was a passing broadcast: all rows qualify
-			for i := 0; i < n; i++ {
-				sel = append(sel, int32(i))
-			}
-		}
-		return sel
-	}
-	// AND of leaves with a mixed-domain column: one loop over the raw
-	// bytes, dispatching by leaf code — no per-tuple function calls into a
-	// closure tree.
-	for i := 0; i < n; i++ {
-		pass := true
-		for k := range leaves {
-			if !leaves[k].passAt(in, i) {
-				pass = false
-				break
-			}
-		}
-		if pass {
-			sel = append(sel, int32(i))
-		}
-	}
-	return sel
-}
-
-// --- Public batch entry points ----------------------------------------------
-
 // EvalBatch evaluates the predicate over every row of the batch and
 // appends the indices of passing rows to sel[:0], returning the filled
 // selection vector. Results are bit-identical to calling Eval per row.
 func (p *PredProgram) EvalBatch(vs *VecScratch, sel []int32, in BatchInput) []int32 {
-	sel = sel[:0]
-	n := in.N
-	if n == 0 {
-		return sel
+	if in.N == 0 {
+		return sel[:0]
 	}
-	if p.fused {
-		if len(p.leaves) == 0 {
-			for i := 0; i < n; i++ {
-				sel = append(sel, int32(i))
-			}
-			return sel
-		}
-		return evalLeafSel(vs, p.leaves, sel, in)
-	}
-	if p.batch != nil {
-		runVec(p.batch.ops, vs, in)
-		mask := vs.maskReg(0, n)
-		for i := 0; i < n; i++ {
-			if mask[i] {
-				sel = append(sel, int32(i))
-			}
-		}
-		return sel
-	}
-	for i := 0; i < n; i++ {
-		l, r := in.row(i)
-		if p.fn(l, r) {
-			sel = append(sel, int32(i))
-		}
-	}
-	return sel
-}
-
-// EvalBatchFloat evaluates the expression for every row into dst (grown
-// to N), with float64 semantics identical to per-row EvalFloat.
-func (p *NumProgram) EvalBatchFloat(vs *VecScratch, dst []float64, in BatchInput) []float64 {
-	n := in.N
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	if n == 0 {
-		return dst
-	}
-	if p.batch != nil {
-		if len(p.batch.ops) == 1 {
-			if fillColumnFloat(dst, &p.batch.ops[0], in) {
-				return dst
-			}
-		}
-		runVec(p.batch.ops, vs, in)
-		if p.batch.isInt {
-			src := vs.intReg(0, n)
-			for i := range dst {
-				dst[i] = float64(src[i])
-			}
-		} else {
-			copy(dst, vs.floatReg(0, n))
-		}
-		return dst
-	}
-	for i := 0; i < n; i++ {
-		l, r := in.row(i)
-		dst[i] = p.EvalFloat(l, r)
-	}
-	return dst
-}
-
-// EvalBatchInt evaluates the expression for every row into dst (grown to
-// N), with integer semantics identical to per-row EvalInt.
-func (p *NumProgram) EvalBatchInt(vs *VecScratch, dst []int64, in BatchInput) []int64 {
-	n := in.N
-	if cap(dst) < n {
-		dst = make([]int64, n)
-	}
-	dst = dst[:n]
-	if n == 0 {
-		return dst
-	}
-	if p.batch != nil {
-		if len(p.batch.ops) == 1 {
-			if fillColumnInt(dst, &p.batch.ops[0], in) {
-				return dst
-			}
-		}
-		runVec(p.batch.ops, vs, in)
-		if p.batch.isInt {
-			copy(dst, vs.intReg(0, n))
-		} else {
-			src := vs.floatReg(0, n)
-			for i := range dst {
-				dst[i] = int64(src[i])
-			}
-		}
-		return dst
-	}
-	for i := 0; i < n; i++ {
-		l, r := in.row(i)
-		dst[i] = p.EvalInt(l, r)
-	}
-	return dst
-}
-
-// fillColumnFloat is the fused fixed-offset column-load path: a program
-// that is a single load or constant fills dst in one typed loop.
-func fillColumnFloat(dst []float64, op *vecOp, in BatchInput) bool {
-	n := in.N
-	data, stride := in.side(op.side)
-	o := int(op.off)
-	switch op.code {
-	case vLoadI32:
-		if stride == 0 {
-			fillF(dst, float64(int32(le.Uint32(data[o:]))))
-			return true
-		}
-		if c := in.colView(op.side, op.off); c != nil {
-			for i := 0; i < n; i++ {
-				dst[i] = float64(int32(le.Uint32(c[i*4:])))
-			}
-			return true
-		}
-		for i := 0; i < n; i++ {
-			dst[i] = float64(int32(le.Uint32(data[o:])))
-			o += stride
-		}
-	case vLoadI64:
-		if stride == 0 {
-			fillF(dst, float64(int64(le.Uint64(data[o:]))))
-			return true
-		}
-		if c := in.colView(op.side, op.off); c != nil {
-			for i := 0; i < n; i++ {
-				dst[i] = float64(int64(le.Uint64(c[i*8:])))
-			}
-			return true
-		}
-		for i := 0; i < n; i++ {
-			dst[i] = float64(int64(le.Uint64(data[o:])))
-			o += stride
-		}
-	case vLoadF32:
-		if stride == 0 {
-			fillF(dst, float64(math.Float32frombits(le.Uint32(data[o:]))))
-			return true
-		}
-		if c := in.colView(op.side, op.off); c != nil {
-			for i := 0; i < n; i++ {
-				dst[i] = float64(math.Float32frombits(le.Uint32(c[i*4:])))
-			}
-			return true
-		}
-		for i := 0; i < n; i++ {
-			dst[i] = float64(math.Float32frombits(le.Uint32(data[o:])))
-			o += stride
-		}
-	case vLoadF64:
-		if stride == 0 {
-			fillF(dst, math.Float64frombits(le.Uint64(data[o:])))
-			return true
-		}
-		if c := in.colView(op.side, op.off); c != nil {
-			for i := 0; i < n; i++ {
-				dst[i] = math.Float64frombits(le.Uint64(c[i*8:]))
-			}
-			return true
-		}
-		for i := 0; i < n; i++ {
-			dst[i] = math.Float64frombits(le.Uint64(data[o:]))
-			o += stride
-		}
-	case vConstI:
-		fillF(dst, float64(op.ci))
-	case vConstF:
-		fillF(dst, op.cf)
-	default:
-		return false
-	}
-	return true
-}
-
-func fillColumnInt(dst []int64, op *vecOp, in BatchInput) bool {
-	n := in.N
-	data, stride := in.side(op.side)
-	o := int(op.off)
-	switch op.code {
-	case vLoadI32:
-		if stride == 0 {
-			fillI(dst, int64(int32(le.Uint32(data[o:]))))
-			return true
-		}
-		if c := in.colView(op.side, op.off); c != nil {
-			for i := 0; i < n; i++ {
-				dst[i] = int64(int32(le.Uint32(c[i*4:])))
-			}
-			return true
-		}
-		for i := 0; i < n; i++ {
-			dst[i] = int64(int32(le.Uint32(data[o:])))
-			o += stride
-		}
-	case vLoadI64:
-		if stride == 0 {
-			fillI(dst, int64(le.Uint64(data[o:])))
-			return true
-		}
-		if c := in.colView(op.side, op.off); c != nil {
-			for i := 0; i < n; i++ {
-				dst[i] = int64(le.Uint64(c[i*8:]))
-			}
-			return true
-		}
-		for i := 0; i < n; i++ {
-			dst[i] = int64(le.Uint64(data[o:]))
-			o += stride
-		}
-	case vLoadF32:
-		if stride == 0 {
-			fillI(dst, int64(math.Float32frombits(le.Uint32(data[o:]))))
-			return true
-		}
-		if c := in.colView(op.side, op.off); c != nil {
-			for i := 0; i < n; i++ {
-				dst[i] = int64(math.Float32frombits(le.Uint32(c[i*4:])))
-			}
-			return true
-		}
-		for i := 0; i < n; i++ {
-			dst[i] = int64(math.Float32frombits(le.Uint32(data[o:])))
-			o += stride
-		}
-	case vLoadF64:
-		if stride == 0 {
-			fillI(dst, int64(math.Float64frombits(le.Uint64(data[o:]))))
-			return true
-		}
-		if c := in.colView(op.side, op.off); c != nil {
-			for i := 0; i < n; i++ {
-				dst[i] = int64(math.Float64frombits(le.Uint64(c[i*8:])))
-			}
-			return true
-		}
-		for i := 0; i < n; i++ {
-			dst[i] = int64(math.Float64frombits(le.Uint64(data[o:])))
-			o += stride
-		}
-	case vConstI:
-		fillI(dst, op.ci)
-	case vConstF:
-		fillI(dst, int64(op.cf))
-	default:
-		return false
-	}
-	return true
-}
-
-func fillF(dst []float64, v float64) {
-	for i := range dst {
-		dst[i] = v
-	}
-}
-
-func fillI(dst []int64, v int64) {
-	for i := range dst {
-		dst[i] = v
-	}
+	return p.root.eval(vs, sel, in, 0)
 }
 
 // --- Columnar capability probes ---------------------------------------------
-
-// specialized reports whether the leaf has a dedicated typed loop (no
-// per-row passAt fallback): integer compares on integer columns, float
-// compares on float columns.
-func (lf *leafCmp) specialized() bool {
-	if lf.isInt {
-		return lf.typ == schema.Int32 || lf.typ == schema.Int64
-	}
-	return lf.typ == schema.Float32 || lf.typ == schema.Float64
-}
 
 // RowFree reports whether EvalBatch over a non-broadcast batch reads only
 // fields that has() confirms carry column views (keyed by side and
 // row-tuple byte offset). When true, evaluation never dereferences the
 // row bytes, so callers may stage the columns alone — the GPU's
 // no-gather DMA path — and pass nil L/R.
-func (p *PredProgram) RowFree(has func(side, off int) bool) bool {
-	if p.fused {
-		for k := range p.leaves {
-			lf := &p.leaves[k]
-			if !lf.specialized() || !has(int(lf.side), lf.off) {
-				return false
-			}
-		}
-		return true
-	}
-	if p.batch == nil {
-		return false // per-row closure fallback reads raw tuples
-	}
-	return vecOpsRowFree(p.batch.ops, has)
-}
+func (p *PredProgram) RowFree(has func(side, off int) bool) bool { return p.root.loads(has) }
 
 // RowFree is the numeric-program analogue: EvalBatchFloat/EvalBatchInt
 // touch only column views confirmed by has().
-func (p *NumProgram) RowFree(has func(side, off int) bool) bool {
-	if p.batch == nil {
-		return false
-	}
-	return vecOpsRowFree(p.batch.ops, has)
-}
-
-func vecOpsRowFree(ops []vecOp, has func(side, off int) bool) bool {
-	for i := range ops {
-		op := &ops[i]
-		switch op.code {
-		case vLoadI32, vLoadI64, vLoadF32, vLoadF64:
-			if !has(int(op.side), int(op.off)) {
-				return false
-			}
-		}
-	}
-	return true
-}
+func (p *NumProgram) RowFree(has func(side, off int) bool) bool { return p.loads(has) }
 
 // ColRefs visits every (side, row-byte-offset) field whose column view
 // batch evaluation may read when the batch carries one. It
@@ -1431,34 +1010,43 @@ func vecOpsRowFree(ops []vecOp, has func(side, off int) bool) bool {
 // when present, an unvisited field is only ever read from the row bytes.
 // Callers use it to shred exactly the referenced fields into the
 // columnar ring (projection pushdown to ingest).
-func (p *PredProgram) ColRefs(visit func(side, off int)) {
-	if p.fused {
-		for k := range p.leaves {
-			lf := &p.leaves[k]
-			if lf.specialized() {
-				visit(int(lf.side), lf.off)
-			}
-		}
-		return
-	}
-	if p.batch != nil {
-		vecOpsColRefs(p.batch.ops, visit)
-	}
-}
+func (p *PredProgram) ColRefs(visit func(side, off int)) { p.root.loads(visitAll(visit)) }
 
 // ColRefs is the numeric-program analogue of PredProgram.ColRefs.
-func (p *NumProgram) ColRefs(visit func(side, off int)) {
-	if p.batch != nil {
-		vecOpsColRefs(p.batch.ops, visit)
-	}
+func (p *NumProgram) ColRefs(visit func(side, off int)) { p.loads(visitAll(visit)) }
+
+func visitAll(visit func(side, off int)) func(side, off int) bool {
+	return func(side, off int) bool { visit(side, off); return true }
 }
 
-func vecOpsColRefs(ops []vecOp, visit func(side, off int)) {
-	for i := range ops {
-		op := &ops[i]
-		switch op.code {
+// loads passes every field the batch form may read through a column view
+// to visit, and reports whether visit accepted all of them and the
+// expression has a batch form at all (the per-row fallback reads rows).
+func (p *NumProgram) loads(visit func(side, off int) bool) bool {
+	if p.batch == nil {
+		return false
+	}
+	ok := true
+	for i := range p.batch.ops {
+		switch op := &p.batch.ops[i]; op.code {
 		case vLoadI32, vLoadI64, vLoadF32, vLoadF64:
-			visit(int(op.side), int(op.off))
+			ok = visit(int(op.side), int(op.off)) && ok
 		}
 	}
+	return ok
+}
+
+func (nd *selNode) loads(visit func(side, off int) bool) bool {
+	switch nd.kind {
+	case selCol:
+		return visit(int(nd.col.side), nd.col.off)
+	case selNum:
+		l := nd.l.loads(visit)
+		return nd.r.loads(visit) && l
+	}
+	ok := true
+	for i := range nd.kids {
+		ok = nd.kids[i].loads(visit) && ok
+	}
+	return ok
 }

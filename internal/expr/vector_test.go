@@ -77,6 +77,16 @@ func randExpr(rnd *rand.Rand, s *schema.Schema, depth int) Expr {
 	return Arith{Op: op, Left: randExpr(rnd, s, depth-1), Right: randExpr(rnd, s, depth-1)}
 }
 
+// deepExpr is a right-deep chain of depth binary nodes: deeper than
+// maxVecRegs, it has no register program and runs per row.
+func deepExpr(rnd *rand.Rand, s *schema.Schema, depth int) Expr {
+	if depth == 0 {
+		return randExpr(rnd, s, 0)
+	}
+	op := ArithOp(rnd.Intn(3)) // Add, Sub, Mul: never a float %
+	return Arith{Op: op, Left: randExpr(rnd, s, 0), Right: deepExpr(rnd, s, depth-1)}
+}
+
 // randPred generates a random predicate tree over s.
 func randPred(rnd *rand.Rand, s *schema.Schema, depth int) Pred {
 	if depth <= 0 || rnd.Intn(3) == 0 {
@@ -102,115 +112,217 @@ func randPred(rnd *rand.Rand, s *schema.Schema, depth int) Pred {
 	}
 }
 
-// validExpr reports whether e compiles in the scalar path (float %
-// is a static error there).
+// compileOK compiles e, reporting whether it compiles in the scalar path
+// (float % is a static error there).
 func compileOK(e Expr, r Resolver) (*NumProgram, bool) {
 	p, err := CompileNum(e, r)
 	return p, err == nil
 }
 
+// withCols attaches column views to a single-stream batch the way the
+// columnar ring does: every field gets an entry, a dense copy of the field
+// where bit f of mask is set and nil (row fallback) elsewhere.
+func withCols(s *schema.Schema, in BatchInput, mask uint64) BatchInput {
+	in.LCols, in.LColOffs = make([][]byte, s.NumFields()), make([]int32, s.NumFields())
+	for f := range in.LCols {
+		off, w := s.Offset(f), s.Field(f).Type.Size()
+		in.LColOffs[f] = int32(off)
+		if mask&(1<<f) == 0 {
+			continue
+		}
+		col := make([]byte, in.N*w)
+		for i := 0; i < in.N; i++ {
+			copy(col[i*w:], in.L[i*in.LStride+off:][:w])
+		}
+		in.LCols[f] = col
+	}
+	return in
+}
+
+// rowFreeIn returns in without its row bytes when the program claims it
+// can run from the attached views alone, so the checks below also pin
+// RowFree: a wrong claim reads nil rows and panics or mismatches.
+func rowFreeIn(in BatchInput, rowFree func(has func(side, off int) bool) bool) (BatchInput, bool) {
+	has := func(side, off int) bool { return side == 0 && in.colView(0, int32(off)) != nil }
+	if in.LCols == nil || in.N == 0 || !rowFree(has) {
+		return in, false
+	}
+	in.L = nil
+	return in, true
+}
+
+// checkPred asserts that EvalBatch's selection vector over in equals the
+// rows where the per-row Eval passes; want is computed from rows.
+func checkPred(t *testing.T, vs *VecScratch, p *PredProgram, pr Pred, rows, in BatchInput) {
+	t.Helper()
+	var want []int32
+	for i := 0; i < rows.N; i++ {
+		if p.Eval(rows.row(i)) {
+			want = append(want, int32(i))
+		}
+	}
+	sel := p.EvalBatch(vs, nil, in)
+	if len(sel) != len(want) {
+		t.Fatalf("pred %v (cols %v, rows %v): selection %v, want %v", pr, in.LCols != nil, in.L != nil, sel, want)
+	}
+	for i := range sel {
+		if sel[i] != want[i] {
+			t.Fatalf("pred %v (cols %v, rows %v): selection %v, want %v", pr, in.LCols != nil, in.L != nil, sel, want)
+		}
+	}
+}
+
+// checkNum asserts that EvalBatchFloat/EvalBatchInt over in equal the
+// per-row EvalFloat/EvalInt over rows.
+func checkNum(t *testing.T, vs *VecScratch, p *NumProgram, e Expr, rows, in BatchInput) {
+	t.Helper()
+	fcol := p.EvalBatchFloat(vs, nil, in)
+	icol := p.EvalBatchInt(vs, nil, in)
+	if len(fcol) != in.N || len(icol) != in.N {
+		t.Fatalf("expr %v: column length %d/%d, want %d", e, len(fcol), len(icol), in.N)
+	}
+	for i := 0; i < in.N; i++ {
+		wantF := p.EvalFloat(rows.row(i))
+		wantI := p.EvalInt(rows.row(i))
+		// Bitwise equality, except that any NaN matches any NaN: when
+		// both operands of a commutative op are NaN, which payload
+		// propagates depends on operand register order, which the
+		// compiler is free to choose differently for the closure and
+		// the loop. Comparisons and conversions treat all NaNs alike,
+		// so this is not an observable semantic difference.
+		if math.Float64bits(fcol[i]) != math.Float64bits(wantF) &&
+			!(math.IsNaN(fcol[i]) && math.IsNaN(wantF)) {
+			t.Fatalf("expr %v row %d (cols %v): batch float %v (%x), scalar %v (%x)",
+				e, i, in.LCols != nil, fcol[i], math.Float64bits(fcol[i]), wantF, math.Float64bits(wantF))
+		}
+		if icol[i] != wantI {
+			t.Fatalf("expr %v row %d (cols %v): batch int %d, scalar %d", e, i, in.LCols != nil, icol[i], wantI)
+		}
+	}
+}
+
+// leafKinds counts the typed (selCol) and general (selNum) compare leaves
+// of a predicate's selection-vector tree.
+func leafKinds(nd *selNode) (col, num int) {
+	switch nd.kind {
+	case selCol:
+		return 1, 0
+	case selNum:
+		return 0, 1
+	}
+	for i := range nd.kids {
+		c, n := leafKinds(&nd.kids[i])
+		col, num = col+c, num+n
+	}
+	return col, num
+}
+
 // TestVectorNumDifferential: random trees over random schemas/batches —
-// batch float/int evaluation must be bit-identical to per-tuple scalar.
+// batch float/int evaluation must be bit-identical to per-tuple scalar,
+// from the rows and from a random subset of column views. Every tenth
+// tree is deeper than the register file and runs per row.
 func TestVectorNumDifferential(t *testing.T) {
 	rnd := rand.New(rand.NewSource(42))
 	var vs VecScratch
-	trees, lowered := 0, 0
+	lowered, perRow, rowFree := 0, 0, 0
 	for iter := 0; iter < 400; iter++ {
 		s := randSchema(rnd, 1+rnd.Intn(6))
 		r := SingleResolver{Schema: s}
 		e := randExpr(rnd, s, 1+rnd.Intn(3))
+		if iter%10 == 0 {
+			e = deepExpr(rnd, s, maxVecRegs+rnd.Intn(4))
+		}
 		p, ok := compileOK(e, r)
 		if !ok {
 			continue
 		}
-		trees++
 		if p.batch != nil {
 			lowered++
+		} else {
+			perRow++
 		}
 		n := rnd.Intn(64) // includes empty batches
-		data := randBatch(rnd, s, n)
-		in := BatchInput{L: data, LStride: s.TupleSize(), N: n}
-
-		fcol := p.EvalBatchFloat(&vs, nil, in)
-		icol := p.EvalBatchInt(&vs, nil, in)
-		if len(fcol) != n || len(icol) != n {
-			t.Fatalf("expr %v: column length %d/%d, want %d", e, len(fcol), len(icol), n)
-		}
-		for i := 0; i < n; i++ {
-			tuple := data[i*s.TupleSize():]
-			wantF := p.EvalFloat(tuple, nil)
-			wantI := p.EvalInt(tuple, nil)
-			// Bitwise equality, except that any NaN matches any NaN: when
-			// both operands of a commutative op are NaN, which payload
-			// propagates depends on operand register order, which the
-			// compiler is free to choose differently for the closure and
-			// the loop. Comparisons and conversions treat all NaNs alike,
-			// so this is not an observable semantic difference.
-			if math.Float64bits(fcol[i]) != math.Float64bits(wantF) &&
-				!(math.IsNaN(fcol[i]) && math.IsNaN(wantF)) {
-				t.Fatalf("expr %v row %d: batch float %v (%x), scalar %v (%x)",
-					e, i, fcol[i], math.Float64bits(fcol[i]), wantF, math.Float64bits(wantF))
-			}
-			if icol[i] != wantI {
-				t.Fatalf("expr %v row %d: batch int %d, scalar %d", e, i, icol[i], wantI)
-			}
+		in := BatchInput{L: randBatch(rnd, s, n), LStride: s.TupleSize(), N: n}
+		checkNum(t, &vs, p, e, in, in)
+		cols := withCols(s, in, rnd.Uint64())
+		checkNum(t, &vs, p, e, in, cols)
+		if bare, ok := rowFreeIn(cols, p.RowFree); ok {
+			rowFree++
+			checkNum(t, &vs, p, e, in, bare)
 		}
 	}
-	if trees == 0 || lowered == 0 {
-		t.Fatalf("degenerate run: %d trees compiled, %d lowered to batch programs", trees, lowered)
+	if lowered == 0 || perRow == 0 || rowFree == 0 {
+		t.Fatalf("degenerate run: %d register programs, %d per-row trees, %d row-free runs", lowered, perRow, rowFree)
 	}
 }
 
 // TestVectorPredDifferential: random predicates — EvalBatch's selection
-// vector must match per-tuple Eval exactly, including NaN compares.
+// vector must match per-tuple Eval exactly, including NaN compares, from
+// the rows and from a random subset of column views.
 func TestVectorPredDifferential(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
 	var vs VecScratch
-	var sel []int32
-	preds, fused, programs := 0, 0, 0
+	colLeaves, numLeaves, rowFree := 0, 0, 0
 	for iter := 0; iter < 400; iter++ {
 		s := randSchema(rnd, 1+rnd.Intn(6))
 		r := SingleResolver{Schema: s}
 		pr := randPred(rnd, s, 1+rnd.Intn(3))
+		if iter%10 == 0 {
+			pr = Or{Preds: []Pred{pr, Cmp{Op: CmpOp(rnd.Intn(6)), Left: deepExpr(rnd, s, maxVecRegs), Right: randExpr(rnd, s, 1)}}}
+		}
 		p, err := CompilePred(pr, r)
 		if err != nil {
 			continue
 		}
-		preds++
-		if p.fused {
-			fused++
-		}
-		if p.batch != nil {
-			programs++
-		}
+		c, k := leafKinds(&p.root)
+		colLeaves, numLeaves = colLeaves+c, numLeaves+k
 		n := rnd.Intn(64)
-		data := randBatch(rnd, s, n)
-		in := BatchInput{L: data, LStride: s.TupleSize(), N: n}
-
-		sel = p.EvalBatch(&vs, sel, in)
-		var want []int32
-		for i := 0; i < n; i++ {
-			if p.EvalTuple(data[i*s.TupleSize():]) {
-				want = append(want, int32(i))
-			}
-		}
-		if len(sel) != len(want) {
-			t.Fatalf("pred %v: selection %v, want %v", pr, sel, want)
-		}
-		for i := range sel {
-			if sel[i] != want[i] {
-				t.Fatalf("pred %v: selection %v, want %v", pr, sel, want)
-			}
+		in := BatchInput{L: randBatch(rnd, s, n), LStride: s.TupleSize(), N: n}
+		checkPred(t, &vs, p, pr, in, in)
+		cols := withCols(s, in, rnd.Uint64())
+		checkPred(t, &vs, p, pr, in, cols)
+		if bare, ok := rowFreeIn(cols, p.RowFree); ok {
+			rowFree++
+			checkPred(t, &vs, p, pr, in, bare)
 		}
 	}
-	if preds == 0 || fused == 0 || programs == 0 {
-		t.Fatalf("degenerate run: %d preds, %d fused, %d programs", preds, fused, programs)
+	if colLeaves == 0 || numLeaves == 0 || rowFree == 0 {
+		t.Fatalf("degenerate run: %d typed leaves, %d general leaves, %d row-free runs", colLeaves, numLeaves, rowFree)
 	}
 }
 
-// TestVectorFusedShapes pins the fused fast paths: single column⋈constant
-// compares of every type and op, const-on-left flips, AND-of-compares,
-// all-rejected and empty And/Or.
+// FuzzEvalBatch derives a schema, a batch, a predicate and an expression
+// from its input and checks batch evaluation against the per-row scalar
+// evaluators, with and without column views.
+func FuzzEvalBatch(f *testing.F) {
+	f.Add(int64(1), uint16(4), uint16(2), uint16(33), uint64(0xff))
+	f.Fuzz(func(t *testing.T, seed int64, nf, depth, n uint16, cols uint64) {
+		rnd := rand.New(rand.NewSource(seed))
+		s := randSchema(rnd, 1+int(nf)%8)
+		r := SingleResolver{Schema: s}
+		rows := int(n) % 300
+		in := BatchInput{L: randBatch(rnd, s, rows), LStride: s.TupleSize(), N: rows}
+		viewed := withCols(s, in, cols)
+		var vs VecScratch
+		pr := randPred(rnd, s, int(depth)%5)
+		if p, err := CompilePred(pr, r); err == nil {
+			checkPred(t, &vs, p, pr, in, in)
+			checkPred(t, &vs, p, pr, in, viewed)
+		}
+		e := randExpr(rnd, s, int(depth)%5)
+		if depth >= 64 {
+			e = deepExpr(rnd, s, int(depth)%32)
+		}
+		if p, ok := compileOK(e, r); ok {
+			checkNum(t, &vs, p, e, in, in)
+			checkNum(t, &vs, p, e, in, viewed)
+		}
+	})
+}
+
+// TestVectorFusedShapes pins the typed compare leaves: single
+// column⋈constant compares of every type and op, const-on-left flips,
+// AND-of-compares, all-rejected and empty And/Or.
 func TestVectorFusedShapes(t *testing.T) {
 	rnd := rand.New(rand.NewSource(99))
 	s := schema.MustNew(
@@ -273,48 +385,57 @@ func TestVectorFusedShapes(t *testing.T) {
 }
 
 // TestVectorBroadcast pins the stride-0 broadcast path used by the join
-// inner pass: one left tuple against a whole right batch.
+// inner pass: one left tuple against a whole right batch. Compares that
+// read only the left side are decided once per batch, and the left
+// tuples alternate L.i32 between -1 and 1 so those verdicts go both ways.
 func TestVectorBroadcast(t *testing.T) {
 	rnd := rand.New(rand.NewSource(5))
-	ls := randSchema(rnd, 4)
-	rs := randSchema(rnd, 4)
-	r := PairResolver{Left: ls, Right: rs, LeftAlias: "L", RightAlias: "R"}
-	n := 100
-	lData := randBatch(rnd, ls, 3)
-	rData := randBatch(rnd, rs, n)
+	s := schema.MustNew(
+		schema.Field{Name: "ts", Type: schema.Int64},
+		schema.Field{Name: "i32", Type: schema.Int32},
+		schema.Field{Name: "i64", Type: schema.Int64},
+		schema.Field{Name: "f32", Type: schema.Float32},
+		schema.Field{Name: "f64", Type: schema.Float64},
+	)
+	r := PairResolver{Left: s, Right: s, LeftAlias: "L", RightAlias: "R"}
+	const nLeft, n = 4, 100
+	lData := randBatch(rnd, s, nLeft)
+	for ti := 0; ti < nLeft; ti++ {
+		s.WriteInt32(lData[ti*s.TupleSize():], 1, int32(1-2*(ti%2)))
+	}
+	rData := randBatch(rnd, s, n)
 
 	preds := []Pred{
-		Cmp{Op: Le, Left: QCol("L", "a"), Right: QCol("R", "a")},
+		Cmp{Op: Le, Left: QCol("L", "f32"), Right: QCol("R", "i64")},
 		And{Preds: []Pred{
-			Cmp{Op: Ge, Left: QCol("L", "b"), Right: QCol("R", "b")},
-			Cmp{Op: Lt, Left: QCol("R", "a"), Right: FloatConst(0.5)},
+			Cmp{Op: Ge, Left: QCol("L", "i64"), Right: QCol("R", "i64")},
+			Cmp{Op: Lt, Left: QCol("R", "f32"), Right: FloatConst(0.5)},
+		}},
+		Or{Preds: []Pred{
+			Cmp{Op: Lt, Left: QCol("L", "i32"), Right: IntConst(0)},
+			Cmp{Op: Gt, Left: QCol("R", "f64"), Right: FloatConst(0.5)},
+		}},
+		Not{P: Or{Preds: []Pred{
+			Cmp{Op: Ge, Left: QCol("L", "i64"), Right: QCol("R", "i64")},
+			Cmp{Op: Eq, Left: QCol("R", "i32"), Right: IntConst(1)},
+		}}},
+		// A mixed-domain compare of the broadcast side alone.
+		Cmp{Op: Lt, Left: QCol("L", "i32"), Right: FloatConst(0.5)},
+		And{Preds: []Pred{
+			Not{P: Cmp{Op: Gt, Left: FloatConst(0.5), Right: QCol("L", "i32")}},
+			Cmp{Op: Ne, Left: QCol("R", "i64"), Right: IntConst(2)},
 		}},
 	}
 	var vs VecScratch
-	var sel []int32
 	for _, pr := range preds {
 		p, err := CompilePred(pr, r)
 		if err != nil {
 			t.Fatalf("compile %v: %v", pr, err)
 		}
-		for ti := 0; ti < 3; ti++ {
-			left := lData[ti*ls.TupleSize() : (ti+1)*ls.TupleSize()]
-			in := BatchInput{L: left, LStride: 0, R: rData, RStride: rs.TupleSize(), N: n}
-			sel = p.EvalBatch(&vs, sel, in)
-			var want []int32
-			for i := 0; i < n; i++ {
-				if p.Eval(left, rData[i*rs.TupleSize():]) {
-					want = append(want, int32(i))
-				}
-			}
-			if len(sel) != len(want) {
-				t.Fatalf("pred %v left %d: selection %v, want %v", pr, ti, sel, want)
-			}
-			for i := range sel {
-				if sel[i] != want[i] {
-					t.Fatalf("pred %v left %d: selection %v, want %v", pr, ti, sel, want)
-				}
-			}
+		for ti := 0; ti < nLeft; ti++ {
+			left := lData[ti*s.TupleSize() : (ti+1)*s.TupleSize()]
+			in := BatchInput{L: left, LStride: 0, R: rData, RStride: s.TupleSize(), N: n}
+			checkPred(t, &vs, p, pr, in, in)
 		}
 	}
 }
