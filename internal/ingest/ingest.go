@@ -518,13 +518,12 @@ type Client struct {
 	// balance the remaining spendable credits. balance may go negative —
 	// a frame larger than the balance is sent on overdraft once the
 	// balance is positive, so jumbo frames cannot wedge the protocol —
-	// and recovers from the grant stream. gbuf/gn reassemble a grant that
-	// arrived split across reads.
+	// and recovers from the grant stream. Grants are read only while a
+	// Send blocks on an exhausted balance (awaitCredit); until then they
+	// wait in the socket's receive buffer.
 	credits     bool
 	window      int64
 	balance     int64
-	gbuf        [8]byte
-	gn          int
 	creditWaits int64
 }
 
@@ -658,65 +657,27 @@ func (c *Client) send(tuples []byte, off int64) error {
 	return nil
 }
 
-// awaitCredit first drains every grant already buffered on the
-// connection (keeping the server's grant writes from ever backing up —
-// the mutual-write deadlock a one-way drain would invite), then blocks
-// for more until the balance is positive again.
+// awaitCredit blocks for grants until the balance is positive again. It
+// is the only reader of the grant stream, so grants sent since the last
+// blocking read stay unread in the socket. They stay few: the server sends
+// at most one grant per frame, each covering at least its threshold
+// (a quarter window) of tuples, and the client spends at most a window
+// plus one frame between blocking reads. That is at most
+// (window + frame tuples)/threshold + 1 grants of 8 bytes, far below any
+// socket buffer, so the server's grant writes never wait on this client.
 func (c *Client) awaitCredit() error {
-	if err := c.drainGrants(); err != nil {
-		return err
-	}
 	if c.balance > 0 {
 		return nil
 	}
 	c.creditWaits++
+	var g [8]byte
 	for c.balance <= 0 {
-		if _, err := c.readGrant(true); err != nil {
+		if _, err := io.ReadFull(c.conn, g[:]); err != nil {
 			return err
 		}
+		c.balance += int64(binary.LittleEndian.Uint64(g[:]))
 	}
 	return nil
-}
-
-// drainGrants consumes grants without blocking: it stops at the first
-// read that finds the socket empty.
-func (c *Client) drainGrants() error {
-	for {
-		got, err := c.readGrant(false)
-		if err != nil {
-			return err
-		}
-		if !got {
-			return nil
-		}
-	}
-}
-
-// readGrant reads one 8-byte grant increment into the balance. In
-// non-blocking mode a partial read is retained in gbuf (alignment
-// survives) and (false, nil) reports an empty socket.
-func (c *Client) readGrant(block bool) (bool, error) {
-	if block {
-		_ = c.conn.SetReadDeadline(time.Time{})
-	} else {
-		_ = c.conn.SetReadDeadline(time.Now())
-	}
-	for c.gn < len(c.gbuf) {
-		n, err := c.conn.Read(c.gbuf[c.gn:])
-		c.gn += n
-		if err != nil {
-			if !block {
-				var ne net.Error
-				if errors.As(err, &ne) && ne.Timeout() {
-					return false, nil
-				}
-			}
-			return false, err
-		}
-	}
-	c.gn = 0
-	c.balance += int64(binary.LittleEndian.Uint64(c.gbuf[:]))
-	return true, nil
 }
 
 // header fills the frame header for this client's mode and returns the

@@ -30,10 +30,12 @@ type ReconnectConfig struct {
 	Resume bool
 	// TupleSize is the stream schema's tuple size (resume mode only).
 	TupleSize int
-	// ReplayWindow bounds the replay buffer in bytes; a redial whose
-	// greeted cursor has fallen out of the window fails the Send. It must
-	// cover the server's checkpoint lag: cursor distance beyond the
-	// window is unrecoverable from this client alone. Default 16 MiB.
+	// ReplayWindow bounds the replay buffer in bytes, rounded down to
+	// whole tuples; a redial whose greeted cursor has fallen out of the
+	// window fails the Send. It must cover the server's checkpoint lag:
+	// cursor distance beyond the window is unrecoverable from this client
+	// alone. The window is a ring written in place, so the cost of a Send
+	// does not depend on its size. Default 16 MiB.
 	ReplayWindow int
 
 	// Credits speaks the credit-granting flow-control protocol (server
@@ -60,31 +62,52 @@ func (c ReconnectConfig) withDefaults() ReconnectConfig {
 	return c
 }
 
-// replayBuf is a bounded byte window over the most recently sent tuples,
-// addressed by absolute tuple index. Always whole-tuple aligned.
+// replayBuf is a ring over the most recently sent tuples, addressed by
+// absolute tuple index: tuple t lives at byte (t mod size/tsz)·tsz. size
+// is a whole number of tuples, so the wrap point is a tuple boundary and
+// an append copies each tuple once, without shifting the window. buf grows
+// by append until it holds size bytes and is overwritten in place after.
 type replayBuf struct {
 	buf  []byte
-	base int64 // absolute tuple index of buf[0]
-	max  int
+	size int // capacity in bytes, a positive multiple of tsz
 	tsz  int
+	next int64 // absolute index one past the newest tuple
 }
 
+// base is the absolute index of the oldest retained tuple.
+func (rb *replayBuf) base() int64 { return rb.next - int64(len(rb.buf)/rb.tsz) }
+
+func (rb *replayBuf) pos(t int64) int { return int(t%int64(rb.size/rb.tsz)) * rb.tsz }
+
+// append adds whole tuples at next; of a frame larger than the ring only
+// its newest size bytes are kept.
 func (rb *replayBuf) append(tuples []byte) {
-	rb.buf = append(rb.buf, tuples...)
-	if over := len(rb.buf) - rb.max; over > 0 {
-		trim := (over + rb.tsz - 1) / rb.tsz * rb.tsz
-		rb.base += int64(trim / rb.tsz)
-		rb.buf = append(rb.buf[:0], rb.buf[trim:]...)
+	if over := len(tuples) - rb.size; over > 0 {
+		rb.next += int64(over / rb.tsz)
+		tuples = tuples[over:]
+	}
+	for len(tuples) > 0 {
+		pos := rb.pos(rb.next)
+		n := min(len(tuples), rb.size-pos)
+		if grow := pos + n - len(rb.buf); grow > 0 {
+			rb.buf = append(rb.buf, make([]byte, grow)...)
+		}
+		copy(rb.buf[pos:], tuples[:n])
+		rb.next += int64(n / rb.tsz)
+		tuples = tuples[n:]
 	}
 }
 
-// slice returns the retained bytes for tuple range [from, to), or false
-// when from has already been trimmed out of the window.
-func (rb *replayBuf) slice(from, to int64) ([]byte, bool) {
-	if from < rb.base || to < from || to > rb.base+int64(len(rb.buf)/rb.tsz) {
-		return nil, false
+// slice returns the retained bytes for tuple range [from, to) as at most
+// two slices, the second non-empty only when the range crosses the wrap
+// point, or false when the range is not inside [base, next).
+func (rb *replayBuf) slice(from, to int64) (a, b []byte, ok bool) {
+	if from < rb.base() || to < from || to > rb.next {
+		return nil, nil, false
 	}
-	return rb.buf[(from-rb.base)*int64(rb.tsz) : (to-rb.base)*int64(rb.tsz)], true
+	pos, n := rb.pos(from), int(to-from)*rb.tsz
+	k := min(n, len(rb.buf)-pos)
+	return rb.buf[pos : pos+k], rb.buf[:n-k], true
 }
 
 // ReconnectClient is a Client that transparently redials after connection
@@ -98,10 +121,9 @@ type ReconnectClient struct {
 	c    *Client
 	rnd  *rand.Rand
 
-	// next is the absolute tuple index of the next unsent tuple; replay
-	// holds the window behind it for post-reconnect retransmission
-	// (resume mode only).
-	next   int64
+	// replay holds the window of sent tuples behind replay.next, the
+	// absolute index of the next unsent tuple, for post-reconnect
+	// retransmission (resume mode only).
 	replay replayBuf
 
 	reconnects  int64
@@ -121,7 +143,7 @@ func DialReconnect(addr string, cfg ReconnectConfig) (*ReconnectClient, error) {
 		rnd:  rand.New(rand.NewSource(cfg.Seed)),
 	}
 	if cfg.Resume {
-		rc.replay = replayBuf{max: cfg.ReplayWindow, tsz: cfg.TupleSize}
+		rc.replay = replayBuf{size: max(cfg.ReplayWindow/cfg.TupleSize, 1) * cfg.TupleSize, tsz: cfg.TupleSize}
 	}
 	if err := rc.redial(); err != nil {
 		return nil, err
@@ -139,33 +161,34 @@ func (rc *ReconnectClient) redial() error {
 		rc.c = c
 		return nil
 	}
-	if cursor == 0 && rc.next == 0 {
+	if cursor == 0 && rc.replay.next == 0 {
 		// Fresh stream on both sides; nothing to replay.
 		rc.c = c
 		return nil
 	}
-	if cursor < rc.next {
+	if cursor < rc.replay.next {
 		// The server lost tuples we already sent (restart from an older
 		// checkpoint): retransmit [cursor, next) from the replay window.
-		data, ok := rc.replay.slice(cursor, rc.next)
+		a, b, ok := rc.replay.slice(cursor, rc.replay.next)
 		if !ok {
 			rc.creditWaits += c.CreditWaits()
 			c.Close()
 			return fmt.Errorf("ingest: server cursor %d is outside the replay window [%d, %d)",
-				cursor, rc.replay.base, rc.next)
+				cursor, rc.replay.base(), rc.replay.next)
 		}
-		chunk := int64(MaxFrame - MaxFrame%rc.cfg.TupleSize)
-		for off := int64(0); off < int64(len(data)); off += chunk {
-			end := off + chunk
-			if end > int64(len(data)) {
-				end = int64(len(data))
+		chunk := MaxFrame - MaxFrame%rc.cfg.TupleSize
+		for _, data := range [2][]byte{a, b} {
+			for len(data) > 0 {
+				n := min(len(data), chunk)
+				if err := c.SendAt(data[:n], cursor); err != nil {
+					rc.creditWaits += c.CreditWaits()
+					c.Close()
+					return err
+				}
+				cursor += int64(n / rc.cfg.TupleSize)
+				data = data[n:]
+				rc.resends++
 			}
-			if err := c.SendAt(data[off:end], cursor+off/int64(rc.cfg.TupleSize)); err != nil {
-				rc.creditWaits += c.CreditWaits()
-				c.Close()
-				return err
-			}
-			rc.resends++
 		}
 	}
 	// cursor > next means the server has more than we remember sending
@@ -190,17 +213,12 @@ func (rc *ReconnectClient) backoff(i int) time.Duration {
 // Send transmits one frame, redialing and resending it whole after any
 // connection failure, until it succeeds or MaxAttempts is exhausted. In
 // resume mode the frame is stamped with the stream's running tuple
-// offset and retained in the replay window, and every redial first
-// retransmits whatever the server's greeting says it is missing.
+// offset and, once sent, retained in the replay window, and every redial
+// first retransmits whatever the server's greeting says it is missing.
 func (rc *ReconnectClient) Send(tuples []byte) error {
-	if rc.cfg.Resume {
-		if len(tuples)%rc.cfg.TupleSize != 0 {
-			return fmt.Errorf("ingest: frame of %d bytes is not whole %d-byte tuples",
-				len(tuples), rc.cfg.TupleSize)
-		}
-		if len(tuples) > 0 {
-			rc.replay.append(tuples)
-		}
+	if rc.cfg.Resume && len(tuples)%rc.cfg.TupleSize != 0 {
+		return fmt.Errorf("ingest: frame of %d bytes is not whole %d-byte tuples",
+			len(tuples), rc.cfg.TupleSize)
 	}
 	var lastErr error
 	for attempt := 0; attempt < rc.cfg.MaxAttempts; attempt++ {
@@ -219,13 +237,17 @@ func (rc *ReconnectClient) Send(tuples []byte) error {
 		}
 		var err error
 		if rc.cfg.Resume {
-			err = rc.c.SendAt(tuples, rc.next)
+			err = rc.c.SendAt(tuples, rc.replay.next)
 		} else {
 			err = rc.c.Send(tuples)
 		}
 		if err == nil {
 			if rc.cfg.Resume {
-				rc.next += int64(len(tuples) / rc.cfg.TupleSize)
+				// Only a sent frame joins the window, so a failed Send
+				// leaves nothing that a retry of the same frame would
+				// duplicate. A redial replays [cursor, next), which never
+				// needs the frame in flight.
+				rc.replay.append(tuples)
 			}
 			return nil
 		}
@@ -239,7 +261,7 @@ func (rc *ReconnectClient) Send(tuples []byte) error {
 
 // Next returns the absolute tuple index of the next unsent tuple
 // (resume mode; 0 otherwise).
-func (rc *ReconnectClient) Next() int64 { return rc.next }
+func (rc *ReconnectClient) Next() int64 { return rc.replay.next }
 
 // Reconnects counts successful redials.
 func (rc *ReconnectClient) Reconnects() int64 { return rc.reconnects }
