@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 
 	"saber/internal/query"
@@ -20,7 +22,8 @@ import (
 //
 // Every kernel batch-evaluates the filter into a selection vector and
 // every aggregate argument into a value column once per batch, ahead of
-// the fragment loops.
+// the fragment loops; the grouped kernels also gather every selected
+// row's key once, and the rolling one resolves it to a slot once.
 func (p *Plan) processAggregate(in Batch, res *TaskResult) {
 	s := p.in[0]
 	tsz := s.TupleSize()
@@ -44,11 +47,6 @@ func (p *Plan) processAggregate(in Batch, res *TaskResult) {
 	default:
 		p.aggScalarDirectVec(in, sc, view, res)
 	}
-}
-
-func (p *Plan) tupleAt(in Batch, i int) []byte {
-	tsz := p.in[0].TupleSize()
-	return in.Data[i*tsz : (i+1)*tsz]
 }
 
 func fragLastTS(view tsView, start, end int) int64 {
@@ -291,12 +289,10 @@ func (p *Plan) aggScalarDirectVec(in Batch, sc *scratch, view tsView, res *TaskR
 
 // key extracts the group key of a tuple into dst.
 func (p *Plan) key(dst, tuple []byte) []byte {
-	s := p.in[0]
 	dst = dst[:0]
-	for _, fi := range p.groupIdx {
-		off := s.Offset(fi)
-		sz := s.Field(fi).Type.Size()
-		dst = append(dst, tuple[off:off+sz]...)
+	for _, f := range p.groupIdx {
+		off := int(p.colOffs[0][f])
+		dst = append(dst, tuple[off:off+p.colW[0][f]]...)
 	}
 	return dst
 }
@@ -312,11 +308,10 @@ func (p *Plan) seedSlot(sl Slot) {
 	}
 }
 
-// addColsToSlot folds row i into a group slot with weight +1/-1 off the
-// pre-evaluated value columns — same folds as FoldTuple, no expression
-// calls.
-func (p *Plan) addColsToSlot(sl Slot, cols []float64, n, i int, sign float64) {
-	sl.AddCount(int64(sign))
+// addColsToSlot folds row i into a group slot off the pre-evaluated value
+// columns — same folds as FoldTuple, no expression calls.
+func (p *Plan) addColsToSlot(sl Slot, cols []float64, n, i int) {
+	sl.AddCount(1)
 	for a, spec := range p.aggs {
 		if spec.arg == nil {
 			continue
@@ -324,7 +319,7 @@ func (p *Plan) addColsToSlot(sl Slot, cols []float64, n, i int, sign float64) {
 		v := cols[a*n+i]
 		switch spec.op {
 		case OpAdd:
-			sl.AddVal(a, sign*v)
+			sl.AddVal(a, v)
 		case OpMin:
 			sl.MinVal(a, v)
 		case OpMax:
@@ -336,9 +331,10 @@ func (p *Plan) addColsToSlot(sl Slot, cols []float64, n, i int, sign float64) {
 // aggGroupedRollingVec computes grouped fragments incrementally: the
 // rolling table always holds the current fragment's groups; moving to the
 // next fragment removes the tuples that leave the window and adds those
-// that enter. Requires invertible aggregates. The remove and add scans
-// walk two monotonic cursors over the batch-evaluated selection vector and
-// fold off the value columns.
+// that enter. Requires invertible aggregates. Each selected row's group is
+// resolved to a slot once per task (rowSlots); the remove and add scans
+// then walk two monotonic cursors over the selection vector and fold the
+// value columns by slot, with no key copy, hash or compare.
 func (p *Plan) aggGroupedRollingVec(in Batch, sc *scratch, view tsView, res *TaskResult) {
 	n := view.Len()
 	sel, all := p.evalAggBatch(sc, in, p.in[0].TupleSize(), n)
@@ -350,45 +346,81 @@ func (p *Plan) aggGroupedRollingVec(in Batch, sc *scratch, view tsView, res *Tas
 	}
 	roll := sc.rolling
 	roll.Reset()
-	keyBuf := sc.keyBuf
-	curStart, curEnd := sc.frags[0].Start, sc.frags[0].Start
-	remPos := lowerBound(sel, int32(curStart))
-	addPos := remPos
-
+	first := lowerBound(sel, int32(sc.frags[0].Start))
+	last := first + lowerBound(sel[first:], int32(sc.frags[len(sc.frags)-1].End))
+	slots := p.rowSlots(sc, roll, in, sel, first, last)
+	counts, vals, maxTS := roll.counts, roll.vals, roll.maxTS
+	m, cols := len(p.aggs), sc.cols
+	remPos, addPos := first, first
 	for _, f := range sc.frags {
 		// Remove tuples leaving the window.
-		for remPos < len(sel) && sel[remPos] < int32(f.Start) {
-			i := int(sel[remPos])
+		for remPos < last && sel[remPos] < int32(f.Start) {
+			i, s := int(sel[remPos]), int(slots[remPos])
 			remPos++
-			tuple := p.tupleAt(in, i)
-			keyBuf = p.key(keyBuf, tuple)
-			if sl, ok := roll.Lookup(keyBuf); ok {
-				p.addColsToSlot(sl, sc.cols, n, i, -1)
-			}
-		}
-		curStart = f.Start
-		if curEnd < curStart {
-			curEnd = curStart
-			// The window jumped forward: rows in the gap are never added.
-			for addPos < len(sel) && sel[addPos] < int32(curEnd) {
-				addPos++
+			counts[s]--
+			for a := 0; a < m; a++ {
+				vals[s*m+a] -= cols[a*n+i]
 			}
 		}
 		// Add tuples entering the window.
-		for addPos < len(sel) && sel[addPos] < int32(f.End) {
-			i := int(sel[addPos])
+		for addPos < last && sel[addPos] < int32(f.End) {
+			i, s := int(sel[addPos]), int(slots[addPos])
 			addPos++
-			tuple := p.tupleAt(in, i)
-			keyBuf = p.key(keyBuf, tuple)
-			sl := roll.Upsert(keyBuf, p.seedSlot)
-			p.addColsToSlot(sl, sc.cols, n, i, +1)
-			sl.ObserveTS(view.At(i))
+			counts[s]++
+			for a := 0; a < m; a++ {
+				vals[s*m+a] += cols[a*n+i]
+			}
+			if ts := view.At(i); ts > maxTS[s] {
+				maxTS[s] = ts
+			}
 		}
-		curEnd = f.End
-
 		p.emitRolling(roll, f, view, res)
 	}
-	sc.keyBuf = keyBuf
+}
+
+// rowSlots returns the rolling table's slot for each selected row in
+// sel[lo:hi], indexed like sel. Rows are resolved in row order, the order
+// they enter windows, so groups are inserted in the same order as when
+// each row was looked up on entry; groups no row has entered yet have
+// count 0, which every reader of the table skips. A pass that grows the
+// table moves its groups, so it is redone, finding every key in place.
+func (p *Plan) rowSlots(sc *scratch, roll *HashTable, in Batch, sel []int32, lo, hi int) []int32 {
+	keys, kl := p.gatherKeys(sc, in, sel[lo:hi]), p.keyLen
+	slots := slices.Grow(sc.slots[:0], hi)[:hi]
+	sc.slots = slots
+	for c := -1; c != roll.Cap(); {
+		c = roll.Cap()
+		for k := lo; k < hi; k++ {
+			j := (k - lo) * kl
+			slots[k] = int32(roll.Upsert(keys[j:j+kl], nil).i)
+		}
+	}
+	return slots
+}
+
+// gatherKeys packs the group keys of the rows in sel, keyLen bytes each,
+// into the scratch key buffer, reading each group column from its segment
+// when the batch carries one (Batch.Cols), else from the rows.
+func (p *Plan) gatherKeys(sc *scratch, in Batch, sel []int32) []byte {
+	kl := p.keyLen
+	keys := slices.Grow(sc.keyBuf[:0], len(sel)*kl)[:len(sel)*kl]
+	sc.keyBuf = keys
+	ko := 0
+	for _, f := range p.groupIdx {
+		src, stride, off, w := in.Data, p.in[0].TupleSize(), int(p.colOffs[0][f]), p.colW[0][f]
+		if in.Cols != nil && in.Cols[f] != nil {
+			src, stride, off = in.Cols[f], w, 0
+		}
+		for j, i := range sel {
+			if r := int(i)*stride + off; w == 4 {
+				binary.LittleEndian.PutUint32(keys[j*kl+ko:], binary.LittleEndian.Uint32(src[r:]))
+			} else {
+				binary.LittleEndian.PutUint64(keys[j*kl+ko:], binary.LittleEndian.Uint64(src[r:]))
+			}
+		}
+		ko += w
+	}
+	return keys
 }
 
 // emitRolling renders a window complete in this task straight from the
@@ -403,21 +435,18 @@ func (p *Plan) emitRolling(roll *HashTable, f window.Fragment, view tsView, res 
 	res.Partials = append(res.Partials, p.snapshotRolling(roll, f, view))
 }
 
-// snapshotRolling copies the rolling table's live groups into a pooled
-// per-fragment table.
+// snapshotRolling copies the rolling table's live groups, in insertion
+// order, into a pooled per-fragment table.
 func (p *Plan) snapshotRolling(roll *HashTable, f window.Fragment, view tsView) WindowPartial {
 	snap := p.newTable()
-	roll.Range(func(sl Slot) {
-		if sl.Count() <= 0 {
-			return
+	kl, m := roll.keyLen, roll.nAggs
+	for _, s := range roll.live {
+		if i := int(s); roll.counts[i] > 0 {
+			j := snap.Upsert(roll.keys[i*kl:(i+1)*kl], nil).i
+			snap.counts[j], snap.maxTS[j] = roll.counts[i], roll.maxTS[i]
+			copy(snap.vals[j*m:(j+1)*m], roll.vals[i*m:(i+1)*m])
 		}
-		d := snap.Upsert(sl.Key(), p.seedSlot)
-		d.AddCount(sl.Count())
-		d.ObserveTS(sl.MaxTS())
-		for a := range p.ops {
-			d.SetVal(a, sl.Val(a))
-		}
-	})
+	}
 	return WindowPartial{
 		Window:     f.Window,
 		OpenedHere: f.Opens,
@@ -436,15 +465,13 @@ func (p *Plan) aggGroupedDirectVec(in Batch, sc *scratch, view tsView, res *Task
 	if all {
 		sel = sc.identitySel(n)
 	}
-	keyBuf := sc.keyBuf
+	keys, kl := p.gatherKeys(sc, in, sel), p.keyLen
 	for _, f := range sc.frags {
 		table := p.newTable()
 		for k := lowerBound(sel, int32(f.Start)); k < len(sel) && sel[k] < int32(f.End); k++ {
 			i := int(sel[k])
-			tuple := p.tupleAt(in, i)
-			keyBuf = p.key(keyBuf, tuple)
-			sl := table.Upsert(keyBuf, p.seedSlot)
-			p.addColsToSlot(sl, sc.cols, n, i, +1)
+			sl := table.Upsert(keys[k*kl:(k+1)*kl], p.seedSlot)
+			p.addColsToSlot(sl, sc.cols, n, i)
 			sl.ObserveTS(view.At(i))
 		}
 		res.route(p, WindowPartial{
@@ -455,7 +482,6 @@ func (p *Plan) aggGroupedDirectVec(in Batch, sc *scratch, view tsView, res *Task
 			MaxTS:      fragLastTS(view, f.Start, f.End),
 		})
 	}
-	sc.keyBuf = keyBuf
 }
 
 // SetIncremental force-enables or disables the incremental computation

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"math"
 	"slices"
 
@@ -117,8 +118,8 @@ func (p *Plan) finalizeScalar(part *WindowPartial, dst []byte) []byte {
 	dst = extend(dst, p.out.TupleSize())
 	tuple := dst[base:]
 	p.out.SetTimestamp(tuple, part.MaxTS)
-	for i, spec := range p.aggs {
-		p.writeAggValue(tuple, spec, part.Vals[i], part.Count)
+	for a := range p.aggs {
+		p.aggs[a].write(tuple, part.Vals[a], part.Count)
 	}
 	if p.having != nil && !p.having.EvalTuple(tuple) {
 		return dst[:base]
@@ -136,35 +137,39 @@ func (p *Plan) finalizeGrouped(part *WindowPartial, dst []byte) []byte {
 // appendGroupRows renders one window's group table as output rows, in
 // the table's insertion order, growing dst once for the whole window.
 // Groups with no live tuples are skipped: a rolling table keeps groups
-// whose rows all rolled out, with a stale MaxTS. fallbackTS stamps groups
-// that carry no timestamp of their own.
+// whose rows all rolled out, with a stale MaxTS, and groups its row→slot
+// pass added for rows that have not entered a window yet. fallbackTS
+// stamps groups that carry no timestamp of their own.
 func (p *Plan) appendGroupRows(dst []byte, t *HashTable, fallbackTS int64) []byte {
-	out := p.out
-	osz := out.TupleSize()
+	osz := p.out.TupleSize()
+	// Group key bytes land directly after the timestamp: the output schema
+	// is [timestamp, group columns..., aggregates...] and the key is the
+	// concatenation of the group column values.
+	ko, kl, m := p.out.Offset(1), t.keyLen, t.nAggs
 	w := len(dst)
 	dst = extend(dst, t.Len()*osz)
-	t.Range(func(sl Slot) {
-		if sl.Count() <= 0 {
-			return
+	for _, s := range t.live {
+		i := int(s)
+		count := t.counts[i]
+		if count <= 0 {
+			continue
 		}
 		tuple := dst[w : w+osz]
-		ts := sl.MaxTS()
+		ts := t.maxTS[i]
 		if ts == minInt64 {
 			ts = fallbackTS
 		}
-		out.SetTimestamp(tuple, ts)
-		// Group key bytes land directly after the timestamp: the output
-		// schema is [timestamp, group columns..., aggregates...] and the
-		// key is the concatenation of the group column values.
-		copy(tuple[out.Offset(1):out.Offset(1)+p.keyLen], sl.Key())
-		for i, spec := range p.aggs {
-			p.writeAggValue(tuple, spec, sl.Val(i), sl.Count())
+		binary.LittleEndian.PutUint64(tuple, uint64(ts))
+		copy(tuple[ko:ko+kl], t.keys[i*kl:(i+1)*kl])
+		vals := t.vals[i*m : (i+1)*m]
+		for a := range p.aggs {
+			p.aggs[a].write(tuple, vals[a], count)
 		}
 		if p.having != nil && !p.having.EvalTuple(tuple) {
-			return // the next row overwrites the same fields
+			continue // the next row overwrites the same fields
 		}
 		w += osz
-	})
+	}
 	return dst[:w]
 }
 
@@ -177,16 +182,26 @@ func extend(dst []byte, n int) []byte {
 	return dst
 }
 
-func (p *Plan) writeAggValue(tuple []byte, spec aggSpec, val float64, count int64) {
+// write stores the aggregate's output value for a group or window with
+// accumulator val over count tuples: the count itself, val/count for avg,
+// else val, converted to the output field's type.
+func (spec *aggSpec) write(tuple []byte, val float64, count int64) {
+	out := tuple[spec.outOff:]
 	switch spec.fn {
 	case query.Count:
-		p.out.WriteInt64(tuple, spec.outF, count)
+		binary.LittleEndian.PutUint64(out, uint64(count))
+		return
 	case query.Avg:
-		p.out.WriteFloat(tuple, spec.outF, val/float64(count))
-	default:
-		p.out.WriteFloat(tuple, spec.outF, val)
+		val /= float64(count)
+	}
+	switch spec.outTyp {
+	case schema.Int32:
+		binary.LittleEndian.PutUint32(out, uint32(int32(val)))
+	case schema.Int64:
+		binary.LittleEndian.PutUint64(out, uint64(int64(val)))
+	case schema.Float32:
+		binary.LittleEndian.PutUint32(out, math.Float32bits(float32(val)))
+	case schema.Float64:
+		binary.LittleEndian.PutUint64(out, math.Float64bits(val))
 	}
 }
-
-// outFieldType is a small helper for tests.
-func (p *Plan) outFieldType(i int) schema.Type { return p.out.Field(i).Type }

@@ -6,6 +6,7 @@ package exec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -74,25 +75,53 @@ func (h *HashTable) Reset() {
 	h.live = h.live[:0]
 }
 
+// FNV-1a's 64-bit offset basis and prime.
+const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
+
 // Hash is the shared hash function: FNV-1a over the key bytes. Exported so
 // the GPGPU kernel uses bit-identical slot placement.
 func Hash(key []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	var h uint64 = offset64
+	var h uint64 = fnvOffset
 	for _, b := range key {
 		h ^= uint64(b)
-		h *= prime64
+		h *= fnvPrime
 	}
 	return h
 }
 
+// fnv4 continues FNV-1a state h over the four little-endian bytes of k,
+// unrolled: fnv4(fnvOffset, k) is Hash of k's four bytes.
+func fnv4(h uint64, k uint32) uint64 {
+	h = (h ^ uint64(k&0xff)) * fnvPrime
+	h = (h ^ uint64(k>>8&0xff)) * fnvPrime
+	h = (h ^ uint64(k>>16&0xff)) * fnvPrime
+	return (h ^ uint64(k>>24)) * fnvPrime
+}
+
 // slotFor finds the slot holding key, or the empty slot where it belongs.
-// Returns the slot index and whether the key was found.
+// Returns the slot index and whether the key was found. 4- and 8-byte
+// keys (one int32 or int64 column, or two int32 columns) are compared as
+// one integer load and hashed with fnv4 from that integer; the home slot
+// is still int(Hash(key)) & mask, which the GPGPU table relies on. Other
+// widths hash and compare byte by byte.
 func (h *HashTable) slotFor(key []byte) (int, bool) {
 	mask := h.cap - 1
+	switch h.keyLen {
+	case 4:
+		k := binary.LittleEndian.Uint32(key)
+		i := int(fnv4(fnvOffset, k)) & mask
+		for h.state[i] != 0 && binary.LittleEndian.Uint32(h.keys[i*4:]) != k {
+			i = (i + 1) & mask
+		}
+		return i, h.state[i] != 0
+	case 8:
+		k := binary.LittleEndian.Uint64(key)
+		i := int(fnv4(fnv4(fnvOffset, uint32(k)), uint32(k>>32))) & mask
+		for h.state[i] != 0 && binary.LittleEndian.Uint64(h.keys[i*8:]) != k {
+			i = (i + 1) & mask
+		}
+		return i, h.state[i] != 0
+	}
 	i := int(Hash(key)) & mask
 	for {
 		if h.state[i] == 0 {
@@ -155,7 +184,8 @@ func (s Slot) Key() []byte { return s.h.keys[s.i*s.h.keyLen : (s.i+1)*s.h.keyLen
 
 // Upsert returns the slot for key, inserting a fresh group if absent. Fresh
 // groups have count 0 and accumulators initialised via init (which may be
-// nil to zero-fill; min/max aggregates need ±Inf seeds).
+// nil to zero-fill; min/max aggregates need ±Inf seeds). Inserting may
+// grow the table, which moves every group to a new slot.
 func (h *HashTable) Upsert(key []byte, init func(Slot)) Slot {
 	if len(key) != h.keyLen {
 		panic(fmt.Sprintf("exec: key length %d, table expects %d", len(key), h.keyLen))

@@ -3,6 +3,7 @@ package exec
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -156,40 +157,78 @@ func TestHashTableKeyLenMismatchPanics(t *testing.T) {
 }
 
 // TestHashTableQuickVsMap compares against a plain Go map under random
-// workloads (the testing/quick property for the table).
+// workloads (the testing/quick property for the table), at the two key
+// widths the integer probe serves and at one that takes the byte-wise
+// probe. Every other key's first four bytes are folded to 64 values and
+// the bytes after them take four values, so keys repeat and wide keys
+// share a prefix.
 func TestHashTableQuickVsMap(t *testing.T) {
-	f := func(keys []int32, vals []float64) bool {
-		h := NewHashTable(4, 1, 4)
-		ref := map[int32]struct {
-			c int64
-			v float64
-		}{}
-		for i, k := range keys {
-			v := 1.0
-			if i < len(vals) {
-				v = vals[i]
+	for _, w := range []int{4, 8, 12} {
+		keyOf := func(i int, k int32) []byte {
+			head := k
+			if i%2 == 0 {
+				head &= 63
 			}
-			sl := h.Upsert(key32(k), nil)
-			sl.AddCount(1)
-			sl.AddVal(0, v)
-			r := ref[k]
-			r.c++
-			r.v += v
-			ref[k] = r
+			key := make([]byte, w)
+			binary.LittleEndian.PutUint32(key, uint32(head))
+			for b := 4; b < w; b++ {
+				key[b] = byte(k>>6&3) + byte(b)
+			}
+			return key
 		}
-		if h.Len() != len(ref) {
-			return false
-		}
-		for k, r := range ref {
-			sl, ok := h.Lookup(key32(k))
-			if !ok || sl.Count() != r.c || sl.Val(0) != r.v {
+		f := func(keys []int32, vals []float64) bool {
+			h := NewHashTable(w, 1, 4)
+			ref := map[string]struct {
+				c int64
+				v float64
+			}{}
+			for i, k := range keys {
+				v := 1.0
+				if i < len(vals) {
+					v = vals[i]
+				}
+				key := keyOf(i, k)
+				sl := h.Upsert(key, nil)
+				sl.AddCount(1)
+				sl.AddVal(0, v)
+				r := ref[string(key)]
+				r.c++
+				r.v += v
+				ref[string(key)] = r
+			}
+			if h.Len() != len(ref) {
 				return false
 			}
+			for k, r := range ref {
+				sl, ok := h.Lookup([]byte(k))
+				if !ok || sl.Count() != r.c || sl.Val(0) != r.v || string(sl.Key()) != k {
+					return false
+				}
+			}
+			return true
 		}
-		return true
+		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+			t.Fatalf("keyLen %d: %v", w, err)
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+}
+
+// TestFixedWidthProbePlacement: the integer probe for 4- and 8-byte keys
+// puts a key's home slot at int(Hash(key)) & mask, as the GPGPU table
+// (and any byte-wise probe) does.
+func TestFixedWidthProbePlacement(t *testing.T) {
+	rnd := rand.New(rand.NewSource(1))
+	for _, w := range []int{4, 8} {
+		h := NewHashTable(w, 0, 1<<12)
+		mask := h.Cap() - 1
+		key := make([]byte, w)
+		for n := 0; n < 2000; n++ {
+			rnd.Read(key)
+			if i, found := h.slotFor(key); found || i != int(Hash(key))&mask {
+				t.Fatalf("keyLen %d, key %x: empty table probes slot %d (found %v), Hash places it at %d",
+					w, key, i, found, int(Hash(key))&mask)
+			}
+		}
 	}
 }
 

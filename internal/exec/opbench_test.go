@@ -7,6 +7,7 @@ import (
 	"saber/internal/expr"
 	"saber/internal/query"
 	"saber/internal/window"
+	"saber/internal/workload"
 )
 
 // Operator microbenchmarks for the CPU batch kernels. Each benchmark
@@ -106,6 +107,16 @@ func BenchmarkOpAggGroupedRolling(b *testing.B) {
 		GroupBy("b").
 		MustBuild()
 	benchProcess(b, q, [2][]byte{genStream(benchTuples, 5), nil})
+}
+
+// BenchmarkOpGroupBy64 is benchmark/'s groupby query at that workload's task
+// size: COUNT and SUM(a1) GROUP BY a2 over 8 192 synthetic tuples
+// (ϕ 256 KiB) with a2 uniform over 64 values, Count(1024, 64) windows.
+func BenchmarkOpGroupBy64(b *testing.B) {
+	q := workload.GroupBy([]query.AggFunc{query.Count, query.Sum}, 64, window.NewCount(1024, 64))
+	g := workload.NewSynGen(10)
+	g.Groups = 64
+	benchProcess(b, q, [2][]byte{g.Next(nil, 8192), nil})
 }
 
 func BenchmarkOpJoinEqui(b *testing.B) {

@@ -35,11 +35,14 @@ func (k Kind) String() string {
 	return [...]string{"map", "aggregate", "join", "udf"}[k]
 }
 
+// aggSpec is one compiled aggregate, with its output descriptor: the byte
+// offset and type of its output field (aggSpec.write).
 type aggSpec struct {
-	fn   query.AggFunc
-	arg  *expr.NumProgram // nil for count
-	op   MergeOp
-	outF int // output schema field index
+	fn     query.AggFunc
+	arg    *expr.NumProgram // nil for count
+	op     MergeOp
+	outOff int
+	outTyp schema.Type
 }
 
 type fieldWriter struct {
@@ -147,6 +150,9 @@ type scratch struct {
 	// keyBuf is the grouped-aggregation key assembly buffer; pooled here
 	// so the grouped kernels stop allocating one per task.
 	keyBuf []byte
+	// slots maps each selected row to its group's slot in the rolling
+	// table, indexed like sel; filled once per task (rowSlots).
+	slots []int32
 	// colsBuf holds per-range column view headers for FilterSelect.
 	colsBuf [][]byte
 
@@ -431,9 +437,10 @@ func (p *Plan) compileAggregation(res expr.Resolver) error {
 	p.grouped = len(p.groupIdx) > 0
 
 	p.invertApl = true
-	outOff := 1 + len(p.groupIdx) // timestamp + group columns precede aggs
+	aggF := 1 + len(p.groupIdx) // timestamp + group columns precede aggs
 	for i, a := range p.Q.Aggregates {
-		spec := aggSpec{fn: a.Func, outF: outOff + i}
+		f := aggF + i
+		spec := aggSpec{fn: a.Func, outOff: p.out.Offset(f), outTyp: p.out.Field(f).Type}
 		switch a.Func {
 		case query.Count, query.Sum, query.Avg:
 			spec.op = OpAdd
@@ -854,8 +861,7 @@ func (p *Plan) ColumnsRead(input int) []bool {
 		}
 	}
 	if input == 0 {
-		// Group keys are assembled from the row bytes today; marking them
-		// keeps the set correct if key extraction ever goes columnar.
+		// The grouped kernels read their keys from these (gatherKeys).
 		for _, f := range p.groupIdx {
 			read[f] = true
 		}

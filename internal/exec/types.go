@@ -15,10 +15,10 @@ type Batch struct {
 	// Cols, when non-nil, additionally exposes the same tuples as
 	// per-field contiguous column segments: Cols[j] holds the bytes of
 	// input-schema field j for every tuple of the batch, packed with
-	// stride == the field's width (the columnar ring layout). Kernels
-	// prefer these dense views over the strided row walk; a nil entry
-	// falls back to the rows. Data stays authoritative for row-residual
-	// paths (group keys, identity projection, join pairs).
+	// stride == the field's width (the columnar ring layout). Kernels,
+	// group-key gathering included, prefer these dense views over the
+	// strided row walk; a nil entry falls back to the rows. Data stays
+	// authoritative for row-residual paths (identity projection, joins).
 	Cols [][]byte
 	// Ctx is the stream position of the batch.
 	Ctx window.Context

@@ -38,6 +38,11 @@ func kernelOf(p *Plan) string {
 func TestKernelsAgainstOracle(t *testing.T) {
 	syn := [2][]byte{genStream(600, 11), nil}
 	gaps := [2][]byte{gapStream(600, 12), nil}
+	wide := [2][]byte{genStream(600, 13), nil}
+	for i, c := 0, synSchema.IndexOf("c"); i < 600; i++ {
+		tu := wide[0][i*synSchema.TupleSize():]
+		synSchema.WriteInt32(tu, c, synSchema.ReadInt32(tu, c)%3)
+	}
 	l, r := genPair(160, 5)
 	pair := [2][]byte{l, r}
 	joinQ := func(name string, w window.Def, pred expr.Pred) *query.Query {
@@ -102,6 +107,24 @@ func TestKernelsAgainstOracle(t *testing.T) {
 			Aggregate(query.Sum, expr.Col("a"), "s").
 			Aggregate(query.Count, nil, "n").
 			GroupBy("b", "d").
+			MustBuild(), syn},
+		// A 12-byte key (b, c, d) takes the generic byte-wise probe; c is
+		// folded to three values so groups repeat within a window.
+		{"agg-grouped-wide-key", "grouped-rolling", query.NewBuilder("dwide").
+			From("S", synSchema, window.NewCount(48, 6)).
+			Where(expr.Cmp{Op: expr.Ne, Left: expr.Col("b"), Right: expr.IntConst(3)}).
+			Aggregate(query.Sum, expr.Col("a"), "s").
+			Aggregate(query.Count, nil, "n").
+			GroupBy("b", "c", "d").
+			MustBuild(), wide},
+		// One group per row (f is the row index): a 3w batch holds more
+		// groups than the rolling table starts with room for (256), so the
+		// table grows while rows are resolved to slots.
+		{"agg-grouped-grow", "grouped-rolling", query.NewBuilder("dgrow").
+			From("S", synSchema, window.NewCount(100, 20)).
+			Aggregate(query.Avg, expr.Col("a"), "m").
+			Aggregate(query.Count, nil, "n").
+			GroupBy("f").
 			MustBuild(), syn},
 		{"agg-grouped-direct", "grouped-direct", query.NewBuilder("dgdir").
 			From("S", synSchema, window.NewCount(16, 4)).
