@@ -238,10 +238,10 @@ type Engine struct {
 	adaptWG   sync.WaitGroup
 
 	// Overload-protection state (see internal/overload and
-	// registered.admit). quiesced flips at the start of Drain/Close:
-	// a blocked Insert observes it within one bounded-wait step and
-	// aborts (its unadmitted remainder accounted as admission-shed)
-	// instead of deadlocking shutdown. shedArmed gates the shedding
+	// registered.admit). quiesced flips at the start of Drain/Close,
+	// which then wake admission: a parked Insert observes it and aborts
+	// (its unadmitted remainder accounted as admission-shed) instead of
+	// deadlocking shutdown. shedArmed gates the shedding
 	// policies: always armed without Adapt, else toggled by the adapt
 	// controller's last-rung Overloaded signal.
 	quiesced  atomic.Bool
@@ -436,6 +436,7 @@ func (e *Engine) Deregister(name string) error {
 	}
 	delete(e.byName, name)
 	r.dropped.Store(true)
+	r.result.progress.Fire(-1) // a parked Insert holds insMu: let it see dropped
 	if e.started.Load() {
 		// Flush the sub-ϕ residue. insMu inside dispatchTail serialises
 		// against any insert mid-call: it finishes its current chunk, then
@@ -488,6 +489,7 @@ func (e *Engine) Start() error {
 		gpuCap = 4 // pipeline depth converts latency into throughput
 	}
 	e.matrix = sched.NewMatrix(n, 1000, e.cfg.MatrixAlpha, float64(e.cfg.CPUWorkers), gpuCap)
+	e.matrix.Notify = e.queue.Wake // rates steer the policy: wake parked workers
 
 	switch e.cfg.Policy {
 	case "hls":
@@ -529,6 +531,9 @@ func (e *Engine) Start() error {
 		case sched.FCFS:
 			e.breaker = sched.NewBreaker(e.cfg.BreakerThreshold, e.cfg.BreakerCooldown)
 		}
+	}
+	if e.breaker != nil {
+		e.breaker.Notify = e.queue.Wake
 	}
 
 	// Seed the fresh matrix with any rates a Restore carried over, so
@@ -590,15 +595,13 @@ func (e *Engine) Start() error {
 	return nil
 }
 
-// quiescing reports whether the engine has begun shutting down
-// (Drain or Close): admission must stop blocking and bail out.
-func (e *Engine) quiescing() bool {
-	return e.stopped.Load() || e.quiesced.Load()
+// wakeAdmission fires every query's progress signal for a change a parked
+// admit or awaitTaskBoundary cannot see through drains.
+func (e *Engine) wakeAdmission() {
+	for _, r := range e.queries() {
+		r.result.progress.Fire(-1)
+	}
 }
-
-// shedActive reports whether the configured shedding policy may actuate
-// right now.
-func (e *Engine) shedActive() bool { return e.shedArmed.Load() }
 
 // watchLoop runs the stall watchdog between Start and Close: it probes
 // drain progress and, when input is pending but the frontier has not
@@ -682,7 +685,9 @@ func (e *Engine) adaptLoop() {
 			// any recovery disarms it. Without a policy configured the
 			// signal is telemetry only (saber.adapt.overloaded).
 			if ov := e.cfg.Overload; ov != nil && ov.Policy != overload.ShedNone {
-				e.shedArmed.Store(d.Overloaded)
+				if !e.shedArmed.Swap(d.Overloaded) && d.Overloaded {
+					e.wakeAdmission()
+				}
 			}
 		}
 	}
@@ -692,12 +697,13 @@ func (e *Engine) adaptLoop() {
 // the queue to empty and all results to be assembled, then flushes still-
 // open windows. Call once, after all Insert calls.
 func (e *Engine) Drain() {
-	// Flag quiescence before taking the dispatch lock: a concurrent
-	// Insert blocked on backpressure (which holds the ingest lock
-	// dispatchTail needs) observes the flag within one bounded-wait step
-	// and aborts, so Drain cannot deadlock behind it. The aborted call's
-	// unadmitted remainder is accounted as admission-shed.
+	// Flag quiescence and wake admission before taking the dispatch lock:
+	// a concurrent Insert parked on backpressure (which holds the ingest
+	// lock dispatchTail needs) wakes, observes the flag and aborts, so
+	// Drain cannot deadlock behind it. The aborted call's unadmitted
+	// remainder is accounted as admission-shed.
 	e.quiesced.Store(true)
+	e.wakeAdmission()
 	e.dispatchMu.Lock()
 	for _, r := range e.queries() {
 		if r.dropped.Load() {
@@ -712,7 +718,8 @@ func (e *Engine) Drain() {
 		if r.dropped.Load() {
 			continue
 		}
-		r.waitDrained()
+		r.awaitTaskBoundary()
+		r.result.flush()
 	}
 }
 
@@ -729,6 +736,7 @@ func (e *Engine) Close() {
 	if e.stopped.Swap(true) {
 		return
 	}
+	e.wakeAdmission()
 	if e.watchStop != nil {
 		close(e.watchStop)
 		e.watchWG.Wait()
@@ -784,6 +792,7 @@ func (e *Engine) SetTaskSize(phi int) int {
 		phi = e.cfg.TaskSize
 	}
 	e.taskSize.Store(int64(phi))
+	e.wakeAdmission()
 	if e.matrix != nil && e.cfg.Adapt != nil {
 		e.matrix.SetPhi(phi)
 	}

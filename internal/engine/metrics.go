@@ -123,34 +123,47 @@ func (e *Engine) registerMirrors() {
 // registerMirrors at Start and directly when a query is registered on a
 // running engine.
 func (e *Engine) registerQueryMirrors(r *registered) {
-	reg := e.reg
-	for i := 0; i < r.plan.NumInputs(); i++ {
-		in := r.ins[i]
-		ring := in.ring
-		reg.RegisterFunc(fmt.Sprintf("saber.engine.q%d.in%d.ring.wraps", r.idx, i), ring.Wraps)
-		reg.RegisterFunc(fmt.Sprintf("saber.engine.q%d.in%d.ring.bytes", r.idx, i), ring.Size)
-		if cs := in.cols; cs != nil {
-			// Columnar segment gauges: occupancy, wraps, per-column
-			// payload bytes, and how many tasks skipped the row gather.
-			pre := fmt.Sprintf("saber.ring.q%d.in%d", r.idx, i)
-			reg.RegisterFunc(pre+".col.tuples", cs.Tuples)
-			reg.RegisterFunc(pre+".col.wraps", cs.Wraps)
-			reg.RegisterFunc(pre+".gather.elided", in.colViews.Load)
-			reg.RegisterFunc(pre+".gather.copied", in.colCopies.Load)
-			for c := 0; c < cs.NumCols(); c++ {
-				c := c
-				reg.RegisterFunc(fmt.Sprintf("%s.col%d.bytes", pre, c), func() int64 { return cs.ColBytes(c) })
-			}
-		}
-	}
+	e.bindBufferMirrors(r, false)
 	rs := r.result
-	reg.RegisterFunc(qname(r.idx, "result.drained"), rs.drained.Load)
-	reg.RegisterFunc(qname(r.idx, "result.overflow.pending"), func() int64 {
+	e.reg.RegisterFunc(qname(r.idx, "result.drained"), rs.drained.Load)
+	e.reg.RegisterFunc(qname(r.idx, "result.overflow.pending"), func() int64 {
 		rs.overflowMu.Lock()
 		n := len(rs.overflow)
 		rs.overflowMu.Unlock()
 		return int64(n)
 	})
+}
+
+// bindBufferMirrors binds one query's ring and column-store gauges or,
+// with released set, rebinds them to zero functions, dropping the buffer
+// references the old closures captured (RegisterFunc replaces in place).
+// A dropped query's result-stage and rate mirrors stay bound.
+func (e *Engine) bindBufferMirrors(r *registered, released bool) {
+	bind := func(name string, fn func() int64) {
+		if released {
+			fn = func() int64 { return 0 }
+		}
+		e.reg.RegisterFunc(name, fn)
+	}
+	for i := 0; i < r.plan.NumInputs(); i++ {
+		in := r.ins[i]
+		ring := in.ring
+		bind(fmt.Sprintf("saber.engine.q%d.in%d.ring.wraps", r.idx, i), ring.Wraps)
+		bind(fmt.Sprintf("saber.engine.q%d.in%d.ring.bytes", r.idx, i), ring.Size)
+		if cs := in.cols; cs != nil {
+			// Columnar segment gauges: occupancy, wraps, per-column
+			// payload bytes, and how many tasks skipped the row gather.
+			pre := fmt.Sprintf("saber.ring.q%d.in%d", r.idx, i)
+			bind(pre+".col.tuples", cs.Tuples)
+			bind(pre+".col.wraps", cs.Wraps)
+			bind(pre+".gather.elided", in.colViews.Load)
+			bind(pre+".gather.copied", in.colCopies.Load)
+			for c := 0; c < cs.NumCols(); c++ {
+				c := c
+				bind(fmt.Sprintf("%s.col%d.bytes", pre, c), func() int64 { return cs.ColBytes(c) })
+			}
+		}
+	}
 }
 
 // registerRateMirrors binds one query row of the live HLS throughput
@@ -164,30 +177,6 @@ func (e *Engine) registerRateMirrors(q int) {
 	}
 	e.reg.RegisterFloatFunc(fmt.Sprintf("saber.sched.matrix.q%d.cpu.rate", q), func() float64 { return m.Rate(q, sched.CPU) })
 	e.reg.RegisterFloatFunc(fmt.Sprintf("saber.sched.matrix.q%d.gpu.rate", q), func() float64 { return m.Rate(q, sched.GPU) })
-}
-
-// releaseQueryMirrors rebinds a dropped query's ring and column-store
-// mirrors to zero functions, releasing the buffer references the old
-// closures captured (obs.Registry.RegisterFunc replaces in place). The
-// result-stage counters keep reporting the tombstone's final frontier,
-// and the rate mirrors keep reading the (now idle) matrix row.
-func (e *Engine) releaseQueryMirrors(r *registered) {
-	reg := e.reg
-	zero := func() int64 { return 0 }
-	for i := 0; i < r.plan.NumInputs(); i++ {
-		reg.RegisterFunc(fmt.Sprintf("saber.engine.q%d.in%d.ring.wraps", r.idx, i), zero)
-		reg.RegisterFunc(fmt.Sprintf("saber.engine.q%d.in%d.ring.bytes", r.idx, i), zero)
-		if cs := r.ins[i].cols; cs != nil {
-			pre := fmt.Sprintf("saber.ring.q%d.in%d", r.idx, i)
-			reg.RegisterFunc(pre+".col.tuples", zero)
-			reg.RegisterFunc(pre+".col.wraps", zero)
-			reg.RegisterFunc(pre+".gather.elided", zero)
-			reg.RegisterFunc(pre+".gather.copied", zero)
-			for c := 0; c < cs.NumCols(); c++ {
-				reg.RegisterFunc(fmt.Sprintf("%s.col%d.bytes", pre, c), zero)
-			}
-		}
-	}
 }
 
 // registerFaultMirrors exposes one injector's per-site injection and

@@ -112,7 +112,7 @@ type inputStream struct {
 	tupleSize int
 	// cols mirrors the ring's retained window as per-field column
 	// segments (nil when the plan reads no columns). The dispatcher
-	// appends right after ring.Put accepts the same bytes; the result
+	// appends right after ring.TryPut accepts the same bytes; the result
 	// stage releases columns before the ring (see ringbuf.ColumnStore).
 	cols *ringbuf.ColumnStore
 	// colViews counts tasks handed zero-copy column views; colCopies
@@ -276,7 +276,7 @@ func (r *registered) cutFull() {
 		}
 		return
 	}
-	for r.combinedPending() >= r.e.taskSize.Load() && r.cutPair(false) {
+	for r.pendingBytes(0)+r.pendingBytes(1) >= r.e.taskSize.Load() && r.cutPair(false) {
 	}
 }
 
@@ -302,27 +302,26 @@ const (
 //
 //   - aborts as soon as the engine quiesces (Drain/Close), which is the
 //     no-deadlock guarantee: the ring may never drain once workers stop,
-//     so unbounded spinning here would wedge shutdown behind insMu;
+//     so waiting here would wedge shutdown behind insMu;
 //   - admits when the chunk fits both the ring and the effective
 //     Overload queue budget;
 //   - once the bounded wait (Overload.MaxWait) expires with the shedding
 //     policy armed, actuates it — ShedOldest frees budget by cutting the
 //     stalest undispatched range as an accounted gap task, ShedWeighted
 //     drops the incoming chunk with the per-source weighted coin;
-//   - otherwise backs off (exponential, capped) and retries: plain
-//     quiesce-aware backpressure.
+//   - otherwise parks on the result stage's progress signal, fired by a
+//     drain, by the engine quiescing, resizing ϕ, arming shedding or
+//     dropping the query, and at the MaxWait deadline while the policy
+//     could act.
 func (r *registered) admit(side int, in *inputStream, p []byte) admitVerdict {
 	ov := r.ov
 	// since stamps when the current bounded wait began. MaxWait is wall
-	// time, so it must be measured, not inferred from the nominal backoff
-	// sleeps — time.Sleep(10µs) routinely runs several times longer under
-	// timer slack, and summing the nominal durations would let a blocked
-	// Insert wait many times MaxWait without the policy ever actuating.
+	// time, measured with time.Since; the deadline timer only fires
+	// progress to wake the check.
 	var since time.Time
-	backoff := 10 * time.Microsecond
-	counted := false
 	for {
-		if r.e.quiescing() || r.dropped.Load() {
+		gen := r.result.progress.Gen()
+		if r.e.quiesced.Load() || r.dropped.Load() {
 			return admitQuiesced
 		}
 		if !r.overBudget(in, int64(len(p))) {
@@ -332,14 +331,15 @@ func (r *registered) admit(side int, in *inputStream, p []byte) admitVerdict {
 		}
 		if since.IsZero() {
 			since = time.Now()
+			r.over.admitWaits.Add(1)
 		}
-		// The policy actuates only when the configured budget is the
-		// binding constraint. A ring-full block within budget is ordinary
-		// backpressure and must stay lossless — otherwise a generous
-		// budget over a small ring would shed where the operator asked
-		// for blocking.
-		if ov != nil && ov.Policy != overload.ShedNone && time.Since(since) >= ov.MaxWait &&
-			r.overBudget(in, int64(len(p))) && r.e.shedActive() {
+		// The policy actuates only while armed and when the configured
+		// budget is the binding constraint. A ring-full block within
+		// budget is ordinary backpressure and must stay lossless —
+		// otherwise a generous budget over a small ring would shed where
+		// the operator asked for blocking.
+		shedding := ov != nil && ov.Policy != overload.ShedNone && r.e.shedArmed.Load() && r.overBudget(in, int64(len(p)))
+		if shedding && time.Since(since) >= ov.MaxWait {
 			switch ov.Policy {
 			case overload.ShedOldest:
 				if r.shedOldestLocked(side) {
@@ -365,13 +365,13 @@ func (r *registered) admit(side int, in *inputStream, p []byte) admitVerdict {
 				since = time.Now() // survived the coin; re-wait before re-flipping
 			}
 		}
-		if !counted {
-			r.over.admitWaits.Add(1)
-			counted = true
+		var deadline *time.Timer
+		if shedding {
+			deadline = time.AfterFunc(time.Until(since.Add(ov.MaxWait)), func() { r.result.progress.Fire(-1) })
 		}
-		time.Sleep(backoff)
-		if backoff < time.Millisecond {
-			backoff *= 2
+		r.result.progress.Park(gen)
+		if deadline != nil {
+			deadline.Stop()
 		}
 	}
 }
@@ -417,28 +417,16 @@ func (r *registered) shedOldestLocked(side int) bool {
 	return true
 }
 
-// takeShedTask consumes one unit of the worker-side ShedOldest quota.
+// takeShedTask consumes the worker-side ShedOldest quota (0 or 1).
 // Workers call it on every pickup; it is a single load on the (vastly
 // common) unarmed path.
 func (r *registered) takeShedTask() bool {
-	for {
-		q := r.shedTaskQuota.Load()
-		if q <= 0 {
-			return false
-		}
-		if r.shedTaskQuota.CompareAndSwap(q, q-1) {
-			return true
-		}
-	}
+	return r.shedTaskQuota.Load() > 0 && r.shedTaskQuota.CompareAndSwap(1, 0)
 }
 
 func (r *registered) pendingBytes(side int) int64 {
 	in := r.ins[side]
 	return in.ring.End() - in.batchStart
-}
-
-func (r *registered) combinedPending() int64 {
-	return r.pendingBytes(0) + r.pendingBytes(1)
 }
 
 // cutSingle dispatches one task of exactly ϕ bytes (tuple-aligned) from
@@ -590,7 +578,7 @@ func (r *registered) tryInsert(side int, data []byte) bool {
 		panic("engine: Insert data must be whole tuples")
 	}
 	r.insMu.Lock()
-	if r.e.quiescing() || r.dropped.Load() || in.ring == nil || r.overBudget(in, int64(len(data))) {
+	if r.e.quiesced.Load() || r.dropped.Load() || in.ring == nil || r.overBudget(in, int64(len(data))) {
 		r.insMu.Unlock()
 		r.over.admitRejects.Add(1)
 		return false
@@ -641,22 +629,16 @@ func (r *registered) cutBacklog() {
 }
 
 // awaitTaskBoundary blocks until every task cut so far has drained —
-// the quiesce point Pause and Deregister converge on. Returns early if
-// the engine is closed (workers are gone; nothing further will drain).
+// the quiesce point Pause, Deregister and Drain converge on. Returns early
+// if the engine is closed (workers are gone; nothing further will drain).
 func (r *registered) awaitTaskBoundary() {
-	for r.result.drained.Load() < r.taskSeq.Load() {
-		if r.e.stopped.Load() {
+	for {
+		gen := r.result.progress.Gen()
+		if r.result.drained.Load() >= r.taskSeq.Load() || r.e.stopped.Load() {
 			return
 		}
-		time.Sleep(200 * time.Microsecond)
+		r.result.progress.Park(gen)
 	}
-}
-
-// waitDrained blocks until every dispatched task's result has been
-// assembled, then flushes still-open windows.
-func (r *registered) waitDrained() {
-	r.awaitTaskBoundary()
-	r.result.flush()
 }
 
 // release frees a dropped query's buffer memory: the metric mirrors are
@@ -665,7 +647,7 @@ func (r *registered) waitDrained() {
 // path) plus bufMu (watchdog/debug readers). The registered entry itself
 // stays as a tombstone.
 func (r *registered) release() {
-	r.e.releaseQueryMirrors(r)
+	r.e.bindBufferMirrors(r, true)
 	r.insMu.Lock()
 	r.bufMu.Lock()
 	for i := 0; i < r.plan.NumInputs(); i++ {

@@ -34,6 +34,8 @@ type resultStage struct {
 	drained atomic.Int64 // tasks fully assembled
 	drainMu sync.Mutex
 
+	progress task.Signal // fired per drained task; admit and awaitTaskBoundary park on it
+
 	asm *exec.Assembler
 
 	// overflow holds results delivered from beyond the slot window (rare:
@@ -60,13 +62,14 @@ type resultStage struct {
 	lastPrevTS [2]int64
 }
 
+// overflowEntry is one deposited delivery, in a slot or the overflow map.
 type overflowEntry struct {
 	res       *exec.TaskResult
 	freeTo    [2]int64
 	endPrevTS [2]int64
-	start     int64
-	gap       bool
-	tr        *obs.TaskTrace
+	start     int64          // task creation stamp for latency accounting
+	gap       bool           // quarantined task: release inputs, skip assembly
+	tr        *obs.TaskTrace // winning delivery's trace, finished at drain
 }
 
 // Slot control-flag states (the paper's control buffer, extended with a
@@ -78,14 +81,9 @@ const (
 )
 
 type resultSlot struct {
-	state     atomic.Int32
-	id        atomic.Int64 // task ID occupying the slot (valid once claimed)
-	res       *exec.TaskResult
-	freeTo    [2]int64
-	endPrevTS [2]int64
-	start     int64          // task creation stamp for latency accounting
-	gap       bool           // quarantined task: release inputs, skip assembly
-	tr        *obs.TaskTrace // winning delivery's trace, finished at drain
+	state atomic.Int32
+	id    atomic.Int64  // task ID occupying the slot (valid once claimed)
+	entry overflowEntry // the winning delivery (valid once full)
 }
 
 func newResultStage(r *registered, slots int) *resultStage {
@@ -183,12 +181,7 @@ func (rs *resultStage) deposit(t *task.Task, res *exec.TaskResult, gap bool) boo
 			rs.discardDup(res)
 			return false
 		}
-		s.res = res
-		s.freeTo = t.FreeTo
-		s.endPrevTS = t.EndPrevTS
-		s.start = t.Created
-		s.gap = gap
-		s.tr = t.Trace
+		s.entry = overflowEntry{res: res, freeTo: t.FreeTo, endPrevTS: t.EndPrevTS, start: t.Created, gap: gap, tr: t.Trace}
 		t.Trace.SetAttempts(t.Attempts)
 		t.Trace.MarkDelivered(time.Now().UnixNano())
 		s.state.Store(slotFull)
@@ -267,9 +260,7 @@ func (rs *resultStage) drainLocked() {
 		var e overflowEntry
 		switch {
 		case s.state.Load() == slotFull && s.id.Load() == n:
-			e = overflowEntry{res: s.res, freeTo: s.freeTo, endPrevTS: s.endPrevTS, start: s.start, gap: s.gap, tr: s.tr}
-			s.res = nil
-			s.tr = nil
+			e, s.entry = s.entry, overflowEntry{}
 			// Advance the frontier BEFORE freeing the slot. A duplicate
 			// delivery of n can CAS-claim the slot the instant it frees;
 			// its re-validation must then observe next > n and unwind — if
@@ -314,7 +305,7 @@ func (rs *resultStage) drainLocked() {
 		// Release input data up to the task's free pointers and recycle
 		// the result. Columns go first: the dispatcher blocks on row-ring
 		// space, so releasing the column range before the row range
-		// guarantees ColumnStore.Append has room whenever Put succeeds.
+		// guarantees ColumnStore.Append has room whenever TryPut succeeds.
 		for i := 0; i < r.plan.NumInputs(); i++ {
 			in := r.ins[i]
 			if in.cols != nil {
@@ -332,6 +323,7 @@ func (rs *resultStage) drainLocked() {
 		}
 		r.e.tracer.Finish(e.tr, now, e.gap)
 		rs.drained.Add(1)
+		rs.progress.Fire(-1)
 	}
 }
 

@@ -11,32 +11,6 @@ import (
 	"saber/internal/task"
 )
 
-// idleBackoff paces a worker's poll loop while the queue yields nothing:
-// starting at 20µs and doubling to a 1ms cap, so an idle worker burns far
-// fewer wakeups than a fixed-period spin while still reacting to new work
-// within a millisecond. Any successful dequeue resets it.
-type idleBackoff struct {
-	d time.Duration
-}
-
-const (
-	idleBackoffMin = 20 * time.Microsecond
-	idleBackoffMax = time.Millisecond
-)
-
-func (b *idleBackoff) sleep() {
-	if b.d == 0 {
-		b.d = idleBackoffMin
-	}
-	time.Sleep(b.d)
-	b.d *= 2
-	if b.d > idleBackoffMax {
-		b.d = idleBackoffMax
-	}
-}
-
-func (b *idleBackoff) reset() { b.d = 0 }
-
 // cpuWorker is one CPU worker thread: it runs the full task lifecycle —
 // schedule, execute, store result, assemble, emit — per paper §4's worker
 // model, then pads the execution to the calibrated model's duration so
@@ -46,22 +20,23 @@ func (b *idleBackoff) reset() { b.d = 0 }
 // to this class) goes through failTask: bounded retries, then quarantine.
 // The worker may only exit once no GPU task is in flight — a device
 // failure requeues its task here even after the queue has closed.
+//
+// With nothing to run it parks on its class's Idle signal, whose
+// generation it read before asking the policy: whatever can change the
+// answer fires it.
 func (e *Engine) cpuWorker() {
 	defer e.workers.Done()
-	var idle idleBackoff
+	idle := e.queue.Idle(int(sched.CPU))
 	for {
+		gen := idle.Gen()
 		t := e.policy.Next(e.queue, sched.CPU)
 		if t == nil {
-			if e.queue.Closed() && e.queue.Len() == 0 && e.gpuInflight.Load() == 0 {
+			if e.stopped.Load() || e.queue.Closed() && e.queue.Len() == 0 && e.gpuInflight.Load() == 0 {
 				return
 			}
-			if e.stopped.Load() {
-				return
-			}
-			idle.sleep()
+			idle.Park(gen)
 			continue
 		}
-		idle.reset()
 		r := e.queryAt(t.Query)
 		if r.takeShedTask() {
 			// ShedOldest's worker-side rung: admission granted a shed for
@@ -196,13 +171,17 @@ type gpuInflightEntry struct {
 // device's eventual late completion and discards it (counted as a
 // duplicate) — the CPU retry owns the task from the moment it is failed
 // over.
+//
+// Idle, it parks like a CPU worker; an open breaker's cool-down elapsing
+// is one of the wake events (Breaker.Notify).
 func (e *Engine) gpuWorker() {
 	defer e.workers.Done()
 	var fly []gpuInflightEntry
 	const depth = 4
-	var idle idleBackoff
+	idle := e.queue.Idle(int(sched.GPU))
 
 	for {
+		gen := idle.Gen()
 		for len(fly) < depth {
 			allow, probe := e.breaker.Acquire()
 			if !allow {
@@ -229,16 +208,12 @@ func (e *Engine) gpuWorker() {
 			}
 		}
 		if len(fly) == 0 {
-			if e.queue.Closed() && e.queue.Len() == 0 {
+			if e.stopped.Load() || e.queue.Closed() && e.queue.Len() == 0 {
 				return
 			}
-			if e.stopped.Load() {
-				return
-			}
-			idle.sleep()
+			idle.Park(gen)
 			continue
 		}
-		idle.reset()
 		f := fly[0]
 		fly = fly[1:]
 		if e.completeGPU(f) {
@@ -314,6 +289,8 @@ func (e *Engine) completeGPU(f gpuInflightEntry) (hung bool) {
 			r.stats.tasksGPU.Add(1)
 		}
 	}
-	e.gpuInflight.Add(-1)
+	if e.gpuInflight.Add(-1) == 0 {
+		e.queue.Wake() // part of a CPU worker's exit condition
+	}
 	return timedOut
 }

@@ -307,7 +307,7 @@ func (s *ColumnStore) Rebase(idx int64) {
 // forward; releasing an already released range is a no-op; releasing past
 // End panics. Call this *before* the row ring's Release for the same
 // range: the writer blocks on row-ring space, so columns released first
-// guarantee Append always has room when the row Put succeeds.
+// guarantee Append always has room when the row TryPut succeeds.
 func (s *ColumnStore) Release(upTo int64) {
 	for {
 		cur := s.start.Load()

@@ -31,7 +31,7 @@ func (b *Buffer) InvariantName() string {
 
 // CheckInvariants verifies, race-safely, that
 //
-//   - start and end never move backwards (Put and Release are monotonic),
+//   - start and end never move backwards (TryPut and Release are monotonic),
 //   - start <= end (loading start before end: start only grows, so the
 //     later-loaded end can only exceed the earlier-loaded start), and
 //   - end - start <= capacity, i.e. the writer never overruns unreleased

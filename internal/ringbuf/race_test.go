@@ -134,7 +134,7 @@ func TestConcurrentWrapReadRelease(t *testing.T) {
 	}
 
 	// Writer: seeded variable-size records, some larger than half the
-	// buffer's remaining space so Put's backpressure path runs.
+	// buffer's remaining space so the writer waits for releases.
 	rnd := rand.New(rand.NewSource(1))
 	var total int64
 	buf := make([]byte, 512)
@@ -142,7 +142,7 @@ func TestConcurrentWrapReadRelease(t *testing.T) {
 		n := 1 + rnd.Intn(len(buf))
 		rec := buf[:n]
 		fillPattern(rec, total)
-		off := b.Put(rec)
+		off := put(b, rec)
 		if off != total {
 			t.Fatalf("record %d written at offset %d, want %d", i, off, total)
 		}
@@ -172,12 +172,12 @@ func TestConcurrentWrapReadRelease(t *testing.T) {
 // before the physical end does not count, a write that crosses it does.
 func TestWrapsCounter(t *testing.T) {
 	b := MustNew(8)
-	b.Put([]byte{1, 2, 3, 4, 5, 6})
+	put(b, []byte{1, 2, 3, 4, 5, 6})
 	if b.Wraps() != 0 {
 		t.Fatalf("wraps = %d before any wrap", b.Wraps())
 	}
 	b.Release(6)
-	b.Put([]byte{7, 8, 9, 10}) // crosses offset 8
+	put(b, []byte{7, 8, 9, 10}) // crosses offset 8
 	if b.Wraps() != 1 {
 		t.Fatalf("wraps = %d after wrapping write", b.Wraps())
 	}

@@ -19,7 +19,7 @@ import (
 
 // Buffer is a single-writer, multi-reader circular byte buffer.
 //
-// Writer-only methods: Put, TryPut, End.
+// Writer-only methods: TryPut (never blocks), End.
 // Any-thread methods: Slice, CopyTo, Release, Start, Size.
 type Buffer struct {
 	data []byte
@@ -89,23 +89,6 @@ func (b *Buffer) TryPut(p []byte) (int64, bool) {
 	// Release-store: publish the bytes before moving the end pointer.
 	b.end.Store(end + int64(len(p)))
 	return end, true
-}
-
-// Put appends p, spinning until space is available (space appears when the
-// result stage releases processed data). It returns the absolute offset of
-// the first written byte. Only the writer goroutine may call Put. If p is
-// larger than the whole buffer, Put panics: it could never succeed.
-func (b *Buffer) Put(p []byte) int64 {
-	if len(p) > len(b.data) {
-		panic(fmt.Sprintf("ringbuf: Put of %d bytes exceeds capacity %d", len(p), len(b.data)))
-	}
-	for {
-		if off, ok := b.TryPut(p); ok {
-			return off
-		}
-		// Backpressure: the dispatcher stalls until workers free space.
-		spinYield()
-	}
 }
 
 func (b *Buffer) copyIn(off int64, p []byte) {

@@ -3,6 +3,7 @@ package ringbuf
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -29,9 +30,20 @@ func TestMustNewPanics(t *testing.T) {
 	MustNew(3)
 }
 
+// put appends p the way a writer without a wake signal must: TryPut,
+// yielding until a concurrent releaser has made room.
+func put(b *Buffer, p []byte) int64 {
+	for {
+		if off, ok := b.TryPut(p); ok {
+			return off
+		}
+		runtime.Gosched()
+	}
+}
+
 func TestPutSliceRelease(t *testing.T) {
 	b := MustNew(16)
-	off := b.Put([]byte("hello"))
+	off := put(b, []byte("hello"))
 	if off != 0 {
 		t.Fatalf("first Put offset = %d", off)
 	}
@@ -50,9 +62,9 @@ func TestPutSliceRelease(t *testing.T) {
 
 func TestWrapAround(t *testing.T) {
 	b := MustNew(8)
-	b.Put([]byte("abcdef")) // offsets 0..6
+	put(b, []byte("abcdef")) // offsets 0..6
 	b.Release(6)
-	off := b.Put([]byte("wxyz")) // offsets 6..10, wraps at 8
+	off := put(b, []byte("wxyz")) // offsets 6..10, wraps at 8
 	if off != 6 {
 		t.Fatalf("offset = %d, want 6", off)
 	}
@@ -71,7 +83,7 @@ func TestWrapAround(t *testing.T) {
 
 func TestContiguousFastPath(t *testing.T) {
 	b := MustNew(8)
-	b.Put([]byte("abcd"))
+	put(b, []byte("abcd"))
 	p, ok := b.Contiguous(1, 3)
 	if !ok || string(p) != "bc" {
 		t.Fatalf("Contiguous = %q, %v", p, ok)
@@ -92,19 +104,19 @@ func TestTryPutFullBuffer(t *testing.T) {
 	}
 }
 
-func TestPutTooLargePanics(t *testing.T) {
+func TestTryPutTooLarge(t *testing.T) {
 	b := MustNew(8)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Put larger than capacity did not panic")
-		}
-	}()
-	b.Put(make([]byte, 9))
+	if _, ok := b.TryPut(make([]byte, 9)); ok {
+		t.Fatal("TryPut larger than capacity succeeded")
+	}
+	if b.End() != 0 {
+		t.Fatalf("rejected TryPut moved end to %d", b.End())
+	}
 }
 
 func TestReleaseBackwardsNoop(t *testing.T) {
 	b := MustNew(8)
-	b.Put([]byte("abcd"))
+	put(b, []byte("abcd"))
 	b.Release(3)
 	b.Release(1) // backwards: no-op
 	if b.Start() != 3 {
@@ -114,7 +126,7 @@ func TestReleaseBackwardsNoop(t *testing.T) {
 
 func TestReleasePastEndPanics(t *testing.T) {
 	b := MustNew(8)
-	b.Put([]byte("ab"))
+	put(b, []byte("ab"))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Release past end did not panic")
@@ -125,7 +137,7 @@ func TestReleasePastEndPanics(t *testing.T) {
 
 func TestSliceValidation(t *testing.T) {
 	b := MustNew(8)
-	b.Put([]byte("abcd"))
+	put(b, []byte("abcd"))
 	b.Release(2)
 	for _, c := range [][2]int64{{0, 1}, {3, 5}, {3, 2}} {
 		func() {
@@ -158,7 +170,7 @@ func TestFIFOProperty(t *testing.T) {
 					read = end
 					b.Release(end)
 				}
-				b.Put(chunk)
+				put(b, chunk)
 				want = append(want, chunk...)
 			}
 		}
@@ -189,7 +201,7 @@ func TestConcurrentProducerConsumer(t *testing.T) {
 			if sent+n > total {
 				n = total - sent
 			}
-			b.Put(src[sent : sent+n])
+			put(b, src[sent:sent+n])
 			sent += n
 		}
 	}()
@@ -199,7 +211,7 @@ func TestConcurrentProducerConsumer(t *testing.T) {
 	for int(read) < total {
 		end := b.End()
 		if end == read {
-			spinYield()
+			runtime.Gosched()
 			continue
 		}
 		got = b.CopyTo(got, read, end)
@@ -218,7 +230,7 @@ func BenchmarkPutRelease(b *testing.B) {
 	b.SetBytes(int64(len(chunk)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		off := buf.Put(chunk)
+		off := put(buf, chunk)
 		buf.Release(off + int64(len(chunk)))
 	}
 }

@@ -53,6 +53,13 @@ type Breaker struct {
 	openedAt time.Time
 	probeOut bool // a half-open probe is in flight
 
+	// Notify, when set, is called outside the lock after the breaker
+	// opens or closes — HLS routes CPU workers by the state — and when an
+	// open breaker's cool-down elapses, so a parked GPGPU worker can take
+	// the half-open probe. The engine wakes its parked workers with it.
+	// Set before concurrent use.
+	Notify func()
+
 	// Telemetry.
 	opens    atomic.Int64
 	closes   atomic.Int64
@@ -106,6 +113,12 @@ func (b *Breaker) Acquire() (allow, probe bool) {
 	}
 }
 
+func (b *Breaker) notify() {
+	if b.Notify != nil {
+		b.Notify()
+	}
+}
+
 // CancelProbe returns an unused probe grant (the worker acquired it but
 // found no task to submit). A grant already invalidated by a transition
 // out of half-open is ignored, so a stale cancel can never release a
@@ -129,12 +142,16 @@ func (b *Breaker) RecordSuccess(probe bool) {
 		return
 	}
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.consec = 0
 	b.probeOut = false
-	if b.state != BreakerClosed {
+	changed := b.state != BreakerClosed
+	if changed {
 		b.state = BreakerClosed
 		b.closes.Add(1)
+	}
+	b.mu.Unlock()
+	if changed {
+		b.notify()
 	}
 }
 
@@ -153,18 +170,18 @@ func (b *Breaker) RecordFailure(probe bool) {
 		return
 	}
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.consec++
-	switch {
-	case b.state == BreakerHalfOpen:
+	changed := b.state == BreakerHalfOpen || (b.state == BreakerClosed && b.consec >= b.threshold)
+	if changed {
 		b.state = BreakerOpen
 		b.openedAt = time.Now()
 		b.opens.Add(1)
 		b.probeOut = false
-	case b.state == BreakerClosed && b.consec >= b.threshold:
-		b.state = BreakerOpen
-		b.openedAt = time.Now()
-		b.opens.Add(1)
+	}
+	b.mu.Unlock()
+	if changed {
+		b.notify()
+		time.AfterFunc(b.cooldown, b.notify)
 	}
 }
 

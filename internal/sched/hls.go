@@ -69,8 +69,16 @@ func (h *HLS) Grow(n int) {
 func (h *HLS) Name() string { return "hls" }
 
 // Next implements Policy with Alg. 1. It returns nil when no queued task
-// should run on p yet (the worker re-invokes after a short wait, which
-// plays the role of the algorithm's implicit re-entry).
+// should run on p yet. The worker then parks until one of the inputs of
+// this decision changes, and re-invokes Next — the algorithm's implicit
+// re-entry. The wake events are:
+//
+//   - a queue change: Push, Requeue, Close, or a Select that removes a
+//     task (streaks and the delay planned ahead move with it);
+//   - a matrix observation or SetPhi (Matrix.Notify): the rates decide
+//     the preferred processor and the delay estimates;
+//   - a breaker transition (Breaker.Notify): while it is not closed every
+//     task routes to the CPU class.
 func (h *HLS) Next(q *task.Queue, p Processor) *task.Task {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -61,6 +61,11 @@ type Matrix struct {
 	// throughput: the CPU class completes tasks on every core in
 	// parallel, the GPGPU across its pipeline depth.
 	capacity [numProcs]float64
+
+	// Notify, when set, is called after every observation and SetPhi:
+	// both can change which processor a policy prefers, so the engine
+	// wakes its parked workers with it. Set before concurrent use.
+	Notify func()
 }
 
 // fit is the EWMA-moment linear regression of service time on task
@@ -150,7 +155,16 @@ func (m *Matrix) Grow(n int) {
 // SetPhi publishes the engine's current task size so Rate evaluates the
 // service-time fits at the ϕ tasks will actually have — not the sizes
 // past observations happened to carry. 0 disables ϕ-aware rates.
-func (m *Matrix) SetPhi(phi int) { m.phi.Store(int64(phi)) }
+func (m *Matrix) SetPhi(phi int) {
+	m.phi.Store(int64(phi))
+	m.notify()
+}
+
+func (m *Matrix) notify() {
+	if m.Notify != nil {
+		m.Notify()
+	}
+}
 
 // Phi returns the task size the matrix currently evaluates rates at.
 func (m *Matrix) Phi() int { return int(m.phi.Load()) }
@@ -171,7 +185,6 @@ func (m *Matrix) ObserveSized(q int, p Processor, bytes int64, serviceSeconds fl
 	}
 	rate := m.capacity[p] / serviceSeconds
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if bytes > 0 {
 		m.fits[q][p].observe(m.alpha, float64(bytes), serviceSeconds)
 	}
@@ -179,9 +192,11 @@ func (m *Matrix) ObserveSized(q int, p Processor, bytes int64, serviceSeconds fl
 		// First real observation replaces the uniform prior outright.
 		m.rows[q][p] = rate
 		m.seen[q][p] = true
-		return
+	} else {
+		m.rows[q][p] = m.alpha*rate + (1-m.alpha)*m.rows[q][p]
 	}
-	m.rows[q][p] = m.alpha*rate + (1-m.alpha)*m.rows[q][p]
+	m.mu.Unlock()
+	m.notify()
 }
 
 // SeedRates primes query q's row with rates carried over from a

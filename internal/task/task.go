@@ -3,7 +3,9 @@
 package task
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"saber/internal/exec"
 	"saber/internal/obs"
@@ -44,6 +46,47 @@ type Task struct {
 	Trace *obs.TaskTrace
 }
 
+// Signal parks goroutines until the next Fire. A waiter reads Gen before
+// it checks the condition it waits for and passes the value to Park: a
+// Fire after that read ends the park even if it came before Park, so no
+// wake-up is lost.
+type Signal struct {
+	gen    atomic.Uint64
+	mu     sync.Mutex
+	parked []chan struct{}
+}
+
+// Gen returns the current generation.
+func (s *Signal) Gen() uint64 { return s.gen.Load() }
+
+// Park waits for the first Fire after generation gen.
+func (s *Signal) Park(gen uint64) {
+	s.mu.Lock()
+	if s.gen.Load() != gen {
+		s.mu.Unlock()
+		return
+	}
+	ch := make(chan struct{})
+	s.parked = append(s.parked, ch)
+	s.mu.Unlock()
+	<-ch
+}
+
+// Fire starts a new generation and wakes the n longest-parked waiters,
+// or all of them when n < 0.
+func (s *Signal) Fire(n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.gen.Add(1)
+	if n < 0 || n > len(s.parked) {
+		n = len(s.parked)
+	}
+	for _, ch := range s.parked[:n] {
+		close(ch)
+	}
+	s.parked = slices.Delete(s.parked, 0, n)
+}
+
 // Queue is the system-wide query task queue. Workers remove tasks through
 // a scheduling policy that may inspect (look ahead into) the queue, so the
 // queue exposes an indexed snapshot under its lock rather than just
@@ -52,6 +95,7 @@ type Queue struct {
 	mu     sync.Mutex
 	items  []*Task
 	closed bool
+	idle   [2]Signal // per worker class: sched.CPU, sched.GPU
 }
 
 // NewQueue creates an empty queue.
@@ -65,6 +109,7 @@ func (q *Queue) Push(t *Task) {
 		panic("task: Push on closed queue")
 	}
 	q.items = append(q.items, t)
+	q.fireLocked()
 }
 
 // PushOpen appends a task unless the queue has closed, reporting whether
@@ -80,6 +125,7 @@ func (q *Queue) PushOpen(t *Task) bool {
 		return false
 	}
 	q.items = append(q.items, t)
+	q.fireLocked()
 	return true
 }
 
@@ -93,9 +139,8 @@ func (q *Queue) PushOpen(t *Task) bool {
 func (q *Queue) Requeue(t *Task) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.items = append(q.items, nil)
-	copy(q.items[1:], q.items)
-	q.items[0] = t
+	q.items = slices.Insert(q.items, 0, t)
+	q.fireLocked()
 }
 
 // Close marks the queue as draining: no more pushes will happen.
@@ -103,6 +148,34 @@ func (q *Queue) Close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true
+	q.fireLocked()
+}
+
+// Idle returns the signal idle workers of class c park on. Every mutation
+// and Wake fire it, waking one parked worker of each class: workers of
+// one class get the same answer from a policy, and one that takes a task
+// fires again while tasks remain. On a closed queue every parked worker
+// wakes to see its exit condition; an open empty queue fires nothing, as
+// only a Push can matter then.
+func (q *Queue) Idle(c int) *Signal { return &q.idle[c] }
+
+// Wake fires the Idle signals for an outside change to a policy's inputs.
+func (q *Queue) Wake() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.fireLocked()
+}
+
+func (q *Queue) fireLocked() {
+	n := 1
+	if q.closed {
+		n = -1
+	} else if len(q.items) == 0 {
+		return
+	}
+	for i := range q.idle {
+		q.idle[i].Fire(n)
+	}
 }
 
 // Closed reports whether the queue is draining.
@@ -131,6 +204,7 @@ func (q *Queue) Select(fn func(items []*Task) int) *Task {
 	}
 	t := q.items[i]
 	q.items = append(q.items[:i], q.items[i+1:]...)
+	q.fireLocked()
 	return t
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestQueueFIFOUnderConcurrency: with concurrent producers, a single
@@ -109,4 +110,153 @@ func TestSelectNegativeKeepsQueue(t *testing.T) {
 	if q.Len() != 1 {
 		t.Fatal("task lost")
 	}
+}
+
+// TestQueueWakeContract: a mutation starts a new generation of every
+// class's Idle signal, so a worker that read the generation before asking
+// the policy cannot park through it — the no-lost-wakeup rule. An open
+// empty queue fires nothing: no worker can be waiting on it for anything
+// but a Push.
+func TestQueueWakeContract(t *testing.T) {
+	push := func(n int) func(*Queue) {
+		return func(q *Queue) {
+			for i := 0; i < n; i++ {
+				q.Push(&Task{ID: int64(i)})
+			}
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		setup func(*Queue)
+		op    func(*Queue)
+		fires bool
+	}{
+		{"Push", nil, push(1), true},
+		{"PushOpen", nil, func(q *Queue) { q.PushOpen(&Task{}) }, true},
+		{"Requeue", nil, func(q *Queue) { q.Requeue(&Task{}) }, true},
+		{"Requeue on a closed queue", func(q *Queue) { q.Close() }, func(q *Queue) { q.Requeue(&Task{}) }, true},
+		{"Close", nil, func(q *Queue) { q.Close() }, true},
+		{"Select removing, tasks left", push(2), func(q *Queue) { q.PopHead() }, true},
+		{"Select removing the last task of a closed queue", func(q *Queue) { push(1)(q); q.Close() }, func(q *Queue) { q.PopHead() }, true},
+		{"Wake with tasks queued", push(1), func(q *Queue) { q.Wake() }, true},
+		{"Select removing the last task", push(1), func(q *Queue) { q.PopHead() }, false},
+		{"Select declining", push(1), func(q *Queue) { q.Select(func([]*Task) int { return -1 }) }, false},
+		{"Wake on an open empty queue", nil, func(q *Queue) { q.Wake() }, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			q := NewQueue()
+			if c.setup != nil {
+				c.setup(q)
+			}
+			cpu, gpu := q.Idle(0), q.Idle(1)
+			gc, gg := cpu.Gen(), gpu.Gen()
+			c.op(q)
+			if got := cpu.Gen() != gc; got != c.fires {
+				t.Fatalf("class 0 fired = %v, want %v", got, c.fires)
+			}
+			if got := gpu.Gen() != gg; got != c.fires {
+				t.Fatalf("class 1 fired = %v, want %v", got, c.fires)
+			}
+		})
+	}
+}
+
+// TestPushOpenClosedChangesNothing: a refused PushOpen neither queues the
+// task nor wakes anyone.
+func TestPushOpenClosedChangesNothing(t *testing.T) {
+	q := NewQueue()
+	q.Close()
+	idle := q.Idle(0)
+	g := idle.Gen()
+	if q.PushOpen(&Task{}) {
+		t.Fatal("PushOpen accepted a task on a closed queue")
+	}
+	if q.Len() != 0 {
+		t.Fatalf("Len = %d after a refused PushOpen", q.Len())
+	}
+	if idle.Gen() != g {
+		t.Fatal("a refused PushOpen fired the idle signal")
+	}
+}
+
+// parkN parks n goroutines on s at its current generation and returns a
+// channel that receives once per goroutine that wakes, after all have
+// parked.
+func parkN(t *testing.T, s *Signal, n int) <-chan struct{} {
+	t.Helper()
+	woke := make(chan struct{}, n)
+	g := s.Gen()
+	for i := 0; i < n; i++ {
+		go func() {
+			s.Park(g)
+			woke <- struct{}{}
+		}()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.mu.Lock()
+		parked := len(s.parked)
+		s.mu.Unlock()
+		if parked == n {
+			return woke
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d goroutines parked", parked, n)
+		}
+		runtime.Gosched()
+	}
+}
+
+// expectWakes waits for want wake-ups on woke, then checks no more come.
+func expectWakes(t *testing.T, woke <-chan struct{}, want int, what string) {
+	t.Helper()
+	for i := 0; i < want; i++ {
+		select {
+		case <-woke:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: %d of %d waiters woke", what, i, want)
+		}
+	}
+	select {
+	case <-woke:
+		t.Fatalf("%s: more than %d waiters woke", what, want)
+	case <-time.After(20 * time.Millisecond):
+	}
+}
+
+// TestQueueWakesOnePerClass: a change on an open queue wakes one parked
+// worker of each class, not every parked worker; Close wakes them all.
+func TestQueueWakesOnePerClass(t *testing.T) {
+	q := NewQueue()
+	cpu := parkN(t, q.Idle(0), 3)
+	gpu := parkN(t, q.Idle(1), 1)
+	q.Push(&Task{})
+	expectWakes(t, cpu, 1, "Push, class 0")
+	expectWakes(t, gpu, 1, "Push, class 1")
+	q.Close()
+	expectWakes(t, cpu, 2, "Close, class 0")
+}
+
+// TestSignalPark: a stale generation never parks; Fire(n) wakes the n
+// longest-parked waiters and Fire(-1) all of them.
+func TestSignalPark(t *testing.T) {
+	var s Signal
+	g := s.Gen()
+	s.Fire(1)
+	returned := make(chan struct{})
+	go func() {
+		s.Park(g) // a Fire came after g: must not park
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Park with a stale generation parked")
+	}
+
+	woke := parkN(t, &s, 3)
+	s.Fire(1)
+	expectWakes(t, woke, 1, "Fire(1)")
+	s.Fire(-1)
+	expectWakes(t, woke, 2, "Fire(-1)")
 }
