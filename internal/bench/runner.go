@@ -114,7 +114,8 @@ func run(spec runSpec) runResult {
 		// At benchmark volumes (tens to hundreds of tasks per run) the
 		// engine's default threshold forces exploration so often that the
 		// GPGPU worker stalls waiting for busy CPU workers to reset the
-		// streak; 40 keeps exploration alive at ~2% of tasks.
+		// streak; 40 probe-lengths keep exploration alive at ≤ ~2% of
+		// the preferred processor's work.
 		cfg.SwitchThreshold = 40
 	}
 	eng := engine.New(cfg)

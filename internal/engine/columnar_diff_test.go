@@ -216,7 +216,10 @@ func TestColumnarDiffGPUFailover(t *testing.T) {
 	cfg := fastConfig(4)
 	cfg.GPU = dev
 	colOut, _ := runLayout(t, func() *query.Query { return projQuery(t) }, cfg,
-		func(h *Handle, eng *Engine) { insertResizing(h, eng, stream, 15, 21) })
+		func(h *Handle, eng *Engine) {
+			preferDevice(eng)
+			insertResizing(h, eng, stream, 15, 21)
+		})
 	dev.Close()
 
 	if inj.TotalInjections() == 0 {

@@ -45,7 +45,11 @@ type Config struct {
 	Policy string
 	// StaticAssign maps query index → processor for the static policy.
 	StaticAssign []sched.Processor
-	// SwitchThreshold is HLS's switch threshold. Default 10.
+	// SwitchThreshold is HLS's switch threshold in probe-lengths: a task
+	// is forced onto the non-preferred class once the preferred one has
+	// run this many of that class's per-task service times in a row
+	// (sched.HLS). At equal service times that is this many tasks.
+	// Default 10.
 	SwitchThreshold int
 	// MatrixAlpha is the EWMA weight of new throughput observations.
 	// Default 0.25.

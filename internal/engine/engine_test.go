@@ -344,8 +344,9 @@ func TestHybridUsesBothProcessors(t *testing.T) {
 }
 
 // TestHybridGroupedSlidingMatchesCPU: a grouped sliding aggregate with
-// windows much shorter than a task, run under HLS forced to alternate
-// processors, must emit per window the same rows as the CPU-only run.
+// windows much shorter than a task, run under HLS with a switch threshold
+// of one probe-length (so both processors run tasks), must emit per window
+// the same rows as the CPU-only run.
 // CPU workers render windows complete in their task into rows, the GPU
 // emits them as partials, and windows spanning tasks merge fragments
 // from both processors.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,6 +155,13 @@ func TestExactlyOnceConcurrentDelivery(t *testing.T) {
 	}
 }
 
+// preferDevice seeds query 0's GPU matrix column at an infinite rate,
+// which the EWMA never unlearns, so HLS keeps the device preferred and it
+// carries work on purpose. Natively the emulated device is several times
+// slower per task than the CPU workers, so HLS alone would only probe it
+// now and then. Call it after Start and before the first Insert.
+func preferDevice(e *Engine) { e.Matrix().SeedRates(0, 0, math.Inf(1)) }
+
 // TestGPUFailoverExactlyOnce: injected GPU kernel faults fail tasks over
 // to the CPU; the output must stay byte-identical to the fault-free
 // reference and every failover must be visible in the stats.
@@ -175,6 +183,7 @@ func TestGPUFailoverExactlyOnce(t *testing.T) {
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
+	preferDevice(eng)
 	stream := genStream(60000, 7)
 	h.Insert(stream)
 	eng.Drain()
@@ -221,6 +230,7 @@ func TestGPUHangTimeoutFailover(t *testing.T) {
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
+	preferDevice(eng)
 	stream := genStream(40000, 9)
 	h.Insert(stream)
 	eng.Drain()

@@ -231,6 +231,7 @@ func TestResizeDuringGPUFailover(t *testing.T) {
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
+	preferDevice(eng)
 	stream := genStream(60000, 35)
 	applied := insertResizing(h, eng, stream, 15, 21)
 	eng.Drain()

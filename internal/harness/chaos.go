@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"saber/internal/engine"
@@ -42,14 +43,15 @@ func ChaosScenarios(seed int64) []ChaosScenario {
 		out = append(out, ChaosScenario{Name: name, Cfg: cfg, Check: check})
 	}
 
-	// Hybrid base: jittered identity workload keeps both processor
-	// classes busy (and the queue deep enough that the device keeps
-	// receiving tasks to fail).
+	// Hybrid base: jittered identity workload with the device pinned
+	// preferred, so it receives every task until a fault fails one over
+	// to the CPU class.
 	hybrid := Config{
 		Workload:  WorkloadJitter,
 		Tuples:    25000,
 		Engine:    engine.Config{CPUWorkers: 4, TaskSize: 1024, SwitchThreshold: 3},
 		GPU:       true,
+		GPURate:   math.Inf(1),
 		MaxJitter: time.Millisecond,
 	}
 

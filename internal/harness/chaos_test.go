@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -64,6 +65,7 @@ func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 			BreakerCooldown:  2 * time.Millisecond,
 		},
 		GPU:       true,
+		GPURate:   math.Inf(1), // device traffic on purpose, not from HLS probes
 		MaxJitter: time.Millisecond,
 		Chaos:     inj,
 	})

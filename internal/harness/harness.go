@@ -81,6 +81,15 @@ type Config struct {
 	WindowSize int64
 	// GPU attaches a simulated GPGPU device (hybrid execution).
 	GPU bool
+	// GPURate, when positive, seeds every query's GPU throughput-matrix
+	// column at this many tasks/s once the engine starts, so HLS begins
+	// with the device preferred and it carries work on purpose (natively
+	// the device is several times slower per task, so HLS alone would
+	// only probe it now and then). +Inf survives the EWMA: the device
+	// stays preferred all run, and the CPU class takes failovers, retries
+	// and breaker-open degradation. A finite rate is unlearned as device
+	// completions arrive, flipping the preference to the CPU mid-stream.
+	GPURate float64
 	// MaxJitter bounds the jitter workload's per-fragment delay.
 	// Default 2ms.
 	MaxJitter time.Duration
@@ -289,9 +298,10 @@ func Run(cfg Config) (*Report, error) {
 	ecfg := cfg.Engine
 	var dev *gpu.Device
 	if cfg.GPU {
-		// The scaled model makes the simulated device fast enough to
-		// compete with unpadded CPU workers, so HLS keeps both classes
-		// busy and flips backends (as in the engine's hybrid tests).
+		// The scaled model strips the device's modelled latency, but its
+		// emulated kernels still run 4–14× slower per task than the
+		// unpadded CPU workers: GPURate is what gives it a share of the
+		// work beyond HLS's probes.
 		dev = gpu.Open(gpu.Config{SMs: 2, Model: model.Default().Scaled(1e-6), Fault: cfg.Chaos})
 		defer dev.Close()
 		ecfg.GPU = dev
@@ -342,6 +352,11 @@ func Run(cfg Config) (*Report, error) {
 
 	if err := eng.Start(); err != nil {
 		return nil, err
+	}
+	if cfg.GPURate > 0 {
+		for i := range runs {
+			eng.Matrix().SeedRates(i, 0, cfg.GPURate)
+		}
 	}
 
 	// Poll every invariant the engine aggregates — result stages, ring

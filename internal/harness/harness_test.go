@@ -75,7 +75,9 @@ func TestJitterForcesOverflow(t *testing.T) {
 
 // TestHybridBackendFlips runs the jittered workload over both processor
 // classes with a small switch threshold: HLS must keep flipping the
-// backend mid-stream without losing or duplicating a single tuple.
+// backend mid-stream without losing or duplicating a single tuple. The
+// device starts preferred on a seeded rate that its own completions
+// unlearn, so the preference itself flips to the CPU mid-stream too.
 func TestHybridBackendFlips(t *testing.T) {
 	rep := runClean(t, Config{
 		Seed:      Seed(303),
@@ -83,6 +85,7 @@ func TestHybridBackendFlips(t *testing.T) {
 		Tuples:    scale(8000, 30000),
 		Engine:    engine.Config{CPUWorkers: 4, TaskSize: 1024, ResultSlots: 8, SwitchThreshold: 3},
 		GPU:       true,
+		GPURate:   1e9,
 		MaxJitter: time.Millisecond,
 	})
 	if rep.TasksCPU == 0 || rep.TasksGPU == 0 {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -13,20 +14,22 @@ import (
 // order. For each task it determines the preferred processor from the
 // throughput matrix. The task is selected when
 //
-//   - p is preferred and the query's run streak on p is below the switch
-//     threshold, or
-//   - p is not preferred, but either the streak on the preferred
-//     processor reached the switch threshold (forcing exploration), or
+//   - p is preferred and no forced switch is due for the query, or
+//   - p is not preferred, but either a forced switch is due (the run
+//     streak on the preferred processor reached the switch threshold), or
 //     the work already queued ahead for the preferred processor delays
 //     this task by more than executing it here would take.
 //
 // Otherwise the task is planned for the other processor: its estimated
 // service time is added to that processor's accumulated delay and the
-// scan moves on. The switch threshold guarantees both matrix columns keep
-// receiving fresh observations.
+// scan moves on. The forced switch keeps both matrix columns receiving
+// fresh observations.
+//
+// Deviation from Alg. 1 (DESIGN §2): St counts probe-lengths, not tasks;
+// see probeAt. At equal per-task service times that is St tasks.
 type HLS struct {
 	C  *Matrix
-	St int // switch threshold
+	St int // switch threshold, in probe-lengths (see probeAt)
 	// MaxLookahead bounds how deep into the queue the scan reaches
 	// (0 = unbounded). The engine sets it below the result-buffer size so
 	// out-of-order execution stays within the reordering window.
@@ -106,13 +109,14 @@ func (h *HLS) Next(q *task.Queue, p Processor) *task.Task {
 		delay := 0.0
 		for pos, v := range items {
 			qi := v.Query
+			r, pref, otherSeen := h.C.Rates(qi)
 			if p == GPU && v.CPUOnly {
 				// A failed-over task never returns to the device; plan it
 				// for the CPU and keep scanning.
-				delay += 1 / h.C.Rate(qi, CPU)
+				delay += 1 / r[CPU]
 				continue
 			}
-			pref := h.C.Preferred(qi)
+			due := float64(h.count[qi][pref]) >= h.probeAt(r, pref, otherSeen)
 			// A pinned task (failed over to the CPU, or degraded there by an
 			// open breaker) must not be gated by the switch-threshold streak:
 			// the streak exists to keep the other matrix column fresh, and a
@@ -134,12 +138,12 @@ func (h *HLS) Next(q *task.Queue, p Processor) *task.Task {
 
 			selected := false
 			if p == pref {
-				selected = pinned || retry || h.count[qi][p] < h.St
+				selected = pinned || retry || !due
 			} else {
-				selected = retry || h.count[qi][pref] >= h.St || delay >= 1/h.C.Rate(qi, p)
+				selected = retry || due || delay >= 1/r[p]
 			}
 			if selected {
-				if p != pref && h.count[qi][pref] >= h.St {
+				if p != pref && due {
 					h.count[qi][pref] = 0 // reset after forced switch
 					h.flips.Add(1)
 				}
@@ -149,10 +153,34 @@ func (h *HLS) Next(q *task.Queue, p Processor) *task.Task {
 			}
 			// Planned for the preferred processor: accumulate the work
 			// queued ahead of it.
-			delay += 1 / h.C.Rate(qi, pref)
+			delay += 1 / r[pref]
 		}
 		return -1
 	})
+}
+
+// maxProbeRatio caps the ratio probeAt stretches St by, so even an
+// infinite rate leaves the other column a probe now and then.
+const maxProbeRatio = 1 << 16
+
+// probeAt returns the streak on pref at which a forced switch is due: St
+// probe-lengths, one being the other class's per-task service time
+// (capacity/ρ) in tasks of pref, so a probe costs at most 1/St of the
+// work pref did since the last one. It reads only the matrix, whose
+// observations already wake parked workers.
+func (h *HLS) probeAt(r [numProcs]float64, pref Processor, otherSeen bool) float64 {
+	other := pref ^ 1
+	switch {
+	case h.C.capacity[pref] == 0 || h.C.capacity[other] == 0:
+		return math.Inf(1) // a class without a device neither probes nor is probed
+	case !otherSeen:
+		return float64(h.St) // the uniform prior is no measurement
+	}
+	ratio := h.C.capacity[other] / r[other] * r[pref] / h.C.capacity[pref]
+	if !(ratio > 1) { // also NaN
+		ratio = 1
+	}
+	return float64(h.St) * min(ratio, maxProbeRatio)
 }
 
 // ResetCounts clears the per-query execution streaks (for tests).

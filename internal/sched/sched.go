@@ -242,16 +242,26 @@ func (m *Matrix) rate(q int, p Processor, phi float64) float64 {
 	return m.rows[q][p]
 }
 
-// Preferred returns the processor with the highest throughput for query
-// q at the current ϕ.
-func (m *Matrix) Preferred(q int) Processor {
+// Rates reads query q's row once: both rates at the current ϕ, the
+// preferred processor (ties go to the CPU), and whether the other
+// processor's column has been observed. HLS derives a task's delay and
+// probe interval from this single read.
+func (m *Matrix) Rates(q int) (r [numProcs]float64, pref Processor, otherSeen bool) {
 	phi := float64(m.phi.Load())
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if m.rate(q, GPU, phi) > m.rate(q, CPU, phi) {
-		return GPU
+	r = [numProcs]float64{m.rate(q, CPU, phi), m.rate(q, GPU, phi)}
+	if r[GPU] > r[CPU] {
+		pref = GPU
 	}
-	return CPU
+	return r, pref, m.seen[q][pref^1]
+}
+
+// Preferred returns the processor with the highest throughput for query
+// q at the current ϕ.
+func (m *Matrix) Preferred(q int) Processor {
+	_, pref, _ := m.Rates(q)
+	return pref
 }
 
 // Snapshot returns a copy of the matrix rows (for logging and tests).

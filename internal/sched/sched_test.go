@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"saber/internal/task"
@@ -92,37 +93,146 @@ func TestCPUWorkerTakesRetriedGPUTask(t *testing.T) {
 	}
 }
 
-// TestSwitchThresholdForcesExploration: after St runs on the preferred
-// processor, the task must go to the other one (and the streak resets).
-func TestSwitchThresholdForcesExploration(t *testing.T) {
-	m := NewMatrix(1, 1, 0.2, 1, 1)
-	m.rows[0] = [numProcs]float64{100, 1}
-	m.seen[0] = [numProcs]bool{true, true}
-	h := NewHLS(1, m, 3)
-
+// drive pushes n tasks of query 0 and hands each to the first of the two
+// processors whose HLS scan accepts it, returning the schedule. observe,
+// when set, runs after every selection (standing in for the completion
+// the engine would feed back into the matrix).
+func drive(t *testing.T, h *HLS, n int, first, second Processor, observe func(Processor)) []Processor {
+	t.Helper()
 	q := task.NewQueue()
-	for i := 0; i < 8; i++ {
+	for i := 0; i < n; i++ {
 		q.Push(&task.Task{Query: 0, ID: int64(i)})
 	}
 	var procs []Processor
 	for q.Len() > 0 {
-		if tk := h.Next(q, CPU); tk != nil {
-			procs = append(procs, CPU)
-			continue
+		p := first
+		if h.Next(q, first) == nil {
+			p = second
+			if h.Next(q, second) == nil {
+				t.Fatalf("both processors declined after %v", procs)
+			}
 		}
-		if tk := h.Next(q, GPU); tk != nil {
-			procs = append(procs, GPU)
-			continue
+		procs = append(procs, p)
+		if observe != nil {
+			observe(p)
 		}
-		t.Fatal("both processors declined")
 	}
+	return procs
+}
+
+// probes returns the schedule positions that ran on p.
+func probes(procs []Processor, p Processor) []int {
+	var at []int
+	for i, got := range procs {
+		if got == p {
+			at = append(at, i)
+		}
+	}
+	return at
+}
+
+// TestSwitchThresholdForcesExploration: at equal service times, after St
+// runs on the preferred processor the task must go to the other one (and
+// the streak resets) — Alg. 1's schedule, task for task.
+func TestSwitchThresholdForcesExploration(t *testing.T) {
+	m := NewMatrix(1, 1, 0.2, 1, 1)
+	m.SeedRates(0, 5, 5)
+	h := NewHLS(1, m, 3)
+	procs := drive(t, h, 8, CPU, GPU, nil)
 	// CPU preferred: three on CPU, then the threshold forces one to GPU,
 	// then the streak restarts.
 	want := []Processor{CPU, CPU, CPU, GPU, CPU, CPU, CPU, GPU}
-	for i := range want {
-		if procs[i] != want[i] {
-			t.Fatalf("schedule = %v, want %v", procs, want)
+	if !slices.Equal(procs, want) {
+		t.Fatalf("schedule = %v, want %v", procs, want)
+	}
+	if h.Flips() != 2 {
+		t.Fatalf("Flips() = %d, want 2", h.Flips())
+	}
+}
+
+// TestSwitchThresholdCountsProbeLengths: St counts probe-lengths. With
+// the GPU 100× slower per task, the first probe still comes after St
+// tasks — the GPU column is unobserved, its rate only the prior — and
+// once the probe's observation lands, the next ones come every St×100.
+func TestSwitchThresholdCountsProbeLengths(t *testing.T) {
+	m := NewMatrix(1, 1, 0.2, 1, 1)
+	m.SeedRates(0, 100, 0) // GPU column left at the prior, unseen
+	h := NewHLS(1, m, 3)
+	procs := drive(t, h, 3+1+300+1+300+1, CPU, GPU, func(p Processor) {
+		if p == GPU {
+			m.Observe(0, GPU, 1) // one task per second: 100× the CPU's service time
 		}
+	})
+	if got, want := probes(procs, GPU), []int{3, 304, 605}; !slices.Equal(got, want) {
+		t.Fatalf("GPU probes at %v, want %v", got, want)
+	}
+}
+
+// TestSwitchThresholdGPUPreferred: the CPU is the probed class when the
+// GPU is faster, and the interval follows per-task service time
+// (capacity/ρ), not class throughput: a 4-worker CPU class at 40 tasks/s
+// serves one task in 0.1 s against the device's 0.01 s, a 10× ratio,
+// although the throughput ratio is 2.5×.
+func TestSwitchThresholdGPUPreferred(t *testing.T) {
+	m := NewMatrix(1, 1, 0.2, 4, 1)
+	m.SeedRates(0, 40, 100)
+	h := NewHLS(1, m, 2)
+	procs := drive(t, h, 2*(20+1), GPU, CPU, nil)
+	if got, want := probes(procs, CPU), []int{20, 41}; !slices.Equal(got, want) {
+		t.Fatalf("CPU probes at %v, want %v", got, want)
+	}
+}
+
+// TestSwitchThresholdUnseenColumn: as long as the other column has no
+// observation, its prior does not stretch the interval — however slow the
+// prior makes it look, a probe comes every St tasks, so the first real
+// measurement is never starved.
+func TestSwitchThresholdUnseenColumn(t *testing.T) {
+	m := NewMatrix(1, 1, 0.2, 1, 1)
+	m.SeedRates(0, 1000, 0)
+	h := NewHLS(1, m, 3)
+	if got, want := probes(drive(t, h, 12, CPU, GPU, nil), GPU), []int{3, 7, 11}; !slices.Equal(got, want) {
+		t.Fatalf("GPU probes at %v, want %v", got, want)
+	}
+}
+
+// TestSwitchThresholdNoDevice: a class without capacity (no device
+// attached) never forces a switch either way. The CPU keeps taking its
+// preferred tasks past St, and still declines a GPU-preferred task whose
+// streak is zero (it waits for an observation instead).
+func TestSwitchThresholdNoDevice(t *testing.T) {
+	m := NewMatrix(1, 1000, 0.2, 1, 0)
+	m.SeedRates(0, 1000, 100)
+	h := NewHLS(1, m, 3)
+	q := task.NewQueue()
+	for i := 0; i < 10; i++ {
+		q.Push(&task.Task{Query: 0, ID: int64(i)})
+	}
+	for q.Len() > 0 {
+		if h.Next(q, CPU) == nil {
+			t.Fatalf("CPU declined its preferred task with %d queued and no device", q.Len())
+		}
+	}
+
+	m.SeedRates(0, 100, 1000) // GPU preferred, but there is no GPU
+	q.Push(&task.Task{Query: 0, ID: 10})
+	if got := h.Next(q, CPU); got != nil {
+		t.Fatalf("no-device GPU column forced a switch to the CPU: %+v", got)
+	}
+}
+
+// TestProbeAtClampsDegenerateRatios: an infinite rate on the preferred
+// class caps the interval at maxProbeRatio probe-lengths, and a NaN ratio
+// (two infinite rates) falls back to plain St.
+func TestProbeAtClampsDegenerateRatios(t *testing.T) {
+	m := NewMatrix(1, 1, 0.2, 1, 1)
+	h := NewHLS(1, m, 3)
+	inf := math.Inf(1)
+	if got := h.probeAt([numProcs]float64{inf, 1}, CPU, true); got != 3*maxProbeRatio {
+		t.Fatalf("infinite preferred rate: probe at %g, want %d", got, 3*maxProbeRatio)
+	}
+	if got := h.probeAt([numProcs]float64{inf, inf}, CPU, true); got != 3 {
+		t.Fatalf("NaN ratio: probe at %g, want 3", got)
 	}
 }
 
