@@ -191,7 +191,7 @@ func (r *registered) insert(side int, data []byte) {
 	if len(data) == 0 || r.dropped.Load() {
 		return
 	}
-	start := time.Now()
+	start := r.padStart()
 	in := r.ins[side]
 	if len(data)%in.tupleSize != 0 {
 		panic("engine: Insert data must be whole tuples")
@@ -278,6 +278,15 @@ func (r *registered) cutFull() {
 	}
 	for r.pendingBytes(0)+r.pendingBytes(1) >= r.e.taskSize.Load() && r.cutPair(false) {
 	}
+}
+
+// padStart stamps the start of an Insert for pad: the zero time when
+// padding is disabled, so a native run reads no clock per Insert.
+func (r *registered) padStart() time.Time {
+	if r.e.cfg.DisablePad {
+		return time.Time{}
+	}
+	return time.Now()
 }
 
 // pad holds an Insert of n bytes that began at start to the model's
@@ -572,7 +581,7 @@ func (r *registered) tryInsert(side int, data []byte) bool {
 	if len(data) == 0 {
 		return true
 	}
-	start := time.Now()
+	start := r.padStart()
 	in := r.ins[side]
 	if len(data)%in.tupleSize != 0 {
 		panic("engine: Insert data must be whole tuples")

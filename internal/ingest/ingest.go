@@ -14,9 +14,18 @@
 // (ringbuf.ColumnStore), while the frame is still hot in cache. From
 // that point tasks, operators and the GPGPU DMA stage consume dense
 // column views; no later stage re-gathers rows (see DESIGN.md §11).
+//
+// A frame costs one syscall at each end. The client writes header and
+// payload with one writev. The server reads each connection through one
+// fixed read buffer, so one read takes as many frames as the socket
+// holds, and a frame that fits the buffer is handed to the sink straight
+// out of it. The read deadline is re-armed before every read syscall, not
+// every frame. A frame still reaches the sink only once its payload is
+// read in full.
 package ingest
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -51,8 +60,20 @@ const closeGrace = 250 * time.Millisecond
 // once, so this only absorbs a handshake still in flight.
 const acceptPoll = 5 * time.Millisecond
 
+// readBufSize is the server's read buffer per connection. A frame of up
+// to this size is handed to the sink straight out of the buffer; a larger
+// one is read into a side buffer grown to fit.
+const readBufSize = 256 << 10
+
 // Sink receives whole-tuple payloads in arrival order. A query handle's
 // Insert method satisfies it.
+//
+// The server calls Insert once per frame, with that frame's whole payload
+// (after a resume trim), in wire order, and reads nothing further from
+// the connection until Insert returns. A frame that dies partway is never
+// delivered. data is valid only during the call: it points into the
+// server's read buffer, whose memory the next frames reuse, so a sink
+// that keeps the bytes must copy them before it returns.
 type Sink interface {
 	Insert(data []byte)
 }
@@ -410,17 +431,22 @@ func (s *Server) handle(conn net.Conn) error {
 		pendingGrant = 0
 		return nil
 	}
-	var hdr [resumeHeaderSize]byte
-	buf := make([]byte, 64<<10)
+	br := bufio.NewReaderSize(deadlineReader{s, conn}, readBufSize)
+	var big []byte // frames larger than the read buffer, grown to fit
 	for {
-		s.armDeadline(conn)
-		if _, err := io.ReadFull(conn, hdr[:hdrLen]); err != nil {
-			if errors.Is(err, io.EOF) {
+		hdr, err := br.Peek(hdrLen)
+		if err != nil {
+			if len(hdr) == 0 && errors.Is(err, io.EOF) {
 				return nil
 			}
-			return err
+			return err // a truncated header ends the connection as an error
 		}
 		n := int(binary.LittleEndian.Uint32(hdr[:4]))
+		var off int64
+		if s.resume {
+			off = int64(binary.LittleEndian.Uint64(hdr[4:12]))
+		}
+		_, _ = br.Discard(hdrLen) // buffered: cannot fail
 		switch {
 		case n == 0:
 			// A zero-length frame carries no tuples; tolerate it as a
@@ -434,30 +460,30 @@ func (s *Server) handle(conn net.Conn) error {
 			s.raggedFrames.Add(1)
 			return fmt.Errorf("ingest: frame of %d bytes is not whole %d-byte tuples", n, s.tupleSize)
 		}
-		if cap(buf) < n {
-			buf = make([]byte, n)
+		var payload []byte
+		if n <= readBufSize {
+			payload, err = br.Peek(n)
+		} else {
+			if cap(big) < n {
+				big = make([]byte, n)
+			}
+			payload = big[:n]
+			_, err = io.ReadFull(br, payload)
 		}
-		buf = buf[:n]
-		s.armDeadline(conn)
-		if _, err := io.ReadFull(conn, buf); err != nil {
+		if err != nil {
 			return fmt.Errorf("ingest: truncated frame: %w", err)
 		}
 		s.bytesIn.Add(int64(n))
 		s.framesIn.Add(1)
-		payload := buf
+		tuples := int64(n / s.tupleSize)
 		if s.resume {
 			// The payload has been consumed from the wire whatever the
 			// verdict, so a discarded duplicate leaves the stream aligned.
-			off := int64(binary.LittleEndian.Uint64(hdr[4:12]))
 			cur := s.cursor.Load()
-			end := off + int64(n/s.tupleSize)
 			switch {
-			case end <= cur:
+			case off+tuples <= cur:
 				s.resumeDups.Add(1)
-				if err := grant(int64(n / s.tupleSize)); err != nil {
-					return err
-				}
-				continue
+				payload = nil
 			case off > cur:
 				s.resumeGaps.Add(1)
 				return fmt.Errorf("ingest: resume frame at tuple %d leaves a gap (cursor %d)", off, cur)
@@ -465,25 +491,38 @@ func (s *Server) handle(conn net.Conn) error {
 				s.resumeTrims.Add(1)
 				payload = payload[(cur-off)*int64(s.tupleSize):]
 			}
+		}
+		if payload != nil {
 			s.sinkMu.Lock()
 			s.sink.Insert(payload)
-			s.cursor.Store(end)
-			s.sinkMu.Unlock()
-			if err := grant(int64(n / s.tupleSize)); err != nil {
-				return err
+			if s.resume {
+				s.cursor.Store(off + tuples)
 			}
-			continue
+			s.sinkMu.Unlock()
 		}
-		s.sinkMu.Lock()
-		s.sink.Insert(payload)
-		s.sinkMu.Unlock()
+		if n <= readBufSize {
+			_, _ = br.Discard(n) // peeked: cannot fail
+		}
 		// Granting after the sink returns ties the credit window to real
 		// downstream consumption: a sink blocked on engine admission stops
 		// the grant flow, and the sender pauses one window later.
-		if err := grant(int64(n / s.tupleSize)); err != nil {
+		if err := grant(tuples); err != nil {
 			return err
 		}
 	}
+}
+
+// deadlineReader re-arms the server's read deadline before every read
+// syscall on conn, so each read gets the full idle allowance (or the
+// close deadline) however many frames it returns.
+type deadlineReader struct {
+	s    *Server
+	conn net.Conn
+}
+
+func (r deadlineReader) Read(p []byte) (int, error) {
+	r.s.armDeadline(r.conn)
+	return r.conn.Read(p)
 }
 
 func (s *Server) armDeadline(conn net.Conn) {
@@ -513,6 +552,11 @@ type Client struct {
 	inj    *fault.Injector
 	resume bool
 	tsz    int
+
+	// frame and bufs hold the header and payload of the frame being
+	// sent, written with one writev; kept here so Send allocates nothing.
+	frame [2][]byte
+	bufs  net.Buffers
 
 	// Credit mode: window is the server's advertised window (tuples),
 	// balance the remaining spendable credits. balance may go negative —
@@ -643,10 +687,11 @@ func (c *Client) send(tuples []byte, off int64) error {
 	if d := c.inj.Stall(fault.IngestStall); d > 0 {
 		return c.abortMidFrame(hdr, tuples, d, fault.IngestStall)
 	}
-	if _, err := c.conn.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := c.conn.Write(tuples); err != nil {
+	// WriteTo returns once the whole frame is in the socket, and leaves
+	// both slots nil on success, so the payload is not kept.
+	c.frame = [2][]byte{hdr, tuples}
+	c.bufs = c.frame[:]
+	if _, err := c.bufs.WriteTo(c.conn); err != nil {
 		return err
 	}
 	if c.credits {
