@@ -4,7 +4,7 @@
 // expressions) and the statements that create and manage named sources,
 // continuous streams and sinks on a live engine.
 //
-// The statement grammar (DESIGN.md §14):
+// The statement grammar (DESIGN.md §13):
 //
 //	CREATE SOURCE <name> TYPE <gen|tcp> [WITH (k=v, ...)] ;
 //	CREATE SINK   <name> TYPE <null|file> [WITH (k=v, ...)] ;

@@ -21,7 +21,7 @@ import (
 // batch, DStream rows whose multiplicity shrank. The batch granularity
 // is the engine's result chunk, which aggregation assembly aligns to
 // window results; chunks spanning several windows diff coarser than the
-// per-window ideal — a documented approximation (DESIGN.md §14).
+// per-window ideal — a documented approximation (DESIGN.md §13).
 type emitter struct {
 	kind  bql.Emitter
 	isAgg bool

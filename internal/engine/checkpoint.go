@@ -1,7 +1,7 @@
 package engine
 
 // Epoch checkpointing and crash recovery (see internal/ckpt and DESIGN.md
-// §12). The coordinator snapshots each query at its result stage's drain
+// §11). The coordinator snapshots each query at its result stage's drain
 // frontier: because drainLocked merges results strictly in task-ID order
 // under drainMu, holding that lock gives a barrier B = next where the
 // committed output bytes, the assembler's pending windows and the input
@@ -254,13 +254,10 @@ func (r *registered) restore(qs ckpt.QuerySnap) error {
 			return fmt.Errorf("engine: checkpoint query %q input %d cursor %d not aligned to tuple size %d",
 				qs.Name, i, fr, in.tupleSize)
 		}
-		// Rebase the fresh ring (and column mirror) so the restored engine
-		// keeps the stream's absolute addressing: the first replayed byte
-		// lands at offset fr, exactly where the crashed engine had it.
+		// Rebase the fresh ring so the restored engine keeps the stream's
+		// absolute addressing: the first replayed byte lands at offset fr,
+		// exactly where the crashed engine had it.
 		in.ring.Rebase(fr)
-		if in.cols != nil {
-			in.cols.Rebase(fr / int64(in.tupleSize))
-		}
 		in.batchStart = fr
 		in.firstIndex = fr / int64(in.tupleSize)
 		in.prevTS = qs.Ins[i].PrevTS

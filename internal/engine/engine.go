@@ -426,11 +426,11 @@ func (e *Engine) Resume(name string) error {
 // Deregister drops a query from a running engine: concurrent inserts stop
 // admitting (their unadmitted remainder stays with the caller), buffered
 // residue is flushed as a final task, every outstanding task drains, open
-// windows flush to the sink, and the query's ring and column-store memory
-// is released. The table entry remains as a tombstone so sibling task
-// indices and scheduler rows stay valid; the name becomes reusable
-// immediately. Conservation holds at the drop boundary: everything
-// admitted was either emitted or accounted shed.
+// windows flush to the sink, and the query's ring memory is released.
+// The table entry remains as a tombstone so sibling task indices and
+// scheduler rows stay valid; the name becomes reusable immediately.
+// Conservation holds at the drop boundary: everything admitted was
+// either emitted or accounted shed.
 func (e *Engine) Deregister(name string) error {
 	e.regMu.Lock()
 	defer e.regMu.Unlock()

@@ -112,14 +112,13 @@ func (e *Engine) registerMirrors() {
 		reg.RegisterFunc("saber.gpu.pipeline.inflight", d.Inflight)
 		reg.RegisterFunc("saber.gpu.staging.hint", d.BatchHint)
 		reg.RegisterFunc("saber.gpu.staging.grows", d.StagingGrows)
-		reg.RegisterFunc("saber.gpu.gathers.elided", d.GathersElided)
 		registerFaultMirrors(reg, d.Injector(), "saber.fault.gpu")
 	}
 	registerFaultMirrors(reg, e.cfg.Fault, "saber.fault.cpu")
 }
 
-// registerQueryMirrors binds one query's snapshot-time mirrors: ring and
-// column-store gauges plus the result-stage drain counters. Called from
+// registerQueryMirrors binds one query's snapshot-time mirrors: ring
+// gauges plus the result-stage drain counters. Called from
 // registerMirrors at Start and directly when a query is registered on a
 // running engine.
 func (e *Engine) registerQueryMirrors(r *registered) {
@@ -134,7 +133,7 @@ func (e *Engine) registerQueryMirrors(r *registered) {
 	})
 }
 
-// bindBufferMirrors binds one query's ring and column-store gauges or,
+// bindBufferMirrors binds one query's ring gauges or,
 // with released set, rebinds them to zero functions, dropping the buffer
 // references the old closures captured (RegisterFunc replaces in place).
 // A dropped query's result-stage and rate mirrors stay bound.
@@ -146,23 +145,9 @@ func (e *Engine) bindBufferMirrors(r *registered, released bool) {
 		e.reg.RegisterFunc(name, fn)
 	}
 	for i := 0; i < r.plan.NumInputs(); i++ {
-		in := r.ins[i]
-		ring := in.ring
+		ring := r.ins[i].ring
 		bind(fmt.Sprintf("saber.engine.q%d.in%d.ring.wraps", r.idx, i), ring.Wraps)
 		bind(fmt.Sprintf("saber.engine.q%d.in%d.ring.bytes", r.idx, i), ring.Size)
-		if cs := in.cols; cs != nil {
-			// Columnar segment gauges: occupancy, wraps, per-column
-			// payload bytes, and how many tasks skipped the row gather.
-			pre := fmt.Sprintf("saber.ring.q%d.in%d", r.idx, i)
-			bind(pre+".col.tuples", cs.Tuples)
-			bind(pre+".col.wraps", cs.Wraps)
-			bind(pre+".gather.elided", in.colViews.Load)
-			bind(pre+".gather.copied", in.colCopies.Load)
-			for c := 0; c < cs.NumCols(); c++ {
-				c := c
-				bind(fmt.Sprintf("%s.col%d.bytes", pre, c), func() int64 { return cs.ColBytes(c) })
-			}
-		}
 	}
 }
 

@@ -30,9 +30,9 @@ type registered struct {
 	insMu sync.Mutex
 	ins   [2]*inputStream
 
-	// bufMu additionally guards the ins[i].ring and ins[i].cols POINTER
-	// fields (not their contents): release nils them under insMu+bufMu,
-	// so readers outside the dispatch path (watchdog, Debug) take the
+	// bufMu additionally guards the ins[i].ring POINTER field (not the
+	// ring's contents): release nils it under insMu+bufMu, so readers
+	// outside the dispatch path (watchdog, Debug) take the
 	// never-contended bufMu instead of insMu — which an admission wait
 	// can hold across its entire bounded backpressure loop.
 	bufMu sync.Mutex
@@ -110,16 +110,6 @@ func (r *registered) recentFailures() []error {
 type inputStream struct {
 	ring      *ringbuf.Buffer
 	tupleSize int
-	// cols mirrors the ring's retained window as per-field column
-	// segments (nil when the plan reads no columns). The dispatcher
-	// appends right after ring.TryPut accepts the same bytes; the result
-	// stage releases columns before the ring (see ringbuf.ColumnStore).
-	cols *ringbuf.ColumnStore
-	// colViews counts tasks handed zero-copy column views; colCopies
-	// counts the wrap fallback (one memcpy per column, still no per-tuple
-	// gather).
-	colViews  atomic.Int64
-	colCopies atomic.Int64
 	// batchStart is the ring offset of the first undispatched byte;
 	// firstIndex the absolute tuple index it corresponds to; prevTS the
 	// timestamp of the last tuple already dispatched.
@@ -151,27 +141,6 @@ func newRegistered(e *Engine, idx int, plan *exec.Plan, ov *overload.Config) *re
 			prevTS:    window.NoPrev,
 		}
 		r.ins[i].ring.SetInvariantName(fmt.Sprintf("ringbuf[q%d/in%d]", idx, i))
-		// Shred only the fields the compiled plan reads through column
-		// views (projection pushdown to ingest): the dispatcher-thread
-		// shred cost then scales with the query's working columns, and a
-		// plan that reads no columns at all — e.g. an identity-projection
-		// selection, which streams whole rows for its output anyway —
-		// skips the column store entirely.
-		read := plan.ColumnsRead(i)
-		any := false
-		for _, r := range read {
-			any = any || r
-		}
-		if any {
-			offs := make([]int, s.NumFields())
-			widths := make([]int, s.NumFields())
-			for f := range offs {
-				offs[f] = s.Offset(f)
-				widths[f] = s.Field(f).Type.Size()
-			}
-			r.ins[i].cols = ringbuf.MustNewColumnStore(offs, widths, read, s.TupleSize(),
-				e.cfg.InputBufferSize/s.TupleSize())
-		}
 	}
 	r.result = newResultStage(r, e.cfg.ResultSlots)
 	return r
@@ -254,12 +223,6 @@ func (r *registered) insert(side int, data []byte) {
 func (r *registered) admitted(in *inputStream, p []byte) {
 	if in.pendingSince == 0 {
 		in.pendingSince = time.Now().UnixNano()
-	}
-	if in.cols != nil {
-		// Shred into the column segments while the chunk is still hot in
-		// cache: ring admission is the capacity gate, so the append cannot
-		// overflow.
-		in.cols.Append(p)
 	}
 	r.stats.bytesIn.Add(int64(len(p)))
 	if !r.paused.Load() {
@@ -400,11 +363,11 @@ func (r *registered) overBudget(in *inputStream, need int64) bool {
 
 // shedOldestLocked cuts up to one ϕ of the oldest undispatched tuples on
 // side as a gap task delivered straight to the result stage: their ring
-// and column space is reclaimed in drain order, timestamp continuity is
-// preserved through the usual EndPrevTS bookkeeping, and the tuples are
-// counted shed — exactly the quarantine machinery, driven by policy
-// instead of failure. Called with insMu held; returns false when nothing
-// is undispatched.
+// space is reclaimed in drain order, timestamp continuity is preserved
+// through the usual EndPrevTS bookkeeping, and the tuples are counted
+// shed — exactly the quarantine machinery, driven by policy instead of
+// failure. Called with insMu held; returns false when nothing is
+// undispatched.
 func (r *registered) shedOldestLocked(side int) bool {
 	in := r.ins[side]
 	n := r.e.taskSize.Load() / int64(in.tupleSize)
@@ -482,9 +445,9 @@ func (r *registered) cutPair(tail bool) bool {
 
 // emit cuts tuples[i] tuples from each input and enqueues the task.
 // With shed set the task is a policy-shed gap: it is sequenced and
-// accounted like any other cut (ring/column release, timestamp
-// continuity, drain barrier) but delivered straight to the result stage
-// as a gap instead of being scheduled.
+// accounted like any other cut (ring release, timestamp continuity,
+// drain barrier) but delivered straight to the result stage as a gap
+// instead of being scheduled.
 func (r *registered) emit(tuples [2]int64, shed bool) {
 	t := &task.Task{
 		Query:   r.idx,
@@ -515,22 +478,7 @@ func (r *registered) emit(tuples [2]int64, shed bool) {
 				data = in.ring.CopyTo(nil, in.batchStart, end)
 			}
 		}
-		var cols [][]byte
-		if n > 0 && in.cols != nil {
-			// Hand the task dense per-field views of its tuple range:
-			// zero-copy when the range doesn't cross the segment boundary,
-			// one memcpy per column when it does. The view headers are
-			// per-task (they travel with it through retries), so Views
-			// gets a nil scratch.
-			if v, ok := in.cols.Views(nil, in.firstIndex, in.firstIndex+n); ok {
-				cols = v
-				in.colViews.Add(1)
-			} else {
-				cols = in.cols.CopyViews(nil, in.firstIndex, in.firstIndex+n)
-				in.colCopies.Add(1)
-			}
-		}
-		t.In[i] = exec.Batch{Data: data, Cols: cols, Ctx: window.Context{
+		t.In[i] = exec.Batch{Data: data, Ctx: window.Context{
 			FirstIndex:    in.firstIndex,
 			PrevTimestamp: in.prevTS,
 		}}
@@ -652,9 +600,9 @@ func (r *registered) awaitTaskBoundary() {
 
 // release frees a dropped query's buffer memory: the metric mirrors are
 // rebound to zero functions (dropping their captured ring pointers), then
-// the ring and column-store references are cut under insMu (dispatch
-// path) plus bufMu (watchdog/debug readers). The registered entry itself
-// stays as a tombstone.
+// the ring references are cut under insMu (dispatch path) plus bufMu
+// (watchdog/debug readers). The registered entry itself stays as a
+// tombstone.
 func (r *registered) release() {
 	r.e.bindBufferMirrors(r, true)
 	r.insMu.Lock()
@@ -662,7 +610,6 @@ func (r *registered) release() {
 	for i := 0; i < r.plan.NumInputs(); i++ {
 		if in := r.ins[i]; in != nil {
 			in.ring = nil
-			in.cols = nil
 		}
 	}
 	r.bufMu.Unlock()

@@ -303,15 +303,9 @@ func (rs *resultStage) drainLocked() {
 		}
 
 		// Release input data up to the task's free pointers and recycle
-		// the result. Columns go first: the dispatcher blocks on row-ring
-		// space, so releasing the column range before the row range
-		// guarantees ColumnStore.Append has room whenever TryPut succeeds.
+		// the result.
 		for i := 0; i < r.plan.NumInputs(); i++ {
-			in := r.ins[i]
-			if in.cols != nil {
-				in.cols.Release(e.freeTo[i] / int64(in.tupleSize))
-			}
-			in.ring.Release(e.freeTo[i])
+			r.ins[i].ring.Release(e.freeTo[i])
 		}
 		if e.res != nil {
 			r.plan.ReleaseResult(e.res)

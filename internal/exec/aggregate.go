@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 
+	"saber/internal/expr"
 	"saber/internal/query"
 	"saber/internal/window"
 )
@@ -61,7 +62,7 @@ func fragLastTS(view tsView, start, end int) int64 {
 // evaluates every aggregate argument into its value column, once per
 // batch. Argless aggregates (count) get no column.
 func (p *Plan) evalAggBatch(sc *scratch, b Batch, tsz, n int) (sel []int32, all bool) {
-	in := p.batchInput(b, tsz, n)
+	in := expr.BatchInput{L: b.Data, LStride: tsz, N: n}
 	m := len(p.aggs)
 	sc.cols = growF64(sc.cols, m*n)
 	for a, spec := range p.aggs {
@@ -399,23 +400,19 @@ func (p *Plan) rowSlots(sc *scratch, roll *HashTable, in Batch, sel []int32, lo,
 }
 
 // gatherKeys packs the group keys of the rows in sel, keyLen bytes each,
-// into the scratch key buffer, reading each group column from its segment
-// when the batch carries one (Batch.Cols), else from the rows.
+// into the scratch key buffer, reading each group column from the rows.
 func (p *Plan) gatherKeys(sc *scratch, in Batch, sel []int32) []byte {
 	kl := p.keyLen
 	keys := slices.Grow(sc.keyBuf[:0], len(sel)*kl)[:len(sel)*kl]
 	sc.keyBuf = keys
 	ko := 0
 	for _, f := range p.groupIdx {
-		src, stride, off, w := in.Data, p.in[0].TupleSize(), int(p.colOffs[0][f]), p.colW[0][f]
-		if in.Cols != nil && in.Cols[f] != nil {
-			src, stride, off = in.Cols[f], w, 0
-		}
+		tsz, off, w := p.in[0].TupleSize(), int(p.colOffs[0][f]), p.colW[0][f]
 		for j, i := range sel {
-			if r := int(i)*stride + off; w == 4 {
-				binary.LittleEndian.PutUint32(keys[j*kl+ko:], binary.LittleEndian.Uint32(src[r:]))
+			if r := int(i)*tsz + off; w == 4 {
+				binary.LittleEndian.PutUint32(keys[j*kl+ko:], binary.LittleEndian.Uint32(in.Data[r:]))
 			} else {
-				binary.LittleEndian.PutUint64(keys[j*kl+ko:], binary.LittleEndian.Uint64(src[r:]))
+				binary.LittleEndian.PutUint64(keys[j*kl+ko:], binary.LittleEndian.Uint64(in.Data[r:]))
 			}
 		}
 		ko += w

@@ -43,10 +43,9 @@ func expectFields(t *testing.T, got map[string]bool, want ...string) {
 	}
 }
 
-// TestColumnsRead pins the projection-pushdown sets: the engine shreds
-// exactly these fields into the columnar ring, so an under-approximation
-// here would silently degrade tasks to the row path and an
-// over-approximation would pay ingest shred for dead columns.
+// TestColumnsRead pins the per-plan sets of fields read: the benchmark's
+// shred replay materialises exactly these fields and reports their count
+// as ringbuf.shred_cols.
 func TestColumnsRead(t *testing.T) {
 	compile := func(q *query.Query) *Plan {
 		p, err := Compile(q)
@@ -57,9 +56,8 @@ func TestColumnsRead(t *testing.T) {
 	}
 
 	t.Run("identity-selection", func(t *testing.T) {
-		// Identity projections stream whole rows for their output; the
-		// plan attaches no columns at all (batchInput/RowFreeMap), so
-		// nothing should be shredded — not even the filtered field.
+		// Identity projections copy whole rows for their output, so
+		// nothing is marked — not even the filtered field.
 		q := query.NewBuilder("sel").
 			From("S", synSchema, window.NewCount(64, 64)).
 			Where(expr.Cmp{Op: expr.Lt, Left: expr.Col("c"), Right: expr.IntConst(30)}).
@@ -68,8 +66,7 @@ func TestColumnsRead(t *testing.T) {
 	})
 
 	t.Run("projection", func(t *testing.T) {
-		// Forwarded fields read their column segments; computed writers
-		// and the filter read theirs through batch evaluation.
+		// Forwarded fields, computed writers and the filter all count.
 		q := query.NewBuilder("proj").
 			From("S", synSchema, window.NewCount(64, 64)).
 			Where(expr.Cmp{Op: expr.Lt, Left: expr.Col("c"), Right: expr.IntConst(30)}).
@@ -79,11 +76,10 @@ func TestColumnsRead(t *testing.T) {
 		expectFields(t, fieldsOf(t, compile(q), 0), "timestamp", "a", "c", "d")
 	})
 
-	// The filter's compares read their columns through the batch
+	// The filter's compares read their fields through the batch
 	// predicate: an OR of typed compares and a mixed-domain compare (Int32
 	// column against a float constant, evaluated as a register program)
-	// both shred the compared field and keep the plan row-free, so the
-	// GPU stages its columns with no gather.
+	// both mark the compared field.
 	for _, c := range []struct {
 		name   string
 		filter expr.Pred
@@ -102,11 +98,7 @@ func TestColumnsRead(t *testing.T) {
 				Where(c.filter).
 				Select("timestamp", "a").
 				MustBuild()
-			p := compile(q)
-			expectFields(t, fieldsOf(t, p, 0), c.want...)
-			if !p.RowFreeMap() {
-				t.Error("RowFreeMap() = false, want the no-gather path")
-			}
+			expectFields(t, fieldsOf(t, compile(q), 0), c.want...)
 		})
 	}
 

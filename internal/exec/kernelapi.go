@@ -21,11 +21,8 @@ func (p *Plan) EvalFilter(tuple []byte) bool {
 // FilterSelect appends to sel[:0] the indices in [lo, hi) of input-0
 // tuples passing the WHERE predicate, using one batch evaluation over
 // the range. The GPGPU map kernel uses it per workgroup so both backends
-// run the same count+compact structure. cols, when non-nil, holds the
-// full batch's per-field column segments (Batch.Cols layout); the range
-// is then evaluated from the dense columns — with nil data too when the
-// plan is RowFreeMap, the GPU's no-gather staging path.
-func (p *Plan) FilterSelect(sel []int32, data []byte, cols [][]byte, lo, hi int) []int32 {
+// run the same count+compact structure.
+func (p *Plan) FilterSelect(sel []int32, data []byte, lo, hi int) []int32 {
 	sel = sel[:0]
 	if p.filter == nil {
 		for i := lo; i < hi; i++ {
@@ -35,15 +32,7 @@ func (p *Plan) FilterSelect(sel []int32, data []byte, cols [][]byte, lo, hi int)
 	}
 	tsz := p.in[0].TupleSize()
 	sc := p.getScratch()
-	bi := expr.BatchInput{LStride: tsz, N: hi - lo}
-	if data != nil {
-		bi.L = data[lo*tsz:]
-	}
-	if cols != nil {
-		sc.colsBuf = sliceCols(sc.colsBuf, cols, p.colW[0], lo, hi)
-		bi.LCols, bi.LColOffs = sc.colsBuf, p.colOffs[0]
-	}
-	sel = p.filter.EvalBatch(&sc.vec, sel, bi)
+	sel = p.filter.EvalBatch(&sc.vec, sel, expr.BatchInput{L: data[lo*tsz:], LStride: tsz, N: hi - lo})
 	p.putScratch(sc)
 	if lo != 0 {
 		for i := range sel {
@@ -53,38 +42,18 @@ func (p *Plan) FilterSelect(sel []int32, data []byte, cols [][]byte, lo, hi int)
 	return sel
 }
 
-// sliceCols fills dst with per-field views of tuple range [lo, hi) of
-// full-batch column segments (nil entries pass through).
-func sliceCols(dst [][]byte, cols [][]byte, widths []int, lo, hi int) [][]byte {
-	dst = dst[:0]
-	for j, c := range cols {
-		if c == nil {
-			dst = append(dst, nil)
-			continue
-		}
-		w := widths[j]
-		dst = append(dst, c[lo*w:hi*w])
-	}
-	return dst
-}
-
 // WriteOutputBatch appends the output tuples for the selected rows
-// (batch-absolute indices) of a packed batch with optional column
-// segments — the compact half the GPGPU map kernel shares with the CPU
-// operators. For RowFreeMap plans data may be nil.
-func (p *Plan) WriteOutputBatch(dst, data []byte, cols [][]byte, n int, sel []int32) []byte {
+// (batch-absolute indices) of a packed batch — the compact half the
+// GPGPU map kernel shares with the CPU operators.
+func (p *Plan) WriteOutputBatch(dst, data []byte, n int, sel []int32) []byte {
 	sc := p.getScratch()
-	dst = p.writeOutBatch(dst, Batch{Data: data, Cols: cols}, p.in[0].TupleSize(), n, sel, false, sc)
+	dst = p.writeOutBatch(dst, data, p.in[0].TupleSize(), n, sel, false, sc)
 	p.putScratch(sc)
 	return dst
 }
 
 // EvalJoinPred evaluates the θ-join predicate over a tuple pair.
 func (p *Plan) EvalJoinPred(l, r []byte) bool { return p.joinPred.Eval(l, r) }
-
-// WriteOutput appends the output tuple for the given input tuple(s); r is
-// nil for single-input plans.
-func (p *Plan) WriteOutput(dst, l, r []byte) []byte { return p.writeOut(dst, l, r) }
 
 // Fragments computes input i's window fragments for a batch of n tuples.
 func (p *Plan) Fragments(dst []window.Fragment, i, n int, data []byte, ctx window.Context) []window.Fragment {

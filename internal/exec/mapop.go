@@ -16,6 +16,6 @@ func (p *Plan) processMap(in Batch, res *TaskResult) {
 	}
 	sc := p.getScratch()
 	sel, all := p.filterSel(sc, in, tsz, n)
-	res.Stream = p.writeOutBatch(res.Stream, in, tsz, n, sel, all, sc)
+	res.Stream = p.writeOutBatch(res.Stream, in.Data, tsz, n, sel, all, sc)
 	p.putScratch(sc)
 }

@@ -48,8 +48,7 @@ type aggSpec struct {
 type fieldWriter struct {
 	// Byte-forwarding path: copy size bytes from srcOff of the tuple on
 	// side src. size == 0 selects the computed path. srcField is the
-	// source schema field index, used to pick the column segment when the
-	// batch carries columnar views.
+	// source schema field index (see ColumnsRead).
 	src      int
 	srcOff   int
 	srcField int
@@ -85,9 +84,8 @@ type Plan struct {
 	invertApl bool              // incremental (rolling) computation applies
 	having    *expr.PredProgram // over the output schema
 
-	// colOffs/colW describe each input schema's columnar layout (field
-	// byte offsets within the row tuple, and field widths), precomputed so
-	// batch evaluation can attach Batch.Cols views without per-task work.
+	// colOffs/colW hold each input schema's field byte offsets within the
+	// row tuple and field widths, precomputed for the key gathers.
 	colOffs [2][]int32
 	colW    [2][]int
 	// keyRange, when ok, is the key-range join path: the join predicate
@@ -153,8 +151,6 @@ type scratch struct {
 	// slots maps each selected row to its group's slot in the rolling
 	// table, indexed like sel; filled once per task (rowSlots).
 	slots []int32
-	// colsBuf holds per-range column view headers for FilterSelect.
-	colsBuf [][]byte
 
 	// Join scratch: reused fragment pairing and the right fragment's
 	// key-pointer array.
@@ -563,21 +559,6 @@ func (p *Plan) writeOut(dst []byte, l, r []byte) []byte {
 	return dst
 }
 
-// batchInput builds the vectorized-evaluation view of a single-input
-// batch, attaching the columnar segments when the engine provided them.
-// Identity projections are the exception: their output is a run-coalesced
-// copy of the row bytes, so the whole row batch is streamed regardless —
-// evaluating the filter from the rows too warms the copy's source instead
-// of splitting the working set across both layouts. (The GPU's RowFreeMap
-// gate excludes identity projections for the same reason.)
-func (p *Plan) batchInput(in Batch, tsz, n int) expr.BatchInput {
-	bi := expr.BatchInput{L: in.Data, LStride: tsz, N: n}
-	if in.Cols != nil && !(p.Kind == Map && p.writers == nil && in.Data != nil) {
-		bi.LCols, bi.LColOffs = in.Cols, p.colOffs[0]
-	}
-	return bi
-}
-
 // filterSel batch-evaluates the WHERE predicate over a packed batch into
 // the scratch selection vector. all=true (and a nil vector) means the
 // plan has no filter and every row passes.
@@ -585,7 +566,7 @@ func (p *Plan) filterSel(sc *scratch, in Batch, tsz, n int) (sel []int32, all bo
 	if p.filter == nil {
 		return nil, true
 	}
-	sc.sel = p.filter.EvalBatch(&sc.vec, sc.sel, p.batchInput(in, tsz, n))
+	sc.sel = p.filter.EvalBatch(&sc.vec, sc.sel, expr.BatchInput{L: in.Data, LStride: tsz, N: n})
 	return sc.sel, false
 }
 
@@ -606,11 +587,9 @@ func (sc *scratch) identitySel(n int) []int32 {
 // writeOutBatch appends the output tuples for the selected rows of a
 // packed batch: the compact half of select-then-compact. Identity
 // projections become run-coalesced copies; forwarded columns are copied
-// column-at-a-time with width-specialised loops (straight from the
-// columnar segments when the batch carries them); computed columns are
+// column-at-a-time with width-specialised loops; computed columns are
 // batch-evaluated once into a scratch column and then stored.
-func (p *Plan) writeOutBatch(dst []byte, b Batch, tsz, n int, sel []int32, all bool, sc *scratch) []byte {
-	data := b.Data
+func (p *Plan) writeOutBatch(dst, data []byte, tsz, n int, sel []int32, all bool, sc *scratch) []byte {
 	rows := len(sel)
 	if all {
 		rows = n
@@ -639,28 +618,11 @@ func (p *Plan) writeOutBatch(dst []byte, b Batch, tsz, n int, sel []int32, all b
 	base := len(dst)
 	dst = append(dst, make([]byte, rows*osz)...)
 	out := dst[base:]
-	in := p.batchInput(b, tsz, n)
+	in := expr.BatchInput{L: data, LStride: tsz, N: n}
 	for _, w := range p.writers {
-		var col []byte
-		if w.size > 0 && w.src == 0 && b.Cols != nil {
-			col = b.Cols[w.srcField]
-		}
 		switch {
 		case w.size == 8:
-			if col != nil {
-				oo := w.outOff
-				if all {
-					for r := 0; r < rows; r++ {
-						binary.LittleEndian.PutUint64(out[oo:], binary.LittleEndian.Uint64(col[r*8:]))
-						oo += osz
-					}
-				} else {
-					for _, i := range sel {
-						binary.LittleEndian.PutUint64(out[oo:], binary.LittleEndian.Uint64(col[int(i)*8:]))
-						oo += osz
-					}
-				}
-			} else if all {
+			if all {
 				so, oo := w.srcOff, w.outOff
 				for r := 0; r < rows; r++ {
 					binary.LittleEndian.PutUint64(out[oo:], binary.LittleEndian.Uint64(data[so:]))
@@ -675,20 +637,7 @@ func (p *Plan) writeOutBatch(dst []byte, b Batch, tsz, n int, sel []int32, all b
 				}
 			}
 		case w.size == 4:
-			if col != nil {
-				oo := w.outOff
-				if all {
-					for r := 0; r < rows; r++ {
-						binary.LittleEndian.PutUint32(out[oo:], binary.LittleEndian.Uint32(col[r*4:]))
-						oo += osz
-					}
-				} else {
-					for _, i := range sel {
-						binary.LittleEndian.PutUint32(out[oo:], binary.LittleEndian.Uint32(col[int(i)*4:]))
-						oo += osz
-					}
-				}
-			} else if all {
+			if all {
 				so, oo := w.srcOff, w.outOff
 				for r := 0; r < rows; r++ {
 					binary.LittleEndian.PutUint32(out[oo:], binary.LittleEndian.Uint32(data[so:]))
@@ -785,48 +734,12 @@ func (p *Plan) fieldAt(side, off int) int {
 	return -1
 }
 
-// RowFreeMap reports whether this Map plan can execute from column
-// segments of input 0 alone — the filter and every output writer read
-// only fields the columnar layout carries, never the row bytes. The GPU
-// uses it to DMA-stage columns with no per-task gather (and no row copy
-// at all); identity projections and scalar-fallback programs keep the
-// row staging path.
-func (p *Plan) RowFreeMap() bool {
-	if p.Kind != Map || p.writers == nil {
-		return false
-	}
-	has := func(side, off int) bool { return side == 0 && p.fieldAt(0, off) >= 0 }
-	if p.filter != nil && !p.filter.RowFree(has) {
-		return false
-	}
-	for i := range p.writers {
-		w := &p.writers[i]
-		if w.size > 0 {
-			if w.src != 0 {
-				return false
-			}
-			continue // forwarded straight from its column segment
-		}
-		if !w.prog.RowFree(has) {
-			return false
-		}
-	}
-	return true
-}
-
 // ColumnsRead reports, per field of input i's schema, whether the
-// compiled operators may read that field through a column segment
-// (Batch.Cols) when one is attached. The engine shreds exactly these
-// fields into the columnar ring; unmarked fields stay row-only and
-// their Cols entries are nil — every columnar reader falls back to the
-// row bytes for a nil entry, so over-approximation is safe and
-// under-approximation impossible by construction (the sets below mirror
-// each reader).
-//
-// Identity projections read no columns at all: their output is a
-// run-coalesced copy of the row bytes, so both the CPU path
-// (batchInput) and the GPU staging gate (RowFreeMap) pin them to the
-// row layout, and shredding for them would be pure ingest overhead.
+// compiled operators read that field: the filter, join predicate,
+// forwarded and computed output columns, aggregate arguments and group
+// keys. Identity projections copy whole rows and mark nothing. No
+// engine code reads it; it remains only for benchmark/layers.go, its
+// one user, whose replay of a retired column shred counts these fields.
 func (p *Plan) ColumnsRead(input int) []bool {
 	read := make([]bool, p.in[input].NumFields())
 	if p.Kind == Map && p.writers == nil {

@@ -3,7 +3,6 @@ package exec
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"saber/internal/expr"
@@ -55,15 +54,6 @@ func runPlan(t *testing.T, p *Plan, stream []byte, batchTuples int) []byte {
 
 func runPlanStreams(t *testing.T, p *Plan, streams [2][]byte, batchTuples int) []byte {
 	t.Helper()
-	return runPlanLayout(t, p, streams, batchTuples, false)
-}
-
-// runPlanLayout is runPlanStreams with a choice of input layout: with
-// cols set, every batch also carries the column segments the engine
-// attaches (shredCols), so the kernels read through their columnar paths
-// instead of the strided row walk.
-func runPlanLayout(t *testing.T, p *Plan, streams [2][]byte, batchTuples int, cols bool) []byte {
-	t.Helper()
 	asm := NewAssembler(p)
 	var out []byte
 	var pos [2]int
@@ -96,9 +86,6 @@ func runPlanLayout(t *testing.T, p *Plan, streams [2][]byte, batchTuples int, co
 				FirstIndex:    int64(pos[i]),
 				PrevTimestamp: prevTS[i],
 			}}
-			if cols {
-				in[i].Cols = shredCols(p, i, data)
-			}
 			if n > 0 {
 				prevTS[i] = s.Timestamp(data[(n-1)*tsz:])
 			}
@@ -117,33 +104,6 @@ func runPlanLayout(t *testing.T, p *Plan, streams [2][]byte, batchTuples int, co
 		p.ReleaseResult(res)
 	}
 	return asm.Flush(out)
-}
-
-// shredCols builds the columnar view the engine attaches to a batch of
-// input i: a dense segment for every field the plan reads through column
-// views (ColumnsRead), nil for the rest. Like the engine, it attaches
-// nothing to an empty batch or to a plan that reads no columns.
-func shredCols(p *Plan, i int, data []byte) [][]byte {
-	s := p.InputSchema(i)
-	tsz := s.TupleSize()
-	n := len(data) / tsz
-	read := p.ColumnsRead(i)
-	if n == 0 || !slices.Contains(read, true) {
-		return nil
-	}
-	cols := make([][]byte, len(read))
-	for f, r := range read {
-		if !r {
-			continue
-		}
-		off, w := s.Offset(f), s.Field(f).Type.Size()
-		col := make([]byte, 0, n*w)
-		for k := 0; k < n; k++ {
-			col = append(col, data[k*tsz+off:k*tsz+off+w]...)
-		}
-		cols[f] = col
-	}
-	return cols
 }
 
 func TestMapIdentity(t *testing.T) {

@@ -12,13 +12,10 @@ import (
 type Batch struct {
 	// Data holds packed fixed-width tuples.
 	Data []byte
-	// Cols, when non-nil, additionally exposes the same tuples as
-	// per-field contiguous column segments: Cols[j] holds the bytes of
-	// input-schema field j for every tuple of the batch, packed with
-	// stride == the field's width (the columnar ring layout). Kernels,
-	// group-key gathering included, prefer these dense views over the
-	// strided row walk; a nil entry falls back to the rows. Data stays
-	// authoritative for row-residual paths (identity projection, joins).
+	// Cols is read by no operator: every kernel reads Data. It remains
+	// only for benchmark/layers.go, its one user, which replays column
+	// segments of a retired layout (Cols[j] holds field j of every tuple,
+	// packed at the field's width).
 	Cols [][]byte
 	// Ctx is the stream position of the batch.
 	Ctx window.Context

@@ -41,16 +41,6 @@ type BatchInput struct {
 	L, R             []byte
 	LStride, RStride int
 	N                int
-
-	// Optional columnar views. When a side's tuples also exist as
-	// contiguous per-field segments (the columnar ring layout), Cols[j]
-	// holds N*width bytes of the field at row-tuple byte offset ColOffs[j],
-	// packed with stride == the field width. Load ops and typed compare
-	// scans prefer these dense segments over the strided row walk; any nil
-	// entry (or an offset with no entry) falls back to the rows. Broadcast
-	// sides (stride 0) always read the row bytes.
-	LCols, RCols       [][]byte
-	LColOffs, RColOffs []int32
 }
 
 func (in BatchInput) side(s uint8) (data []byte, stride int) {
@@ -58,21 +48,6 @@ func (in BatchInput) side(s uint8) (data []byte, stride int) {
 		return in.L, in.LStride
 	}
 	return in.R, in.RStride
-}
-
-// colView returns the contiguous column backing the field at row byte
-// offset off on side s, or nil when the batch carries no such view.
-func (in BatchInput) colView(s uint8, off int32) []byte {
-	cols, offs := in.LCols, in.LColOffs
-	if s != 0 {
-		cols, offs = in.RCols, in.RColOffs
-	}
-	for j, o := range offs {
-		if o == off {
-			return cols[j]
-		}
-	}
-	return nil
 }
 
 // row returns the scalar-evaluator view of row i.
@@ -266,12 +241,6 @@ func runVec(ops []vecOp, vs *VecScratch, in BatchInput) {
 				}
 				continue
 			}
-			if c := in.colView(op.side, op.off); c != nil {
-				for i := 0; i < n; i++ {
-					dst[i] = int64(int32(le.Uint32(c[i*4:])))
-				}
-				continue
-			}
 			for i := 0; i < n; i++ {
 				dst[i] = int64(int32(le.Uint32(data[o:])))
 				o += stride
@@ -284,12 +253,6 @@ func runVec(ops []vecOp, vs *VecScratch, in BatchInput) {
 				v := int64(le.Uint64(data[o:]))
 				for i := range dst {
 					dst[i] = v
-				}
-				continue
-			}
-			if c := in.colView(op.side, op.off); c != nil {
-				for i := 0; i < n; i++ {
-					dst[i] = int64(le.Uint64(c[i*8:]))
 				}
 				continue
 			}
@@ -308,12 +271,6 @@ func runVec(ops []vecOp, vs *VecScratch, in BatchInput) {
 				}
 				continue
 			}
-			if c := in.colView(op.side, op.off); c != nil {
-				for i := 0; i < n; i++ {
-					dst[i] = float64(math.Float32frombits(le.Uint32(c[i*4:])))
-				}
-				continue
-			}
 			for i := 0; i < n; i++ {
 				dst[i] = float64(math.Float32frombits(le.Uint32(data[o:])))
 				o += stride
@@ -326,12 +283,6 @@ func runVec(ops []vecOp, vs *VecScratch, in BatchInput) {
 				v := math.Float64frombits(le.Uint64(data[o:]))
 				for i := range dst {
 					dst[i] = v
-				}
-				continue
-			}
-			if c := in.colView(op.side, op.off); c != nil {
-				for i := 0; i < n; i++ {
-					dst[i] = math.Float64frombits(le.Uint64(c[i*8:]))
 				}
 				continue
 			}
@@ -652,9 +603,6 @@ func (nd *selNode) eval(vs *VecScratch, dst []int32, in BatchInput, d int) []int
 		lf := &nd.col
 		data, stride := in.side(lf.side)
 		off := lf.off
-		if c := in.colView(lf.side, int32(off)); c != nil {
-			data, off, stride = c, 0, lf.typ.Size()
-		}
 		switch lf.typ {
 		case schema.Int32:
 			return selI32(dst, data, off, stride, n, lf.op, lf.ci)
@@ -991,62 +939,35 @@ func (p *PredProgram) EvalBatch(vs *VecScratch, sel []int32, in BatchInput) []in
 	return p.root.eval(vs, sel, in, 0)
 }
 
-// --- Columnar capability probes ---------------------------------------------
+// --- Field references --------------------------------------------------
 
-// RowFree reports whether EvalBatch over a non-broadcast batch reads only
-// fields that has() confirms carry column views (keyed by side and
-// row-tuple byte offset). When true, evaluation never dereferences the
-// row bytes, so callers may stage the columns alone — the GPU's
-// no-gather DMA path — and pass nil L/R.
-func (p *PredProgram) RowFree(has func(side, off int) bool) bool { return p.root.loads(has) }
+// ColRefs visits every (side, row-byte-offset) field that batch
+// evaluation loads. exec.Plan.ColumnsRead is its only caller.
+func (p *PredProgram) ColRefs(visit func(side, off int)) { p.root.loads(visit) }
 
-// RowFree is the numeric-program analogue: EvalBatchFloat/EvalBatchInt
-// touch only column views confirmed by has().
-func (p *NumProgram) RowFree(has func(side, off int) bool) bool { return p.loads(has) }
-
-// ColRefs visits every (side, row-byte-offset) field whose column view
-// batch evaluation may read when the batch carries one. It
-// over-approximates: a visited field is read through its column segment
-// when present, an unvisited field is only ever read from the row bytes.
-// Callers use it to shred exactly the referenced fields into the
-// columnar ring (projection pushdown to ingest).
-func (p *PredProgram) ColRefs(visit func(side, off int)) { p.root.loads(visitAll(visit)) }
-
-// ColRefs is the numeric-program analogue of PredProgram.ColRefs.
-func (p *NumProgram) ColRefs(visit func(side, off int)) { p.loads(visitAll(visit)) }
-
-func visitAll(visit func(side, off int)) func(side, off int) bool {
-	return func(side, off int) bool { visit(side, off); return true }
-}
-
-// loads passes every field the batch form may read through a column view
-// to visit, and reports whether visit accepted all of them and the
-// expression has a batch form at all (the per-row fallback reads rows).
-func (p *NumProgram) loads(visit func(side, off int) bool) bool {
+// ColRefs is the numeric-program analogue of PredProgram.ColRefs. A
+// program with no batch form visits nothing.
+func (p *NumProgram) ColRefs(visit func(side, off int)) {
 	if p.batch == nil {
-		return false
+		return
 	}
-	ok := true
 	for i := range p.batch.ops {
 		switch op := &p.batch.ops[i]; op.code {
 		case vLoadI32, vLoadI64, vLoadF32, vLoadF64:
-			ok = visit(int(op.side), int(op.off)) && ok
+			visit(int(op.side), int(op.off))
 		}
 	}
-	return ok
 }
 
-func (nd *selNode) loads(visit func(side, off int) bool) bool {
+func (nd *selNode) loads(visit func(side, off int)) {
 	switch nd.kind {
 	case selCol:
-		return visit(int(nd.col.side), nd.col.off)
+		visit(int(nd.col.side), nd.col.off)
 	case selNum:
-		l := nd.l.loads(visit)
-		return nd.r.loads(visit) && l
+		nd.l.ColRefs(visit)
+		nd.r.ColRefs(visit)
 	}
-	ok := true
 	for i := range nd.kids {
-		ok = nd.kids[i].loads(visit) && ok
+		nd.kids[i].loads(visit)
 	}
-	return ok
 }

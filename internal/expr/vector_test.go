@@ -119,62 +119,30 @@ func compileOK(e Expr, r Resolver) (*NumProgram, bool) {
 	return p, err == nil
 }
 
-// withCols attaches column views to a single-stream batch the way the
-// columnar ring does: every field gets an entry, a dense copy of the field
-// where bit f of mask is set and nil (row fallback) elsewhere.
-func withCols(s *schema.Schema, in BatchInput, mask uint64) BatchInput {
-	in.LCols, in.LColOffs = make([][]byte, s.NumFields()), make([]int32, s.NumFields())
-	for f := range in.LCols {
-		off, w := s.Offset(f), s.Field(f).Type.Size()
-		in.LColOffs[f] = int32(off)
-		if mask&(1<<f) == 0 {
-			continue
-		}
-		col := make([]byte, in.N*w)
-		for i := 0; i < in.N; i++ {
-			copy(col[i*w:], in.L[i*in.LStride+off:][:w])
-		}
-		in.LCols[f] = col
-	}
-	return in
-}
-
-// rowFreeIn returns in without its row bytes when the program claims it
-// can run from the attached views alone, so the checks below also pin
-// RowFree: a wrong claim reads nil rows and panics or mismatches.
-func rowFreeIn(in BatchInput, rowFree func(has func(side, off int) bool) bool) (BatchInput, bool) {
-	has := func(side, off int) bool { return side == 0 && in.colView(0, int32(off)) != nil }
-	if in.LCols == nil || in.N == 0 || !rowFree(has) {
-		return in, false
-	}
-	in.L = nil
-	return in, true
-}
-
 // checkPred asserts that EvalBatch's selection vector over in equals the
-// rows where the per-row Eval passes; want is computed from rows.
-func checkPred(t *testing.T, vs *VecScratch, p *PredProgram, pr Pred, rows, in BatchInput) {
+// rows where the per-row Eval passes.
+func checkPred(t *testing.T, vs *VecScratch, p *PredProgram, pr Pred, in BatchInput) {
 	t.Helper()
 	var want []int32
-	for i := 0; i < rows.N; i++ {
-		if p.Eval(rows.row(i)) {
+	for i := 0; i < in.N; i++ {
+		if p.Eval(in.row(i)) {
 			want = append(want, int32(i))
 		}
 	}
 	sel := p.EvalBatch(vs, nil, in)
 	if len(sel) != len(want) {
-		t.Fatalf("pred %v (cols %v, rows %v): selection %v, want %v", pr, in.LCols != nil, in.L != nil, sel, want)
+		t.Fatalf("pred %v: selection %v, want %v", pr, sel, want)
 	}
 	for i := range sel {
 		if sel[i] != want[i] {
-			t.Fatalf("pred %v (cols %v, rows %v): selection %v, want %v", pr, in.LCols != nil, in.L != nil, sel, want)
+			t.Fatalf("pred %v: selection %v, want %v", pr, sel, want)
 		}
 	}
 }
 
 // checkNum asserts that EvalBatchFloat/EvalBatchInt over in equal the
-// per-row EvalFloat/EvalInt over rows.
-func checkNum(t *testing.T, vs *VecScratch, p *NumProgram, e Expr, rows, in BatchInput) {
+// per-row EvalFloat/EvalInt.
+func checkNum(t *testing.T, vs *VecScratch, p *NumProgram, e Expr, in BatchInput) {
 	t.Helper()
 	fcol := p.EvalBatchFloat(vs, nil, in)
 	icol := p.EvalBatchInt(vs, nil, in)
@@ -182,8 +150,8 @@ func checkNum(t *testing.T, vs *VecScratch, p *NumProgram, e Expr, rows, in Batc
 		t.Fatalf("expr %v: column length %d/%d, want %d", e, len(fcol), len(icol), in.N)
 	}
 	for i := 0; i < in.N; i++ {
-		wantF := p.EvalFloat(rows.row(i))
-		wantI := p.EvalInt(rows.row(i))
+		wantF := p.EvalFloat(in.row(i))
+		wantI := p.EvalInt(in.row(i))
 		// Bitwise equality, except that any NaN matches any NaN: when
 		// both operands of a commutative op are NaN, which payload
 		// propagates depends on operand register order, which the
@@ -192,11 +160,11 @@ func checkNum(t *testing.T, vs *VecScratch, p *NumProgram, e Expr, rows, in Batc
 		// so this is not an observable semantic difference.
 		if math.Float64bits(fcol[i]) != math.Float64bits(wantF) &&
 			!(math.IsNaN(fcol[i]) && math.IsNaN(wantF)) {
-			t.Fatalf("expr %v row %d (cols %v): batch float %v (%x), scalar %v (%x)",
-				e, i, in.LCols != nil, fcol[i], math.Float64bits(fcol[i]), wantF, math.Float64bits(wantF))
+			t.Fatalf("expr %v row %d: batch float %v (%x), scalar %v (%x)",
+				e, i, fcol[i], math.Float64bits(fcol[i]), wantF, math.Float64bits(wantF))
 		}
 		if icol[i] != wantI {
-			t.Fatalf("expr %v row %d (cols %v): batch int %d, scalar %d", e, i, in.LCols != nil, icol[i], wantI)
+			t.Fatalf("expr %v row %d: batch int %d, scalar %d", e, i, icol[i], wantI)
 		}
 	}
 }
@@ -218,13 +186,12 @@ func leafKinds(nd *selNode) (col, num int) {
 }
 
 // TestVectorNumDifferential: random trees over random schemas/batches —
-// batch float/int evaluation must be bit-identical to per-tuple scalar,
-// from the rows and from a random subset of column views. Every tenth
-// tree is deeper than the register file and runs per row.
+// batch float/int evaluation must be bit-identical to per-tuple scalar.
+// Every tenth tree is deeper than the register file and runs per row.
 func TestVectorNumDifferential(t *testing.T) {
 	rnd := rand.New(rand.NewSource(42))
 	var vs VecScratch
-	lowered, perRow, rowFree := 0, 0, 0
+	lowered, perRow := 0, 0
 	for iter := 0; iter < 400; iter++ {
 		s := randSchema(rnd, 1+rnd.Intn(6))
 		r := SingleResolver{Schema: s}
@@ -243,26 +210,19 @@ func TestVectorNumDifferential(t *testing.T) {
 		}
 		n := rnd.Intn(64) // includes empty batches
 		in := BatchInput{L: randBatch(rnd, s, n), LStride: s.TupleSize(), N: n}
-		checkNum(t, &vs, p, e, in, in)
-		cols := withCols(s, in, rnd.Uint64())
-		checkNum(t, &vs, p, e, in, cols)
-		if bare, ok := rowFreeIn(cols, p.RowFree); ok {
-			rowFree++
-			checkNum(t, &vs, p, e, in, bare)
-		}
+		checkNum(t, &vs, p, e, in)
 	}
-	if lowered == 0 || perRow == 0 || rowFree == 0 {
-		t.Fatalf("degenerate run: %d register programs, %d per-row trees, %d row-free runs", lowered, perRow, rowFree)
+	if lowered == 0 || perRow == 0 {
+		t.Fatalf("degenerate run: %d register programs, %d per-row trees", lowered, perRow)
 	}
 }
 
 // TestVectorPredDifferential: random predicates — EvalBatch's selection
-// vector must match per-tuple Eval exactly, including NaN compares, from
-// the rows and from a random subset of column views.
+// vector must match per-tuple Eval exactly, including NaN compares.
 func TestVectorPredDifferential(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
 	var vs VecScratch
-	colLeaves, numLeaves, rowFree := 0, 0, 0
+	colLeaves, numLeaves := 0, 0
 	for iter := 0; iter < 400; iter++ {
 		s := randSchema(rnd, 1+rnd.Intn(6))
 		r := SingleResolver{Schema: s}
@@ -278,44 +238,35 @@ func TestVectorPredDifferential(t *testing.T) {
 		colLeaves, numLeaves = colLeaves+c, numLeaves+k
 		n := rnd.Intn(64)
 		in := BatchInput{L: randBatch(rnd, s, n), LStride: s.TupleSize(), N: n}
-		checkPred(t, &vs, p, pr, in, in)
-		cols := withCols(s, in, rnd.Uint64())
-		checkPred(t, &vs, p, pr, in, cols)
-		if bare, ok := rowFreeIn(cols, p.RowFree); ok {
-			rowFree++
-			checkPred(t, &vs, p, pr, in, bare)
-		}
+		checkPred(t, &vs, p, pr, in)
 	}
-	if colLeaves == 0 || numLeaves == 0 || rowFree == 0 {
-		t.Fatalf("degenerate run: %d typed leaves, %d general leaves, %d row-free runs", colLeaves, numLeaves, rowFree)
+	if colLeaves == 0 || numLeaves == 0 {
+		t.Fatalf("degenerate run: %d typed leaves, %d general leaves", colLeaves, numLeaves)
 	}
 }
 
 // FuzzEvalBatch derives a schema, a batch, a predicate and an expression
 // from its input and checks batch evaluation against the per-row scalar
-// evaluators, with and without column views.
+// evaluators.
 func FuzzEvalBatch(f *testing.F) {
-	f.Add(int64(1), uint16(4), uint16(2), uint16(33), uint64(0xff))
-	f.Fuzz(func(t *testing.T, seed int64, nf, depth, n uint16, cols uint64) {
+	f.Add(int64(1), uint16(4), uint16(2), uint16(33))
+	f.Fuzz(func(t *testing.T, seed int64, nf, depth, n uint16) {
 		rnd := rand.New(rand.NewSource(seed))
 		s := randSchema(rnd, 1+int(nf)%8)
 		r := SingleResolver{Schema: s}
 		rows := int(n) % 300
 		in := BatchInput{L: randBatch(rnd, s, rows), LStride: s.TupleSize(), N: rows}
-		viewed := withCols(s, in, cols)
 		var vs VecScratch
 		pr := randPred(rnd, s, int(depth)%5)
 		if p, err := CompilePred(pr, r); err == nil {
-			checkPred(t, &vs, p, pr, in, in)
-			checkPred(t, &vs, p, pr, in, viewed)
+			checkPred(t, &vs, p, pr, in)
 		}
 		e := randExpr(rnd, s, int(depth)%5)
 		if depth >= 64 {
 			e = deepExpr(rnd, s, int(depth)%32)
 		}
 		if p, ok := compileOK(e, r); ok {
-			checkNum(t, &vs, p, e, in, in)
-			checkNum(t, &vs, p, e, in, viewed)
+			checkNum(t, &vs, p, e, in)
 		}
 	})
 }
@@ -435,7 +386,7 @@ func TestVectorBroadcast(t *testing.T) {
 		for ti := 0; ti < nLeft; ti++ {
 			left := lData[ti*s.TupleSize() : (ti+1)*s.TupleSize()]
 			in := BatchInput{L: left, LStride: 0, R: rData, RStride: s.TupleSize(), N: n}
-			checkPred(t, &vs, p, pr, in, in)
+			checkPred(t, &vs, p, pr, in)
 		}
 	}
 }

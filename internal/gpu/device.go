@@ -72,13 +72,12 @@ type Device struct {
 	batchHint atomic.Int64
 
 	// Telemetry.
-	tasksDone     atomic.Int64
-	tasksFailed   atomic.Int64 // tasks that left the pipeline with an error
-	hangs         atomic.Int64 // injected execute-stage stalls
-	bytesMoved    atomic.Int64
-	inflight      atomic.Int64 // tasks holding a pipeline slot right now
-	stagingGrows  atomic.Int64 // hint-driven staging buffer reallocations
-	gathersElided atomic.Int64 // tasks staged columnar (no row gather)
+	tasksDone    atomic.Int64
+	tasksFailed  atomic.Int64 // tasks that left the pipeline with an error
+	hangs        atomic.Int64 // injected execute-stage stalls
+	bytesMoved   atomic.Int64
+	inflight     atomic.Int64 // tasks holding a pipeline slot right now
+	stagingGrows atomic.Int64 // hint-driven staging buffer reallocations
 
 	// chk holds the invariant checker's monotonicity watermark; the mutex
 	// serialises CheckInvariants callers (see invariant.go).
@@ -152,10 +151,6 @@ func (d *Device) BatchHint() int64 { return d.batchHint.Load() }
 // StagingGrows returns how many hint-driven staging-buffer
 // reallocations the pipeline has performed.
 func (d *Device) StagingGrows() int64 { return d.stagingGrows.Load() }
-
-// GathersElided returns how many tasks were staged as column segments,
-// skipping the per-task row gather entirely.
-func (d *Device) GathersElided() int64 { return d.gathersElided.Load() }
 
 // Injector returns the device's fault injector (nil when fault-free), so
 // telemetry can mirror its per-site budgets.

@@ -116,28 +116,9 @@ func (p *Program) udfKernel(j *job) {
 // position in the device output buffer.
 func (p *Program) mapKernel(j *job) {
 	plan := p.plan
-	s := plan.InputSchema(0)
-	tsz := s.TupleSize()
-	var data []byte
-	var cols [][]byte
-	var n int
-	if j.colStaged {
-		// Columnar job: the device holds per-field segments and never
-		// materialises a row image; both kernels read the columns
-		// directly. Row-only fields have nil entries (the ring shreds only
-		// the plan's referenced set), so the tuple count comes from the
-		// first staged column, not a byte total.
-		cols = j.slot.devCols
-		for f, c := range cols {
-			if c != nil {
-				n = len(c) / s.Field(f).Type.Size()
-				break
-			}
-		}
-	} else {
-		data = j.slot.devIn[0]
-		n = len(data) / tsz
-	}
+	tsz := plan.InputSchema(0).TupleSize()
+	data := j.slot.devIn[0]
+	n := len(data) / tsz
 	j.tuples = n
 	if n == 0 {
 		return
@@ -151,7 +132,7 @@ func (p *Program) mapKernel(j *job) {
 	p.d.launch(n, func(lo, hi int) {
 		// Batch-evaluate the predicate over the workgroup's range — the
 		// same vectorized selection the CPU path runs.
-		sel := plan.FilterSelect(nil, data, cols, lo, hi)
+		sel := plan.FilterSelect(nil, data, lo, hi)
 		for _, i := range sel {
 			flags[i] = 1
 		}
@@ -173,29 +154,17 @@ func (p *Program) mapKernel(j *job) {
 	}
 	out := j.slot.devOut[:total*osz]
 	p.d.launch(n, func(lo, hi int) {
-		pos := offsets[lo/gs]
-		if j.colStaged {
-			// Rebuild the workgroup's selection from the flag vector and
-			// write its compacted run in one columnar batch append.
-			sel := make([]int32, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				if flags[i] != 0 {
-					sel = append(sel, int32(i))
-				}
-			}
-			dst := out[pos*osz : pos*osz : (pos+len(sel))*osz]
-			plan.WriteOutputBatch(dst, nil, cols, n, sel)
-			return
-		}
-		tmp := make([]byte, 0, osz)
+		// Rebuild the workgroup's selection from the flag vector and
+		// write its compacted run in one batch append over its rows.
+		sel := make([]int32, 0, hi-lo)
 		for i := lo; i < hi; i++ {
-			if flags[i] == 0 {
-				continue
+			if flags[i] != 0 {
+				sel = append(sel, int32(i-lo))
 			}
-			tmp = plan.WriteOutput(tmp[:0], data[i*tsz:(i+1)*tsz], nil)
-			copy(out[pos*osz:], tmp)
-			pos++
 		}
+		pos := offsets[lo/gs]
+		dst := out[pos*osz : pos*osz : (pos+len(sel))*osz]
+		plan.WriteOutputBatch(dst, data[lo*tsz:hi*tsz], hi-lo, sel)
 	})
 	j.slot.devOut = out
 	j.outBytes = total * osz

@@ -22,12 +22,6 @@ type job struct {
 	inBytes int
 	tuples  int
 
-	// colStaged marks that input 0 was staged as per-field column
-	// segments (slot.pinCols/devCols) instead of packed rows: the
-	// RowFreeMap no-gather path. Byte volume is identical either way, so
-	// the modelled DMA costs do not change.
-	colStaged bool
-
 	// err marks the job failed; later stages pass a failed job through
 	// without touching its buffers, and copyout reports the error on the
 	// completion channel instead of a result.
@@ -53,11 +47,6 @@ type slotBuffers struct {
 	devIn  [2][]byte
 	devOut []byte
 	pinOut []byte
-
-	// pinCols/devCols stage input 0's column segments for columnar jobs
-	// (one entry per input-schema field, stride == field width).
-	pinCols [][]byte
-	devCols [][]byte
 }
 
 type pipeline struct {
@@ -109,46 +98,20 @@ func (p *pipeline) submit(j *job) {
 	// is failed over during a device hang — its ring region released and
 	// rewritten by the feeder — cannot race a stalled copy stage.
 	j.inBytes = 0
-	j.colStaged = j.in[0].Cols != nil && j.prog.plan.RowFreeMap()
 	hint := int(p.d.batchHint.Load())
-	if j.colStaged {
-		// Stage the per-field column segments directly: no row image is
-		// gathered or transferred. Only the fields the plan reads are
-		// materialised (the ring shreds the plan's ColumnsRead set), so the
-		// modelled copy/PCIe costs cover exactly the referenced bytes —
-		// nil entries mark row-only fields the kernels never touch.
-		cols := j.in[0].Cols
-		if cap(j.slot.pinCols) < len(cols) {
-			j.slot.pinCols = make([][]byte, len(cols))
-		}
-		j.slot.pinCols = j.slot.pinCols[:len(cols)]
-		for c, col := range cols {
-			if col == nil {
-				j.slot.pinCols[c] = nil
-				continue
-			}
-			j.slot.pinCols[c] = append(j.slot.pinCols[c][:0], col...)
-			j.inBytes += len(col)
-		}
-		p.d.gathersElided.Add(1)
-	} else {
-		for i := 0; i < 2; i++ {
-			if n := len(j.in[i].Data); n > 0 && hint > n && hint > cap(j.slot.pinIn[i]) {
-				// The engine has grown ϕ past this slot's staging capacity:
-				// reallocate once to the hinted size rather than letting the
-				// next several batches append-double their way there.
-				j.slot.pinIn[i] = make([]byte, 0, hint)
-				p.d.stagingGrows.Add(1)
-			}
-			j.slot.pinIn[i] = append(j.slot.pinIn[i][:0], j.in[i].Data...)
-			j.inBytes += len(j.in[i].Data)
-		}
-	}
-	// Drop the ring-backed views either way: after submit the pipeline
-	// touches only slot-owned memory.
 	for i := 0; i < 2; i++ {
+		if n := len(j.in[i].Data); n > 0 && hint > n && hint > cap(j.slot.pinIn[i]) {
+			// The engine has grown ϕ past this slot's staging capacity:
+			// reallocate once to the hinted size rather than letting the
+			// next several batches append-double their way there.
+			j.slot.pinIn[i] = make([]byte, 0, hint)
+			p.d.stagingGrows.Add(1)
+		}
+		j.slot.pinIn[i] = append(j.slot.pinIn[i][:0], j.in[i].Data...)
+		j.inBytes += len(j.in[i].Data)
+		// Drop the ring-backed view: after submit the pipeline touches
+		// only slot-owned memory.
 		j.in[i].Data = nil
-		j.in[i].Cols = nil
 	}
 	p.d.inflight.Add(1)
 	p.cIn <- j
@@ -180,22 +143,8 @@ func (p *pipeline) movein() {
 			continue
 		}
 		start := time.Now()
-		if j.colStaged {
-			if cap(j.slot.devCols) < len(j.slot.pinCols) {
-				j.slot.devCols = make([][]byte, len(j.slot.pinCols))
-			}
-			j.slot.devCols = j.slot.devCols[:len(j.slot.pinCols)]
-			for c, col := range j.slot.pinCols {
-				if col == nil {
-					j.slot.devCols[c] = nil
-					continue
-				}
-				j.slot.devCols[c] = append(j.slot.devCols[c][:0], col...)
-			}
-		} else {
-			for i := 0; i < 2; i++ {
-				j.slot.devIn[i] = append(j.slot.devIn[i][:0], j.slot.pinIn[i]...)
-			}
+		for i := 0; i < 2; i++ {
+			j.slot.devIn[i] = append(j.slot.devIn[i][:0], j.slot.pinIn[i]...)
 		}
 		p.d.bytesMoved.Add(int64(j.inBytes))
 		j.tr.SetStage(obs.StageGPUMoveIn, model.Pad(start, p.d.cfg.Model.PCIeTime(j.inBytes)))

@@ -8,12 +8,9 @@
 // query's circular input buffer without deserialisation, preserving
 // SABER's lazy-deserialisation discipline (§5.1).
 //
-// Downstream of the sink, a frame lands twice in one pass: the engine's
-// insert path admits the payload to the row ring and immediately shreds
-// it into the per-column segments of the columnar mirror
-// (ringbuf.ColumnStore), while the frame is still hot in cache. From
-// that point tasks, operators and the GPGPU DMA stage consume dense
-// column views; no later stage re-gathers rows (see DESIGN.md §11).
+// Downstream of the sink, the engine's insert path copies the payload
+// once, into the query's row ring. Tasks are views of that ring, and
+// operators and the GPGPU stage read the rows in place.
 //
 // A frame costs one syscall at each end. The client writes header and
 // payload with one writev. The server reads each connection through one

@@ -3,7 +3,7 @@
 // shedding policies that degrade gracefully instead of stalling, and a
 // stall watchdog that detects a wedged pipeline.
 //
-// The policy ladder is deliberate (DESIGN.md §13): a loaded engine first
+// The policy ladder is deliberate (DESIGN.md §12): a loaded engine first
 // shrinks ϕ (internal/adapt), then exerts backpressure against the
 // budget, and only as a last rung sheds tuples — oldest-window-first to
 // bound staleness, or probabilistically weighted per source. Every shed

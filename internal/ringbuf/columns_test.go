@@ -46,11 +46,11 @@ func TestColumnStoreShred(t *testing.T) {
 	rows := genRows(48, 1)
 	// Append in uneven chunks.
 	for _, n := range []int{1, 7, 16, 24} {
-		off := int(s.End())
+		off := int(s.end.Load())
 		s.Append(rows[off*ctsz : (off+n)*ctsz])
 	}
-	if s.End() != 48 || s.Start() != 0 || s.Tuples() != 48 {
-		t.Fatalf("bounds: [%d,%d)", s.Start(), s.End())
+	if s.end.Load() != 48 || s.start.Load() != 0 {
+		t.Fatalf("bounds: [%d,%d)", s.start.Load(), s.end.Load())
 	}
 	views, ok := s.Views(nil, 0, 48)
 	if !ok {
@@ -60,20 +60,14 @@ func TestColumnStoreShred(t *testing.T) {
 		if want := wantCol(rows, c, 0, 48); !bytes.Equal(views[c], want) {
 			t.Fatalf("column %d shredded wrong:\n got %x\nwant %x", c, views[c], want)
 		}
-		if got, want := s.ColBytes(c), int64(48*cwidths[c]); got != want {
-			t.Errorf("ColBytes(%d) = %d, want %d", c, got, want)
-		}
 	}
 }
 
 // TestColumnStoreWrap drives the indices past the physical capacity:
-// Views must refuse the wrapping range and CopyViews must reassemble it
-// byte-identically.
+// Views must refuse the wrapping range and serve the ranges on either
+// side of the boundary.
 func TestColumnStoreWrap(t *testing.T) {
 	s := MustNewColumnStore(coffs, cwidths, nil, ctsz, 32) // rounds to 32
-	if s.CapacityTuples() != 32 {
-		t.Fatalf("capacity = %d, want 32", s.CapacityTuples())
-	}
 	rows := genRows(200, 2)
 	next := int64(0)
 	appendTo := func(end int64) {
@@ -84,18 +78,9 @@ func TestColumnStoreWrap(t *testing.T) {
 	appendTo(24)
 	s.Release(16) // free room so the next append wraps
 	appendTo(40)  // crosses physical index 32
-	if s.Wraps() != 1 {
-		t.Fatalf("wraps = %d, want 1", s.Wraps())
-	}
 
 	if _, ok := s.Views(nil, 28, 36); ok {
 		t.Fatal("Views accepted a wrapping range")
-	}
-	got := s.CopyViews(nil, 28, 36)
-	for c := range got {
-		if want := wantCol(rows, c, 28, 36); !bytes.Equal(got[c], want) {
-			t.Fatalf("CopyViews column %d:\n got %x\nwant %x", c, got[c], want)
-		}
 	}
 	// Non-wrapping sub-ranges on both sides are still zero-copy.
 	for _, r := range [][2]int64{{16, 32}, {32, 40}, {33, 36}} {
@@ -109,17 +94,6 @@ func TestColumnStoreWrap(t *testing.T) {
 			}
 		}
 	}
-	// CopyViews reuses caller buffers.
-	bufs := make([][]byte, len(coffs))
-	for c := range bufs {
-		bufs[c] = make([]byte, 0, 64)
-	}
-	got = s.CopyViews(bufs, 30, 38)
-	for c := range got {
-		if want := wantCol(rows, c, 30, 38); !bytes.Equal(got[c], want) {
-			t.Fatalf("reused CopyViews column %d wrong", c)
-		}
-	}
 }
 
 // TestColumnStoreRandomized: a long randomized append/view/release run
@@ -129,9 +103,11 @@ func TestColumnStoreRandomized(t *testing.T) {
 	rows := genRows(5000, 3)
 	rnd := rand.New(rand.NewSource(4))
 	var next int64
+	wrapped := 0
 	for next < 5000 {
+		start, capTuples := s.start.Load(), s.mask+1
 		// Append up to the free space.
-		free := s.CapacityTuples() - s.Tuples()
+		free := capTuples - (next - start)
 		if free > 0 {
 			n := 1 + rnd.Int63n(free)
 			if next+n > 5000 {
@@ -140,25 +116,28 @@ func TestColumnStoreRandomized(t *testing.T) {
 			s.Append(rows[next*ctsz : (next+n)*ctsz])
 			next += n
 		}
-		// Read a random retained range through whichever path applies.
-		lo := s.Start() + rnd.Int63n(s.Tuples()+1)
-		hi := lo + rnd.Int63n(s.End()-lo+1)
-		var got [][]byte
-		if v, ok := s.Views(nil, lo, hi); ok {
-			got = v
-		} else {
-			got = s.CopyViews(nil, lo, hi)
+		// Read a random retained range; Views refuses exactly the ranges
+		// that cross the physical boundary.
+		lo := start + rnd.Int63n(next-start+1)
+		hi := lo + rnd.Int63n(next-lo+1)
+		crosses := lo != hi && lo/capTuples != (hi-1)/capTuples
+		v, ok := s.Views(nil, lo, hi)
+		if ok == crosses {
+			t.Fatalf("range [%d,%d): Views ok=%v, crosses the boundary=%v", lo, hi, ok, crosses)
 		}
-		for c := range got {
-			if want := wantCol(rows, c, lo, hi); !bytes.Equal(got[c], want) {
+		if !ok {
+			wrapped++
+		}
+		for c := range v {
+			if want := wantCol(rows, c, lo, hi); ok && !bytes.Equal(v[c], want) {
 				t.Fatalf("range [%d,%d) column %d wrong after %d tuples", lo, hi, c, next)
 			}
 		}
 		// Release a random prefix.
-		s.Release(s.Start() + rnd.Int63n(s.Tuples()+1))
+		s.Release(start + rnd.Int63n(next-start+1))
 	}
-	if s.Wraps() == 0 {
-		t.Error("randomized run never wrapped — capacity too large for the test to bite")
+	if wrapped == 0 {
+		t.Error("randomized run never read across the boundary — capacity too large for the test to bite")
 	}
 }
 
@@ -195,8 +174,8 @@ func TestColumnStoreInvariantPanics(t *testing.T) {
 	})
 	// Backwards/duplicate release is a no-op, not a panic.
 	s.Release(2)
-	if s.Start() != 4 {
-		t.Errorf("backwards release moved start to %d", s.Start())
+	if got := s.start.Load(); got != 4 {
+		t.Errorf("backwards release moved start to %d", got)
 	}
 
 	if _, err := NewColumnStore([]int{0}, []int{4, 4}, nil, 8, 8); err == nil {
@@ -213,22 +192,17 @@ func TestColumnStoreInvariantPanics(t *testing.T) {
 func TestColumnStorePow2Rounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int64 }{{1, 1}, {2, 2}, {3, 4}, {61, 64}, {64, 64}, {65, 128}} {
 		s := MustNewColumnStore([]int{0}, []int{8}, nil, 8, int(tc.in))
-		if s.CapacityTuples() != tc.want {
-			t.Errorf("cap %d rounded to %d, want %d", tc.in, s.CapacityTuples(), tc.want)
+		if got := s.mask + 1; got != tc.want {
+			t.Errorf("cap %d rounded to %d, want %d", tc.in, got, tc.want)
 		}
 	}
 }
 
 // TestColumnStoreShredMask: a deselected column is never materialised —
-// its Views/CopyViews entries stay nil, ColBytes reads 0 — while the
-// selected columns behave exactly as an unmasked store (projection
-// pushdown: the engine shreds only fields the plan reads through
-// columns).
+// its Views entries stay nil — while the selected columns behave exactly
+// as an unmasked store.
 func TestColumnStoreShredMask(t *testing.T) {
 	s := MustNewColumnStore(coffs, cwidths, []bool{false, true, false}, ctsz, 32)
-	if s.Shredded(0) || !s.Shredded(1) || s.Shredded(2) {
-		t.Fatalf("shredded flags: %v %v %v", s.Shredded(0), s.Shredded(1), s.Shredded(2))
-	}
 	rows := genRows(24, 9)
 	s.Append(rows)
 
@@ -241,27 +215,6 @@ func TestColumnStoreShredMask(t *testing.T) {
 	}
 	if want := wantCol(rows, 1, 0, 24); !bytes.Equal(views[1], want) {
 		t.Errorf("selected column shredded wrong:\n got %x\nwant %x", views[1], want)
-	}
-	if s.ColBytes(0) != 0 || s.ColBytes(2) != 0 {
-		t.Errorf("masked ColBytes = %d, %d, want 0", s.ColBytes(0), s.ColBytes(2))
-	}
-	if got, want := s.ColBytes(1), int64(24*4); got != want {
-		t.Errorf("selected ColBytes = %d, want %d", got, want)
-	}
-
-	// Drive past the physical boundary so CopyViews reassembles: masked
-	// entries must stay nil there too.
-	s.Release(16)
-	s.Append(genRows(40, 9)[24*ctsz : 40*ctsz])
-	if _, ok := s.Views(nil, 28, 36); ok {
-		t.Fatal("wrapping range not refused")
-	}
-	bufs := s.CopyViews(nil, 28, 36)
-	if bufs[0] != nil || bufs[2] != nil {
-		t.Errorf("masked columns returned copies: %v %v", bufs[0], bufs[2])
-	}
-	if want := wantCol(genRows(40, 9), 1, 28, 36); !bytes.Equal(bufs[1], want) {
-		t.Errorf("selected column copy wrong:\n got %x\nwant %x", bufs[1], want)
 	}
 
 	if _, err := NewColumnStore(coffs, cwidths, []bool{true}, ctsz, 32); err == nil {
