@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"saber/internal/expr"
 	"saber/internal/fault"
 	"saber/internal/gpu"
 	"saber/internal/model"
+	"saber/internal/obs"
 	"saber/internal/query"
 	"saber/internal/schema"
 	"saber/internal/window"
@@ -18,7 +20,9 @@ import (
 // Engine-level differential tests: the same stream through the engine —
 // ring, task cuts, workers, result reordering — and through directRun
 // (Plan.Process over the whole stream, no engine) must produce the same
-// output.
+// output. The tests keep the TestColumnar names they had while the
+// engine also mirrored each input into a column store; every input is
+// now one row ring, and the same cases check the row path.
 
 // runEngine feeds one query through a fresh engine and returns the
 // collected output.
@@ -71,9 +75,9 @@ func projQuery(t *testing.T) *query.Query {
 		MustBuild()
 }
 
-// TestDirectDiffSelection: ordered selection output — the strictest
+// TestColumnarDiffSelection: ordered selection output — the strictest
 // comparison (bytes.Equal, no sorting).
-func TestDirectDiffSelection(t *testing.T) {
+func TestColumnarDiffSelection(t *testing.T) {
 	stream := genStream(40000, 101)
 	want := directRun(t, selQuery(t), [2][]byte{stream, nil}, 128)
 	got := runEngine(t, func() *query.Query { return selQuery(t) }, fastConfig(4), chunkedFeed(stream, 102))
@@ -83,9 +87,9 @@ func TestDirectDiffSelection(t *testing.T) {
 	}
 }
 
-// TestDirectDiffProjection: computed writers (NumProgram over a field)
+// TestColumnarDiffProjection: computed writers (NumProgram over a field)
 // alongside forwarded fields, still byte-identical and ordered.
-func TestDirectDiffProjection(t *testing.T) {
+func TestColumnarDiffProjection(t *testing.T) {
 	stream := genStream(30000, 103)
 	want := directRun(t, projQuery(t), [2][]byte{stream, nil}, 128)
 	got := runEngine(t, func() *query.Query { return projQuery(t) }, fastConfig(4), chunkedFeed(stream, 104))
@@ -95,10 +99,10 @@ func TestDirectDiffProjection(t *testing.T) {
 	}
 }
 
-// TestDirectDiffAggregation: grouped sliding-window aggregation (SUM(a)
+// TestColumnarDiffAggregation: grouped sliding-window aggregation (SUM(a)
 // GROUP BY b) — window boundaries come from window.Context, so an
 // off-by-one in FirstIndex addressing shows up as shifted panes here.
-func TestDirectDiffAggregation(t *testing.T) {
+func TestColumnarDiffAggregation(t *testing.T) {
 	for _, c := range []struct {
 		workers              int
 		streamSeed, feedSeed int64
@@ -114,9 +118,9 @@ func TestDirectDiffAggregation(t *testing.T) {
 	}
 }
 
-// TestDirectDiffJoin: two inputs, each with its own ring and its own
+// TestColumnarDiffJoin: two inputs, each with its own ring and its own
 // tuple geometry.
-func TestDirectDiffJoin(t *testing.T) {
+func TestColumnarDiffJoin(t *testing.T) {
 	right := schema.MustNew(
 		schema.Field{Name: "timestamp", Type: schema.Int64},
 		schema.Field{Name: "w", Type: schema.Int32},
@@ -157,9 +161,9 @@ func TestDirectDiffJoin(t *testing.T) {
 	}
 }
 
-// TestDirectDiffResize: mid-stream ϕ resizes move the task cuts; the
+// TestColumnarDiffResize: mid-stream ϕ resizes move the task cuts; the
 // ring views must track the new extents exactly.
-func TestDirectDiffResize(t *testing.T) {
+func TestColumnarDiffResize(t *testing.T) {
 	stream := genStream(40000, 108)
 	want := directRun(t, selQuery(t), [2][]byte{stream, nil}, 128)
 
@@ -175,10 +179,10 @@ func TestDirectDiffResize(t *testing.T) {
 	}
 }
 
-// TestDirectDiffGPUFailover: injected kernel faults push tasks through
+// TestColumnarDiffGPUFailover: injected kernel faults push tasks through
 // GPU→CPU failover while the device runs the projection; retried tasks
 // carry their ring views with them. Output must stay byte-identical.
-func TestDirectDiffGPUFailover(t *testing.T) {
+func TestColumnarDiffGPUFailover(t *testing.T) {
 	stream := genStream(60000, 109)
 	want := directRun(t, projQuery(t), [2][]byte{stream, nil}, 128)
 
@@ -202,5 +206,41 @@ func TestDirectDiffGPUFailover(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("output diverged under failover: got %d bytes, want %d", len(got), len(want))
+	}
+}
+
+// TestColumnarGauges: the column mirror's telemetry went with it. After a
+// projection run on a device, the registry exports no saber.ring.*
+// column gauge and no saber.gpu.gathers.elided (a dashboard must find
+// them gone, not reading a stale zero), while the row ring's gauges are
+// there.
+func TestColumnarGauges(t *testing.T) {
+	reg := obs.NewRegistry()
+	dev := gpu.Open(gpu.Config{SMs: 2, Model: model.Default().Scaled(1e-6)})
+	cfg := fastConfig(4)
+	cfg.GPU = dev
+	cfg.Metrics = reg
+	stream := genStream(20000, 110)
+	want := directRun(t, projQuery(t), [2][]byte{stream, nil}, 128)
+	got := runEngine(t, func() *query.Query { return projQuery(t) }, cfg,
+		func(h *Handle, eng *Engine) {
+			preferDevice(eng)
+			chunkedFeed(stream, 111)(h, eng)
+		})
+	dev.Close()
+
+	if !bytes.Equal(got, want) {
+		t.Fatalf("engine output diverged from direct run: got %d bytes, want %d", len(got), len(want))
+	}
+	names := reg.Names()
+	for _, name := range names {
+		if strings.HasPrefix(name, "saber.ring.") || name == "saber.gpu.gathers.elided" {
+			t.Errorf("retired column metric %s is still exported", name)
+		}
+	}
+	for _, name := range []string{"saber.engine.q0.in0.ring.bytes", "saber.engine.q0.in0.ring.wraps", "saber.gpu.tasks.done"} {
+		if !slices.Contains(names, name) {
+			t.Errorf("%s missing from the registry", name)
+		}
 	}
 }

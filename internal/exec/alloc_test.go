@@ -48,7 +48,7 @@ func allocQuery(kind string) *query.Query {
 	panic("unknown kind " + kind)
 }
 
-func steadyStateAllocs(tb testing.TB, kind string) float64 {
+func steadyStateAllocs(tb testing.TB, kind string, cols bool) float64 {
 	tb.Helper()
 	p, err := Compile(allocQuery(kind))
 	if err != nil {
@@ -58,6 +58,9 @@ func steadyStateAllocs(tb testing.TB, kind string) float64 {
 		p.SetIncremental(false)
 	}
 	in := [2]Batch{{Data: genStream(4096, 9), Ctx: window.Context{PrevTimestamp: window.NoPrev}}}
+	if cols {
+		in[0].Cols = staleCols(p.InputSchema(0), in[0].Data)
+	}
 	run := func() {
 		res := p.NewResult()
 		if err := p.Process(in, res); err != nil {
@@ -77,15 +80,25 @@ func TestAggregateSteadyStateAllocs(t *testing.T) {
 	}
 	for _, kind := range []string{"grouped-rolling", "grouped-direct", "scalar-prefix", "scalar-direct"} {
 		t.Run(kind, func(t *testing.T) {
-			got := steadyStateAllocs(t, kind)
-			// 4096 tuples, 64 windows per batch. Scalar partials draw
-			// their accumulators from the result's arena and grouped ones
-			// their tables from the pool, so every path must be (near)
-			// zero: a regression to per-window (64+), per-tuple (4096+) or
-			// per-group work trips the budget.
-			const budget = 48.0
-			if got > budget {
-				t.Errorf("%s: %.0f allocs/op, budget %.0f — a per-task scratch buffer is not pooled", kind, got, budget)
+			for _, cols := range []bool{false, true} {
+				name := "rows"
+				if cols {
+					name = "cols"
+				}
+				t.Run(name, func(t *testing.T) {
+					got := steadyStateAllocs(t, kind, cols)
+					// 4096 tuples, 64 windows per batch. Scalar partials draw
+					// their accumulators from the result's arena and grouped
+					// ones their tables from the pool, so every path must be
+					// (near) zero: a regression to per-window (64+), per-tuple
+					// (4096+) or per-group work trips the budget. A batch
+					// that carries column segments costs nothing extra: no
+					// kernel reads them.
+					const budget = 48.0
+					if got > budget {
+						t.Errorf("%s/%s: %.0f allocs/op, budget %.0f — a per-task scratch buffer is not pooled", kind, name, got, budget)
+					}
+				})
 			}
 		})
 	}

@@ -54,6 +54,15 @@ func runPlan(t *testing.T, p *Plan, stream []byte, batchTuples int) []byte {
 
 func runPlanStreams(t *testing.T, p *Plan, streams [2][]byte, batchTuples int) []byte {
 	t.Helper()
+	return runPlanLayout(t, p, streams, batchTuples, false)
+}
+
+// runPlanLayout is runPlanStreams with a choice of batch layout: with cols
+// set, every non-empty batch also carries stale column segments
+// (staleCols), so a kernel that read Batch.Cols instead of the rows would
+// miss the oracle. Every kernel reads rows only.
+func runPlanLayout(t *testing.T, p *Plan, streams [2][]byte, batchTuples int, cols bool) []byte {
+	t.Helper()
 	asm := NewAssembler(p)
 	var out []byte
 	var pos [2]int
@@ -86,6 +95,9 @@ func runPlanStreams(t *testing.T, p *Plan, streams [2][]byte, batchTuples int) [
 				FirstIndex:    int64(pos[i]),
 				PrevTimestamp: prevTS[i],
 			}}
+			if cols {
+				in[i].Cols = staleCols(p.InputSchema(i), data)
+			}
 			if n > 0 {
 				prevTS[i] = s.Timestamp(data[(n-1)*tsz:])
 			}
@@ -104,6 +116,30 @@ func runPlanStreams(t *testing.T, p *Plan, streams [2][]byte, batchTuples int) [
 		p.ReleaseResult(res)
 	}
 	return asm.Flush(out)
+}
+
+// staleCols builds a column segment for every field of a batch of rows
+// (Cols[j] holds field j of every tuple, packed at the field's width),
+// with every byte complemented: segments that disagree with the rows
+// they sit beside. It attaches nothing to an empty batch.
+func staleCols(s *schema.Schema, data []byte) [][]byte {
+	tsz := s.TupleSize()
+	n := len(data) / tsz
+	if n == 0 {
+		return nil
+	}
+	cols := make([][]byte, s.NumFields())
+	for f := range cols {
+		off, w := s.Offset(f), s.Field(f).Type.Size()
+		col := make([]byte, 0, n*w)
+		for k := 0; k < n; k++ {
+			for _, b := range data[k*tsz+off : k*tsz+off+w] {
+				col = append(col, ^b)
+			}
+		}
+		cols[f] = col
+	}
+	return cols
 }
 
 func TestMapIdentity(t *testing.T) {

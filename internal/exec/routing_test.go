@@ -112,8 +112,9 @@ func sameWindows(t *testing.T, p *Plan, got, want []byte, counts []int) {
 
 // TestCompleteWindowRoutingProperty: for count and time windows, batch
 // sizes from one tuple to beyond the window, scalar and grouped plans on
-// the incremental and direct paths, HAVING and DISTINCT: no complete
-// window leaves Process as a partial, and the assembled output equals the
+// the incremental and direct paths, HAVING and DISTINCT, over row-only
+// batches and batches carrying stale column segments: no complete window
+// leaves Process as a partial, and the assembled output equals the
 // oracle's window by window.
 func TestCompleteWindowRoutingProperty(t *testing.T) {
 	const n = 240
@@ -130,17 +131,19 @@ func TestCompleteWindowRoutingProperty(t *testing.T) {
 			stream := gapStream(n, int64(30+wi))
 			want := runOracle(t, c.build(w), [2][]byte{stream, nil})
 			batches := []int{1, 2, int(w.Size) - 1, int(w.Size), int(w.Size) + 1, 3 * int(w.Size), 1 + rnd.Intn(n)}
-			for _, b := range batches {
-				if b < 1 {
-					continue
-				}
-				t.Run(fmt.Sprintf("%s/%v/batch=%d", c.name, w, b), func(t *testing.T) {
-					p := mustCompile(t, c.build(w))
-					if c.direct {
-						p.SetIncremental(false)
+			for _, cols := range []bool{true, false} {
+				for _, b := range batches {
+					if b < 1 {
+						continue
 					}
-					want.check(t, p, runPlanStreams(t, p, [2][]byte{stream, nil}, b), b)
-				})
+					t.Run(fmt.Sprintf("%s/%v/cols=%v/batch=%d", c.name, w, cols, b), func(t *testing.T) {
+						p := mustCompile(t, c.build(w))
+						if c.direct {
+							p.SetIncremental(false)
+						}
+						want.check(t, p, runPlanLayout(t, p, [2][]byte{stream, nil}, b, cols), b)
+					})
+				}
 			}
 		}
 	}

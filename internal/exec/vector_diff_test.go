@@ -31,7 +31,8 @@ func kernelOf(p *Plan) string {
 
 // TestKernelsAgainstOracle runs one query per kernel shape through the
 // batch operator functions and the assembler at batch sizes 1, w-1, w,
-// w+1 and 3w (w the window size), and requires the output to equal the
+// w+1 and 3w (w the window size), over row-only batches and batches
+// carrying stale column segments, and requires the output to equal the
 // naive window oracle's exactly — join rows in nested-loop order wherever whole
 // windows fit in a batch (oracleResult.check).
 func TestKernelsAgainstOracle(t *testing.T) {
@@ -214,14 +215,16 @@ func TestKernelsAgainstOracle(t *testing.T) {
 			t.Fatalf("%s: oracle produced %d bytes", c.name, len(want.out))
 		}
 		size := int(c.q.Inputs[0].Window.Size)
-		for _, batch := range []int{1, size - 1, size, size + 1, 3 * size} {
-			t.Run(fmt.Sprintf("%s/batch=%d", c.name, batch), func(t *testing.T) {
-				p := mustCompile(t, c.q)
-				if k := kernelOf(p); k != c.kernel {
-					t.Fatalf("plan runs the %s kernel, want %s", k, c.kernel)
-				}
-				want.check(t, p, runPlanStreams(t, p, c.streams, batch), batch)
-			})
+		for _, cols := range []bool{false, true} {
+			for _, batch := range []int{1, size - 1, size, size + 1, 3 * size} {
+				t.Run(fmt.Sprintf("%s/cols=%v/batch=%d", c.name, cols, batch), func(t *testing.T) {
+					p := mustCompile(t, c.q)
+					if k := kernelOf(p); k != c.kernel {
+						t.Fatalf("plan runs the %s kernel, want %s", k, c.kernel)
+					}
+					want.check(t, p, runPlanLayout(t, p, c.streams, batch, cols), batch)
+				})
+			}
 		}
 	}
 }

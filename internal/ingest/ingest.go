@@ -124,7 +124,7 @@ type Server struct {
 	readTimeout atomic.Int64 // nanoseconds
 
 	sinkMu  sync.Mutex
-	serveMu sync.Mutex // held by Serve while it runs; Close waits on it
+	serveMu sync.Mutex // held by whichever of Serve and Close runs the accept loop
 	closed  atomic.Bool
 
 	// closeDeadline (unix nanoseconds, 0 = not closing) is the final read
@@ -299,6 +299,11 @@ func (s *Server) RegisterMetrics(reg *obs.Registry, prefix string) {
 func (s *Server) Serve() error {
 	s.serveMu.Lock()
 	defer s.serveMu.Unlock()
+	return s.serve()
+}
+
+// serve is Serve's accept loop; the caller holds serveMu.
+func (s *Server) serve() error {
 	for {
 		cd := s.closeDeadline.Load()
 		// Closing: serve only connections already queued — a sender that
@@ -350,7 +355,9 @@ func (s *Server) Serve() error {
 // closeGrace: the in-flight connection and then every connection already
 // queued on the listener drain to the sink — frames a finished sender
 // left in a socket are not lost — but a live idle sender is timed out
-// instead of stalling shutdown for its full read timeout.
+// instead of stalling shutdown for its full read timeout. Close drains
+// the queue itself when no Serve has taken it: a Serve goroutine not yet
+// scheduled, or none at all. A Serve that starts after Close returns nil.
 func (s *Server) Close() error {
 	if s.closed.Swap(true) {
 		return nil
@@ -366,6 +373,7 @@ func (s *Server) Close() error {
 	// Wake a Serve blocked in Accept; it then drains the queue and returns.
 	_ = s.l.SetDeadline(time.Now())
 	s.serveMu.Lock()
+	_ = s.serve() // closing: drains what is still queued, then returns nil
 	s.serveMu.Unlock()
 	return s.l.Close()
 }

@@ -276,6 +276,54 @@ func TestCloseServesQueuedConnections(t *testing.T) {
 	}
 }
 
+// TestCloseWithoutServeDrainsQueue: a sender can connect and finish
+// before the goroutine running Serve is first scheduled. Close must then
+// serve the queued connection itself rather than close the listener on
+// it.
+func TestCloseWithoutServeDrainsQueue(t *testing.T) {
+	sink := &collectSink{}
+	srv, err := Listen("127.0.0.1:0", sink, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte{7}, 8*500)
+	if err := c.Send(want); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	srv.Close()
+	if got := sink.bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("sink got %d bytes, want %d", len(got), len(want))
+	}
+	if srv.BytesIn() != int64(len(want)) || srv.Frames() != 1 {
+		t.Fatalf("telemetry: bytes=%d frames=%d", srv.BytesIn(), srv.Frames())
+	}
+}
+
+// TestServeAfterCloseReturns: a Serve that starts after Close finds the
+// listener closed and returns nil at once instead of an accept error.
+func TestServeAfterCloseReturns(t *testing.T) {
+	srv, err := Listen("127.0.0.1:0", &collectSink{}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Serve after Close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve after Close did not return")
+	}
+}
+
 func TestValidation(t *testing.T) {
 	if _, err := NewServer(nil, nil, 8); err == nil {
 		t.Error("nil sink accepted")
