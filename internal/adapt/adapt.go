@@ -18,7 +18,7 @@
 //     spending the latency budget.
 //
 // Oscillation is suppressed twice over: a deadband between the shrink
-// threshold (the SLO) and the grow ceiling (Headroom·SLO) where the
+// threshold (the SLO) and the grow ceiling (headroom·SLO) where the
 // controller holds, plus hold-ticks after every resize and step damping
 // that halves the step size whenever the direction reverses.
 //
@@ -34,8 +34,9 @@ import (
 )
 
 // Config tunes the controller. The zero value is not runnable; Step
-// applies defaults for every unset knob, so callers only need MinPhi,
-// MaxPhi and SLO.
+// applies defaults for every unset field, so callers only need MinPhi,
+// MaxPhi and SLO. The control law's own gains are the package constants
+// below.
 type Config struct {
 	// MinPhi and MaxPhi bound ϕ in bytes. Defaults 4 KiB and 4 MiB.
 	MinPhi, MaxPhi int
@@ -45,27 +46,6 @@ type Config struct {
 	// tickless — this is consumed by the engine's control loop only).
 	// Default 50ms.
 	Interval time.Duration
-	// QueueFrac is the share of the SLO budgeted to queue wait: the
-	// controller shrinks when queue-wait p99 alone exceeds
-	// QueueFrac·SLO, before the e2e tail blows. Default 0.5.
-	QueueFrac float64
-	// Headroom caps growth: grow only while e2e p99 < Headroom·SLO.
-	// The band between Headroom·SLO and SLO is the hysteresis deadband
-	// where the controller holds. Default 0.6.
-	Headroom float64
-	// OverheadFrac is the dispatch-bound threshold: grow when the fixed
-	// per-task overhead share of service time is at least this.
-	// Default 0.35.
-	OverheadFrac float64
-	// GrowStep and ShrinkStep are the multiplicative resize steps at
-	// full step scale. Defaults 1.5 and 0.65.
-	GrowStep, ShrinkStep float64
-	// HoldTicks is how many ticks the controller holds after a resize
-	// before it may resize again (hysteresis). Default 2.
-	HoldTicks int
-	// MinTasks is the fewest finished tasks a tick must carry for its
-	// percentiles to be trusted; quieter ticks hold. Default 4.
-	MinTasks int64
 }
 
 func (c Config) withDefaults() Config {
@@ -83,27 +63,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Interval <= 0 {
 		c.Interval = 50 * time.Millisecond
-	}
-	if c.QueueFrac <= 0 {
-		c.QueueFrac = 0.5
-	}
-	if c.Headroom <= 0 {
-		c.Headroom = 0.6
-	}
-	if c.OverheadFrac <= 0 {
-		c.OverheadFrac = 0.35
-	}
-	if c.GrowStep <= 1 {
-		c.GrowStep = 1.5
-	}
-	if c.ShrinkStep <= 0 || c.ShrinkStep >= 1 {
-		c.ShrinkStep = 0.65
-	}
-	if c.HoldTicks <= 0 {
-		c.HoldTicks = 2
-	}
-	if c.MinTasks <= 0 {
-		c.MinTasks = 4
 	}
 	return c
 }
@@ -206,6 +165,30 @@ type Decision struct {
 	Overloaded bool
 }
 
+// The control law's gains.
+const (
+	// queueFrac is the share of the SLO budgeted to queue wait: the
+	// controller shrinks when queue-wait p99 alone exceeds
+	// queueFrac·SLO, before the e2e tail blows.
+	queueFrac = 0.5
+	// headroom caps growth: grow only while e2e p99 < headroom·SLO.
+	// The band between headroom·SLO and SLO is the hysteresis deadband
+	// where the controller holds.
+	headroom = 0.6
+	// overheadFrac is the dispatch-bound threshold: grow when the fixed
+	// per-task overhead share of service time is at least this.
+	overheadFrac = 0.35
+	// growStep and shrinkStep are the multiplicative resize steps at
+	// full step scale.
+	growStep, shrinkStep = 1.5, 0.65
+	// holdTicks is how many ticks the controller holds after a resize
+	// before it may resize again (hysteresis).
+	holdTicks = 2
+	// minTasks is the fewest finished tasks a tick must carry for its
+	// percentiles to be trusted; quieter ticks hold.
+	minTasks = 4
+)
+
 // stepScaleFloor bounds damping: even a pathological oscillator keeps a
 // 1/16-scale step so the controller never freezes entirely.
 const stepScaleFloor = 1.0 / 16
@@ -239,25 +222,25 @@ func Step(cfg Config, st State, sig Signals) (State, Decision) {
 		return st, Decision{Action: Hold, Phi: st.Phi, Reason: reason}
 	}
 
-	if sig.Tasks < cfg.MinTasks {
+	if sig.Tasks < minTasks {
 		// Too quiet to trust the percentiles; also counts as calm.
 		st.CalmTicks++
 		if st.CalmTicks >= calmReset {
 			st.StepScale = 1
 		}
-		return hold(fmt.Sprintf("idle: %d tasks < %d", sig.Tasks, cfg.MinTasks))
+		return hold(fmt.Sprintf("idle: %d tasks < %d", sig.Tasks, minTasks))
 	}
 
 	slo := int64(cfg.SLO)
-	queueBudget := int64(float64(slo) * cfg.QueueFrac)
+	queueBudget := int64(float64(slo) * queueFrac)
 	tail := sig.TailP99()
 	overSLO := tail > slo || sig.QueueP99 > queueBudget
 	// Over the SLO with ϕ already pinned at the floor: every decision
 	// this tick returns carries the last-rung overload signal.
 	overloaded := overSLO && st.Phi <= cfg.MinPhi
-	inHeadroom := float64(tail) < cfg.Headroom*float64(slo) &&
-		float64(sig.QueueP99) < cfg.Headroom*float64(queueBudget)
-	dispatchBound := sig.OverheadShare() >= cfg.OverheadFrac
+	inHeadroom := float64(tail) < headroom*float64(slo) &&
+		float64(sig.QueueP99) < headroom*float64(queueBudget)
+	dispatchBound := sig.OverheadShare() >= overheadFrac
 
 	want := 0
 	var why string
@@ -270,7 +253,7 @@ func Step(cfg Config, st State, sig Signals) (State, Decision) {
 	case dispatchBound && inHeadroom:
 		want = +1
 		why = fmt.Sprintf("dispatch-bound: overhead %.0f%% of service, tail p99 %v under %.0f%% of slo",
-			sig.OverheadShare()*100, time.Duration(tail), cfg.Headroom*100)
+			sig.OverheadShare()*100, time.Duration(tail), headroom*100)
 	default:
 		st.CalmTicks++
 		if st.CalmTicks >= calmReset {
@@ -303,9 +286,9 @@ func Step(cfg Config, st State, sig Signals) (State, Decision) {
 
 	var factor float64
 	if want > 0 {
-		factor = 1 + (cfg.GrowStep-1)*st.StepScale
+		factor = 1 + (growStep-1)*st.StepScale
 	} else {
-		factor = 1 - (1-cfg.ShrinkStep)*st.StepScale
+		factor = 1 - (1-shrinkStep)*st.StepScale
 	}
 	next := int(float64(st.Phi) * factor)
 	next -= next % phiQuantum
@@ -325,7 +308,7 @@ func Step(cfg Config, st State, sig Signals) (State, Decision) {
 	if next == st.Phi {
 		// Already pinned to the bound the signals push toward.
 		st.LastDir = want
-		st.Cooldown = cfg.HoldTicks
+		st.Cooldown = holdTicks
 		return st, Decision{Action: Hold, Phi: st.Phi, Clamped: true,
 			Overloaded: overloaded,
 			Reason:     fmt.Sprintf("at bound: %s", why)}
@@ -333,7 +316,7 @@ func Step(cfg Config, st State, sig Signals) (State, Decision) {
 
 	st.Phi = next
 	st.LastDir = want
-	st.Cooldown = cfg.HoldTicks
+	st.Cooldown = holdTicks
 	act := Grow
 	if want < 0 {
 		act = Shrink

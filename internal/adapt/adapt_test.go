@@ -99,7 +99,7 @@ func TestStepGrowWhenDispatchBound(t *testing.T) {
 }
 
 // TestStepDeadbandHolds: dispatch-bound but the tail sits between
-// Headroom·SLO and SLO — the hysteresis band where neither rule fires.
+// headroom·SLO and SLO — the hysteresis band where neither rule fires.
 func TestStepDeadbandHolds(t *testing.T) {
 	cfg := testConfig() // headroom ceiling = 0.6 · 20ms = 12ms
 	sig := calmSignals()
@@ -123,7 +123,7 @@ func TestStepCooldownHolds(t *testing.T) {
 		t.Fatalf("setup: want shrink, got %+v", d)
 	}
 	phi := st.Phi
-	// The next HoldTicks(2) ticks must hold even though the signal still
+	// The next holdTicks (2) ticks must hold even though the signal still
 	// screams shrink.
 	for i := 0; i < 2; i++ {
 		st, d = Step(cfg, st, sig)

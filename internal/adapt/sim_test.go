@@ -124,7 +124,7 @@ func TestDiurnalRampBounded(t *testing.T) {
 func TestOscillatorNoLimitCycle(t *testing.T) {
 	const seed = 4
 	plant := NewPlant(seed)
-	// Flip every 6 ticks — twice the controller's HoldTicks+1 cadence, the
+	// Flip every 6 ticks — twice the controller's holdTicks+1 cadence, the
 	// resonance-friendly shape.
 	res := Simulate(testConfig(), plant, 256<<10, 400, OscillatorTrace(300e6, 1.3e9, 6))
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -211,12 +212,23 @@ func TestGPUFailoverExactlyOnce(t *testing.T) {
 // TestGPUHangTimeoutFailover: an injected device hang trips the engine's
 // GPU task timeout; the task fails over to the CPU while the device's
 // eventual late completion is collected and discarded by the
-// exactly-once result stage — the output never duplicates a window.
+// exactly-once result stage — the output never duplicates a window. The
+// depth-1 case holds the worker to one task in flight: a worker that
+// submitted past the device's depth would block in Submit behind the hung
+// task and never reach its timeout.
 func TestGPUHangTimeoutFailover(t *testing.T) {
+	for _, depth := range []int{4, 1} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			gpuHangTimeoutFailover(t, depth)
+		})
+	}
+}
+
+func gpuHangTimeoutFailover(t *testing.T, depth int) {
 	inj := fault.New(21)
 	inj.Arm(fault.GPUHang, fault.Spec{Rate: 0.1, Delay: 50 * time.Millisecond, Limit: 3})
 
-	dev := gpu.Open(gpu.Config{SMs: 2, Model: model.Default().Scaled(1e-6), Fault: inj})
+	dev := gpu.Open(gpu.Config{SMs: 2, PipelineDepth: depth, Model: model.Default().Scaled(1e-6), Fault: inj})
 
 	cfg := fastConfig(4)
 	cfg.GPU = dev

@@ -15,11 +15,10 @@ import (
 // runtime.Gosched outside the functions allowed below, each for a stated
 // reason and at most the stated number of times. A wait belongs on the
 // signal of the event that ends it (task.Signal), not in a poll loop.
+// (The model pad, which stretches a task to its modelled duration, sleeps
+// in model.Pad, outside these packages.)
 func TestNoSleepPolling(t *testing.T) {
 	allowed := map[string]int{
-		// The model pad: stretching a task to its modelled duration is
-		// the point of the padded lane, not a wait for an event.
-		"engine.waitPad time.Sleep": 1,
 		// CAS retry while a duplicate delivery publishes its slot's ID:
 		// a few instructions away, too short to park on.
 		"engine.deposit runtime.Gosched": 1,

@@ -6,6 +6,7 @@ import (
 
 	"saber/internal/exec"
 	"saber/internal/fault"
+	"saber/internal/model"
 	"saber/internal/obs"
 	"saber/internal/sched"
 	"saber/internal/task"
@@ -107,16 +108,7 @@ func (e *Engine) padCPU(r *registered, t *task.Task, res *exec.TaskResult, start
 		return time.Since(start)
 	}
 	sel := measuredSelectivity(r, res, tuples)
-	return e.waitPad(start, e.cfg.Model.CPUTaskTime(r.cost, tuples, sel))
-}
-
-func (e *Engine) waitPad(start time.Time, target time.Duration) time.Duration {
-	elapsed := time.Since(start)
-	if remaining := target - elapsed; remaining > 0 {
-		time.Sleep(remaining)
-		return target
-	}
-	return elapsed
+	return model.Pad(start, e.cfg.Model.CPUTaskTime(r.cost, tuples, sel))
 }
 
 func taskTuples(r *registered, t *task.Task) int {
@@ -161,8 +153,8 @@ type gpuInflightEntry struct {
 }
 
 // gpuWorker is the single worker thread that fronts the GPGPU. To keep
-// the five-stage pipeline busy it keeps up to the pipeline depth of tasks
-// in flight, completing them in submission order (paper §5.2).
+// the five-stage pipeline busy it keeps up to the device's pipeline depth
+// of tasks in flight, completing them in submission order (paper §5.2).
 //
 // Fault handling: every submission first asks the circuit breaker for
 // permission; device-side failures and timeouts feed back into it and
@@ -177,7 +169,7 @@ type gpuInflightEntry struct {
 func (e *Engine) gpuWorker() {
 	defer e.workers.Done()
 	var fly []gpuInflightEntry
-	const depth = 4
+	depth := e.cfg.GPU.PipelineDepth()
 	idle := e.queue.Idle(int(sched.GPU))
 
 	for {

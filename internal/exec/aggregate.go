@@ -310,7 +310,7 @@ func (p *Plan) seedSlot(sl Slot) {
 }
 
 // addColsToSlot folds row i into a group slot off the pre-evaluated value
-// columns — same folds as FoldTuple, no expression calls.
+// columns: count plus each aggregate's add/min/max fold, no expression calls.
 func (p *Plan) addColsToSlot(sl Slot, cols []float64, n, i int) {
 	sl.AddCount(1)
 	for a, spec := range p.aggs {

@@ -52,9 +52,6 @@ func (p *Plan) WriteOutputBatch(dst, data []byte, n int, sel []int32) []byte {
 	return dst
 }
 
-// EvalJoinPred evaluates the θ-join predicate over a tuple pair.
-func (p *Plan) EvalJoinPred(l, r []byte) bool { return p.joinPred.Eval(l, r) }
-
 // Fragments computes input i's window fragments for a batch of n tuples.
 func (p *Plan) Fragments(dst []window.Fragment, i, n int, data []byte, ctx window.Context) []window.Fragment {
 	view := newTSView(p.in[i], data)
@@ -93,33 +90,9 @@ func (p *Plan) NewTable() *HashTable { return p.newTable() }
 // min/max).
 func (p *Plan) SeedSlot(sl Slot) { p.seedSlot(sl) }
 
-// FoldTuple folds one tuple into a group slot.
-func (p *Plan) FoldTuple(sl Slot, tuple []byte) {
-	sl.AddCount(1)
-	for a, spec := range p.aggs {
-		if spec.arg == nil {
-			continue
-		}
-		v := spec.arg.EvalFloat(tuple, nil)
-		switch spec.op {
-		case OpAdd:
-			sl.AddVal(a, v)
-		case OpMin:
-			sl.MinVal(a, v)
-		case OpMax:
-			sl.MaxVal(a, v)
-		}
-	}
-}
-
 // TimestampOf returns the timestamp of tuple i in a packed batch of
 // input side's schema.
 func (p *Plan) TimestampOf(side int, data []byte, i int) int64 {
 	s := p.in[side]
 	return s.Timestamp(data[i*s.TupleSize():])
-}
-
-// JoinCross appends the projected θ-join of two packed fragments.
-func (p *Plan) JoinCross(dst, aData, bData []byte) []byte {
-	return p.joinCross(dst, aData, bData, nil)
 }

@@ -127,6 +127,10 @@ func (d *Device) TasksCompleted() int64 { return d.tasksDone.Load() }
 // (injected) device fault.
 func (d *Device) TasksFailed() int64 { return d.tasksFailed.Load() }
 
+// PipelineDepth is the number of tasks the device holds in flight:
+// Submit blocks beyond it.
+func (d *Device) PipelineDepth() int { return d.cfg.PipelineDepth }
+
 // Hangs returns the number of injected execute-stage stalls.
 func (d *Device) Hangs() int64 { return d.hangs.Load() }
 

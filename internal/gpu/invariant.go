@@ -23,8 +23,8 @@ func (d *Device) InvariantName() string { return "gpu.device" }
 //     stale loads.
 func (d *Device) CheckInvariants() error {
 	fly := d.inflight.Load()
-	if fly < 0 || fly > int64(d.cfg.PipelineDepth) {
-		return fmt.Errorf("inflight %d outside [0,%d]", fly, d.cfg.PipelineDepth)
+	if fly < 0 || fly > int64(d.PipelineDepth()) {
+		return fmt.Errorf("inflight %d outside [0,%d]", fly, d.PipelineDepth())
 	}
 	d.chk.mu.Lock()
 	defer d.chk.mu.Unlock()

@@ -23,9 +23,6 @@ func (d *Device) Compile(plan *exec.Plan) *Program {
 	return &Program{d: d, plan: plan, cost: model.Analyze(plan.Q)}
 }
 
-// Cost returns the program's analysed query cost.
-func (p *Program) Cost() model.QueryCost { return p.cost }
-
 // Submit enqueues a task into the five-stage pipeline and returns a
 // completion channel. Up to the device's PipelineDepth tasks are in
 // flight; beyond that Submit blocks, which is the backpressure the GPGPU

@@ -116,8 +116,6 @@ func TestChaosBurstAdapt(t *testing.T) {
 		// ~1.3 MB/s average with 6× bursts: enough pressure that the
 		// jittered workers queue up during each burst.
 		PacedRate: workload.BurstRate(0.6e6, 3.6e6, 250*time.Millisecond, 80*time.Millisecond),
-		FeedTick:  time.Millisecond,
-		FeedFor:   2 * time.Second,
 	})
 
 	if rep.FaultsInjected == 0 {

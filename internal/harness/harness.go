@@ -8,15 +8,21 @@
 // output-order monotonicity, tuple conservation, ring-buffer accounting
 // and clean end-of-stream flush.
 //
+// Run is the one runner. A plain run feeds the stream into one engine;
+// the crash phase (Config.Crash) kills that engine mid-stream and
+// finishes the stream on a second engine restored from its checkpoint;
+// the churn phase (Config.Churn) replaces the feed with a catalog whose
+// query set changes through live DDL. The stream oracle (invariants.go)
+// derives every query's expected output from the seeded input, so no run
+// compares against a second engine.
+//
 // Every run is deterministic given Config.Seed (jitter is derived from
 // tuple content, not wall clock), so a failing run reproduces with
 //
 //	go test ./internal/harness/ -run <Test> -harness.seed=<seed>
 //
 // Subsystems expose their invariants through the inv.Checker contract
-// (internal/inv); the harness polls every checker the engine aggregates
-// plus any the caller registers via Config.Extra, so future subsystems
-// plug in without touching this package.
+// (internal/inv); the harness polls every checker the engine aggregates.
 package harness
 
 import (
@@ -51,19 +57,32 @@ func Seed(def int64) int64 {
 	return def
 }
 
-// Config tunes one stress run. The zero value is not runnable; use
-// (Config).withDefaults via Run.
+// Fixed run parameters.
+const (
+	// pollInterval is the invariant poller's period.
+	pollInterval = 200 * time.Microsecond
+	// maxChunkTuples bounds the seeded random feed chunk size.
+	maxChunkTuples = 300
+	// feedTick is the pacing tick of a PacedRate feed, and feedFor the
+	// paced schedule's length before it repeats.
+	feedTick = time.Millisecond
+	feedFor  = 2 * time.Second
+)
+
+// Config tunes one harness run. The zero value is not runnable; Run
+// applies the defaults.
 type Config struct {
-	// Seed drives every random choice: stream payloads, insert chunking
-	// and the jitter workload's delays.
+	// Seed drives every random choice: stream payloads, feed chunking,
+	// the crash point, the churn schedule and the jitter workload's
+	// delays.
 	Seed int64
 	// Workload selects the query shape: WorkloadPassthrough (default),
-	// WorkloadJitter or WorkloadAgg.
+	// WorkloadJitter, WorkloadAgg or WorkloadAggTime.
 	Workload string
 	// Tuples is the number of input tuples per query. Default 50000.
 	Tuples int
 	// Queries is the number of identical queries registered and fed
-	// concurrently. Default 1.
+	// concurrently. Default 1; a crash run has one.
 	Queries int
 	// Engine configures the engine under test. Run defaults CPUWorkers
 	// to 4, TaskSize to 1024 (32 tuples: small ϕ maximises task
@@ -100,11 +119,6 @@ type Config struct {
 	// at a known multiple of capacity instead of estimating it from wall
 	// clocks. 0 keeps the service time purely jitter-driven.
 	MinProcess time.Duration
-	// PollInterval is the invariant poller's period. Default 200µs.
-	PollInterval time.Duration
-	// InsertMaxTuples bounds the seeded random Insert chunk size.
-	// Default 300.
-	InsertMaxTuples int
 	// Chaos arms seeded fault injection across the pipeline: GPU stage
 	// faults and hangs, CPU plan-execution errors, and (with Ingest)
 	// mid-frame connection drops. nil runs fault-free. The injector's own
@@ -124,19 +138,18 @@ type Config struct {
 	// workload.PaceTuples, so it is deterministic given the profile; the
 	// schedule repeats until the stream is exhausted.
 	PacedRate workload.RateFunc
-	// FeedTick is the pacing tick for PacedRate. Default 1ms.
-	FeedTick time.Duration
-	// FeedFor bounds the paced schedule's length before it repeats.
-	// Default 2s.
-	FeedFor time.Duration
-	// Extra invariant checkers polled alongside the engine's own —
-	// the hook point for future subsystems.
-	Extra []inv.Checker
 	// MutateOutput, when set, rewrites every output chunk before it
-	// reaches the invariant checkers. It exists for harness self-tests:
+	// reaches the stream oracle. It exists for harness self-tests:
 	// injecting a reorder/corruption here proves the invariants can
-	// catch the bug class they claim to.
+	// catch the bug class they claim to. In a crash run the committed
+	// prefix reaches it as one chunk, before any recovered output.
 	MutateOutput func(chunk []byte) []byte
+	// Crash, when set, kills the engine mid-stream and finishes the
+	// stream on a restored one.
+	Crash *CrashPhase
+	// Churn, when set, runs the catalog churn phase in place of the
+	// workload feed.
+	Churn *ChurnPhase
 }
 
 func (c Config) withDefaults() Config {
@@ -152,47 +165,24 @@ func (c Config) withDefaults() Config {
 	if c.Queries <= 0 {
 		c.Queries = 1
 	}
-	c.Engine = harnessEngine(c.Engine, 1024, 1<<14, c.Chaos)
+	if c.Engine.CPUWorkers == 0 {
+		c.Engine.CPUWorkers = 4
+	}
+	if c.Engine.TaskSize <= 0 {
+		c.Engine.TaskSize = 1024
+	}
+	if c.Engine.InputBufferSize <= 0 {
+		c.Engine.InputBufferSize = 1 << 14
+	}
+	c.Engine.DisablePad = true
+	c.Engine.Fault = c.Chaos
 	if c.WindowSize <= 0 {
 		c.WindowSize = 64
 	}
 	if c.MaxJitter <= 0 {
 		c.MaxJitter = 2 * time.Millisecond
 	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 200 * time.Microsecond
-	}
-	if c.InsertMaxTuples <= 0 {
-		c.InsertMaxTuples = 300
-	}
-	if c.PacedRate != nil {
-		if c.FeedTick <= 0 {
-			c.FeedTick = time.Millisecond
-		}
-		if c.FeedFor <= 0 {
-			c.FeedFor = 2 * time.Second
-		}
-	}
 	return c
-}
-
-// harnessEngine fills in the engine settings every runner shares: 4 CPU
-// workers and the runner's ϕ and ring size when unset (a zero ring size
-// keeps the engine default), native speed, and chaos as the CPU
-// fault injector.
-func harnessEngine(e engine.Config, taskSize, inputBuf int, chaos *fault.Injector) engine.Config {
-	if e.CPUWorkers == 0 {
-		e.CPUWorkers = 4
-	}
-	if e.TaskSize <= 0 {
-		e.TaskSize = taskSize
-	}
-	if e.InputBufferSize <= 0 {
-		e.InputBufferSize = inputBuf
-	}
-	e.DisablePad = true
-	e.Fault = chaos
-	return e
 }
 
 // Report aggregates a run's counters and invariant violations. The
@@ -208,7 +198,8 @@ type Report struct {
 	Drained      int64
 	// OverflowDeliveries counts results that bypassed the slot window.
 	OverflowDeliveries int64
-	// RingWraps counts input-ring writes that wrapped the backing array.
+	// RingWraps counts input-ring writes that wrapped the backing array
+	// (in a crash run, the recovered engine's).
 	RingWraps int64
 	// BackendFlips counts HLS forced backend switches (hybrid runs).
 	BackendFlips int64
@@ -217,7 +208,8 @@ type Report struct {
 	// InvariantChecks is the number of poller sweeps that ran.
 	InvariantChecks int64
 
-	// Fault-tolerance telemetry (chaos runs).
+	// Fault-tolerance telemetry (chaos runs). In a crash run the task
+	// and shed counters sum the crashed and the recovered engine.
 	FaultsInjected      int64 // decisions where the injector fired
 	TasksFailed         int64 // failed execution attempts
 	TasksRetried        int64 // attempts requeued for retry
@@ -230,6 +222,7 @@ type Report struct {
 	BreakerCloses       int64
 	BreakerState        string // final breaker state ("" without a breaker)
 	IngestReconnects    int64  // successful feeder redials (Ingest runs)
+	IngestResends       int64  // frames replayed from the client's window
 
 	// Adaptive-ϕ telemetry (Adapt runs).
 	AdaptTicks   int64 // controller ticks that saw a trusted signal
@@ -248,6 +241,22 @@ type Report struct {
 	AdmitWaits       int64 // Inserts that hit the bounded backpressure wait
 	CreditWaits      int64 // ingest sends that blocked on the credit window
 	Stalls           int64 // watchdog stall episodes
+
+	// Crash-phase evidence.
+	KillChunk int   // feed chunk after which the engine was killed
+	Epochs    int64 // checkpoints the crashed engine cut
+	// CommittedBytes is the exactly-once output cutoff at the crash;
+	// ResumeCursor the tuple index recovery resumed the feed from.
+	CommittedBytes int64
+	ResumeCursor   int64
+	// PreBytes and PostBytes are the committed prefix's and the recovered
+	// engine's output sizes.
+	PreBytes, PostBytes int64
+
+	// Churn-phase evidence.
+	StreamsCreated int // streams created mid-run
+	StreamsDropped int // streams dropped mid-run
+	Pauses         int // pause/resume cycles applied
 
 	// Violations holds every invariant violation observed, polling-time
 	// and end-of-stream alike. Empty means the run was clean.
@@ -284,115 +293,65 @@ func (r *Report) String() string {
 		s += fmt.Sprintf(" | overload: offered=%dB shed_admit=%d shed_oldest=%d waits=%d credit_waits=%d stalls=%d",
 			r.BytesOffered, r.TuplesShedAdmit, r.TuplesShedOldest, r.AdmitWaits, r.CreditWaits, r.Stalls)
 	}
+	if r.KillChunk > 0 {
+		s += fmt.Sprintf(" | crash: kill=%d epochs=%d committed=%d cursor=%d pre=%d post=%d reconnects=%d resends=%d",
+			r.KillChunk, r.Epochs, r.CommittedBytes, r.ResumeCursor, r.PreBytes, r.PostBytes,
+			r.IngestReconnects, r.IngestResends)
+	}
+	if r.StreamsCreated+r.StreamsDropped+r.Pauses > 0 {
+		s += fmt.Sprintf(" | churn: created=%d dropped=%d pauses=%d",
+			r.StreamsCreated, r.StreamsDropped, r.Pauses)
+	}
 	return s
 }
 
-// Run executes one stress run to completion and reports what happened.
+// Run executes one harness run to completion and reports what happened.
 // It returns an error only for configuration mistakes; invariant
 // violations are data, reported in Report.Violations so tests can log
 // the seed before failing.
 func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := &Report{Seed: cfg.Seed}
-
-	ecfg := cfg.Engine
-	var dev *gpu.Device
+	if cfg.Churn != nil {
+		if cfg.Crash != nil {
+			return nil, errors.New("harness: the crash and churn phases do not combine")
+		}
+		return rep, runChurn(cfg, rep)
+	}
 	if cfg.GPU {
 		// The scaled model strips the device's modelled latency, but its
 		// emulated kernels still run 4–14× slower per task than the
 		// unpadded CPU workers: GPURate is what gives it a share of the
 		// work beyond HLS's probes.
-		dev = gpu.Open(gpu.Config{SMs: 2, Model: model.Default().Scaled(1e-6), Fault: cfg.Chaos})
+		dev := gpu.Open(gpu.Config{SMs: 2, Model: model.Default().Scaled(1e-6), Fault: cfg.Chaos})
 		defer dev.Close()
-		ecfg.GPU = dev
-	}
-	eng := engine.New(ecfg)
-
-	type queryRun struct {
-		handle      *engine.Handle
-		checker     streamChecker
-		stream      []byte
-		fingerprint int64
+		cfg.Engine.GPU = dev
 	}
 	runs := make([]*queryRun, cfg.Queries)
 	for i := range runs {
-		q, err := buildQuery(cfg, fmt.Sprintf("stress-%d", i))
-		if err != nil {
-			return nil, err
-		}
-		h, err := eng.Register(q)
-		if err != nil {
-			return nil, err
-		}
-		qr := &queryRun{handle: h}
 		// Distinct sub-seed per query so concurrent queries do not march
 		// in lockstep.
-		qr.stream, qr.fingerprint = genStream(cfg.Tuples, cfg.Seed+int64(i)*7919)
-		switch {
-		case isAggWorkload(cfg.Workload):
-			qr.checker = &aggChecker{out: q.OutputSchema()}
-		case ecfg.Overload != nil && ecfg.Overload.Policy != overload.ShedNone:
-			// A shedding run legitimately drops tuples: integrity and order
-			// still hold per tuple, but coverage is checked against the shed
-			// ledger instead of demanding the full sequence.
-			qr.checker = &shedChecker{}
-		default:
-			qr.checker = &passthroughChecker{}
+		qr, err := newQueryRun(cfg, cfg.Seed+int64(i)*7919)
+		if err != nil {
+			return nil, err
 		}
-		mutate := cfg.MutateOutput
-		checker := qr.checker
-		h.OnResult(func(rows []byte) {
-			if mutate != nil {
-				rows = mutate(rows)
-			}
-			checker.consume(rows)
-		})
 		runs[i] = qr
 	}
+	if cfg.Crash != nil {
+		if err := runCrash(cfg, runs, rep); err != nil {
+			return nil, err
+		}
+		return rep, nil
+	}
 
-	if err := eng.Start(); err != nil {
+	inst, err := build(cfg, cfg.Engine, runs, func(qr *queryRun) func([]byte) { return qr.consume })
+	if err != nil {
 		return nil, err
 	}
-	if cfg.GPURate > 0 {
-		for i := range runs {
-			eng.Matrix().SeedRates(i, 0, cfg.GPURate)
-		}
+	if err := inst.start(cfg); err != nil {
+		return nil, err
 	}
-
-	// Poll every invariant the engine aggregates — result stages, ring
-	// buffers, scheduler, device — plus the caller's, while the stress
-	// load runs.
-	checkers := append(eng.Invariants(), cfg.Extra...)
-	var pollViolations []error
-	var pollMu sync.Mutex
-	pollDone := make(chan struct{})
-	var pollWG sync.WaitGroup
-	pollWG.Add(1)
-	go func() {
-		defer pollWG.Done()
-		seen := make(map[string]bool)
-		for {
-			select {
-			case <-pollDone:
-				return
-			case <-time.After(cfg.PollInterval):
-			}
-			rep.InvariantChecks++
-			for _, c := range checkers {
-				if err := c.CheckInvariants(); err != nil {
-					pollMu.Lock()
-					// One report per checker: a violated invariant stays
-					// violated and would otherwise flood the log.
-					if !seen[c.InvariantName()] {
-						seen[c.InvariantName()] = true
-						pollViolations = append(pollViolations,
-							fmt.Errorf("%s: %w", c.InvariantName(), err))
-					}
-					pollMu.Unlock()
-				}
-			}
-		}
-	}()
+	stopPoll := poll(inst.eng.Invariants(), &rep.InvariantChecks)
 
 	// Feed every query concurrently in seeded, uneven, tuple-aligned
 	// chunks — directly via Insert, or over TCP loopback through the
@@ -402,108 +361,36 @@ func Run(cfg Config) (*Report, error) {
 	var feedErrs []error
 	var feedMu sync.Mutex
 	var feeders sync.WaitGroup
-	var reconnects, creditWaits int64
 	for i, qr := range runs {
-		var send func([]byte) error
-		var cleanup func()
+		h := inst.handles[i]
+		send := func(data []byte) error { h.Insert(data); return nil }
+		var rc *ingest.ReconnectClient
 		if cfg.Ingest {
-			h := qr.handle
-			srv, err := ingest.Listen("127.0.0.1:0", ingest.SinkFunc(func(data []byte) {
-				h.Insert(data)
-			}), StreamSchema.TupleSize())
+			srv, err := listen("127.0.0.1:0", cfg, inst.eng, h, i, -1)
 			if err != nil {
 				return nil, err
 			}
-			// Generous relative to injected stalls: the deadline is a
-			// liveness backstop, not part of the chaos schedule.
-			srv.SetReadTimeout(time.Second)
-			if cfg.SourceCredits > 0 {
-				srv.EnableCredits(int64(cfg.SourceCredits))
-			}
-			srv.RegisterMetrics(eng.Metrics(), fmt.Sprintf("saber.ingest.in%d", i))
-			go func() { _ = srv.Serve() }()
 			servers = append(servers, srv)
-			rc, err := ingest.DialReconnect(srv.Addr().String(), ingest.ReconnectConfig{
-				Seed:      cfg.Seed ^ int64(i),
-				Fault:     cfg.Chaos,
-				Credits:   cfg.SourceCredits > 0,
-				TupleSize: StreamSchema.TupleSize(),
-			})
-			if err != nil {
+			if rc, err = dial(srv, cfg, i, false); err != nil {
 				return nil, err
 			}
 			send = rc.Send
-			cleanup = func() {
-				feedMu.Lock()
-				reconnects += rc.Reconnects()
-				creditWaits += rc.CreditWaits()
-				feedMu.Unlock()
-				rc.Close()
-			}
-		} else {
-			h := qr.handle
-			send = func(data []byte) error { h.Insert(data); return nil }
 		}
 		feeders.Add(1)
-		go func(i int, qr *queryRun, send func([]byte) error, cleanup func()) {
+		go func() {
 			defer feeders.Done()
-			if cleanup != nil {
-				defer cleanup()
-			}
-			fail := func(err error) {
-				feedMu.Lock()
+			err := feed(cfg, qr.stream, cfg.Seed^int64(i)<<32, send)
+			feedMu.Lock()
+			defer feedMu.Unlock()
+			if err != nil {
 				feedErrs = append(feedErrs, fmt.Errorf("query %d feeder: %w", i, err))
-				feedMu.Unlock()
 			}
-			tsz := StreamSchema.TupleSize()
-			if cfg.PacedRate != nil {
-				// Paced mode: replay the deterministic per-tick tuple
-				// schedule, sleeping to each tick boundary. Backpressure may
-				// push a tick late; the feeder then runs behind (offered load
-				// exceeding absorbed load is exactly the condition the
-				// adaptive controller is there to handle).
-				schedule := workload.PaceTuples(cfg.PacedRate, tsz, cfg.FeedTick, cfg.FeedFor)
-				total := 0
-				for _, n := range schedule {
-					total += n
-				}
-				if total > 0 {
-					start := time.Now()
-					tick := 0
-					for off := 0; off < len(qr.stream); tick++ {
-						n := schedule[tick%len(schedule)] * tsz
-						if n > 0 {
-							if off+n > len(qr.stream) {
-								n = len(qr.stream) - off
-							}
-							if err := send(qr.stream[off : off+n]); err != nil {
-								fail(err)
-								return
-							}
-							off += n
-						}
-						if d := time.Until(start.Add(time.Duration(tick+1) * cfg.FeedTick)); d > 0 {
-							time.Sleep(d)
-						}
-					}
-					return
-				}
-				// A degenerate all-zero schedule falls through to the
-				// unpaced feeder rather than spinning forever.
+			if rc != nil {
+				rep.IngestReconnects += rc.Reconnects()
+				rep.CreditWaits += rc.CreditWaits()
+				rc.Close()
 			}
-			rnd := rand.New(rand.NewSource(cfg.Seed ^ int64(i)<<32))
-			for off := 0; off < len(qr.stream); {
-				n := (1 + rnd.Intn(cfg.InsertMaxTuples)) * tsz
-				if off+n > len(qr.stream) {
-					n = len(qr.stream) - off
-				}
-				if err := send(qr.stream[off : off+n]); err != nil {
-					fail(err)
-					return
-				}
-				off += n
-			}
-		}(i, qr, send, cleanup)
+		}()
 	}
 	feeders.Wait()
 	// Ingest mode: all clients have sent and closed; close the servers so
@@ -511,47 +398,249 @@ func Run(cfg Config) (*Report, error) {
 	for _, srv := range servers {
 		srv.Close()
 	}
-	rep.IngestReconnects = reconnects
-	rep.CreditWaits = creditWaits
 	rep.Violations = append(rep.Violations, feedErrs...)
-	eng.Drain()
+	inst.eng.Drain()
+	rep.Violations = append(rep.Violations, stopPoll()...)
+	verify(cfg, inst, runs, rep)
+	return rep, nil
+}
 
-	close(pollDone)
-	pollWG.Wait()
-	rep.Violations = append(rep.Violations, pollViolations...)
+// queryRun is one query's seeded input stream and the oracle its output
+// is checked against.
+type queryRun struct {
+	stream      []byte
+	fingerprint int64
+	checker     streamChecker
+	mutate      func([]byte) []byte
+}
 
+func newQueryRun(cfg Config, seed int64) (*queryRun, error) {
+	q, err := buildQuery(cfg, "probe")
+	if err != nil {
+		return nil, err
+	}
+	qr := &queryRun{mutate: cfg.MutateOutput}
+	qr.stream, qr.fingerprint = genStream(cfg.Tuples, seed)
+	if isAggWorkload(cfg.Workload) {
+		qr.checker = &aggChecker{out: q.OutputSchema(), in: qr.stream, window: cfg.WindowSize}
+	} else {
+		// A shedding run legitimately drops tuples: integrity and order
+		// still hold per tuple, but coverage is checked against the shed
+		// ledger instead of demanding the full sequence.
+		ov := cfg.Engine.Overload
+		qr.checker = &tupleChecker{in: qr.stream, shedding: ov != nil && ov.Policy != overload.ShedNone}
+	}
+	return qr, nil
+}
+
+// consume hands one output chunk, after any mutation, to the oracle.
+func (qr *queryRun) consume(rows []byte) {
+	if qr.mutate != nil {
+		rows = qr.mutate(rows)
+	}
+	qr.checker.consume(rows)
+}
+
+// instance is one engine under test with the run's queries registered.
+type instance struct {
+	eng     *engine.Engine
+	handles []*engine.Handle
+}
+
+// build creates an engine from ecfg and registers one workload query per
+// run, routing query i's output to sink(runs[i]). The engine is not yet
+// started, so a crash run can restore into it first.
+func build(cfg Config, ecfg engine.Config, runs []*queryRun, sink func(*queryRun) func([]byte)) (*instance, error) {
+	inst := &instance{eng: engine.New(ecfg)}
+	for i, qr := range runs {
+		q, err := buildQuery(cfg, fmt.Sprintf("stress-%d", i))
+		if err != nil {
+			return nil, err
+		}
+		h, err := inst.eng.Register(q)
+		if err != nil {
+			return nil, err
+		}
+		h.OnResult(sink(qr))
+		inst.handles = append(inst.handles, h)
+	}
+	return inst, nil
+}
+
+// start starts the engine and seeds the device's matrix column.
+func (inst *instance) start(cfg Config) error {
+	if err := inst.eng.Start(); err != nil {
+		return err
+	}
+	if cfg.GPURate > 0 {
+		for i := range inst.handles {
+			inst.eng.Matrix().SeedRates(i, 0, cfg.GPURate)
+		}
+	}
+	return nil
+}
+
+// poll sweeps the checkers every pollInterval, counting sweeps into
+// sweeps, until the returned stop is called. stop returns what the
+// sweeps found, one violation per checker: a violated invariant stays
+// violated and would otherwise flood the log.
+func poll(checkers []inv.Checker, sweeps *int64) (stop func() []error) {
+	var found []error
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		seen := make(map[string]bool)
+		for {
+			select {
+			case <-done:
+				return
+			case <-time.After(pollInterval):
+			}
+			*sweeps++
+			for _, c := range checkers {
+				if err := c.CheckInvariants(); err != nil && !seen[c.InvariantName()] {
+					seen[c.InvariantName()] = true
+					found = append(found, fmt.Errorf("%s: %w", c.InvariantName(), err))
+				}
+			}
+		}
+	}()
+	return func() []error {
+		close(done)
+		wg.Wait()
+		return found
+	}
+}
+
+// chunkSchedule cuts a stream of n bytes into seeded, uneven,
+// tuple-aligned [start, end) feed chunks.
+func chunkSchedule(seed int64, n int) [][2]int {
+	tsz := StreamSchema.TupleSize()
+	rnd := rand.New(rand.NewSource(seed))
+	var out [][2]int
+	for off := 0; off < n; {
+		end := min(off+(1+rnd.Intn(maxChunkTuples))*tsz, n)
+		out = append(out, [2]int{off, end})
+		off = end
+	}
+	return out
+}
+
+// feed sends the whole stream, paced by cfg.PacedRate when set and
+// otherwise in the seeded chunk schedule as fast as send returns.
+func feed(cfg Config, stream []byte, seed int64, send func([]byte) error) error {
+	if cfg.PacedRate != nil {
+		// Paced mode: replay the deterministic per-tick tuple schedule,
+		// sleeping to each tick boundary. Backpressure may push a tick
+		// late; the feeder then runs behind (offered load exceeding
+		// absorbed load is exactly the condition the adaptive controller
+		// is there to handle).
+		tsz := StreamSchema.TupleSize()
+		schedule := workload.PaceTuples(cfg.PacedRate, tsz, feedTick, feedFor)
+		total := 0
+		for _, n := range schedule {
+			total += n
+		}
+		if total > 0 {
+			start := time.Now()
+			for off, tick := 0, 0; off < len(stream); tick++ {
+				if n := min(schedule[tick%len(schedule)]*tsz, len(stream)-off); n > 0 {
+					if err := send(stream[off : off+n]); err != nil {
+						return err
+					}
+					off += n
+				}
+				if d := time.Until(start.Add(time.Duration(tick+1) * feedTick)); d > 0 {
+					time.Sleep(d)
+				}
+			}
+			return nil
+		}
+		// A degenerate all-zero schedule falls through to the unpaced
+		// feeder rather than spinning forever.
+	}
+	for _, c := range chunkSchedule(seed, len(stream)) {
+		if err := send(stream[c[0]:c[1]]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// listen starts the loopback ingest server at addr that feeds query i's
+// handle h. A resume cursor >= 0 arms the resume protocol, greeting
+// clients from that tuple.
+func listen(addr string, cfg Config, eng *engine.Engine, h *engine.Handle, i int, resume int64) (*ingest.Server, error) {
+	srv, err := ingest.Listen(addr, h, StreamSchema.TupleSize())
+	if err != nil {
+		return nil, err
+	}
+	if resume >= 0 {
+		srv.EnableResume(resume)
+	}
+	// Generous relative to injected stalls: the deadline is a liveness
+	// backstop, not part of the chaos schedule.
+	srv.SetReadTimeout(time.Second)
+	if cfg.SourceCredits > 0 {
+		srv.EnableCredits(int64(cfg.SourceCredits))
+	}
+	srv.RegisterMetrics(eng.Metrics(), fmt.Sprintf("saber.ingest.in%d", i))
+	go func() { _ = srv.Serve() }()
+	return srv, nil
+}
+
+// dial connects query i's reconnecting feeder to srv.
+func dial(srv *ingest.Server, cfg Config, i int, resume bool) (*ingest.ReconnectClient, error) {
+	return ingest.DialReconnect(srv.Addr().String(), ingest.ReconnectConfig{
+		Seed:      cfg.Seed ^ int64(i),
+		Fault:     cfg.Chaos,
+		Resume:    resume,
+		Credits:   cfg.SourceCredits > 0,
+		TupleSize: StreamSchema.TupleSize(),
+	})
+}
+
+// verify closes a drained engine and runs the end-of-stream verdicts:
+// one final invariant sweep, each query's quiesce check, its oracle's
+// conservation verdict and the metrics-only ledgers. It adds the
+// engine's counters to rep.
+func verify(cfg Config, inst *instance, runs []*queryRun, rep *Report) {
+	eng := inst.eng
 	// Stop the workers before reading stats: Close waits out the
 	// late-result collectors of timed-out GPU tasks, so every duplicate
 	// discard is counted before the conservation verdicts below.
 	eng.Close()
-
-	// End-of-stream: one final invariant sweep, the quiesced-state checks
-	// and each stream checker's conservation verdict.
-	for _, c := range checkers {
+	violate := func(format string, args ...any) {
+		rep.Violations = append(rep.Violations, fmt.Errorf(format, args...))
+	}
+	for _, c := range eng.Invariants() {
 		if err := c.CheckInvariants(); err != nil {
-			rep.Violations = append(rep.Violations, fmt.Errorf("%s (final): %w", c.InvariantName(), err))
+			violate("%s (final): %w", c.InvariantName(), err)
 		}
 	}
 	for i, qr := range runs {
-		if err := qr.handle.CheckQuiesced(); err != nil {
-			rep.Violations = append(rep.Violations, fmt.Errorf("query %d quiesce: %w", i, err))
+		h := inst.handles[i]
+		if err := h.CheckQuiesced(); err != nil {
+			violate("query %d quiesce: %w", i, err)
 		}
-		st := qr.handle.Stats()
-		if sc, ok := qr.checker.(*shedChecker); ok {
+		st := h.Stats()
+		if tc, ok := qr.checker.(*tupleChecker); ok && tc.shedding {
 			// The shed ledger is the checker's coverage baseline: policy gaps
 			// (tuples.shed) plus admission drops. Feeding it from the engine's
 			// own counters is the point — a leak in the ledger shows up as a
 			// conservation violation, not a silently weaker check.
-			sc.setShed(st.TuplesShed + st.TuplesShedAdmit)
+			tc.setShed(st.TuplesShed + st.TuplesShedAdmit)
 		}
 		qr.checker.finish(int64(cfg.Tuples), qr.fingerprint)
 		for _, err := range qr.checker.violations() {
-			rep.Violations = append(rep.Violations, fmt.Errorf("query %d: %w", i, err))
+			violate("query %d: %w", i, err)
 		}
 		rep.TuplesOut += qr.checker.tuplesOut()
 		rep.TuplesIn += int64(cfg.Tuples)
 
-		d := qr.handle.Debug()
+		d := h.Debug()
 		rep.TasksCreated += d.TasksCreated
 		rep.Drained += d.Drained
 		rep.OverflowDeliveries += d.OverflowDeliveries
@@ -559,56 +648,47 @@ func Run(cfg Config) (*Report, error) {
 			rep.RingWraps += w
 		}
 		rep.BytesOffered += st.BytesOffered
-		rep.TuplesShedAdmit += st.TuplesShedAdmit
-		rep.TuplesShedOldest += st.TuplesShedOldest
 		rep.AdmitWaits += st.AdmitWaits
 		rep.TasksCPU += st.TasksCPU
 		rep.TasksGPU += st.TasksGPU
 		rep.TasksFailed += st.TasksFailed
-		rep.TasksRetried += st.TasksRetried
-		rep.TasksQuarantined += st.TasksQuarantined
-		rep.TuplesShed += st.TuplesShed
 		rep.GPUFailovers += st.GPUFailovers
 		rep.GPUTimeouts += st.GPUTimeouts
 		rep.DuplicatesDiscarded += st.DuplicateResults
+		addShed(rep, st)
 	}
 	// Metrics-only conservation: the obs registry alone must prove the
 	// run's accounting, without consulting engine internals. At quiesce
-	// every task trace that was started has finished, and — for the 1:1
-	// workloads (passthrough, jitter; agg collapses windows) — every
-	// ingested tuple was either emitted or shed with nothing in flight.
+	// every task trace that was started has finished, every offered
+	// byte was either admitted into the ring or dropped pre-admission by
+	// the shedding policy, and — for the 1:1 workloads (passthrough,
+	// jitter; agg collapses windows) — every ingested tuple was either
+	// emitted or shed with nothing in flight.
 	snap := eng.Metrics().Snapshot()
 	if started, finished := snap.Counters["saber.trace.started"], snap.Counters["saber.trace.finished"]; started != finished {
-		rep.Violations = append(rep.Violations,
-			fmt.Errorf("metrics: %d task traces started but %d finished at quiesce", started, finished))
+		violate("metrics: %d task traces started but %d finished at quiesce", started, finished)
 	}
-	if !isAggWorkload(cfg.Workload) {
-		tsz := int64(StreamSchema.TupleSize())
-		for i := range runs {
-			in := snap.Counters[fmt.Sprintf("saber.engine.q%d.bytes.in", i)] / tsz
+	// A restored engine's offered counter is exact only if no Insert was
+	// in flight at any checkpoint, because capture reads it outside the
+	// ingest lock (engine/checkpoint.go). A crash run's direct feeder cuts
+	// each checkpoint between its own Inserts and Quiesce waits out the
+	// ingest server's, but an unquiesced ingest feed races them.
+	exactOffered := cfg.Crash == nil || !cfg.Ingest || cfg.Crash.Quiesce
+	tsz := int64(StreamSchema.TupleSize())
+	for i := range runs {
+		in := snap.Counters[fmt.Sprintf("saber.engine.q%d.bytes.in", i)] / tsz
+		if !isAggWorkload(cfg.Workload) {
 			out := snap.Counters[fmt.Sprintf("saber.engine.q%d.tuples.out", i)]
 			shed := snap.Counters[fmt.Sprintf("saber.engine.q%d.tuples.shed", i)]
 			if in != out+shed {
-				rep.Violations = append(rep.Violations,
-					fmt.Errorf("metrics: query %d conservation: %d tuples in != %d out + %d shed", i, in, out, shed))
+				violate("metrics: query %d conservation: %d tuples in != %d out + %d shed", i, in, out, shed)
 			}
 		}
-	}
-	// Admission-side conservation holds for every workload: each offered
-	// byte was either admitted into the ring or dropped pre-admission by
-	// the shedding policy, so offered == admitted + admission-shed, in
-	// tuples, with nothing unaccounted at quiesce.
-	{
-		tsz := int64(StreamSchema.TupleSize())
-		for i := range runs {
-			offered := snap.Counters[fmt.Sprintf("saber.overload.q%d.bytes.offered", i)] / tsz
-			in := snap.Counters[fmt.Sprintf("saber.engine.q%d.bytes.in", i)] / tsz
-			shedAdmit := snap.Counters[fmt.Sprintf("saber.overload.q%d.shed.admit.tuples", i)]
-			if offered != in+shedAdmit {
-				rep.Violations = append(rep.Violations,
-					fmt.Errorf("metrics: query %d admission conservation: %d tuples offered != %d admitted + %d shed at admission",
-						i, offered, in, shedAdmit))
-			}
+		offered := snap.Counters[fmt.Sprintf("saber.overload.q%d.bytes.offered", i)] / tsz
+		shedAdmit := snap.Counters[fmt.Sprintf("saber.overload.q%d.shed.admit.tuples", i)]
+		if exactOffered && offered != in+shedAdmit {
+			violate("metrics: query %d admission conservation: %d tuples offered != %d admitted + %d shed at admission",
+				i, offered, in, shedAdmit)
 		}
 	}
 
@@ -624,12 +704,20 @@ func Run(cfg Config) (*Report, error) {
 		rep.FaultsInjected = cfg.Chaos.TotalInjections()
 	}
 	rep.Stalls = snap.Counters["saber.overload.stalls"]
-	if ecfg.Adapt != nil {
+	if cfg.Engine.Adapt != nil {
 		rep.AdaptTicks = snap.Counters["saber.adapt.ticks"]
 		rep.AdaptGrows = snap.Counters["saber.adapt.grow"]
 		rep.AdaptShrinks = snap.Counters["saber.adapt.shrink"]
 		rep.AdaptOverloadTicks = snap.Counters["saber.adapt.overload.ticks"]
 		rep.PhiFinal = int64(eng.TaskSize())
 	}
-	return rep, nil
+}
+
+// addShed adds one engine's retry, quarantine and shed counters to rep.
+func addShed(rep *Report, st engine.Stats) {
+	rep.TasksRetried += st.TasksRetried
+	rep.TasksQuarantined += st.TasksQuarantined
+	rep.TuplesShed += st.TuplesShed
+	rep.TuplesShedAdmit += st.TuplesShedAdmit
+	rep.TuplesShedOldest += st.TuplesShedOldest
 }

@@ -149,16 +149,66 @@ func mutateOnce(rewrite func(chunk []byte)) func([]byte) []byte {
 	}
 }
 
+// moveCount moves one unit of count from the first aggregate window to
+// the next, whichever chunks they arrive in: the sum over all windows is
+// unchanged, so only a checker that knows each window's own count sees
+// it.
+func moveCount() func([]byte) []byte {
+	q, err := buildQuery(Config{Workload: WorkloadAgg, WindowSize: 64}, "agg")
+	if err != nil {
+		panic(err)
+	}
+	out := q.OutputSchema()
+	osz := out.TupleSize()
+	var mu sync.Mutex
+	moved := 0
+	return func(rows []byte) []byte {
+		mu.Lock()
+		defer mu.Unlock()
+		if moved == 2 || len(rows) < osz {
+			return rows
+		}
+		c := append([]byte(nil), rows...)
+		for i := 0; i+osz <= len(c) && moved < 2; i += osz {
+			out.WriteInt64(c[i:i+osz], 1, out.ReadInt64(c[i:i+osz], 1)+int64(2*moved-1))
+			moved++
+		}
+		return c
+	}
+}
+
+// dropRecovered passes the first chunk (a crash run's committed prefix)
+// through and drops the first tuple of the next non-empty one, which the
+// recovered engine emitted.
+func dropRecovered() func([]byte) []byte {
+	var mu sync.Mutex
+	seen, dropped := 0, false
+	return func(rows []byte) []byte {
+		mu.Lock()
+		defer mu.Unlock()
+		tsz := StreamSchema.TupleSize()
+		seen++
+		if seen == 1 || dropped || len(rows) < tsz {
+			return rows
+		}
+		dropped = true
+		return rows[tsz:]
+	}
+}
+
 // TestInvariantsCatchInjectedBugs is the harness's mutation self-check:
-// deliberately injected output bugs — a reorder, a corruption, a drop —
-// must each trip the corresponding invariant. A harness whose detectors
+// deliberately injected output bugs — a reorder, a corruption, a drop, a
+// count moved between aggregate windows, a tuple lost after crash
+// recovery — must each trip the corresponding invariant. A harness whose detectors
 // cannot see planted bugs guards nothing.
 func TestInvariantsCatchInjectedBugs(t *testing.T) {
 	tsz := StreamSchema.TupleSize()
 	cases := []struct {
-		name   string
-		mutate func([]byte) []byte
-		want   string
+		name     string
+		workload string
+		crash    *CrashPhase
+		mutate   func([]byte) []byte
+		want     string
 	}{
 		{
 			name: "reorder",
@@ -189,15 +239,31 @@ func TestInvariantsCatchInjectedBugs(t *testing.T) {
 			}),
 			want: "seq",
 		},
+		{
+			// One count moved between adjacent windows: the total stays
+			// the number of input tuples.
+			name:     "agg-count-moved",
+			workload: WorkloadAgg,
+			mutate:   moveCount(),
+			want:     "count",
+		},
+		{
+			// One tuple lost after recovery from a crash.
+			name:   "crash-recovered-drop",
+			crash:  &CrashPhase{CheckpointEveryChunks: 6},
+			mutate: dropRecovered(),
+			want:   "seq",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rep, err := Run(Config{
 				Seed:         Seed(606),
-				Workload:     WorkloadPassthrough,
+				Workload:     tc.workload,
 				Tuples:       scale(3000, 10000),
 				Engine:       engine.Config{CPUWorkers: 4},
 				MutateOutput: tc.mutate,
+				Crash:        tc.crash,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -51,28 +52,42 @@ func (l *violationLog) list() []error {
 	return l.errs
 }
 
-// passthroughChecker verifies the identity workloads (passthrough,
-// jitter): the output must be the input stream, exactly once, in order.
+// tupleChecker verifies the identity workloads (passthrough, jitter):
+// the output must be the input stream, exactly once, in order.
 //
 //   - tuple integrity: every output tuple's checksum field matches its
-//     content (catches torn reads, buffer corruption, wrap-around bugs);
+//     content (catches torn reads, buffer corruption, wrap-around bugs),
+//     and a tuple whose checksum holds must still be byte for byte the
+//     input tuple its seq names;
 //   - exactly-once + total order: the seq field must count 0,1,2,...
 //     with no gap, repeat or inversion (catches drops, duplicates and
 //     reordering at the first divergent tuple);
 //   - timestamp monotonicity: non-decreasing across the whole stream;
 //   - conservation: the XOR of output tuple checksums equals the input
 //     fingerprint and the tuple count equals the input count.
-type passthroughChecker struct {
+//
+// Together these demand the output be the input stream exactly.
+//
+// Under a shedding overload policy (shedding set) a seq gap is a shed
+// tuple, not a bug; repeats and inversions still are. Conservation is
+// then checked against the shed ledger: emitted + shed == offered. The
+// run feeds the engine's shed total in via setShed before finish;
+// dropping the ledger entry for even one tuple breaks the equation (the
+// mutation self-test relies on exactly this). When the ledger reports
+// zero shed tuples the policy never actuated and the exact checks apply.
+type tupleChecker struct {
 	mu          sync.Mutex
 	log         violationLog
+	in          []byte // the input stream
+	shedding    bool
 	nextSeq     int64
 	lastTS      int64
 	fingerprint int64
 	n           int64
-	done        bool
+	shed        int64
 }
 
-func (c *passthroughChecker) consume(rows []byte) {
+func (c *tupleChecker) consume(rows []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	tsz := StreamSchema.TupleSize()
@@ -87,16 +102,17 @@ func (c *passthroughChecker) consume(rows []byte) {
 		sum := StreamSchema.ReadInt64(t, 3)
 		if want := tupleChecksum(ts, seq, val); sum != want {
 			c.log.addf("tuple %d (seq %d): checksum %#x, want %#x (corrupted tuple)", c.n, seq, sum, want)
+		} else if !matchesInput(c.in, t, seq) {
+			c.log.addf("tuple %d (seq %d): differs from input tuple %d", c.n, seq, seq)
 		}
 		switch {
-		case seq == c.nextSeq:
-			c.nextSeq++
 		case seq < c.nextSeq:
 			c.log.addf("tuple %d: seq %d after %d already emitted (duplicate or reorder)", c.n, seq, c.nextSeq)
-		default:
+		case seq > c.nextSeq && !c.shedding:
 			c.log.addf("tuple %d: seq %d skips ahead of %d (lost tuples or reorder)", c.n, seq, c.nextSeq)
-			c.nextSeq = seq + 1 // resync so one gap reports once
 		}
+		// Resync past a gap so one gap reports once.
+		c.nextSeq = max(c.nextSeq, seq+1)
 		if ts < c.lastTS {
 			c.log.addf("tuple %d: timestamp %d after %d (output order not monotonic)", c.n, ts, c.lastTS)
 		}
@@ -106,10 +122,30 @@ func (c *passthroughChecker) consume(rows []byte) {
 	}
 }
 
-func (c *passthroughChecker) finish(tuplesIn, fingerprint int64) {
+// matchesInput reports whether t is the input stream's tuple seq.
+func matchesInput(in, t []byte, seq int64) bool {
+	tsz := int64(StreamSchema.TupleSize())
+	return seq >= 0 && (seq+1)*tsz <= int64(len(in)) && bytes.Equal(t, in[seq*tsz:(seq+1)*tsz])
+}
+
+// setShed records the engine's total shed-tuple count (policy gaps plus
+// admission drops) for this query. Must be called before finish.
+func (c *tupleChecker) setShed(total int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.done = true
+	c.shed = total
+}
+
+func (c *tupleChecker) finish(tuplesIn, fingerprint int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.shed != 0 {
+		if c.n+c.shed != tuplesIn {
+			c.log.addf("shed conservation: %d out + %d shed != %d in (tuples leaked or double-counted)",
+				c.n, c.shed, tuplesIn)
+		}
+		return
+	}
 	if c.n != tuplesIn {
 		c.log.addf("conservation: %d tuples out, %d in", c.n, tuplesIn)
 	}
@@ -118,124 +154,34 @@ func (c *passthroughChecker) finish(tuplesIn, fingerprint int64) {
 	}
 }
 
-func (c *passthroughChecker) tuplesOut() int64 {
+func (c *tupleChecker) tuplesOut() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.n
 }
 
-func (c *passthroughChecker) violations() []error {
+func (c *tupleChecker) violations() []error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.log.list()
 }
 
-// shedChecker verifies the identity workloads under a shedding overload
-// policy. Load shedding legitimately drops tuples, so the exactly-once
-// coverage check no longer applies; what must still hold is
-//
-//   - tuple integrity: every emitted tuple's checksum matches its
-//     content — shedding drops tuples, it never corrupts them;
-//   - order without duplication: seq values strictly increase (gaps are
-//     shed tuples; a repeat or inversion is still a bug);
-//   - timestamp monotonicity across the whole stream;
-//   - shed-ledger conservation: emitted + shed == offered. The run feeds
-//     the engine's shed total in via setShed before finish; dropping the
-//     ledger entry for even one tuple breaks the equation (the mutation
-//     self-test relies on exactly this).
-//
-// When the ledger reports zero shed tuples the policy never actuated and
-// the checker demands full passthrough equality, fingerprint included.
-type shedChecker struct {
-	mu          sync.Mutex
-	log         violationLog
-	lastSeq     int64
-	lastTS      int64
-	fingerprint int64
-	n           int64
-	shed        int64
-}
-
-func (c *shedChecker) consume(rows []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	tsz := StreamSchema.TupleSize()
-	if len(rows)%tsz != 0 {
-		c.log.addf("output chunk of %d bytes is not whole tuples (tuple size %d)", len(rows), tsz)
-	}
-	for i := 0; i+tsz <= len(rows); i += tsz {
-		t := rows[i : i+tsz]
-		ts := StreamSchema.ReadInt64(t, 0)
-		seq := StreamSchema.ReadInt64(t, 1)
-		val := StreamSchema.ReadInt64(t, 2)
-		sum := StreamSchema.ReadInt64(t, 3)
-		if want := tupleChecksum(ts, seq, val); sum != want {
-			c.log.addf("tuple %d (seq %d): checksum %#x, want %#x (corrupted tuple)", c.n, seq, sum, want)
-		}
-		if c.n > 0 && seq <= c.lastSeq {
-			c.log.addf("tuple %d: seq %d after %d (duplicate or reorder; shedding only ever gaps forward)",
-				c.n, seq, c.lastSeq)
-		}
-		c.lastSeq = seq
-		if ts < c.lastTS {
-			c.log.addf("tuple %d: timestamp %d after %d (output order not monotonic)", c.n, ts, c.lastTS)
-		}
-		c.lastTS = ts
-		c.fingerprint ^= sum
-		c.n++
-	}
-}
-
-// setShed records the engine's total shed-tuple count (policy gaps plus
-// admission drops) for this query. Must be called before finish.
-func (c *shedChecker) setShed(total int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.shed = total
-}
-
-func (c *shedChecker) finish(tuplesIn, fingerprint int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.shed == 0 {
-		// The policy never fired: the run degenerates to exact passthrough
-		// and the stronger invariants apply.
-		if c.n != tuplesIn {
-			c.log.addf("conservation: %d tuples out, %d in (nothing shed)", c.n, tuplesIn)
-		}
-		if c.fingerprint != fingerprint {
-			c.log.addf("conservation: output fingerprint %#x != input %#x (nothing shed)", c.fingerprint, fingerprint)
-		}
-		return
-	}
-	if c.n+c.shed != tuplesIn {
-		c.log.addf("shed conservation: %d out + %d shed != %d in (tuples leaked or double-counted)",
-			c.n, c.shed, tuplesIn)
-	}
-}
-
-func (c *shedChecker) tuplesOut() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-func (c *shedChecker) violations() []error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.log.list()
-}
-
-// aggChecker verifies the tumbling COUNT(*) workload: window timestamps
-// must be non-decreasing and the counts must add up to exactly the number
-// of input tuples — every tuple lands in exactly one tumbling window, so
-// any drop or duplicate anywhere in the pipeline shifts the total.
+// aggChecker verifies the tumbling COUNT(*) workloads exactly. Window k
+// covers input tuples [k·W, min((k+1)·W, N)): the harness stream's
+// timestamps advance by one per tuple, so the count-based and the
+// time-based window cut it at the same boundaries. Its output row must
+// carry the timestamp of the window's last input tuple and the window's
+// tuple count, in window order, and there must be exactly ⌈N/W⌉ rows —
+// the partial last window included, which the end-of-stream flush emits.
+// Those two fields are the whole row, so the check is byte-exact: a
+// drop, duplicate or misassigned tuple anywhere in the pipeline moves a
+// count or a boundary.
 type aggChecker struct {
 	mu     sync.Mutex
 	log    violationLog
 	out    *schema.Schema
-	total  int64
-	lastTS int64
+	in     []byte // the input stream
+	window int64  // tuples per window
 	n      int64
 }
 
@@ -246,14 +192,17 @@ func (c *aggChecker) consume(rows []byte) {
 	if len(rows)%osz != 0 {
 		c.log.addf("output chunk of %d bytes is not whole tuples (tuple size %d)", len(rows), osz)
 	}
+	tuples := int64(len(c.in) / StreamSchema.TupleSize())
 	for i := 0; i+osz <= len(rows); i += osz {
 		t := rows[i : i+osz]
-		ts := c.out.Timestamp(t)
-		if ts < c.lastTS {
-			c.log.addf("window %d: timestamp %d after %d (output order not monotonic)", c.n, ts, c.lastTS)
+		ts, count := c.out.Timestamp(t), c.out.ReadInt(t, 1)
+		lo := c.n * c.window
+		hi := min(lo+c.window, tuples)
+		if lo >= tuples {
+			c.log.addf("window %d (timestamp %d, count %d): past the end of a %d-tuple stream", c.n, ts, count, tuples)
+		} else if wantTS := StreamSchema.Timestamp(StreamSchema.TupleAt(c.in, int(hi-1))); ts != wantTS || count != hi-lo {
+			c.log.addf("window %d: timestamp %d count %d, want timestamp %d count %d", c.n, ts, count, wantTS, hi-lo)
 		}
-		c.lastTS = ts
-		c.total += c.out.ReadInt(t, 1)
 		c.n++
 	}
 }
@@ -261,8 +210,8 @@ func (c *aggChecker) consume(rows []byte) {
 func (c *aggChecker) finish(tuplesIn, _ int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.total != tuplesIn {
-		c.log.addf("conservation: window counts add up to %d, %d tuples in", c.total, tuplesIn)
+	if want := (tuplesIn + c.window - 1) / c.window; c.n != want {
+		c.log.addf("conservation: %d windows out, want %d for %d tuples in", c.n, want, tuplesIn)
 	}
 }
 

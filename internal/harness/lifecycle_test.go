@@ -3,7 +3,21 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"saber/internal/engine"
 )
+
+// churnRun is the churn tests' config: a 60000-tuple source at 300000
+// tuples/s, three base streams and four churn rounds, on 4 KiB tasks
+// and 16 MiB rings.
+func churnRun(seed int64, leakSlot bool) Config {
+	return Config{
+		Seed:   seed,
+		Tuples: 60000,
+		Engine: engine.Config{TaskSize: 4096, InputBufferSize: 16 << 20},
+		Churn:  &ChurnPhase{BaseStreams: 3, Rounds: 4, Rate: 300000, LeakSlot: leakSlot},
+	}
+}
 
 // TestDynamicLifecycleStress churns a catalog-managed engine through
 // live DDL — streams created, paused, resumed and dropped while a paced
@@ -12,7 +26,7 @@ import (
 // bounded source and emitted every admitted tuple, the dropped ones
 // balance their ledgers at the drop boundary.
 func TestDynamicLifecycleStress(t *testing.T) {
-	rep, err := RunLifecycle(LifecycleConfig{Seed: Seed(11001)})
+	rep, err := Run(churnRun(Seed(11001), false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +34,7 @@ func TestDynamicLifecycleStress(t *testing.T) {
 	if verr := rep.Err(); verr != nil {
 		t.Fatal(verr)
 	}
-	if rep.Created == 0 || rep.Dropped == 0 || rep.Pauses == 0 {
+	if rep.StreamsCreated == 0 || rep.StreamsDropped == 0 || rep.Pauses == 0 {
 		t.Fatalf("churn never happened: %s", rep)
 	}
 	if rep.TuplesOut == 0 {
@@ -34,7 +48,7 @@ func TestDynamicLifecycleStress(t *testing.T) {
 // check. A lifecycle checker that cannot see a planted leak guards
 // nothing.
 func TestLifecycleMutationDetectsLeakedSlot(t *testing.T) {
-	rep, err := RunLifecycle(LifecycleConfig{Seed: Seed(11002), LeakSlot: true})
+	rep, err := Run(churnRun(Seed(11002), true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,6 @@ func TestOverloadShedOldestAtTwiceCapacity(t *testing.T) {
 		MaxWait:       50 * time.Microsecond,
 	}
 	cfg.PacedRate = workload.SteadyRate(2 * capacity)
-	cfg.FeedTick = time.Millisecond
 	rep := runClean(t, cfg)
 
 	if rep.TuplesShedOldest == 0 {
@@ -103,7 +102,6 @@ func TestOverloadShedWeightedAtTwiceCapacity(t *testing.T) {
 		Seed:          Seed(9302),
 	}
 	cfg.PacedRate = workload.SteadyRate(2 * capacity)
-	cfg.FeedTick = time.Millisecond
 	rep := runClean(t, cfg)
 
 	if rep.TuplesShedAdmit == 0 {

@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
 // RateFunc is an offered-load profile: bytes per second at time elapsed
 // since the start of the run. Profiles are pure functions of elapsed
@@ -29,34 +26,6 @@ func BurstRate(base, burst float64, period, burstLen time.Duration) RateFunc {
 			return burst
 		}
 		return base
-	}
-}
-
-// DiurnalRate ramps linearly from lo up to hi and back once per period —
-// the day/night load curve compressed to experiment time.
-func DiurnalRate(lo, hi float64, period time.Duration) RateFunc {
-	return func(elapsed time.Duration) float64 {
-		if period <= 0 {
-			return lo
-		}
-		pos := float64(elapsed%period) / float64(period) // [0, 1)
-		var frac float64
-		if pos < 0.5 {
-			frac = pos * 2
-		} else {
-			frac = (1 - pos) * 2
-		}
-		return lo + (hi-lo)*frac
-	}
-}
-
-// Jitter multiplies a profile by seeded multiplicative noise in
-// [1-amp, 1+amp], re-drawn per call. Same seed ⇒ same sequence of
-// draws, keeping paced feeders reproducible tick-for-tick.
-func Jitter(f RateFunc, amp float64, seed int64) RateFunc {
-	rnd := rand.New(rand.NewSource(seed))
-	return func(elapsed time.Duration) float64 {
-		return f(elapsed) * (1 + amp*(2*rnd.Float64()-1))
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 
-	"saber/internal/bql"
 	"saber/internal/expr"
 	"saber/internal/query"
 	"saber/internal/schema"
@@ -73,15 +72,6 @@ func (g *SGGen) Next(dst []byte, n int) []byte {
 		}
 	}
 	return append(dst, b.Bytes()...)
-}
-
-// SGStreams names the smart-grid streams for the SQL front end.
-func SGStreams() bql.Streams {
-	return bql.Streams{
-		"SmartGridStr":  SGSchema,
-		"GlobalLoadStr": SGGlobalSchema,
-		"LocalLoadStr":  SGLocalSchema,
-	}
 }
 
 // SGGlobalSchema is SG1's output (GlobalLoadStr).
