@@ -59,13 +59,11 @@ type QuerySnap struct {
 	// uniform prior.
 	RateCPU, RateGPU float64
 	// Overload-protection ledger at the barrier (codec v2; zero when
-	// restored from a v1 file). OfferedBytes/InBytes are the raw
-	// bytes-offered and bytes-admitted counters — their difference is the
-	// admission-shed volume in bytes, which recovery re-seeds so the
-	// offered == admitted + shed identity survives a restart. The tuple
-	// counters carry the shed telemetry itself. All are approximate
-	// within the inserts in flight at capture; exact when the engine was
-	// quiescent.
+	// restored from a v1 file). OfferedBytes/InBytes are the offered and
+	// admitted byte volumes — their difference is the admission-shed
+	// volume in bytes, which recovery re-seeds so the offered == admitted
+	// + shed identity survives a restart. The tuple counters carry the
+	// shed telemetry itself.
 	OfferedBytes     int64
 	InBytes          int64
 	ShedTuples       int64

@@ -138,18 +138,23 @@ func (rs *resultStage) capture() ckpt.QuerySnap {
 	rs.drainMu.Lock()
 	defer rs.drainMu.Unlock()
 	r := rs.r
+	in := r.stats.bytesIn.Value()
 	qs := ckpt.QuerySnap{
 		Name:            r.plan.Q.Name,
 		Barrier:         rs.next.Load(),
 		CommittedBytes:  r.stats.bytesOut.Value(),
 		CommittedTuples: r.stats.tuplesOut.Value(),
 		Pending:         rs.asm.Export(),
-		// The overload ledger is maintained under insMu, not drainMu, so
-		// these reads are approximate within the inserts in flight at the
-		// barrier (exact when the engine is quiescent). Good enough for
-		// telemetry continuity; output exactness never depends on them.
-		OfferedBytes:     r.over.bytesOffered.Value(),
-		InBytes:          r.stats.bytesIn.Value(),
+		// The overload ledger is maintained under insMu, which capture
+		// cannot take: a parked Insert holds it until the drainer (or a
+		// Resume, behind regMu) makes room. Offered is recorded as
+		// admitted plus admission-shed rather than read from
+		// bytes.offered, which also counts what an Insert in flight has
+		// yet to admit — bytes the feeder replays after a restore. The
+		// shed counters are exact unless an admission shed lands during
+		// capture.
+		OfferedBytes:     in + r.shedAdmitBytes.Load(),
+		InBytes:          in,
 		ShedTuples:       r.stats.tuplesShed.Value(),
 		ShedAdmitTuples:  r.over.shedAdmit.Value(),
 		ShedOldestTuples: r.over.shedOldest.Value(),
@@ -276,6 +281,7 @@ func (r *registered) restore(qs ckpt.QuerySnap) error {
 	// holding after the replayed suffix is re-offered and re-admitted.
 	if d := qs.OfferedBytes - qs.InBytes; d > 0 {
 		r.over.bytesOffered.Add(d)
+		r.shedAdmitBytes.Add(d)
 	}
 	r.stats.tuplesShed.Add(qs.ShedTuples)
 	r.over.shedAdmit.Add(qs.ShedAdmitTuples)

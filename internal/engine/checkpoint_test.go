@@ -276,3 +276,60 @@ func TestAutomaticCheckpointLoop(t *testing.T) {
 		t.Fatal("no checkpoint bytes recorded")
 	}
 }
+
+// TestCheckpointMidInsertKeepsOfferedLedger cuts an epoch while an Insert
+// is parked on a full ring with most of its bytes not yet admitted. Those
+// bytes were neither admitted nor shed at the barrier — the feeder
+// replays them from the input cursor — so the restored engine must start
+// with offered == admitted + shed at admission.
+func TestCheckpointMidInsertKeepsOfferedLedger(t *testing.T) {
+	dir := t.TempDir()
+	cfg := ckptConfig(2, dir)
+	cfg.InputBufferSize = 1 << 14
+	engA := New(cfg)
+	hA, err := engA.Register(selQuery(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := engA.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// Paused, the query cuts no tasks, so the ring fills and the Insert
+	// parks with the rest of its data unadmitted.
+	if err := engA.Pause("sel"); err != nil {
+		t.Fatal(err)
+	}
+	stream := genStream(4*cfg.InputBufferSize/syn.TupleSize(), 5)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		hA.Insert(stream)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for hA.Stats().AdmitWaits == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("Insert never waited for ring space")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if _, err := engA.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	engA.Close()
+	<-done
+
+	engB := New(cfg)
+	hB, err := engB.Register(selQuery(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engB.Restore(dir); err != nil {
+		t.Fatal(err)
+	}
+	st := hB.Stats()
+	if shed := st.TuplesShedAdmit * int64(syn.TupleSize()); st.BytesOffered != st.BytesIn+shed {
+		t.Fatalf("restored ledger: %d bytes offered != %d admitted + %d shed at admission",
+			st.BytesOffered, st.BytesIn, shed)
+	}
+	engB.Close()
+}

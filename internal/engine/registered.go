@@ -53,6 +53,10 @@ type registered struct {
 	result  *resultStage
 	stats   statsCounters
 	over    overloadCounters
+	// shedAdmitBytes is over.shedAdmit in bytes: the admission-shed volume
+	// a checkpoint records, so that bytes an Insert has offered but not
+	// yet admitted or shed at the barrier are never counted as shed.
+	shedAdmitBytes atomic.Int64
 
 	// shed makes the ShedWeighted coin flips; nil unless the engine has
 	// an Overload config. Guarded by insMu (which also makes the flip
@@ -202,12 +206,14 @@ func (r *registered) insert(side int, data []byte) {
 		case admitDropped:
 			// ShedWeighted dropped this chunk before admission.
 			r.over.shedAdmit.Add(int64((end - off) / in.tupleSize))
+			r.shedAdmitBytes.Add(int64(end - off))
 			continue
 		case admitQuiesced:
 			// The engine began Drain/Close: nothing further can ever be
 			// admitted. Account the rest as admission-shed and bail out
 			// rather than block shutdown.
 			r.over.shedAdmit.Add(int64((len(data) - off) / in.tupleSize))
+			r.shedAdmitBytes.Add(int64(len(data) - off))
 			r.insMu.Unlock()
 			return
 		}

@@ -19,21 +19,38 @@ import (
 // streams, with a per-query conservation verdict for every stream — the
 // ones that survive to quiesce and the ones dropped mid-run alike. The
 // engine is Config.Engine; Seed drives the source payload and the churn
-// schedule. Every field but LeakSlot must be positive.
+// schedule. The catalog script defines the queries and the source feeds
+// them, so checkChurn refuses the Config fields that shape the workload
+// feed.
 type ChurnPhase struct {
-	// BaseStreams is the number of streams registered at boot.
-	BaseStreams int
-	// Rounds is the number of churn rounds; each creates a stream,
-	// pauses and resumes a seeded base stream, and drops the previous
-	// round's creation.
-	Rounds int
-	// Rate paces the source (tuples/sec) so the DDL churn lands
-	// genuinely mid-stream.
-	Rate int
 	// LeakSlot arms the mutation self-test: after the engine quiesces, a
 	// result slot is marked full behind the drainer's back, and the
 	// per-stream quiesce check is expected to flag it.
 	LeakSlot bool
+}
+
+// The churn schedule: churnBaseStreams streams registered at boot,
+// churnRounds rounds (each creates a stream, pauses and resumes a seeded
+// base stream, and drops the previous round's creation), and the
+// source paced at churnRate tuples/s so the DDL lands mid-stream.
+const (
+	churnBaseStreams = 3
+	churnRounds      = 4
+	churnRate        = 300000
+)
+
+// checkChurn refuses a churn Config that sets fields the churn phase
+// would ignore.
+func checkChurn(cfg Config) error {
+	switch {
+	case cfg.Crash != nil:
+		return errors.New("harness: the crash and churn phases do not combine")
+	case cfg.Workload != "" || cfg.Queries > 1 || cfg.WindowSize != 0 || cfg.MaxJitter != 0 || cfg.MinProcess != 0:
+		return errors.New("harness: a churn run's queries come from its catalog script: Workload, Queries, WindowSize, MaxJitter and MinProcess do not apply")
+	case cfg.GPU || cfg.GPURate != 0 || cfg.Ingest || cfg.SourceCredits != 0 || cfg.PacedRate != nil || cfg.MutateOutput != nil:
+		return errors.New("harness: a churn run's catalog source feeds a CPU engine: GPU, GPURate, Ingest, SourceCredits, PacedRate and MutateOutput do not apply")
+	}
+	return nil
 }
 
 // lifeStream tracks one catalog stream's identity-conservation evidence:
@@ -51,10 +68,6 @@ type lifeStream struct {
 // live DDL while the paced source streams, quiesces, and checks
 // per-query conservation for every stream that ever existed.
 func runChurn(cfg Config, rep *Report) error {
-	ch := cfg.Churn
-	if ch.BaseStreams <= 0 || ch.Rounds <= 0 || ch.Rate <= 0 {
-		return errors.New("harness: a churn run needs BaseStreams, Rounds and Rate > 0")
-	}
 	tsz := int64(workload.SynSchema.TupleSize())
 
 	eng := engine.New(cfg.Engine)
@@ -62,8 +75,8 @@ func runChurn(cfg Config, rep *Report) error {
 
 	var script strings.Builder
 	fmt.Fprintf(&script, "CREATE SOURCE S TYPE gen WITH (gen='syn', seed=%d, rate=%d, count=%d);\n",
-		cfg.Seed, ch.Rate, cfg.Tuples)
-	for i := 0; i < ch.BaseStreams; i++ {
+		cfg.Seed, churnRate, cfg.Tuples)
+	for i := 0; i < churnBaseStreams; i++ {
 		// Tumbling identity windows of varied sizes: every admitted tuple
 		// is emitted exactly once, so conservation is exact per stream.
 		w := 32 << uint(i%4)
@@ -88,7 +101,7 @@ func runChurn(cfg Config, rep *Report) error {
 		streams = append(streams, ls)
 		return ls, nil
 	}
-	for i := 0; i < ch.BaseStreams; i++ {
+	for i := 0; i < churnBaseStreams; i++ {
 		if _, err := track(fmt.Sprintf("base%d", i)); err != nil {
 			return err
 		}
@@ -104,11 +117,11 @@ func runChurn(cfg Config, rep *Report) error {
 	// replays the full deterministic source from tuple zero), cycles a
 	// seeded base stream through pause/resume, and drops the previous
 	// round's creation while it is still consuming.
-	runFor := time.Duration(float64(cfg.Tuples) / float64(ch.Rate) * float64(time.Second))
-	step := runFor / time.Duration(ch.Rounds+1)
+	runFor := time.Duration(float64(cfg.Tuples) / float64(churnRate) * float64(time.Second))
+	step := runFor / time.Duration(churnRounds+1)
 	rnd := rand.New(rand.NewSource(cfg.Seed ^ 0x11fec1c1e))
 	var prev *lifeStream
-	for round := 0; round < ch.Rounds; round++ {
+	for round := 0; round < churnRounds; round++ {
 		time.Sleep(step)
 		name := fmt.Sprintf("dyn%d", round)
 		w := 96
@@ -121,7 +134,7 @@ func runChurn(cfg Config, rep *Report) error {
 		}
 		rep.StreamsCreated++
 
-		base := fmt.Sprintf("base%d", rnd.Intn(ch.BaseStreams))
+		base := fmt.Sprintf("base%d", rnd.Intn(churnBaseStreams))
 		if _, err := m.Exec("PAUSE STREAM " + base + ";"); err != nil {
 			return fmt.Errorf("round %d pause: %w", round, err)
 		}
@@ -146,7 +159,7 @@ func runChurn(cfg Config, rep *Report) error {
 	m.Close()
 	eng.Close()
 
-	if ch.LeakSlot {
+	if cfg.Churn.LeakSlot {
 		// Mutation self-test: plant the exact state the quiesce sweep
 		// exists to catch and let the checks below find it.
 		streams[0].h.InjectSlotLeak()

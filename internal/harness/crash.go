@@ -24,45 +24,34 @@ import (
 // exactly-once restart means the stitched stream is the oracle's
 // expected output.
 type CrashPhase struct {
-	// CheckpointEveryChunks cuts an epoch after every N feed chunks.
-	// Must be positive.
-	CheckpointEveryChunks int
-	// KillChunk is the chunk index after which the engine is killed; 0
-	// derives a seeded kill point past the first checkpoint.
-	KillChunk int
 	// Quiesce waits for the engine to fully drain before each
 	// checkpoint, making the epoch barrier (and therefore the committed
 	// prefix and resume cursor) a pure function of the seed. Without it
 	// the run checkpoints against a moving frontier.
 	Quiesce bool
-	// Dir is the checkpoint directory; empty creates (and removes) a
-	// temporary one.
-	Dir string
 }
+
+// checkpointEveryChunks is the crash phase's epoch cadence: the crashed
+// engine cuts a checkpoint after every this many feed chunks, and is
+// killed at a seeded chunk past the first one.
+const checkpointEveryChunks = 6
 
 // runCrash runs the crash phase for the run's one query. With Ingest
 // the feed goes over TCP loopback with the resume protocol: the
 // restarted server greets the surviving client with the checkpoint
 // cursor and the client replays the lost suffix from its window.
 func runCrash(cfg Config, runs []*queryRun, rep *Report) error {
-	cp := cfg.Crash
 	switch {
 	case len(runs) != 1:
 		return fmt.Errorf("harness: a crash run has one query, not %d", len(runs))
-	case cp.CheckpointEveryChunks <= 0:
-		return errors.New("harness: a crash run needs CheckpointEveryChunks > 0")
 	case cfg.PacedRate != nil:
 		return errors.New("harness: a crash run feeds unpaced")
 	}
-	dir := cp.Dir
-	if dir == "" {
-		d, err := os.MkdirTemp("", "ckpt-restart-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(d)
-		dir = d
+	dir, err := os.MkdirTemp("", "ckpt-restart-")
+	if err != nil {
+		return err
 	}
+	defer os.RemoveAll(dir)
 	ecfg := cfg.Engine
 	ecfg.CheckpointDir = dir
 	ecfg.CheckpointInterval = -1 // the runner cuts epochs at seeded chunk counts
@@ -71,29 +60,22 @@ func runCrash(cfg Config, runs []*queryRun, rep *Report) error {
 	tsz := StreamSchema.TupleSize()
 	stream := qr.stream
 	chunks := chunkSchedule(cfg.Seed^0x5eed, len(stream))
-	kill := cp.KillChunk
-	if kill <= 0 {
-		// Seeded kill point strictly past the first checkpoint and before
-		// the stream's end, so there is both state to recover and a
-		// suffix left to process.
-		lo := cp.CheckpointEveryChunks + 1
-		hi := len(chunks) - 1
-		if hi <= lo {
-			return fmt.Errorf("harness: stream too short for a crash point (%d chunks, checkpoint every %d)",
-				len(chunks), cp.CheckpointEveryChunks)
-		}
-		kill = lo + rand.New(rand.NewSource(cfg.Seed^0x6b11)).Intn(hi-lo)
+	// Seeded kill point strictly past the first checkpoint and before the
+	// stream's end, so there is both state to recover and a suffix left
+	// to process.
+	lo, hi := checkpointEveryChunks+1, len(chunks)-1
+	if hi <= lo {
+		return fmt.Errorf("harness: stream too short for a crash point (%d chunks, checkpoint every %d)",
+			len(chunks), checkpointEveryChunks)
 	}
-	if kill > len(chunks) {
-		return fmt.Errorf("harness: kill chunk %d past the %d-chunk schedule", kill, len(chunks))
-	}
+	kill := lo + rand.New(rand.NewSource(cfg.Seed^0x6b11)).Intn(hi-lo)
 	rep.KillChunk = kill
 
 	// Crash run: feed chunks [0, kill), checkpointing along the way,
 	// then die without draining.
 	var preMu sync.Mutex
 	var pre []byte
-	a, err := build(cfg, ecfg, runs, func(*queryRun) func([]byte) {
+	a, err := build(ecfg, runs, func(*queryRun) func([]byte) {
 		return func(rows []byte) {
 			preMu.Lock()
 			pre = append(pre, rows...)
@@ -125,10 +107,10 @@ func runCrash(cfg Config, runs []*queryRun, rep *Report) error {
 		if err := send(stream[chunks[i][0]:chunks[i][1]]); err != nil {
 			return fmt.Errorf("harness: pre-crash feed: %w", err)
 		}
-		if (i+1)%cp.CheckpointEveryChunks != 0 {
+		if (i+1)%checkpointEveryChunks != 0 {
 			continue
 		}
-		if cp.Quiesce {
+		if cfg.Crash.Quiesce {
 			if srv != nil {
 				// Wait for in-flight frames to reach the engine before
 				// the drain barrier can mean anything.
@@ -164,7 +146,7 @@ func runCrash(cfg Config, runs []*queryRun, rep *Report) error {
 	// Recovery: fresh engine, restore from disk, resume the feed at the
 	// checkpoint cursor, finish the stream.
 	var post atomic.Int64
-	b, err := build(cfg, ecfg, runs, func(qr *queryRun) func([]byte) {
+	b, err := build(ecfg, runs, func(qr *queryRun) func([]byte) {
 		return func(rows []byte) {
 			post.Add(int64(len(rows)))
 			qr.consume(rows)
@@ -263,6 +245,6 @@ func CrashRestartScenario(seed int64) Config {
 		Tuples:   30000,
 		Engine:   engine.Config{InputBufferSize: 1 << 15, MaxTaskRetries: 6},
 		Chaos:    inj,
-		Crash:    &CrashPhase{CheckpointEveryChunks: 6},
+		Crash:    &CrashPhase{},
 	}
 }

@@ -40,6 +40,7 @@ import (
 	"saber/internal/inv"
 	"saber/internal/model"
 	"saber/internal/overload"
+	"saber/internal/query"
 	"saber/internal/sched"
 	"saber/internal/workload"
 )
@@ -310,12 +311,14 @@ func (r *Report) String() string {
 // violations are data, reported in Report.Violations so tests can log
 // the seed before failing.
 func Run(cfg Config) (*Report, error) {
+	if cfg.Churn != nil {
+		if err := checkChurn(cfg); err != nil {
+			return nil, err
+		}
+	}
 	cfg = cfg.withDefaults()
 	rep := &Report{Seed: cfg.Seed}
 	if cfg.Churn != nil {
-		if cfg.Crash != nil {
-			return nil, errors.New("harness: the crash and churn phases do not combine")
-		}
 		return rep, runChurn(cfg, rep)
 	}
 	if cfg.GPU {
@@ -329,9 +332,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	runs := make([]*queryRun, cfg.Queries)
 	for i := range runs {
-		// Distinct sub-seed per query so concurrent queries do not march
-		// in lockstep.
-		qr, err := newQueryRun(cfg, cfg.Seed+int64(i)*7919)
+		qr, err := newQueryRun(cfg, i)
 		if err != nil {
 			return nil, err
 		}
@@ -344,7 +345,7 @@ func Run(cfg Config) (*Report, error) {
 		return rep, nil
 	}
 
-	inst, err := build(cfg, cfg.Engine, runs, func(qr *queryRun) func([]byte) { return qr.consume })
+	inst, err := build(cfg.Engine, runs, func(qr *queryRun) func([]byte) { return qr.consume })
 	if err != nil {
 		return nil, err
 	}
@@ -405,22 +406,26 @@ func Run(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// queryRun is one query's seeded input stream and the oracle its output
-// is checked against.
+// queryRun is the run's query i: the workload query every engine of the
+// run registers, its seeded input stream and the oracle its output is
+// checked against.
 type queryRun struct {
+	q           *query.Query
 	stream      []byte
 	fingerprint int64
 	checker     streamChecker
 	mutate      func([]byte) []byte
 }
 
-func newQueryRun(cfg Config, seed int64) (*queryRun, error) {
-	q, err := buildQuery(cfg, "probe")
+func newQueryRun(cfg Config, i int) (*queryRun, error) {
+	q, err := buildQuery(cfg, fmt.Sprintf("stress-%d", i))
 	if err != nil {
 		return nil, err
 	}
-	qr := &queryRun{mutate: cfg.MutateOutput}
-	qr.stream, qr.fingerprint = genStream(cfg.Tuples, seed)
+	qr := &queryRun{q: q, mutate: cfg.MutateOutput}
+	// Distinct sub-seed per query so concurrent queries do not march in
+	// lockstep.
+	qr.stream, qr.fingerprint = genStream(cfg.Tuples, cfg.Seed+int64(i)*7919)
 	if isAggWorkload(cfg.Workload) {
 		qr.checker = &aggChecker{out: q.OutputSchema(), in: qr.stream, window: cfg.WindowSize}
 	} else {
@@ -447,17 +452,13 @@ type instance struct {
 	handles []*engine.Handle
 }
 
-// build creates an engine from ecfg and registers one workload query per
-// run, routing query i's output to sink(runs[i]). The engine is not yet
-// started, so a crash run can restore into it first.
-func build(cfg Config, ecfg engine.Config, runs []*queryRun, sink func(*queryRun) func([]byte)) (*instance, error) {
+// build creates an engine from ecfg and registers each run's query,
+// routing its output to sink(run). The engine is not yet started, so a
+// crash run can restore into it first.
+func build(ecfg engine.Config, runs []*queryRun, sink func(*queryRun) func([]byte)) (*instance, error) {
 	inst := &instance{eng: engine.New(ecfg)}
-	for i, qr := range runs {
-		q, err := buildQuery(cfg, fmt.Sprintf("stress-%d", i))
-		if err != nil {
-			return nil, err
-		}
-		h, err := inst.eng.Register(q)
+	for _, qr := range runs {
+		h, err := inst.eng.Register(qr.q)
 		if err != nil {
 			return nil, err
 		}
@@ -668,12 +669,6 @@ func verify(cfg Config, inst *instance, runs []*queryRun, rep *Report) {
 	if started, finished := snap.Counters["saber.trace.started"], snap.Counters["saber.trace.finished"]; started != finished {
 		violate("metrics: %d task traces started but %d finished at quiesce", started, finished)
 	}
-	// A restored engine's offered counter is exact only if no Insert was
-	// in flight at any checkpoint, because capture reads it outside the
-	// ingest lock (engine/checkpoint.go). A crash run's direct feeder cuts
-	// each checkpoint between its own Inserts and Quiesce waits out the
-	// ingest server's, but an unquiesced ingest feed races them.
-	exactOffered := cfg.Crash == nil || !cfg.Ingest || cfg.Crash.Quiesce
 	tsz := int64(StreamSchema.TupleSize())
 	for i := range runs {
 		in := snap.Counters[fmt.Sprintf("saber.engine.q%d.bytes.in", i)] / tsz
@@ -686,7 +681,7 @@ func verify(cfg Config, inst *instance, runs []*queryRun, rep *Report) {
 		}
 		offered := snap.Counters[fmt.Sprintf("saber.overload.q%d.bytes.offered", i)] / tsz
 		shedAdmit := snap.Counters[fmt.Sprintf("saber.overload.q%d.shed.admit.tuples", i)]
-		if exactOffered && offered != in+shedAdmit {
+		if offered != in+shedAdmit {
 			violate("metrics: query %d admission conservation: %d tuples offered != %d admitted + %d shed at admission",
 				i, offered, in, shedAdmit)
 		}

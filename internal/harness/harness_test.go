@@ -250,7 +250,7 @@ func TestInvariantsCatchInjectedBugs(t *testing.T) {
 		{
 			// One tuple lost after recovery from a crash.
 			name:   "crash-recovered-drop",
-			crash:  &CrashPhase{CheckpointEveryChunks: 6},
+			crash:  &CrashPhase{},
 			mutate: dropRecovered(),
 			want:   "seq",
 		},

@@ -15,7 +15,7 @@ func churnRun(seed int64, leakSlot bool) Config {
 		Seed:   seed,
 		Tuples: 60000,
 		Engine: engine.Config{TaskSize: 4096, InputBufferSize: 16 << 20},
-		Churn:  &ChurnPhase{BaseStreams: 3, Rounds: 4, Rate: 300000, LeakSlot: leakSlot},
+		Churn:  &ChurnPhase{LeakSlot: leakSlot},
 	}
 }
 
@@ -60,4 +60,24 @@ func TestLifecycleMutationDetectsLeakedSlot(t *testing.T) {
 		t.Fatalf("leak reported without the slot verdict: %v", verr)
 	}
 	t.Logf("caught as intended: %v", verr)
+}
+
+// TestChurnRefusesFeedFields: the churn phase's queries and source come
+// from its catalog script, so a Config field that would shape the
+// workload feed is refused rather than silently ignored.
+func TestChurnRefusesFeedFields(t *testing.T) {
+	for name, set := range map[string]func(*Config){
+		"workload": func(c *Config) { c.Workload = WorkloadAgg },
+		"queries":  func(c *Config) { c.Queries = 2 },
+		"gpu":      func(c *Config) { c.GPU = true },
+		"ingest":   func(c *Config) { c.Ingest = true },
+		"mutate":   func(c *Config) { c.MutateOutput = func(b []byte) []byte { return b } },
+		"crash":    func(c *Config) { c.Crash = &CrashPhase{} },
+	} {
+		cfg := churnRun(1, false)
+		set(&cfg)
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s: churn run accepted a field it ignores", name)
+		}
+	}
 }

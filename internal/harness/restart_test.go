@@ -15,7 +15,7 @@ func crashRun(seed int64) Config {
 		Seed:   seed,
 		Tuples: 40000,
 		Engine: engine.Config{InputBufferSize: 1 << 15},
-		Crash:  &CrashPhase{CheckpointEveryChunks: 6},
+		Crash:  &CrashPhase{},
 	}
 }
 

@@ -60,9 +60,9 @@ const (
 	// out-of-order completion (and thus reorder/overflow pressure) while
 	// keeping the expected output identical to the input.
 	WorkloadJitter = "jitter"
-	// WorkloadAgg is a tumbling-window COUNT(*): the counts across all
-	// emitted windows (including the end-of-stream flush) must add up to
-	// exactly the number of input tuples.
+	// WorkloadAgg is a tumbling-window COUNT(*): aggChecker derives every
+	// window's timestamp and count, the end-of-stream flush's partial
+	// window included, from the input stream.
 	WorkloadAgg = "agg"
 	// WorkloadAggTime is WorkloadAgg over a time-based window. The
 	// harness stream's timestamps advance by exactly one per tuple, so
