@@ -79,7 +79,6 @@ type runSpec struct {
 // runResult is one run's measurements.
 type runResult struct {
 	GBps     float64
-	MTuples  float64 // 10^6 tuples/s (32-byte reference tuples)
 	Latency  time.Duration
 	GPUShare float64
 	Stats    []engine.Stats
@@ -88,8 +87,7 @@ type runResult struct {
 // Paper-equivalent units: with model padding dominating wall time,
 // measured throughput scales as 1/TimeScale, so measured × Scale is the
 // scale-invariant, paper-comparable magnitude (and latency ÷ Scale).
-func (r runResult) paperGBps(o Options) float64    { return r.GBps * o.Scale }
-func (r runResult) paperMTuples(o Options) float64 { return r.MTuples * o.Scale }
+func (r runResult) paperGBps(o Options) float64 { return r.GBps * o.Scale }
 func (r runResult) paperLatencyMS(o Options) float64 {
 	return float64(r.Latency.Microseconds()) / 1000 / o.Scale
 }
@@ -204,10 +202,7 @@ func run(spec runSpec) runResult {
 	close(stop)
 	eng.Close()
 
-	res := runResult{
-		GBps:    float64(total) / elapsed.Seconds() / 1e9,
-		MTuples: float64(total) / 32 / elapsed.Seconds() / 1e6,
-	}
+	res := runResult{GBps: float64(total) / elapsed.Seconds() / 1e9}
 	var latSum time.Duration
 	var gpuT, allT int64
 	for _, h := range handles {

@@ -188,7 +188,7 @@ func TestColumnarDiffGPUFailover(t *testing.T) {
 
 	inj := fault.New(55)
 	inj.Arm(fault.GPUKernel, fault.Spec{Rate: 0.3, Limit: 200})
-	dev := gpu.Open(gpu.Config{SMs: 2, Model: model.Default().Scaled(1e-6), Fault: inj})
+	dev := gpu.Open(gpu.Config{Model: model.Default().Scaled(1e-6), Fault: inj})
 	cfg := fastConfig(4)
 	cfg.GPU = dev
 	got := runEngine(t, func() *query.Query { return projQuery(t) }, cfg,
@@ -216,7 +216,7 @@ func TestColumnarDiffGPUFailover(t *testing.T) {
 // there.
 func TestColumnarGauges(t *testing.T) {
 	reg := obs.NewRegistry()
-	dev := gpu.Open(gpu.Config{SMs: 2, Model: model.Default().Scaled(1e-6)})
+	dev := gpu.Open(gpu.Config{Model: model.Default().Scaled(1e-6)})
 	cfg := fastConfig(4)
 	cfg.GPU = dev
 	cfg.Metrics = reg

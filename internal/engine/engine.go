@@ -490,7 +490,8 @@ func (e *Engine) Start() error {
 	}
 	gpuCap := 0.0
 	if e.cfg.GPU != nil {
-		gpuCap = 4 // pipeline depth converts latency into throughput
+		// Pipeline depth converts latency into throughput.
+		gpuCap = float64(e.cfg.GPU.PipelineDepth())
 	}
 	e.matrix = sched.NewMatrix(n, 1000, e.cfg.MatrixAlpha, float64(e.cfg.CPUWorkers), gpuCap)
 	e.matrix.Notify = e.queue.Wake // rates steer the policy: wake parked workers

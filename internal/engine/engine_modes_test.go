@@ -10,13 +10,14 @@ import (
 	"saber/internal/gpu"
 	"saber/internal/model"
 	"saber/internal/query"
+	"saber/internal/sched"
 	"saber/internal/window"
 )
 
 // TestGPUOnlyMode: CPUWorkers < 0 with a device runs everything on the
 // GPGPU and still produces the correct, ordered output.
 func TestGPUOnlyMode(t *testing.T) {
-	dev := gpu.Open(gpu.Config{SMs: 2, Model: model.Default().Scaled(1e-6)})
+	dev := gpu.Open(gpu.Config{Model: model.Default().Scaled(1e-6)})
 	defer dev.Close()
 	cfg := fastConfig(1)
 	cfg.CPUWorkers = -1
@@ -45,6 +46,29 @@ func TestGPUOnlyMode(t *testing.T) {
 	}
 }
 
+// TestGPUCapacityIsPipelineDepth: the throughput matrix turns a GPGPU
+// task's service time into a rate with the device's pipeline depth, the
+// number of tasks it overlaps. A depth-1 device that took 1 ms per task
+// runs 1000 tasks/s, not the 4000 of a hard-coded depth-4 capacity.
+func TestGPUCapacityIsPipelineDepth(t *testing.T) {
+	dev := gpu.Open(gpu.Config{PipelineDepth: 1, Model: model.Default().Scaled(1e-6)})
+	defer dev.Close()
+	cfg := fastConfig(1)
+	cfg.GPU = dev
+	eng := New(cfg)
+	if _, err := eng.Register(selQuery(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	eng.matrix.Observe(0, sched.GPU, 0.001)
+	if got := eng.matrix.Rate(0, sched.GPU); got != 1000 {
+		t.Fatalf("depth-1 GPGPU rate after one 1 ms task = %g/s, want 1000/s", got)
+	}
+}
+
 func TestNoProcessorsRejected(t *testing.T) {
 	cfg := fastConfig(1)
 	cfg.CPUWorkers = -1
@@ -58,7 +82,7 @@ func TestNoProcessorsRejected(t *testing.T) {
 }
 
 func TestGreedyPolicy(t *testing.T) {
-	dev := gpu.Open(gpu.Config{SMs: 2, Model: model.Default().Scaled(1e-6)})
+	dev := gpu.Open(gpu.Config{Model: model.Default().Scaled(1e-6)})
 	defer dev.Close()
 	cfg := fastConfig(2)
 	cfg.GPU = dev

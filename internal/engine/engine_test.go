@@ -311,7 +311,7 @@ func TestEndToEndJoin(t *testing.T) {
 }
 
 func TestHybridUsesBothProcessors(t *testing.T) {
-	dev := gpu.Open(gpu.Config{SMs: 2, Model: model.Default().Scaled(1e-6)})
+	dev := gpu.Open(gpu.Config{Model: model.Default().Scaled(1e-6)})
 	defer dev.Close()
 	cfg := fastConfig(4)
 	cfg.GPU = dev
@@ -381,7 +381,7 @@ func TestHybridGroupedSlidingMatchesCPU(t *testing.T) {
 		eng.Close()
 		return out.buf, h.Stats()
 	}
-	dev := gpu.Open(gpu.Config{SMs: 2, Model: model.Default().Scaled(1e-6)})
+	dev := gpu.Open(gpu.Config{Model: model.Default().Scaled(1e-6)})
 	defer dev.Close()
 	cpu, _ := run(nil)
 	hybrid, st := run(dev)

@@ -170,7 +170,7 @@ func TestGPUFailoverExactlyOnce(t *testing.T) {
 	inj := fault.New(99)
 	inj.Arm(fault.GPUKernel, fault.Spec{Rate: 0.3, Limit: 100})
 
-	dev := gpu.Open(gpu.Config{SMs: 2, Model: model.Default().Scaled(1e-6), Fault: inj})
+	dev := gpu.Open(gpu.Config{Model: model.Default().Scaled(1e-6), Fault: inj})
 	defer dev.Close()
 
 	cfg := fastConfig(4)
@@ -228,7 +228,7 @@ func gpuHangTimeoutFailover(t *testing.T, depth int) {
 	inj := fault.New(21)
 	inj.Arm(fault.GPUHang, fault.Spec{Rate: 0.1, Delay: 50 * time.Millisecond, Limit: 3})
 
-	dev := gpu.Open(gpu.Config{SMs: 2, PipelineDepth: depth, Model: model.Default().Scaled(1e-6), Fault: inj})
+	dev := gpu.Open(gpu.Config{PipelineDepth: depth, Model: model.Default().Scaled(1e-6), Fault: inj})
 
 	cfg := fastConfig(4)
 	cfg.GPU = dev

@@ -217,7 +217,7 @@ func TestResizeDuringGPUFailover(t *testing.T) {
 	inj := fault.New(55)
 	inj.Arm(fault.GPUKernel, fault.Spec{Rate: 0.3, Limit: 200})
 
-	dev := gpu.Open(gpu.Config{SMs: 2, Model: model.Default().Scaled(1e-6), Fault: inj})
+	dev := gpu.Open(gpu.Config{Model: model.Default().Scaled(1e-6), Fault: inj})
 	defer dev.Close()
 
 	cfg := fastConfig(4)

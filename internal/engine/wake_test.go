@@ -35,7 +35,7 @@ func startWith(t *testing.T, e *Engine, policy func(*sched.Matrix) sched.Policy)
 	t.Helper()
 	gpuCap := 0.0
 	if e.cfg.GPU != nil {
-		gpuCap = 4
+		gpuCap = float64(e.cfg.GPU.PipelineDepth())
 	}
 	e.matrix = sched.NewMatrix(len(e.queries()), 1000, e.cfg.MatrixAlpha, float64(e.cfg.CPUWorkers), gpuCap)
 	e.matrix.Notify = e.queue.Wake
@@ -55,7 +55,7 @@ func startWith(t *testing.T, e *Engine, policy func(*sched.Matrix) sched.Policy)
 // TestIdleWorkersPark: an idle engine's workers ask the policy once and
 // then park. A poll loop would call Next every few hundred microseconds.
 func TestIdleWorkersPark(t *testing.T) {
-	dev := gpu.Open(gpu.Config{SMs: 2, Model: model.Default().Scaled(1e-6)})
+	dev := gpu.Open(gpu.Config{Model: model.Default().Scaled(1e-6)})
 	t.Cleanup(dev.Close)
 	cfg := fastConfig(2)
 	cfg.GPU = dev

@@ -191,7 +191,7 @@ func (p *Plan) emitPrefixFrags(sc *scratch, view tsView, prefC []int64, prefV []
 			Count:      prefC[f.End] - prefC[f.Start],
 			MaxTS:      fragLastTS(view, f.Start, f.End),
 		}
-		part.Vals = res.AllocVals(m)
+		part.Vals = res.allocVals(m)
 		for a := 0; a < m; a++ {
 			part.Vals[a] = prefV[f.End*m+a] - prefV[f.Start*m+a]
 		}
@@ -224,7 +224,7 @@ func (p *Plan) aggScalarDirectVec(in Batch, sc *scratch, view tsView, res *TaskR
 			OpenedHere: f.Opens,
 			ClosedHere: f.Closes,
 			MaxTS:      fragLastTS(view, f.Start, f.End),
-			Vals:       res.AllocVals(m),
+			Vals:       res.allocVals(m),
 		}
 		p.seedVals(part.Vals)
 		lo, hi := f.Start, f.End

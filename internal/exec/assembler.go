@@ -33,8 +33,8 @@ func (a *Assembler) Drain(res *TaskResult, dst []byte) []byte {
 		acc, ok := a.pending[part.Window]
 		if !ok {
 			if part.ClosedHere {
-				// Complete in this task (GPU kernels emit those as
-				// partials), or its earlier fragments were lost to a
+				// Complete in this task (join and UDF tasks emit those
+				// as partials), or its earlier fragments were lost to a
 				// quarantined task: finalise without buffering.
 				dst = a.p.Finalize(part, dst)
 				continue

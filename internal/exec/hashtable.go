@@ -11,18 +11,17 @@ import (
 	"math"
 )
 
-// HashTable is the open-addressing, linear-probing group-by table used by
-// both the CPU and the (simulated) GPGPU aggregation operators. Per the
-// paper (§5.4), the table layout and hash function are identical on both
-// processors, so a partial table produced on one can be merged with one
-// produced on the other.
+// HashTable is the open-addressing, linear-probing group-by table of the
+// aggregation operators. Both processors run those operators, so a
+// partial table produced on one merges with one produced on the other
+// (paper §5.4).
 //
 // The table uses struct-of-arrays storage backed by flat slices, which is
 // the Go rendition of the paper's byte-array-backed tables: no per-group
-// allocation, trivially poolable, and the state words are plain int32s the
-// GPGPU kernels can CAS on. live lists the occupied slots in insertion
-// order, so iteration, reset and rehash cost O(groups), not O(capacity),
-// and Range visits groups in the order they were first inserted.
+// allocation, and trivially poolable. live lists the occupied slots in
+// insertion order, so iteration, reset and rehash cost O(groups), not
+// O(capacity), and Range visits groups in the order they were first
+// inserted.
 type HashTable struct {
 	keyLen int // group key width in bytes
 	nAggs  int // accumulators per group
@@ -78,9 +77,8 @@ func (h *HashTable) Reset() {
 // FNV-1a's 64-bit offset basis and prime.
 const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
 
-// Hash is the shared hash function: FNV-1a over the key bytes. Exported so
-// the GPGPU kernel uses bit-identical slot placement.
-func Hash(key []byte) uint64 {
+// hashKey is the table's hash function: FNV-1a over the key bytes.
+func hashKey(key []byte) uint64 {
 	var h uint64 = fnvOffset
 	for _, b := range key {
 		h ^= uint64(b)
@@ -90,7 +88,7 @@ func Hash(key []byte) uint64 {
 }
 
 // fnv4 continues FNV-1a state h over the four little-endian bytes of k,
-// unrolled: fnv4(fnvOffset, k) is Hash of k's four bytes.
+// unrolled: fnv4(fnvOffset, k) is hashKey of k's four bytes.
 func fnv4(h uint64, k uint32) uint64 {
 	h = (h ^ uint64(k&0xff)) * fnvPrime
 	h = (h ^ uint64(k>>8&0xff)) * fnvPrime
@@ -102,8 +100,8 @@ func fnv4(h uint64, k uint32) uint64 {
 // Returns the slot index and whether the key was found. 4- and 8-byte
 // keys (one int32 or int64 column, or two int32 columns) are compared as
 // one integer load and hashed with fnv4 from that integer; the home slot
-// is still int(Hash(key)) & mask, which the GPGPU table relies on. Other
-// widths hash and compare byte by byte.
+// is still int(hashKey(key)) & mask. Other widths hash and compare byte
+// by byte.
 func (h *HashTable) slotFor(key []byte) (int, bool) {
 	mask := h.cap - 1
 	switch h.keyLen {
@@ -122,7 +120,7 @@ func (h *HashTable) slotFor(key []byte) (int, bool) {
 		}
 		return i, h.state[i] != 0
 	}
-	i := int(Hash(key)) & mask
+	i := int(hashKey(key)) & mask
 	for {
 		if h.state[i] == 0 {
 			return i, false

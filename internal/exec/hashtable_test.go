@@ -214,8 +214,8 @@ func TestHashTableQuickVsMap(t *testing.T) {
 }
 
 // TestFixedWidthProbePlacement: the integer probe for 4- and 8-byte keys
-// puts a key's home slot at int(Hash(key)) & mask, as the GPGPU table
-// (and any byte-wise probe) does.
+// puts a key's home slot at int(hashKey(key)) & mask, as the byte-wise
+// probe does.
 func TestFixedWidthProbePlacement(t *testing.T) {
 	rnd := rand.New(rand.NewSource(1))
 	for _, w := range []int{4, 8} {
@@ -224,21 +224,22 @@ func TestFixedWidthProbePlacement(t *testing.T) {
 		key := make([]byte, w)
 		for n := 0; n < 2000; n++ {
 			rnd.Read(key)
-			if i, found := h.slotFor(key); found || i != int(Hash(key))&mask {
-				t.Fatalf("keyLen %d, key %x: empty table probes slot %d (found %v), Hash places it at %d",
-					w, key, i, found, int(Hash(key))&mask)
+			if i, found := h.slotFor(key); found || i != int(hashKey(key))&mask {
+				t.Fatalf("keyLen %d, key %x: empty table probes slot %d (found %v), hashKey places it at %d",
+					w, key, i, found, int(hashKey(key))&mask)
 			}
 		}
 	}
 }
 
 func TestHashIsFNV1a(t *testing.T) {
-	// Lock the hash function: the GPGPU kernels rely on identical
-	// placement. FNV-1a of "a" is 0xaf63dc4c8601ec8c.
-	if got := Hash([]byte("a")); got != 0xaf63dc4c8601ec8c {
-		t.Fatalf("Hash = %#x", got)
+	// Lock the hash function: fnv4, the fixed-width probes' unrolled
+	// form, must keep agreeing with it. FNV-1a of "a" is
+	// 0xaf63dc4c8601ec8c.
+	if got := hashKey([]byte("a")); got != 0xaf63dc4c8601ec8c {
+		t.Fatalf("hashKey = %#x", got)
 	}
-	if Hash(nil) != 14695981039346656037 {
-		t.Fatal("Hash(nil) != offset basis")
+	if hashKey(nil) != 14695981039346656037 {
+		t.Fatal("hashKey(nil) != offset basis")
 	}
 }

@@ -8,12 +8,12 @@ import (
 	"saber/internal/window"
 )
 
-// JoinPair describes one window's fragment pair within a join task, with
+// joinPair describes one window's fragment pair within a join task, with
 // per-side open/close state derived from each side's stream horizon —
 // not from fragment presence, because with rate-mismatched or lagging
 // inputs a window may be covered by only one side's batch, and it may
 // close on the two sides in different tasks.
-type JoinPair struct {
+type joinPair struct {
 	Window       int64
 	FA, FB       window.Fragment
 	HaveA, HaveB bool
@@ -52,10 +52,9 @@ func sideClosed(d window.Def, ctx window.Context, n int, lastTS int64, k int64) 
 	return false
 }
 
-// JoinPairs computes the window fragment pairs of a two-input task, in
-// window order. Exported for the GPGPU kernel, which runs the same
-// pairing host-side (window computation stays on the CPU, §5.4).
-func (p *Plan) JoinPairs(in [2]Batch) []JoinPair {
+// joinPairs computes the window fragment pairs of a two-input task, in
+// window order.
+func (p *Plan) joinPairs(in [2]Batch) []joinPair {
 	va := newTSView(p.in[0], in[0].Data)
 	vb := newTSView(p.in[1], in[1].Data)
 	fragsA := p.windows[0].Fragments(nil, va.Len(), va, in[0].Ctx)
@@ -66,7 +65,7 @@ func (p *Plan) JoinPairs(in [2]Batch) []JoinPair {
 // pairFrags merges two fragment lists into window pairs, appending to
 // dst. The CPU path feeds it scratch-pooled fragment and pair buffers so
 // steady state allocates nothing.
-func (p *Plan) pairFrags(dst []JoinPair, fragsA, fragsB []window.Fragment, in [2]Batch, va, vb tsView) []JoinPair {
+func (p *Plan) pairFrags(dst []joinPair, fragsA, fragsB []window.Fragment, in [2]Batch, va, vb tsView) []joinPair {
 	lastA, lastB := int64(window.NoPrev), int64(window.NoPrev)
 	if va.Len() > 0 {
 		lastA = va.At(va.Len() - 1)
@@ -77,7 +76,7 @@ func (p *Plan) pairFrags(dst []JoinPair, fragsA, fragsB []window.Fragment, in [2
 
 	i, j := 0, 0
 	for i < len(fragsA) || j < len(fragsB) {
-		var pr JoinPair
+		var pr joinPair
 		switch {
 		case i < len(fragsA) && (j >= len(fragsB) || fragsA[i].Window <= fragsB[j].Window):
 			pr.FA, pr.HaveA = fragsA[i], true
@@ -121,9 +120,8 @@ func (p *Plan) processJoin(in [2]Batch, res *TaskResult) {
 	}
 }
 
-// joinPartial builds the WindowPartial for one pair (shared with the
-// GPGPU kernel, which parallelises the calls across windows).
-func (p *Plan) joinPartial(pr JoinPair, in [2]Batch, asz, bsz int, va, vb tsView, sc *scratch) WindowPartial {
+// joinPartial builds the WindowPartial for one pair.
+func (p *Plan) joinPartial(pr joinPair, in [2]Batch, asz, bsz int, va, vb tsView, sc *scratch) WindowPartial {
 	part := WindowPartial{
 		Window:     pr.Window,
 		OpenedHere: pr.Opened,
@@ -154,15 +152,6 @@ func (p *Plan) joinPartial(pr JoinPair, in [2]Batch, asz, bsz int, va, vb tsView
 		part.BData = append(part.BData, bData...)
 	}
 	return part
-}
-
-// JoinPartial is the exported form used by the GPGPU kernel.
-func (p *Plan) JoinPartial(pr JoinPair, in [2]Batch) WindowPartial {
-	sa, sb := p.in[0], p.in[1]
-	sc := p.getScratch()
-	defer p.putScratch(sc)
-	return p.joinPartial(pr, in, sa.TupleSize(), sb.TupleSize(),
-		newTSView(sa, in[0].Data), newTSView(sb, in[1].Data), sc)
 }
 
 // joinCross appends to dst the projected join result of every tuple pair

@@ -154,7 +154,7 @@ type scratch struct {
 
 	// Join scratch: reused fragment pairing and the right fragment's
 	// key-pointer array.
-	pairs     []JoinPair
+	pairs     []joinPair
 	kpa       []keyPtr
 	kpaPacked []uint64
 }
@@ -469,6 +469,13 @@ func (p *Plan) OutputSchema() *schema.Schema { return p.out }
 // Window returns the window definition of input i.
 func (p *Plan) Window(i int) window.Def { return p.windows[i] }
 
+// Fragments computes input i's window fragments for a batch of n tuples.
+func (p *Plan) Fragments(dst []window.Fragment, i, n int, data []byte, ctx window.Context) []window.Fragment {
+	view := newTSView(p.in[i], data)
+	_ = n
+	return p.windows[i].Fragments(dst, view.Len(), view, ctx)
+}
+
 // NumInputs returns 1 or 2.
 func (p *Plan) NumInputs() int { return len(p.Q.Inputs) }
 
@@ -507,9 +514,10 @@ func (p *Plan) releaseTable(t *HashTable) { p.tablePool.Put(t) }
 func (p *Plan) getScratch() *scratch  { return p.scratchPool.Get().(*scratch) }
 func (p *Plan) putScratch(s *scratch) { p.scratchPool.Put(s) }
 
-// Process evaluates the batch operator function over one task's batches,
-// appending results to res. It is the CPU execution path (paper §5.3); the
-// GPGPU path in internal/gpu produces bit-compatible results.
+// Process evaluates the batch operator function (paper §5.3) over one
+// task's batches, appending results to res. The CPU workers run it, and
+// so does the GPGPU pipeline's execute stage in internal/gpu, over its
+// device buffers.
 func (p *Plan) Process(in [2]Batch, res *TaskResult) error {
 	switch p.Kind {
 	case Map:

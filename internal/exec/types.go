@@ -105,9 +105,9 @@ func (r *TaskResult) route(p *Plan, part WindowPartial) {
 	r.Partials = append(r.Partials, part)
 }
 
-// AllocVals carves a zeroed m-wide accumulator slice out of the result's
+// allocVals carves a zeroed m-wide accumulator slice out of the result's
 // arena. The slice is valid until the result is reset or released.
-func (r *TaskResult) AllocVals(m int) []float64 {
+func (r *TaskResult) allocVals(m int) []float64 {
 	if m == 0 {
 		return nil
 	}

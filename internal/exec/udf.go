@@ -8,20 +8,19 @@ import "saber/internal/window"
 // opaque partial.
 func (p *Plan) processUDF(in [2]Batch, res *TaskResult) {
 	if p.NumInputs() == 2 {
-		for _, pr := range p.JoinPairs(in) {
-			res.Partials = append(res.Partials, p.UDFPartialPair(pr, in))
+		for _, pr := range p.joinPairs(in) {
+			res.Partials = append(res.Partials, p.udfPartialPair(pr, in))
 		}
 		return
 	}
-	for _, f := range p.udfFragments(in[0]) {
-		res.Partials = append(res.Partials, p.UDFPartialSingle(in[0], f))
+	view := newTSView(p.in[0], in[0].Data)
+	for _, f := range p.windows[0].Fragments(nil, view.Len(), view, in[0].Ctx) {
+		res.Partials = append(res.Partials, p.udfPartialSingle(in[0], view, f))
 	}
 }
 
-// UDFPartialPair computes one window's partial for a two-input UDF task
-// (exported for the GPGPU kernel, which parallelises across windows).
-func (p *Plan) UDFPartialPair(pr JoinPair, in [2]Batch) WindowPartial {
-	udf := p.Q.UDF
+// udfPartialPair computes one window's partial for a two-input UDF task.
+func (p *Plan) udfPartialPair(pr joinPair, in [2]Batch) WindowPartial {
 	sa, sb := p.in[0], p.in[1]
 	part := WindowPartial{
 		Window:     pr.Window,
@@ -34,27 +33,20 @@ func (p *Plan) UDFPartialPair(pr JoinPair, in [2]Batch) WindowPartial {
 	var aData, bData []byte
 	if pr.HaveA {
 		aData = in[0].Data[pr.FA.Start*sa.TupleSize() : pr.FA.End*sa.TupleSize()]
-		if pr.FA.End > pr.FA.Start {
-			part.MaxTS = p.TimestampOf(0, in[0].Data, pr.FA.End-1)
-		}
+		part.MaxTS = fragLastTS(newTSView(sa, in[0].Data), pr.FA.Start, pr.FA.End)
 	}
 	if pr.HaveB {
 		bData = in[1].Data[pr.FB.Start*sb.TupleSize() : pr.FB.End*sb.TupleSize()]
-		if pr.FB.End > pr.FB.Start {
-			if ts := p.TimestampOf(1, in[1].Data, pr.FB.End-1); ts > part.MaxTS {
-				part.MaxTS = ts
-			}
-		}
+		part.MaxTS = max(part.MaxTS, fragLastTS(newTSView(sb, in[1].Data), pr.FB.Start, pr.FB.End))
 	}
-	part.Data = udf.ProcessFragment([][]byte{aData, bData})
+	part.Data = p.Q.UDF.ProcessFragment([][]byte{aData, bData})
 	return part
 }
 
-// UDFPartialSingle computes one window fragment's partial for a
+// udfPartialSingle computes one window fragment's partial for a
 // single-input UDF task.
-func (p *Plan) UDFPartialSingle(in Batch, f window.Fragment) WindowPartial {
+func (p *Plan) udfPartialSingle(in Batch, view tsView, f window.Fragment) WindowPartial {
 	tsz := p.in[0].TupleSize()
-	view := newTSView(p.in[0], in.Data)
 	part := WindowPartial{
 		Window:     f.Window,
 		OpenedHere: f.Opens,
@@ -74,11 +66,4 @@ func (p *Plan) mergeUDF(acc, next *WindowPartial) {
 // finalizeUDF renders a closed window.
 func (p *Plan) finalizeUDF(part *WindowPartial, dst []byte) []byte {
 	return append(dst, p.Q.UDF.Finalize(part.Data)...)
-}
-
-// udfFragments is a small helper for the GPGPU kernel: the per-window
-// work items of a single-input UDF task.
-func (p *Plan) udfFragments(in Batch) []window.Fragment {
-	view := newTSView(p.in[0], in.Data)
-	return p.windows[0].Fragments(nil, view.Len(), view, in.Ctx)
 }

@@ -1,13 +1,16 @@
 // Package gpu implements SABER's GPGPU execution back end as a software
-// device (DESIGN.md §2): streaming multiprocessors are a goroutine pool
-// executing workgroups, global memory is arena-style byte buffers, DMA
+// device (DESIGN.md §2): global memory is per-slot byte buffers, DMA
 // transfers really copy bytes through pinned staging buffers, and the
 // five-stage pipeline of paper §5.2 (copyin → movein → execute → moveout →
-// copyout) interleaves transfers with kernel execution across in-flight
-// tasks. Wall-clock behaviour follows the calibrated cost model in
-// internal/model, so the device exhibits the paper's performance surface
-// (PCIe-bound for cheap kernels, compute-advantaged for expensive ones)
-// while producing real, assembly-compatible results.
+// copyout) interleaves transfers with execution across in-flight tasks.
+// The execute stage runs the plan's batch operator function
+// (exec.Plan.Process), the same code the CPU workers run, over the
+// slot's device buffers. The paper's GPGPU algorithms appear only as their
+// cost: wall-clock behaviour follows the calibrated model in
+// internal/model, which charges the device's PCIe transfers and its lack
+// of incremental computation across overlapping windows, so the device
+// exhibits the paper's performance surface (PCIe-bound for cheap kernels,
+// compute-advantaged for expensive ones).
 package gpu
 
 import (
@@ -21,12 +24,6 @@ import (
 
 // Config describes the simulated device.
 type Config struct {
-	// SMs is the number of streaming multiprocessors: the worker
-	// goroutines executing workgroups. Defaults to 8.
-	SMs int
-	// WorkgroupTuples is the number of tuples per workgroup. Defaults
-	// to 256.
-	WorkgroupTuples int
 	// PipelineDepth is the number of in-flight tasks (the paper uses 4
 	// device buffers). 1 disables pipelining (the ablation baseline).
 	PipelineDepth int
@@ -38,12 +35,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.SMs <= 0 {
-		c.SMs = 8
-	}
-	if c.WorkgroupTuples <= 0 {
-		c.WorkgroupTuples = 256
-	}
 	if c.PipelineDepth <= 0 {
 		c.PipelineDepth = 4
 	}
@@ -57,9 +48,6 @@ func (c Config) withDefaults() Config {
 // queries; Close it to stop its goroutines.
 type Device struct {
 	cfg Config
-
-	work   chan workgroup
-	wgDone sync.WaitGroup // SM pool lifetime
 
 	pipe *pipeline
 
@@ -87,24 +75,9 @@ type Device struct {
 	}
 }
 
-type workgroup struct {
-	fn   func(lo, hi int)
-	lo   int
-	hi   int
-	done *sync.WaitGroup
-}
-
-// Open starts the device: the SM pool and the pipeline stage threads.
+// Open starts the device's pipeline stage threads.
 func Open(cfg Config) *Device {
-	cfg = cfg.withDefaults()
-	d := &Device{
-		cfg:  cfg,
-		work: make(chan workgroup, cfg.SMs*4),
-	}
-	d.wgDone.Add(cfg.SMs)
-	for i := 0; i < cfg.SMs; i++ {
-		go d.sm()
-	}
+	d := &Device{cfg: cfg.withDefaults()}
 	d.pipe = newPipeline(d)
 	return d
 }
@@ -116,8 +89,6 @@ func (d *Device) Close() {
 		return
 	}
 	d.pipe.close()
-	close(d.work)
-	d.wgDone.Wait()
 }
 
 // TasksCompleted returns the number of tasks the device has finished.
@@ -160,34 +131,7 @@ func (d *Device) StagingGrows() int64 { return d.stagingGrows.Load() }
 // telemetry can mirror its per-site budgets.
 func (d *Device) Injector() *fault.Injector { return d.cfg.Fault }
 
-func (d *Device) sm() {
-	defer d.wgDone.Done()
-	for wg := range d.work {
-		wg.fn(wg.lo, wg.hi)
-		wg.done.Done()
-	}
-}
-
-// launch runs a kernel over n work items, split into workgroups executed
-// by the SM pool, and waits for completion.
-func (d *Device) launch(n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	gs := d.cfg.WorkgroupTuples
-	var done sync.WaitGroup
-	for lo := 0; lo < n; lo += gs {
-		hi := lo + gs
-		if hi > n {
-			hi = n
-		}
-		done.Add(1)
-		d.work <- workgroup{fn: fn, lo: lo, hi: hi, done: &done}
-	}
-	done.Wait()
-}
-
 // String describes the device.
 func (d *Device) String() string {
-	return fmt.Sprintf("gpu(SMs=%d, wg=%d, depth=%d)", d.cfg.SMs, d.cfg.WorkgroupTuples, d.cfg.PipelineDepth)
+	return fmt.Sprintf("gpu(depth=%d)", d.cfg.PipelineDepth)
 }

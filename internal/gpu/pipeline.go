@@ -152,9 +152,10 @@ func (p *pipeline) movein() {
 	}
 }
 
-// execute: run the kernels over device memory. Window boundaries are
-// computed host-side (as in the paper — the cause of Fig. 12c's GPGPU
-// collapse for very large join tasks).
+// execute: run the plan's batch operator function over device memory,
+// padded to the modelled kernel time (which charges the paper's
+// non-incremental window reductions and the host-side join window
+// computation behind Fig. 12c's GPGPU collapse).
 func (p *pipeline) execute() {
 	defer close(p.cBack)
 	for j := range p.cExec {

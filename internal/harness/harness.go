@@ -326,7 +326,7 @@ func Run(cfg Config) (*Report, error) {
 		// emulated kernels still run 4–14× slower per task than the
 		// unpadded CPU workers: GPURate is what gives it a share of the
 		// work beyond HLS's probes.
-		dev := gpu.Open(gpu.Config{SMs: 2, Model: model.Default().Scaled(1e-6), Fault: cfg.Chaos})
+		dev := gpu.Open(gpu.Config{Model: model.Default().Scaled(1e-6), Fault: cfg.Chaos})
 		defer dev.Close()
 		cfg.Engine.GPU = dev
 	}

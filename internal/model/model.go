@@ -51,7 +51,10 @@ type Params struct {
 	// GPUReduceNs is the GPGPU's cost per duplicated tuple visit in
 	// windowed reductions: fragments are computed independently, so a
 	// tuple in k overlapping windows is reduced k times (no incremental
-	// computation on the GPGPU, §5.4).
+	// computation on the GPGPU, §5.4). Calibrated against Fig. 11b's
+	// GPGPU-only AGGavg at a 32 B slide (≈0.03 GB/s, 1024 visits per
+	// tuple), which also leaves the sliding GROUP-BY of Fig. 15's W1
+	// CPU-leaning.
 	GPUReduceNs float64
 
 	// PCIeNsPerByte models the DMA transfer cost in each direction
@@ -79,7 +82,7 @@ func Default() Params {
 		GPULaunchNs:       30_000,
 		GPUBaseNs:         2.0,
 		GPUUnitNs:         0.2,
-		GPUReduceNs:       0.05,
+		GPUReduceNs:       1.0,
 		PCIeNsPerByte:     0.45,
 		HostCopyNsPerByte: 0.10,
 		DispatchNsPerByte: 0.155,

@@ -65,7 +65,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 }
 
 func TestPublicAPIHybrid(t *testing.T) {
-	dev := OpenGPU(GPUConfig{SMs: 2, Model: DefaultModel().Scaled(1e-6)})
+	dev := OpenGPU(GPUConfig{Model: DefaultModel().Scaled(1e-6)})
 	defer dev.Close()
 	s, stream := testStream(50000)
 	eng := New(Config{CPUWorkers: 2, TaskSize: 4096, GPU: dev, DisablePad: true, SwitchThreshold: 3})
