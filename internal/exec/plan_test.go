@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -180,6 +181,47 @@ func TestSelection(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Fatalf("selection output: got %d bytes, want %d", len(got), len(want))
+	}
+}
+
+// TestSelectionAcrossMapBlocks runs each selection over one task whose
+// size sits at and around multiples of mapBlock, so processMap filters
+// and compacts several blocks, the last one possibly short; the output
+// must be every passing tuple, in input order, exactly once.
+func TestSelectionAcrossMapBlocks(t *testing.T) {
+	preds := []struct {
+		name string
+		pred expr.Pred
+		keep func(tup []byte, i int) bool
+	}{
+		{"b<4", expr.Cmp{Op: expr.Lt, Left: expr.Col("b"), Right: expr.IntConst(4)},
+			func(tup []byte, _ int) bool { return synSchema.ReadInt32(tup, 2) < 4 }},
+		{"all", expr.Cmp{Op: expr.Ge, Left: expr.Col("f"), Right: expr.IntConst(0)},
+			func([]byte, int) bool { return true }},
+		{"last", expr.Cmp{Op: expr.Ge, Left: expr.Col("f"), Right: expr.IntConst(3*mapBlock + 6)},
+			func(_ []byte, i int) bool { return i >= 3*mapBlock+6 }},
+	}
+	for _, pc := range preds {
+		p := mustCompile(t, query.NewBuilder("sel").
+			From("S", synSchema, window.NewCount(4, 4)).
+			Where(pc.pred).
+			MustBuild())
+		for _, n := range []int{mapBlock - 1, mapBlock, mapBlock + 1, 3*mapBlock + 7} {
+			t.Run(fmt.Sprintf("%s/n=%d", pc.name, n), func(t *testing.T) {
+				stream := genStream(n, 5)
+				got := runPlan(t, p, stream, n)
+				tsz := synSchema.TupleSize()
+				var want []byte
+				for i := 0; i < n; i++ {
+					if tup := stream[i*tsz : (i+1)*tsz]; pc.keep(tup, i) {
+						want = append(want, tup...)
+					}
+				}
+				if string(got) != string(want) {
+					t.Fatalf("output differs: got %d tuples, want %d", len(got)/tsz, len(want)/tsz)
+				}
+			})
+		}
 	}
 }
 
