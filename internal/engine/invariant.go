@@ -48,38 +48,28 @@ func (rs *resultStage) InvariantName() string {
 }
 
 // CheckInvariants verifies the result stage's reorder bookkeeping with
-// race-safe load orderings (both counters are monotonic, and the drainer
-// advances next before drained, so loading drained first can never
-// observe drained > next):
+// race-safe load orderings (all three counters are monotonic):
 //
-//   - drained <= next <= tasks created;
-//   - no overflow entry sits behind the drain frontier (an entry is
-//     removed under overflowMu before next advances past its ID, so a
-//     behind-frontier entry is a lost result, not a race);
+//   - drained <= next <= tasks created (the drainer advances next before
+//     drained, so loading drained first can never observe drained > next);
+//   - tasks created - next <= slots: no task is cut past the result
+//     window (taskSeq is loaded first — next only grows after it, and the
+//     cut of ID s-1 saw s-1 < next+slots);
 //   - slot control flags are free, full or claimed (a claimed slot is a
 //     deliverer mid-publish; it transitions to full or back to free).
 func (rs *resultStage) CheckInvariants() error {
+	seq := rs.r.taskSeq.Load()
 	drained := rs.drained.Load()
 	next := rs.next.Load()
 	if drained > next {
 		return fmt.Errorf("drained %d ahead of next %d", drained, next)
 	}
-	if seq := rs.r.taskSeq.Load(); next > seq {
-		return fmt.Errorf("next %d ahead of %d tasks created", next, seq)
+	if ahead := seq - next; ahead > int64(len(rs.slots)) {
+		return fmt.Errorf("%d tasks cut past drain frontier %d, result window is %d slots", ahead, next, len(rs.slots))
 	}
-
-	frontier := rs.next.Load()
-	rs.overflowMu.Lock()
-	var stuck int64 = -1
-	for id := range rs.overflow {
-		if id < frontier {
-			stuck = id
-			break
-		}
-	}
-	rs.overflowMu.Unlock()
-	if stuck >= 0 {
-		return fmt.Errorf("overflow entry %d behind drain frontier %d (lost result)", stuck, frontier)
+	// Re-load taskSeq for the upper bound: it must be read after next.
+	if created := rs.r.taskSeq.Load(); next > created {
+		return fmt.Errorf("next %d ahead of %d tasks created", next, created)
 	}
 
 	for i := range rs.slots {
@@ -99,12 +89,9 @@ type Debug struct {
 	TasksCreated int64
 	Drained      int64
 	NextID       int64
-	// OverflowDeliveries counts results that arrived from beyond the
-	// reordering window and took the overflow-map path.
-	OverflowDeliveries int64
-	// OverflowPending is the number of results currently parked in the
-	// overflow map.
-	OverflowPending int
+	// WindowWaits counts task cuts that parked until the result window
+	// [NextID, NextID+ResultSlots) had room for the next task ID.
+	WindowWaits int64
 	// DuplicateResults counts deliveries discarded by the exactly-once
 	// guard (retries and late results losing the slot claim).
 	DuplicateResults int64
@@ -118,16 +105,12 @@ type Debug struct {
 func (h *Handle) Debug() Debug {
 	r := h.r
 	rs := r.result
-	rs.overflowMu.Lock()
-	pending := len(rs.overflow)
-	rs.overflowMu.Unlock()
 	d := Debug{
-		TasksCreated:       r.taskSeq.Load(),
-		Drained:            rs.drained.Load(),
-		NextID:             rs.next.Load(),
-		OverflowDeliveries: rs.overflowed.Value(),
-		OverflowPending:    pending,
-		DuplicateResults:   rs.duplicates.Value(),
+		TasksCreated:     r.taskSeq.Load(),
+		Drained:          rs.drained.Load(),
+		NextID:           rs.next.Load(),
+		WindowWaits:      r.stats.windowWaits.Value(),
+		DuplicateResults: rs.duplicates.Value(),
 	}
 	r.bufMu.Lock()
 	for i := 0; i < r.plan.NumInputs(); i++ {
@@ -142,22 +125,16 @@ func (h *Handle) Debug() Debug {
 }
 
 // CheckQuiesced verifies the end-of-stream invariants after Drain: every
-// created task was drained exactly once, the overflow map and result
-// slots are empty, and all input data has been released back to the
-// rings. Calling it while the engine is still processing reports
-// violations spuriously — it is a post-Drain check.
+// created task was drained exactly once, the result slots are empty, and
+// all input data has been released back to the rings. Calling it while
+// the engine is still processing reports violations spuriously — it is a
+// post-Drain check.
 func (h *Handle) CheckQuiesced() error {
 	r := h.r
 	rs := r.result
 	seq, drained, next := r.taskSeq.Load(), rs.drained.Load(), rs.next.Load()
 	if drained != seq || next != seq {
 		return fmt.Errorf("drain frontier %d/%d != %d tasks created", drained, next, seq)
-	}
-	rs.overflowMu.Lock()
-	pending := len(rs.overflow)
-	rs.overflowMu.Unlock()
-	if pending != 0 {
-		return fmt.Errorf("%d results stuck in overflow map", pending)
 	}
 	for i := range rs.slots {
 		if rs.slots[i].state.Load() != 0 {

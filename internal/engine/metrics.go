@@ -39,6 +39,7 @@ func newStatsCounters(reg *obs.Registry, q int) statsCounters {
 		tuplesShed:       reg.Counter(qname(q, "tuples.shed")),
 		gpuFailovers:     reg.Counter(qname(q, "gpu.failovers")),
 		gpuTimeouts:      reg.Counter(qname(q, "gpu.timeouts")),
+		windowWaits:      reg.Counter(qname(q, "result.window.waits")),
 	}
 }
 
@@ -123,14 +124,7 @@ func (e *Engine) registerMirrors() {
 // running engine.
 func (e *Engine) registerQueryMirrors(r *registered) {
 	e.bindBufferMirrors(r, false)
-	rs := r.result
-	e.reg.RegisterFunc(qname(r.idx, "result.drained"), rs.drained.Load)
-	e.reg.RegisterFunc(qname(r.idx, "result.overflow.pending"), func() int64 {
-		rs.overflowMu.Lock()
-		n := len(rs.overflow)
-		rs.overflowMu.Unlock()
-		return int64(n)
-	})
+	e.reg.RegisterFunc(qname(r.idx, "result.drained"), r.result.drained.Load)
 }
 
 // bindBufferMirrors binds one query's ring gauges or,

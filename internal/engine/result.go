@@ -18,13 +18,15 @@ import (
 // whichever worker holds the next in-order slot drains it — running the
 // assembly operator function and appending to the output stream.
 //
-// With task failover (GPU → CPU retries, late results from a hung
-// device) the same task ID can be delivered more than once; the stage
-// guarantees exactly-once assembly: a delivery must CAS-claim its slot
-// (or insert first into the overflow map), and every losing delivery is
-// discarded. Quarantined tasks deposit a gap entry that releases the
-// task's inputs and advances the drain frontier without emitting output,
-// so a poisoned task cannot wedge assembly.
+// The dispatcher cuts a task only while its ID is inside the window
+// [next, next+slots) (registered.windowOpen), so every delivery has a
+// slot of its own. With task failover (GPU → CPU retries, late results
+// from a hung device) the same task ID can be delivered more than once;
+// the stage guarantees exactly-once assembly: a delivery must CAS-claim
+// its slot, and every losing delivery is discarded. Quarantined tasks
+// deposit a gap entry that releases the task's inputs and advances the
+// drain frontier without emitting output, so a poisoned task cannot
+// wedge assembly.
 type resultStage struct {
 	r     *registered
 	slots []resultSlot
@@ -34,17 +36,9 @@ type resultStage struct {
 	drained atomic.Int64 // tasks fully assembled
 	drainMu sync.Mutex
 
-	progress task.Signal // fired per drained task; admit and awaitTaskBoundary park on it
+	progress task.Signal // fired per drained task; admit, windowOpen and awaitTaskBoundary park on it
 
 	asm *exec.Assembler
-
-	// overflow holds results delivered from beyond the slot window (rare:
-	// HLS lookahead is bounded below the window, but scheduling races can
-	// still land a result a few IDs past it). overflowed counts deliveries
-	// that took this path (stress-harness telemetry; see invariant.go).
-	overflowMu sync.Mutex
-	overflow   map[int64]overflowEntry
-	overflowed *obs.Counter // saber.engine.q<i>.result.overflow
 
 	// duplicates counts deliveries discarded because another attempt of
 	// the same task already claimed the slot (or the task had already
@@ -62,8 +56,8 @@ type resultStage struct {
 	lastPrevTS [2]int64
 }
 
-// overflowEntry is one deposited delivery, in a slot or the overflow map.
-type overflowEntry struct {
+// slotEntry is one deposited delivery.
+type slotEntry struct {
 	res       *exec.TaskResult
 	freeTo    [2]int64
 	endPrevTS [2]int64
@@ -82,8 +76,8 @@ const (
 
 type resultSlot struct {
 	state atomic.Int32
-	id    atomic.Int64  // task ID occupying the slot (valid once claimed)
-	entry overflowEntry // the winning delivery (valid once full)
+	id    atomic.Int64 // task ID occupying the slot (valid once claimed)
+	entry slotEntry    // the winning delivery (valid once full)
 }
 
 func newResultStage(r *registered, slots int) *resultStage {
@@ -92,7 +86,6 @@ func newResultStage(r *registered, slots int) *resultStage {
 		slots:      make([]resultSlot, slots),
 		mask:       int64(slots) - 1,
 		asm:        exec.NewAssembler(r.plan),
-		overflowed: r.e.reg.Counter(qname(r.idx, "result.overflow")),
 		duplicates: r.e.reg.Counter(qname(r.idx, "result.duplicates")),
 	}
 	for i := range rs.slots {
@@ -118,41 +111,24 @@ func (rs *resultStage) deliverGap(t *task.Task) bool {
 	return rs.deposit(t, nil, true)
 }
 
-// deposit routes a delivery to its slot or the overflow map with
-// exactly-once semantics. Within the reordering window [next,
-// next+slots) each ID maps to a unique slot, and an occupied in-window
-// slot can only hold the same ID (the previous occupant, ID-slots, must
-// have drained for the window to reach this ID) — so claim conflicts are
-// always same-task duplicates, never different tasks.
+// deposit claims t's slot with exactly-once semantics. The dispatcher
+// never cuts past the window, so t.ID < next+slots, and each ID in
+// [next, next+slots) maps to a slot of its own: an occupied slot holds
+// either another attempt of this very task or its previous occupant
+// (ID−slots), which has just drained and is being freed.
 func (rs *resultStage) deposit(t *task.Task, res *exec.TaskResult, gap bool) bool {
+	s := &rs.slots[t.ID&rs.mask]
 	for {
-		next := rs.next.Load()
-		if t.ID < next {
+		if t.ID < rs.next.Load() {
 			// Already drained: a late duplicate (e.g. a hung GPU task
 			// completing after its CPU retry). Discard.
 			rs.discardDup(res)
 			return false
 		}
-		if t.ID >= next+int64(len(rs.slots)) {
-			if rs.depositOverflow(t, res, gap) {
-				rs.overflowed.Add(1)
-				rs.tryDrain()
-				return true
-			}
-			// Re-routed (window moved) or duplicate; depositOverflow
-			// discarded duplicates itself.
-			if rs.isDuplicate(t.ID) {
-				rs.discardDup(res)
-				return false
-			}
-			continue
-		}
-		s := &rs.slots[t.ID&rs.mask]
 		if !s.state.CompareAndSwap(slotFree, slotClaimed) {
-			// Slot occupied: within the window that can only be another
-			// attempt of this very task (claimed or full, possibly being
-			// drained right now). Once its ID is visible, discard ours;
-			// until then the occupant is still publishing — retry.
+			// Another attempt of this task owns the slot once its ID is
+			// visible: discard ours. Until then the occupant is still
+			// publishing, or is the previous occupant being freed — retry.
 			if s.id.Load() == t.ID {
 				rs.discardDup(res)
 				return false
@@ -161,62 +137,23 @@ func (rs *resultStage) deposit(t *task.Task, res *exec.TaskResult, gap bool) boo
 			continue
 		}
 		// Claim won. Publish the ID first so racing duplicates can see
-		// who owns the slot, then re-validate: the frontier may have
-		// passed this ID (drained from this very slot, or via a duplicate
-		// that went through the overflow map), or such a duplicate may
-		// still sit in overflow. Frontier and map are read under
-		// overflowMu because the drainer advances the frontier before
-		// freeing a slot and, for overflow drains, deletes the entry and
-		// advances under this same lock — so a stale claim always fails at
-		// least one of the two checks; it can never slip between them.
+		// who owns the slot, then re-validate: another attempt may have
+		// filled this slot and drained it between our frontier check and
+		// the CAS. The drainer advances the frontier before it frees a
+		// slot, so such a stale claim always sees t.ID < next here.
 		s.id.Store(t.ID)
-		rs.overflowMu.Lock()
-		stale := t.ID < rs.next.Load()
-		if !stale {
-			_, stale = rs.overflow[t.ID]
-		}
-		rs.overflowMu.Unlock()
-		if stale {
+		if t.ID < rs.next.Load() {
 			s.state.Store(slotFree)
 			rs.discardDup(res)
 			return false
 		}
-		s.entry = overflowEntry{res: res, freeTo: t.FreeTo, endPrevTS: t.EndPrevTS, start: t.Created, gap: gap, tr: t.Trace}
+		s.entry = slotEntry{res: res, freeTo: t.FreeTo, endPrevTS: t.EndPrevTS, start: t.Created, gap: gap, tr: t.Trace}
 		t.Trace.SetAttempts(t.Attempts)
 		t.Trace.MarkDelivered(time.Now().UnixNano())
 		s.state.Store(slotFull)
 		rs.tryDrain()
 		return true
 	}
-}
-
-// depositOverflow inserts into the overflow map iff the ID is still
-// beyond the window and not already present; all checks happen under
-// overflowMu so concurrent duplicates serialise.
-func (rs *resultStage) depositOverflow(t *task.Task, res *exec.TaskResult, gap bool) bool {
-	rs.overflowMu.Lock()
-	defer rs.overflowMu.Unlock()
-	if t.ID < rs.next.Load()+int64(len(rs.slots)) {
-		return false // window caught up; take the slot path instead
-	}
-	if _, dup := rs.overflow[t.ID]; dup {
-		return false
-	}
-	if rs.overflow == nil {
-		rs.overflow = make(map[int64]overflowEntry)
-	}
-	t.Trace.SetAttempts(t.Attempts)
-	t.Trace.MarkDelivered(time.Now().UnixNano())
-	rs.overflow[t.ID] = overflowEntry{res: res, freeTo: t.FreeTo, endPrevTS: t.EndPrevTS, start: t.Created, gap: gap, tr: t.Trace}
-	return true
-}
-
-// isDuplicate reports whether id already drained or sits in overflow.
-func (rs *resultStage) isDuplicate(id int64) bool {
-	if id < rs.next.Load() {
-		return true
-	}
-	return rs.overflowHas(id)
 }
 
 func (rs *resultStage) discardDup(res *exec.TaskResult) {
@@ -233,7 +170,7 @@ func (rs *resultStage) discardDup(res *exec.TaskResult) {
 func (rs *resultStage) tryDrain() {
 	for {
 		n := rs.next.Load()
-		if rs.slots[n&rs.mask].state.Load() != slotFull && !rs.overflowHas(n) {
+		if rs.slots[n&rs.mask].state.Load() != slotFull {
 			return
 		}
 		if !rs.drainMu.TryLock() {
@@ -245,47 +182,24 @@ func (rs *resultStage) tryDrain() {
 	}
 }
 
-func (rs *resultStage) overflowHas(id int64) bool {
-	rs.overflowMu.Lock()
-	_, ok := rs.overflow[id]
-	rs.overflowMu.Unlock()
-	return ok
-}
-
 func (rs *resultStage) drainLocked() {
 	r := rs.r
 	for {
 		n := rs.next.Load()
 		s := &rs.slots[n&rs.mask]
-		var e overflowEntry
-		switch {
-		case s.state.Load() == slotFull && s.id.Load() == n:
-			e, s.entry = s.entry, overflowEntry{}
-			// Advance the frontier BEFORE freeing the slot. A duplicate
-			// delivery of n can CAS-claim the slot the instant it frees;
-			// its re-validation must then observe next > n and unwind — if
-			// the slot freed first, the duplicate could pass re-validation,
-			// publish slotFull a second time (double delivery) and wedge
-			// the slot with a stale ID for every later occupant.
-			rs.next.Add(1)
-			s.state.Store(slotFree)
-		default:
-			rs.overflowMu.Lock()
-			var ok bool
-			e, ok = rs.overflow[n]
-			if ok {
-				delete(rs.overflow, n)
-				// Advance while still holding overflowMu: deposit's
-				// re-validation reads the frontier and the map under this
-				// lock, so a duplicate of n sees either the entry or the
-				// advanced frontier — never neither.
-				rs.next.Add(1)
-			}
-			rs.overflowMu.Unlock()
-			if !ok {
-				return
-			}
+		if s.state.Load() != slotFull || s.id.Load() != n {
+			return
 		}
+		e := s.entry
+		s.entry = slotEntry{}
+		// Advance the frontier BEFORE freeing the slot. A duplicate
+		// delivery of n can CAS-claim the slot the instant it frees; its
+		// re-validation must then observe next > n and unwind — if the
+		// slot freed first, the duplicate could pass re-validation,
+		// publish slotFull a second time (double delivery) and wedge the
+		// slot with a stale ID for every later occupant.
+		rs.next.Add(1)
+		s.state.Store(slotFree)
 
 		if e.gap {
 			// Quarantined task: the gap is recorded in the query's shed

@@ -1,12 +1,13 @@
 // Package harness is SABER's concurrency correctness harness: it drives
 // the full pipeline — ingest → dispatch → scheduling (HLS/FCFS) →
 // CPU/sim-GPU workers → slotted result stage → assembly — under
-// adversarial configurations (tiny reordering windows that force the
-// overflow map, wrap-heavy ring buffers, content-derived worker jitter,
-// forced backend flips) and checks machine-verifiable invariants instead
-// of golden outputs: per-tuple checksums, exactly-once sequence coverage,
-// output-order monotonicity, tuple conservation, ring-buffer accounting
-// and clean end-of-stream flush.
+// adversarial configurations (tiny result windows that hold the
+// dispatcher to the drain frontier, wrap-heavy ring buffers,
+// content-derived worker jitter, forced backend flips) and checks
+// machine-verifiable invariants instead of golden outputs: per-tuple
+// checksums, exactly-once sequence coverage, output-order monotonicity,
+// tuple conservation, ring-buffer accounting and clean end-of-stream
+// flush.
 //
 // Run is the one runner. A plain run feeds the stream into one engine;
 // the crash phase (Config.Crash) kills that engine mid-stream and
@@ -89,13 +90,14 @@ type Config struct {
 	// to 4, TaskSize to 1024 (32 tuples: small ϕ maximises task
 	// boundaries) and InputBufferSize to 1<<14 (small rings force
 	// wrap-heavy operation and backpressure), always runs unpadded, and
-	// sets Fault to Chaos. Tiny ResultSlots (e.g. 4) force the overflow
-	// map. Adapt resizes ϕ from the live latency histograms while the
-	// stress load (and any armed chaos) runs. Overload with a shedding
-	// policy is expected to drop tuples under pressure: the harness then
-	// swaps the exactly-once passthrough checker for the shed-tolerant
-	// one and verifies the conservation ledger instead: offered ==
-	// admitted + admission-shed and admitted == out + shed.
+	// sets Fault to Chaos. Tiny ResultSlots (e.g. 4) keep the result
+	// window full, so cuts wait for the drain frontier. Adapt resizes ϕ
+	// from the live latency histograms while the stress load (and any
+	// armed chaos) runs. Overload with a shedding policy is expected to
+	// drop tuples under pressure: the harness then swaps the exactly-once
+	// passthrough checker for the shed-tolerant one and verifies the
+	// conservation ledger instead: offered == admitted + admission-shed
+	// and admitted == out + shed.
 	Engine engine.Config
 	// WindowSize is the tumbling window size in tuples. Default 64.
 	WindowSize int64
@@ -188,8 +190,8 @@ func (c Config) withDefaults() Config {
 
 // Report aggregates a run's counters and invariant violations. The
 // counters double as evidence that the adversarial configuration really
-// exercised the paths it targets (e.g. OverflowDeliveries > 0 proves the
-// overflow map saw traffic).
+// exercised the paths it targets (e.g. WindowWaits > 0 proves the
+// dispatcher held cuts back for a full result window).
 type Report struct {
 	Seed      int64
 	TuplesIn  int64
@@ -197,8 +199,9 @@ type Report struct {
 	// TasksCreated and Drained must match after a clean run.
 	TasksCreated int64
 	Drained      int64
-	// OverflowDeliveries counts results that bypassed the slot window.
-	OverflowDeliveries int64
+	// WindowWaits counts task cuts that parked until the result window
+	// had room for the next task ID.
+	WindowWaits int64
 	// RingWraps counts input-ring writes that wrapped the backing array
 	// (in a crash run, the recovered engine's).
 	RingWraps int64
@@ -276,8 +279,8 @@ func (r *Report) Err() error {
 // String summarises the run's counters for logs.
 func (r *Report) String() string {
 	s := fmt.Sprintf(
-		"seed=%d tuples=%d/%d tasks=%d drained=%d overflow=%d wraps=%d flips=%d cpu=%d gpu=%d checks=%d violations=%d",
-		r.Seed, r.TuplesIn, r.TuplesOut, r.TasksCreated, r.Drained, r.OverflowDeliveries,
+		"seed=%d tuples=%d/%d tasks=%d drained=%d window_waits=%d wraps=%d flips=%d cpu=%d gpu=%d checks=%d violations=%d",
+		r.Seed, r.TuplesIn, r.TuplesOut, r.TasksCreated, r.Drained, r.WindowWaits,
 		r.RingWraps, r.BackendFlips, r.TasksCPU, r.TasksGPU, r.InvariantChecks, len(r.Violations))
 	if r.FaultsInjected > 0 || r.BreakerState != "" {
 		s += fmt.Sprintf(
@@ -644,7 +647,7 @@ func verify(cfg Config, inst *instance, runs []*queryRun, rep *Report) {
 		d := h.Debug()
 		rep.TasksCreated += d.TasksCreated
 		rep.Drained += d.Drained
-		rep.OverflowDeliveries += d.OverflowDeliveries
+		rep.WindowWaits += d.WindowWaits
 		for _, w := range d.RingWraps {
 			rep.RingWraps += w
 		}

@@ -53,11 +53,12 @@ func TestPassthroughWrapHeavy(t *testing.T) {
 	}
 }
 
-// TestJitterForcesOverflow runs the jittered identity workload against
-// the smallest legal reordering window, so straggler tasks push later
-// results past the slot window into the overflow map — the §4.3 path
-// with zero coverage before this harness existed.
-func TestJitterForcesOverflow(t *testing.T) {
+// TestJitterFillsResultWindow runs the jittered identity workload
+// against the smallest legal result window, so a straggler at the drain
+// frontier fills the window and the dispatcher must hold its next cut
+// until the frontier moves; the poller checks every sweep that no task
+// is cut past the window.
+func TestJitterFillsResultWindow(t *testing.T) {
 	rep := runClean(t, Config{
 		Seed:      Seed(202),
 		Workload:  WorkloadJitter,
@@ -65,8 +66,8 @@ func TestJitterForcesOverflow(t *testing.T) {
 		Engine:    engine.Config{CPUWorkers: 2, TaskSize: 1024, ResultSlots: 4},
 		MaxJitter: 2 * time.Millisecond,
 	})
-	if rep.OverflowDeliveries == 0 {
-		t.Fatal("stress run never hit the overflow map; configuration too tame")
+	if rep.WindowWaits == 0 {
+		t.Fatal("stress run never filled the result window; configuration too tame")
 	}
 	if rep.RingWraps == 0 {
 		t.Fatal("stress run never wrapped the input ring; configuration too tame")
@@ -114,7 +115,7 @@ func TestAggConservationMultiQuery(t *testing.T) {
 
 // TestSeedDeterminism re-runs the same seed and asserts the load profile
 // is identical — the property that makes -harness.seed reproduction
-// work. (Scheduling-dependent counters like overflow deliveries are
+// work. (Scheduling-dependent counters like window waits are
 // legitimately nondeterministic and not compared.)
 func TestSeedDeterminism(t *testing.T) {
 	cfg := Config{

@@ -5,17 +5,13 @@
 // A subsystem exposes machine-verifiable invariants by implementing
 // Checker on one of its types — no import of this package is required,
 // the interface is satisfied structurally — and the harness polls every
-// registered checker while the system runs under adversarial load.
+// checker the engine aggregates while the system runs under adversarial
+// load.
+//
 // CheckInvariants implementations must be safe to call concurrently with
 // normal operation and must only report violations that are stable under
 // races (e.g. compare monotonic counters in a race-safe load order).
 package inv
-
-import (
-	"errors"
-	"fmt"
-	"sync"
-)
 
 // Checker is one subsystem's invariant hook.
 type Checker interface {
@@ -26,53 +22,4 @@ type Checker interface {
 	// or an error describing the violated invariant. It may be called at
 	// any time from any goroutine while the subsystem is running.
 	CheckInvariants() error
-}
-
-// CheckFunc adapts a name and a function to the Checker interface, for
-// ad-hoc invariants that do not belong to a single struct.
-type CheckFunc struct {
-	Name string
-	Fn   func() error
-}
-
-// InvariantName implements Checker.
-func (c CheckFunc) InvariantName() string { return c.Name }
-
-// CheckInvariants implements Checker.
-func (c CheckFunc) CheckInvariants() error { return c.Fn() }
-
-// Registry is a concurrency-safe collection of checkers. Future
-// subsystems register their invariants here; the harness sweeps the
-// registry from its polling goroutine.
-type Registry struct {
-	mu       sync.Mutex
-	checkers []Checker
-}
-
-// Register adds checkers to the registry.
-func (r *Registry) Register(cs ...Checker) {
-	r.mu.Lock()
-	r.checkers = append(r.checkers, cs...)
-	r.mu.Unlock()
-}
-
-// Checkers returns a snapshot of the registered checkers.
-func (r *Registry) Checkers() []Checker {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Checker, len(r.checkers))
-	copy(out, r.checkers)
-	return out
-}
-
-// CheckAll runs every registered checker once and returns the joined
-// violations, each prefixed with the checker's name, or nil.
-func (r *Registry) CheckAll() error {
-	var errs []error
-	for _, c := range r.Checkers() {
-		if err := c.CheckInvariants(); err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", c.InvariantName(), err))
-		}
-	}
-	return errors.Join(errs...)
 }

@@ -182,12 +182,3 @@ func (h *HLS) probeAt(r [numProcs]float64, pref Processor, otherSeen bool) float
 	}
 	return float64(h.St) * min(ratio, maxProbeRatio)
 }
-
-// ResetCounts clears the per-query execution streaks (for tests).
-func (h *HLS) ResetCounts() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i := range h.count {
-		h.count[i] = [numProcs]int{}
-	}
-}

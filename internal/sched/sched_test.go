@@ -319,7 +319,7 @@ func TestStatic(t *testing.T) {
 
 func TestQueueBasics(t *testing.T) {
 	q := task.NewQueue()
-	if q.PopHead() != nil || q.Len() != 0 {
+	if q.Select(func([]*task.Task) int { return 0 }) != nil || q.Len() != 0 {
 		t.Fatal("empty queue misbehaves")
 	}
 	q.Push(&task.Task{ID: 1})
@@ -346,17 +346,4 @@ func TestQueueBasics(t *testing.T) {
 		}
 	}()
 	q.Push(&task.Task{ID: 3})
-}
-
-func TestHLSResetCounts(t *testing.T) {
-	m := fig5Matrix()
-	h := NewHLS(3, m, 1)
-	q := fig5Queue()
-	h.Next(q, GPU)
-	h.ResetCounts()
-	// After reset, the streak restriction is cleared: the GPU worker can
-	// take the next q2 task again despite St == 1.
-	if got := h.Next(q, GPU); got == nil || got.Query != 1 {
-		t.Fatalf("post-reset pick = %+v", got)
-	}
 }

@@ -207,13 +207,3 @@ func (q *Queue) Select(fn func(items []*Task) int) *Task {
 	q.fireLocked()
 	return t
 }
-
-// PopHead removes and returns the first task, or nil when empty.
-func (q *Queue) PopHead() *Task {
-	return q.Select(func(items []*Task) int {
-		if len(items) == 0 {
-			return -1
-		}
-		return 0
-	})
-}

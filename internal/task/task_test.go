@@ -8,6 +8,16 @@ import (
 	"time"
 )
 
+// popHead removes and returns the first task, or nil when empty.
+func popHead(q *Queue) *Task {
+	return q.Select(func(items []*Task) int {
+		if len(items) == 0 {
+			return -1
+		}
+		return 0
+	})
+}
+
 // TestQueueFIFOUnderConcurrency: with concurrent producers, a single
 // consumer sees every producer's tasks in push order, and several
 // consumers together pop every task exactly once. Pops by different
@@ -34,7 +44,7 @@ func TestQueueFIFOUnderConcurrency(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for consumed.Load() < producers*perProducer {
-					tk := q.PopHead()
+					tk := popHead(q)
 					if tk == nil {
 						runtime.Gosched()
 						continue
@@ -95,8 +105,8 @@ func TestSelectRemovesChosen(t *testing.T) {
 	// Remaining order intact.
 	want := []int64{0, 1, 2, 4}
 	for _, w := range want {
-		if got := q.PopHead(); got.ID != w {
-			t.Fatalf("PopHead = %d, want %d", got.ID, w)
+		if got := popHead(q); got.ID != w {
+			t.Fatalf("popHead = %d, want %d", got.ID, w)
 		}
 	}
 }
@@ -136,10 +146,10 @@ func TestQueueWakeContract(t *testing.T) {
 		{"Requeue", nil, func(q *Queue) { q.Requeue(&Task{}) }, true},
 		{"Requeue on a closed queue", func(q *Queue) { q.Close() }, func(q *Queue) { q.Requeue(&Task{}) }, true},
 		{"Close", nil, func(q *Queue) { q.Close() }, true},
-		{"Select removing, tasks left", push(2), func(q *Queue) { q.PopHead() }, true},
-		{"Select removing the last task of a closed queue", func(q *Queue) { push(1)(q); q.Close() }, func(q *Queue) { q.PopHead() }, true},
+		{"Select removing, tasks left", push(2), func(q *Queue) { popHead(q) }, true},
+		{"Select removing the last task of a closed queue", func(q *Queue) { push(1)(q); q.Close() }, func(q *Queue) { popHead(q) }, true},
 		{"Wake with tasks queued", push(1), func(q *Queue) { q.Wake() }, true},
-		{"Select removing the last task", push(1), func(q *Queue) { q.PopHead() }, false},
+		{"Select removing the last task", push(1), func(q *Queue) { popHead(q) }, false},
 		{"Select declining", push(1), func(q *Queue) { q.Select(func([]*Task) int { return -1 }) }, false},
 		{"Wake on an open empty queue", nil, func(q *Queue) { q.Wake() }, false},
 	} {
