@@ -24,7 +24,7 @@
 //
 // The decision core, Step, is a pure function of (Config, State,
 // Signals): no clocks, no engine, no atomics. Tests replay canned or
-// simulated signal traces through it (see sim.go) and the live
+// simulated signal traces through it (see simulator_test.go) and the live
 // Controller (controller.go) merely feeds it real histogram deltas.
 package adapt
 

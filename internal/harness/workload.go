@@ -57,7 +57,7 @@ const (
 	WorkloadPassthrough = "passthrough"
 	// WorkloadJitter is a pass-through UDF that additionally sleeps a
 	// content-derived pseudo-random time per window fragment, maximising
-	// out-of-order completion (and thus reorder/overflow pressure) while
+	// out-of-order completion (and thus reorder/result-window pressure) while
 	// keeping the expected output identical to the input.
 	WorkloadJitter = "jitter"
 	// WorkloadAgg is a tumbling-window COUNT(*): aggChecker derives every

@@ -8,7 +8,7 @@
 //
 //	saber.<subsystem>[.q<query>][.in<input>].<noun>[.<noun>...]
 //
-// e.g. saber.engine.q0.result.overflow, saber.sched.hls.flips,
+// e.g. saber.engine.q0.result.drained, saber.sched.hls.flips,
 // saber.gpu.bytes.moved, saber.trace.e2e. The q<i>/in<j> segments carry
 // instance identity; the Prometheus renderer lifts them into labels
 // (query="0", input="1") so one time series family covers all queries.

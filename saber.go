@@ -317,8 +317,11 @@ func (q *QueryHandle) InsertInto(side int, data []byte) { q.h.InsertInto(side, d
 
 // TryInsert is the non-blocking admission path: the whole payload is
 // admitted, or none of it is and TryInsert returns false (counted in
-// saber.overload.q<i>.admit.rejects). Use it when the caller would
-// rather shed or reroute at the source than block on backpressure.
+// saber.overload.q<i>.admit.rejects). It admits only what the input
+// buffer and the result window can take right now, so a payload larger
+// than the buffer, or completing more tasks than ResultSlots, never
+// succeeds. Use it when the caller would rather shed or reroute at the
+// source than block on backpressure.
 func (q *QueryHandle) TryInsert(data []byte) bool { return q.h.TryInsert(data) }
 
 // TryInsertInto is TryInsert for input side 0 or 1 of a join query.
