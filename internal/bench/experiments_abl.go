@@ -128,7 +128,7 @@ func ablPipeline(o Options) Report {
 			dones = append(dones, prog.Submit([2]exec.Batch{{
 				Data: stream,
 				Ctx:  window.Context{FirstIndex: int64(i * 8192), PrevTimestamp: int64(i*8192) - 1},
-			}, {}}, res))
+			}, {}}, res, nil))
 		}
 		for _, d := range dones {
 			<-d

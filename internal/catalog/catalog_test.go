@@ -3,6 +3,8 @@ package catalog
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	"saber/internal/bql"
 	"saber/internal/engine"
+	"saber/internal/ingest"
 	"saber/internal/workload"
 )
 
@@ -307,4 +310,72 @@ func TestCatalogErrors(t *testing.T) {
 		t.Errorf("log after full teardown: %v", got)
 	}
 	eng.Close()
+}
+
+// TestTCPSourceFanOut feeds one tcp source, read by two streams, through
+// an ingest client and drops one stream mid-feed. The fan-out must
+// deliver every frame to both readers until the drop, and to the
+// survivor alone after it. The survivor writes INTO a file sink, which
+// must hold exactly its reference output.
+func TestTCPSourceFanOut(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sel.bin")
+	eng := engine.New(fastCfg(""))
+	m := New(eng)
+	script := fmt.Sprintf("CREATE SOURCE Syn TYPE tcp WITH (schema='syn', addr='127.0.0.1:0');\n"+
+		"CREATE SINK f TYPE file WITH (path='%s');\n%s INTO f;\n%s;\n", path, testStreams["sel"], testStreams["agg"])
+	if err := m.ExecScript(script); err != nil {
+		t.Fatal(err)
+	}
+	sel, agg := tapStream(t, m, "sel"), tapStream(t, m, "agg")
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	m.StartFeeds()
+	c, err := ingest.Dial(m.List().Sources[0].Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := refInput(testSeed, testCount)
+	half := testCount / 2 * workload.SynTupleSize
+	send := func(b []byte) {
+		t.Helper()
+		for frame := 1000 * workload.SynTupleSize; len(b) > 0; b = b[min(frame, len(b)):] {
+			if err := c.Send(b[:min(frame, len(b))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	send(input[:half])
+	waitBytesIn(t, m, "sel", int64(half))
+	waitBytesIn(t, m, "agg", int64(half))
+	if _, err := m.Exec("DROP STREAM agg;"); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.List().Sources[0].Readers; n != 1 {
+		t.Fatalf("source has %d readers after the drop, want 1", n)
+	}
+	send(input[half:])
+	waitBytesIn(t, m, "sel", int64(len(input)))
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	eng.Drain()
+	m.Close()
+
+	want := refRun(t, testStreams["sel"]+";", input)
+	if got := sel.bytes(); !bytes.Equal(got, want) {
+		t.Errorf("sel: got %d bytes, want %d", len(got), len(want))
+	}
+	if want := refRun(t, testStreams["agg"]+";", input[:half]); !bytes.Equal(agg.bytes(), want) {
+		t.Errorf("agg dropped mid-feed: got %d bytes, want %d", len(agg.bytes()), len(want))
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(file, want) {
+		t.Errorf("file sink holds %d bytes, want %d", len(file), len(want))
+	}
 }

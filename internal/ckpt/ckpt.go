@@ -1,7 +1,6 @@
 // Package ckpt implements SABER's epoch-based checkpointing: periodic,
 // crash-consistent snapshots of engine state cut at task-sequence
-// barriers, persisted as CRC32-framed, fsync'd, atomically-renamed files
-// with a small manifest chain.
+// barriers, persisted as CRC32-framed, fsync'd, atomically-renamed files.
 //
 // The durability unit is the epoch. The engine's result stage already
 // merges task results strictly in task-ID order, so its drain frontier B
@@ -18,8 +17,8 @@
 // to a temp file, fsync'd, renamed into place, and followed by a
 // directory fsync — a torn write can only ever produce a file that fails
 // its length or CRC check, never a half-applied state. The store keeps
-// the last K epochs plus a MANIFEST listing them newest-first; recovery
-// scans newest-to-oldest and falls back past any torn or corrupt file.
+// the last K epochs; recovery scans the directory newest-to-oldest and
+// falls back past any torn or corrupt file.
 package ckpt
 
 import "saber/internal/exec"

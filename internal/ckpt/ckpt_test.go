@@ -196,14 +196,6 @@ func TestStoreSaveLoadLatest(t *testing.T) {
 	if len(epochs) != 3 || epochs[0].Epoch != 5 || epochs[2].Epoch != 3 {
 		t.Fatalf("retained %+v, want epochs 5,4,3", epochs)
 	}
-	// Manifest lists the retained epochs newest-first.
-	m, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := "epoch-0000000000000005.ckpt\nepoch-0000000000000004.ckpt\nepoch-0000000000000003.ckpt\n"; string(m) != want {
-		t.Fatalf("manifest:\n%s\nwant:\n%s", m, want)
-	}
 }
 
 func TestLoadLatestNoCheckpoint(t *testing.T) {

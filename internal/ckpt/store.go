@@ -16,10 +16,6 @@ import (
 // as "cold start".
 var ErrNoCheckpoint = errors.New("ckpt: no checkpoint found")
 
-// manifestName is the advisory newest-first epoch listing. Recovery
-// scans the directory itself, so a torn manifest can never block it.
-const manifestName = "MANIFEST"
-
 // Store persists epochs into one directory, keeping the last keep files.
 type Store struct {
 	dir  string
@@ -43,15 +39,11 @@ func Open(dir string, keep int) (*Store, error) {
 	return &Store{dir: dir, keep: keep}, nil
 }
 
-// Dir returns the store's directory.
-func (st *Store) Dir() string { return st.dir }
-
 func epochFile(epoch uint64) string { return fmt.Sprintf("epoch-%016d.ckpt", epoch) }
 
 // Save encodes and durably persists one epoch: temp file, fsync, atomic
-// rename, directory fsync, manifest rewrite, then garbage collection of
-// epochs beyond the retention window. Returns the final path and the
-// encoded size.
+// rename, directory fsync, then garbage collection of epochs beyond the
+// retention window. Returns the final path and the encoded size.
 func (st *Store) Save(s *Snapshot) (string, int, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -65,38 +57,10 @@ func (st *Store) Save(s *Snapshot) (string, int, error) {
 	if err != nil {
 		return "", 0, err
 	}
-	// Manifest first, GC second: the manifest never lists a file GC is
-	// about to remove for longer than one crash window, and recovery
-	// ignores the manifest anyway.
-	if len(epochs) > st.keep {
-		epochs = epochs[:st.keep]
+	for _, e := range epochs[min(len(epochs), st.keep):] {
+		os.Remove(e.Path)
 	}
-	var m strings.Builder
-	for _, e := range epochs {
-		fmt.Fprintf(&m, "%s\n", filepath.Base(e.Path))
-	}
-	if err := writeDurable(filepath.Join(st.dir, manifestName), []byte(m.String())); err != nil {
-		return "", 0, err
-	}
-	st.gc(epochs)
 	return path, len(buf), nil
-}
-
-// gc removes every epoch file not in the retained set.
-func (st *Store) gc(retained []FileInfo) {
-	keep := make(map[string]bool, len(retained))
-	for _, e := range retained {
-		keep[filepath.Base(e.Path)] = true
-	}
-	all, err := scanEpochs(st.dir)
-	if err != nil {
-		return
-	}
-	for _, e := range all {
-		if !keep[filepath.Base(e.Path)] {
-			os.Remove(e.Path)
-		}
-	}
 }
 
 // writeDurable writes b to path via temp file + fsync + rename + dir

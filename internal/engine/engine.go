@@ -392,6 +392,11 @@ func (e *Engine) RegisterWith(q *query.Query, opts RegisterOptions) (*Handle, er
 // the ring (backpressure applies) but no further tasks are cut, and Pause
 // returns only once every already-cut task has drained. Sibling queries
 // are untouched. Pausing a paused query is a no-op.
+//
+// One exception: under overload.ShedOldest a paused query whose buffer
+// exceeds its queue budget still cuts gap tasks. Nothing drains a paused
+// query, so once MaxWait expires admission sheds the oldest ϕ at a time
+// to admit fresh input, and most of what arrives while paused is shed.
 func (e *Engine) Pause(name string) error {
 	e.regMu.Lock()
 	r, ok := e.byName[name]
@@ -421,6 +426,7 @@ func (e *Engine) Resume(name string) error {
 	if !r.paused.Swap(false) {
 		return nil
 	}
+	r.result.progress.Fire(-1) // an Insert parked on the full ring holds insMu: let it cut and admit
 	if e.started.Load() {
 		r.cutBacklog()
 	}
@@ -820,9 +826,6 @@ func (e *Engine) SetTaskSize(phi int) int {
 	e.wakeAdmission()
 	if e.matrix != nil && e.cfg.Adapt != nil {
 		e.matrix.SetPhi(phi)
-	}
-	if e.cfg.GPU != nil {
-		e.cfg.GPU.SetBatchHint(phi)
 	}
 	return phi
 }

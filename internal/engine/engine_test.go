@@ -44,7 +44,7 @@ func genStream(n int, seed int64) []byte {
 func fastConfig(workers int) Config {
 	return Config{
 		CPUWorkers: workers,
-		TaskSize:   4096, // 128 tuples per task
+		TaskSize:   4096, // 204 tuples of 20 bytes per task
 		DisablePad: true,
 		Model:      model.Default(),
 	}

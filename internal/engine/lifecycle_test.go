@@ -5,10 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"saber/internal/expr"
+	"saber/internal/gpu"
+	"saber/internal/model"
 	"saber/internal/overload"
 	"saber/internal/query"
+	"saber/internal/sched"
 	"saber/internal/window"
 )
 
@@ -79,6 +83,54 @@ func TestLiveRegister(t *testing.T) {
 	}
 }
 
+// TestLiveRegisterHybrid registers a query on a running CPU+GPGPU engine
+// under HLS, which must grow its per-query streaks for the new index
+// before the query's first task is scheduled. Both queries' output must
+// match the direct run.
+func TestLiveRegisterHybrid(t *testing.T) {
+	dev := gpu.Open(gpu.Config{Model: model.Default().Scaled(1e-6)})
+	defer dev.Close()
+	cfg := fastConfig(2)
+	cfg.GPU = dev
+	eng := New(cfg)
+	h1, err := eng.Register(namedSel("q1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out1 := collectOutput(h1)
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := eng.policy.(*sched.HLS); !ok {
+		t.Fatalf("policy is %s, want hls", eng.policy.Name())
+	}
+	s1 := genStream(12000, 31)
+	s2 := genStream(9000, 32)
+	feedChunked(h1, s1[:len(s1)/2], 33)
+
+	h2, err := eng.Register(namedSel("q2"))
+	if err != nil {
+		t.Fatalf("live Register: %v", err)
+	}
+	out2 := collectOutput(h2)
+	feedChunked(h2, s2, 34)
+	feedChunked(h1, s1[len(s1)/2:], 35)
+	eng.Drain()
+	eng.Close()
+
+	if want := directRun(t, namedSel("q1"), [2][]byte{s1, nil}, 128); !bytes.Equal(out1.buf, want) {
+		t.Errorf("q1 output: got %d bytes, want %d", len(out1.buf), len(want))
+	}
+	if want := directRun(t, namedSel("q2"), [2][]byte{s2, nil}, 128); !bytes.Equal(out2.buf, want) {
+		t.Errorf("live-registered q2 output: got %d bytes, want %d", len(out2.buf), len(want))
+	}
+	for _, h := range []*Handle{h1, h2} {
+		if err := h.CheckQuiesced(); err != nil {
+			t.Errorf("%s: %v", h.Name(), err)
+		}
+	}
+}
+
 // TestPauseResume checks the task-boundary quiesce: while paused no new
 // tasks are cut (admission continues into the ring), Resume cuts the
 // backlog, and the final output is byte-identical to an uninterrupted run.
@@ -133,6 +185,53 @@ func TestPauseResume(t *testing.T) {
 	}
 	if err := eng.Resume("nope"); err == nil {
 		t.Error("Resume of unknown query succeeded")
+	}
+}
+
+// TestResumeBehindParkedInsert pauses a query and inserts four rings of
+// data: the Insert fills the ring and parks holding insMu, since nothing
+// drains a paused query. Resume must wake it before it cuts the backlog
+// under the same lock, or both wait on each other for good.
+func TestResumeBehindParkedInsert(t *testing.T) {
+	cfg := fastConfig(2)
+	cfg.InputBufferSize = 1 << 14
+	eng := New(cfg)
+	h, err := eng.Register(namedSel("q"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := collectOutput(h)
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := eng.Pause("q"); err != nil {
+		t.Fatal(err)
+	}
+
+	stream := genStream(4*cfg.InputBufferSize/syn.TupleSize(), 23)
+	inserted := make(chan struct{})
+	go func() { h.Insert(stream); close(inserted) }()
+	waitFor(t, 5*time.Second, func() bool { return h.Stats().AdmitWaits > 0 }, "the paused query's Insert to park on the full ring")
+	if !returnsWithin(10*time.Second, func() {
+		if err := eng.Resume("q"); err != nil {
+			t.Error(err)
+		}
+	}) {
+		t.Fatal("Resume never returned behind the parked Insert")
+	}
+	select {
+	case <-inserted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the parked Insert never returned after Resume")
+	}
+	eng.Drain()
+	if st := h.Stats(); st.TuplesShedAdmit != 0 || st.TuplesShed != 0 {
+		t.Fatalf("shed %d tuples at admission and %d in gaps", st.TuplesShedAdmit, st.TuplesShed)
+	}
+	want := directRun(t, namedSel("q"), [2][]byte{stream, nil}, 128)
+	if !bytes.Equal(out.buf, want) {
+		t.Fatalf("output differs from the direct run: %d bytes, want %d", len(out.buf), len(want))
 	}
 }
 

@@ -111,8 +111,6 @@ func (e *Engine) registerMirrors() {
 		reg.RegisterFunc("saber.gpu.hangs", d.Hangs)
 		reg.RegisterFunc("saber.gpu.bytes.moved", d.BytesMoved)
 		reg.RegisterFunc("saber.gpu.pipeline.inflight", d.Inflight)
-		reg.RegisterFunc("saber.gpu.staging.hint", d.BatchHint)
-		reg.RegisterFunc("saber.gpu.staging.grows", d.StagingGrows)
 		registerFaultMirrors(reg, d.Injector(), "saber.fault.gpu")
 	}
 	registerFaultMirrors(reg, e.cfg.Fault, "saber.fault.cpu")

@@ -244,6 +244,70 @@ func TestShedOldestUnderBudget(t *testing.T) {
 	}
 }
 
+// TestShedOldestWhilePaused pins what ShedOldest does to a paused query
+// that is over its queue budget: nothing drains it, so admission cuts
+// the oldest buffered ϕ as gap tasks and sheds their tuples, although a
+// paused query otherwise cuts no tasks. The ledger must still balance
+// and the engine must quiesce cleanly.
+func TestShedOldestWhilePaused(t *testing.T) {
+	eng := New(Config{
+		CPUWorkers:      2,
+		TaskSize:        4000,
+		InputBufferSize: 1 << 20,
+		DisablePad:      true,
+		Model:           model.Default(),
+		Overload: &overload.Config{
+			MaxQueueBytes: 32 << 10,
+			Policy:        overload.ShedOldest,
+			MaxWait:       200 * time.Microsecond,
+		},
+	})
+	h, err := eng.Register(query.NewBuilder("q").From("S", syn, window.NewCount(64, 32)).MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.OnResult(func([]byte) {})
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := eng.Pause("q"); err != nil {
+		t.Fatal(err)
+	}
+
+	const total = 16384 // tuples, 320 KiB: ten times the budget
+	stream := genStream(total, 29)
+	step := 2048 * syn.TupleSize()
+	for off := 0; off < len(stream); off += step {
+		h.Insert(stream[off:min(off+step, len(stream))])
+	}
+	st, d := h.Stats(), h.Debug()
+	if st.TuplesShedOldest == 0 || d.TasksCreated == 0 {
+		t.Fatalf("paused over budget: shed %d tuples in %d tasks, want both > 0", st.TuplesShedOldest, d.TasksCreated)
+	}
+	t.Logf("paused: %d tasks cut, %d of %d tuples shed", d.TasksCreated, st.TuplesShedOldest, total)
+	if err := eng.Resume("q"); err != nil {
+		t.Fatal(err)
+	}
+	eng.Drain()
+
+	st = h.Stats()
+	tsz := int64(syn.TupleSize())
+	if st.BytesOffered != int64(len(stream)) {
+		t.Fatalf("offered %d, want %d", st.BytesOffered, len(stream))
+	}
+	if got, want := st.BytesOffered/tsz, st.BytesIn/tsz+st.TuplesShedAdmit; got != want {
+		t.Fatalf("offered %d != admitted %d + admission-shed %d", got, st.BytesIn/tsz, st.TuplesShedAdmit)
+	}
+	if st.TuplesShed < st.TuplesShedOldest {
+		t.Fatalf("tuples.shed %d < shed.oldest %d", st.TuplesShed, st.TuplesShedOldest)
+	}
+	eng.Close()
+	if err := h.CheckQuiesced(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTryInsertNonBlocking verifies the whole-or-nothing non-blocking
 // path: rejects consume nothing and are counted; acceptance admits the
 // full payload.

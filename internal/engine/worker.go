@@ -191,7 +191,7 @@ func (e *Engine) gpuWorker() {
 			fly = append(fly, gpuInflightEntry{
 				t:     t,
 				res:   res,
-				done:  r.prog.SubmitTraced(t.In, res, t.Trace),
+				done:  r.prog.Submit(t.In, res, t.Trace),
 				start: time.Now(),
 				probe: probe,
 			})

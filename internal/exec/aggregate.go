@@ -288,16 +288,6 @@ func (p *Plan) aggScalarDirectVec(in Batch, sc *scratch, view tsView, res *TaskR
 	}
 }
 
-// key extracts the group key of a tuple into dst.
-func (p *Plan) key(dst, tuple []byte) []byte {
-	dst = dst[:0]
-	for _, f := range p.groupIdx {
-		off := int(p.colOffs[0][f])
-		dst = append(dst, tuple[off:off+p.colW[0][f]]...)
-	}
-	return dst
-}
-
 func (p *Plan) seedSlot(sl Slot) {
 	for a, op := range p.ops {
 		switch op {

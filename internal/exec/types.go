@@ -21,9 +21,6 @@ type Batch struct {
 	Ctx window.Context
 }
 
-// Tuples returns the number of tuples given the stream's tuple size.
-func (b Batch) Tuples(tupleSize int) int { return len(b.Data) / tupleSize }
-
 // tsView adapts a packed batch to window.Timestamps.
 type tsView struct {
 	s    *schema.Schema

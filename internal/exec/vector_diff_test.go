@@ -94,6 +94,17 @@ func TestKernelsAgainstOracle(t *testing.T) {
 			Aggregate(query.Count, nil, "n").
 			Aggregate(query.Avg, expr.Col("c"), "m").
 			MustBuild(), syn},
+		// Five invertible aggregates: more running sums than the fused
+		// loops keep in registers, so the prefix takes its general branch.
+		{"agg-scalar-prefix-wide", "scalar-prefix", query.NewBuilder("dprew").
+			From("S", synSchema, window.NewCount(24, 7)).
+			Where(expr.Cmp{Op: expr.Gt, Left: expr.Col("c"), Right: expr.IntConst(10)}).
+			Aggregate(query.Sum, expr.Col("a"), "s").
+			Aggregate(query.Count, nil, "n").
+			Aggregate(query.Avg, expr.Col("c"), "m").
+			Aggregate(query.Sum, expr.Arith{Op: expr.Add, Left: expr.Col("b"), Right: expr.Col("d")}, "bd").
+			Aggregate(query.Avg, expr.Col("e"), "me").
+			MustBuild(), syn},
 		{"agg-scalar-direct", "scalar-direct", query.NewBuilder("ddir").
 			From("S", synSchema, window.NewTime(20, 7)).
 			Where(expr.Cmp{Op: expr.Lt, Left: expr.Col("b"), Right: expr.IntConst(5)}).
@@ -202,6 +213,17 @@ func TestKernelsAgainstOracle(t *testing.T) {
 			MustBuild(), wrap},
 		{"join-theta", "theta-join", joinQ("dth", window.NewCount(8, 8),
 			expr.Cmp{Op: expr.Lt, Left: v, Right: w}), pair},
+		// Computed output columns: int32, int64 and float expressions over
+		// both sides, written by the join's per-pair output writer.
+		{"join-theta-computed", "theta-join", query.NewBuilder("dthc").
+			FromAs("L", "L", leftSchema, window.NewCount(8, 4)).
+			FromAs("R", "R", rightSchema, window.NewCount(8, 4)).
+			Join(expr.Cmp{Op: expr.Lt, Left: v, Right: w}).
+			Select("v").
+			SelectAs(expr.Arith{Op: expr.Sub, Left: w, Right: v}, "gap").
+			SelectAs(plus(expr.QCol("L", "timestamp"), 1), "next").
+			SelectAs(expr.Arith{Op: expr.Mul, Left: expr.QCol("R", "timestamp"), Right: expr.FloatConst(0.5)}, "half").
+			MustBuild(), pair},
 		// Two lower bounds and no upper one: still the nested loop.
 		{"join-one-sided", "theta-join", joinQ("dos", window.NewCount(8, 8), expr.And{Preds: []expr.Pred{
 			expr.Cmp{Op: expr.Lt, Left: v, Right: w},

@@ -104,14 +104,6 @@ func New(seed int64) *Injector {
 	return &Injector{seed: seed, arms: make(map[Site]*arm)}
 }
 
-// Seed returns the injector's seed.
-func (in *Injector) Seed() int64 {
-	if in == nil {
-		return 0
-	}
-	return in.seed
-}
-
 // Arm arms (or re-arms) a site. Re-arming resets the site's counters.
 func (in *Injector) Arm(site Site, spec Spec) {
 	in.mu.Lock()

@@ -1,15 +1,16 @@
 // Package gpu implements SABER's GPGPU execution back end as a software
-// device (DESIGN.md §2): global memory is per-slot byte buffers, DMA
-// transfers really copy bytes through pinned staging buffers, and the
-// five-stage pipeline of paper §5.2 (copyin → movein → execute → moveout →
-// copyout) interleaves transfers with execution across in-flight tasks.
-// The execute stage runs the plan's batch operator function
-// (exec.Plan.Process), the same code the CPU workers run, over the
-// slot's device buffers. The paper's GPGPU algorithms appear only as their
-// cost: wall-clock behaviour follows the calibrated model in
-// internal/model, which charges the device's PCIe transfers and its lack
-// of incremental computation across overlapping windows, so the device
-// exhibits the paper's performance surface (PCIe-bound for cheap kernels,
+// device (DESIGN.md §2). Each of the device's PipelineDepth slots holds
+// one snapshot of a task's inputs, taken at Submit while the submitter
+// still owns the task's ring region; the five-stage pipeline of paper
+// §5.2 (copyin → movein → execute → moveout → copyout) interleaves the
+// tasks in flight. The execute stage runs the plan's batch operator
+// function (exec.Plan.Process), the same code the CPU workers run, over
+// the snapshot and writes the task's result in place. The transfer stages
+// move no bytes: they appear only as their cost. Wall-clock behaviour
+// follows the calibrated model in internal/model, which charges the
+// device's host copies, its PCIe transfers and its lack of incremental
+// computation across overlapping windows, so the device exhibits the
+// paper's performance surface (PCIe-bound for cheap kernels,
 // compute-advantaged for expensive ones).
 package gpu
 
@@ -53,19 +54,12 @@ type Device struct {
 
 	closed atomic.Bool
 
-	// batchHint is the engine's current task size ϕ in bytes; the submit
-	// path pre-sizes each slot's pinned staging buffers to it, so a grown
-	// ϕ costs one reallocation per slot instead of append-doubling churn
-	// in the middle of a burst. 0 means no hint (size to the data).
-	batchHint atomic.Int64
-
 	// Telemetry.
-	tasksDone    atomic.Int64
-	tasksFailed  atomic.Int64 // tasks that left the pipeline with an error
-	hangs        atomic.Int64 // injected execute-stage stalls
-	bytesMoved   atomic.Int64
-	inflight     atomic.Int64 // tasks holding a pipeline slot right now
-	stagingGrows atomic.Int64 // hint-driven staging buffer reallocations
+	tasksDone   atomic.Int64
+	tasksFailed atomic.Int64 // tasks that left the pipeline with an error
+	hangs       atomic.Int64 // injected execute-stage stalls
+	bytesMoved  atomic.Int64
+	inflight    atomic.Int64 // tasks holding a pipeline slot right now
 
 	// chk holds the invariant checker's monotonicity watermark; the mutex
 	// serialises CheckInvariants callers (see invariant.go).
@@ -105,27 +99,9 @@ func (d *Device) PipelineDepth() int { return d.cfg.PipelineDepth }
 // Hangs returns the number of injected execute-stage stalls.
 func (d *Device) Hangs() int64 { return d.hangs.Load() }
 
-// BytesMoved returns the number of bytes DMA-transferred in either
-// direction.
+// BytesMoved returns the number of bytes the modelled PCIe transfers
+// (movein and moveout) have charged for.
 func (d *Device) BytesMoved() int64 { return d.bytesMoved.Load() }
-
-// SetBatchHint tells the device the task size ϕ the engine is currently
-// cutting, so the pipeline can stage batches into right-sized pinned
-// buffers. Safe to call concurrently with submissions; 0 clears the
-// hint.
-func (d *Device) SetBatchHint(bytes int) {
-	if bytes < 0 {
-		bytes = 0
-	}
-	d.batchHint.Store(int64(bytes))
-}
-
-// BatchHint returns the current staging size hint in bytes.
-func (d *Device) BatchHint() int64 { return d.batchHint.Load() }
-
-// StagingGrows returns how many hint-driven staging-buffer
-// reallocations the pipeline has performed.
-func (d *Device) StagingGrows() int64 { return d.stagingGrows.Load() }
 
 // Injector returns the device's fault injector (nil when fault-free), so
 // telemetry can mirror its per-site budgets.

@@ -50,8 +50,8 @@ func fastDevice(t *testing.T) *Device {
 
 // runBoth executes the plan over the stream twice — CPU path and GPU
 // program — and returns both assembled outputs. Both run the same batch
-// operator function, so a difference is the pipeline's: staging, slot
-// reuse, the device output buffer or copyout.
+// operator function, so a difference is the pipeline's: the input
+// snapshot, slot reuse or the in-place result write.
 func runBoth(t *testing.T, d *Device, p *exec.Plan, streams [2][]byte, batchTuples int) (cpu, gpu []byte) {
 	t.Helper()
 	prog := d.Compile(p)
@@ -159,9 +159,9 @@ func TestMapKernelEmptyAndAllPass(t *testing.T) {
 }
 
 // TestNoStaleStreamAcrossJobs: with one pipeline slot, an aggregate job
-// reuses the buffers a map job just wrote; its result must be exactly
-// what the batch operator function gives on the host, with none of the
-// map's output copied into its Stream.
+// reuses the slot a map job just held; its result must be exactly what
+// the batch operator function gives on the host, with none of the map's
+// output in its Stream.
 func TestNoStaleStreamAcrossJobs(t *testing.T) {
 	d := Open(Config{PipelineDepth: 1, Model: model.Default().Scaled(1e-6)})
 	t.Cleanup(d.Close)
@@ -178,7 +178,7 @@ func TestNoStaleStreamAcrossJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Stream) == 0 {
-		t.Fatal("map job produced no output; the test needs a non-empty device buffer")
+		t.Fatal("map job produced no output; the test needs a non-empty stream")
 	}
 	mapPlan.ReleaseResult(res)
 
@@ -350,10 +350,10 @@ func TestPipelineOverlap(t *testing.T) {
 		d := Open(Config{PipelineDepth: depth, Model: model.Default().Scaled(1e-6), Fault: inj})
 		prog := d.Compile(p)
 		res := [2]*exec.TaskResult{p.NewResult(), p.NewResult()}
-		first := prog.Submit(batch(0), res[0])
+		first := prog.Submit(batch(0), res[0], nil)
 		waitFor(t, "first task parked in execute", func() bool { return d.Hangs() == 1 })
 		second := make(chan (<-chan error), 1)
-		go func() { second <- prog.Submit(batch(1), res[1]) }()
+		go func() { second <- prog.Submit(batch(1), res[1], nil) }()
 		if depth > 1 {
 			waitFor(t, "second task queued for execute", func() bool { return len(d.pipe.cExec) == 1 })
 			select {

@@ -10,26 +10,25 @@ import (
 )
 
 // job is one query task travelling through the five pipeline stages. The
-// slot's buffers (pinned staging and device global memory) are owned by
-// the job while in flight and recycled when copyout completes.
+// slot holding its input snapshot is owned by the job while in flight and
+// recycled when copyout completes.
 type job struct {
 	prog *Program
 	in   [2]exec.Batch
 	res  *exec.TaskResult
 	done chan error
 
-	slot    *slotBuffers
+	slot    *slot
 	inBytes int
 	tuples  int
 
-	// err marks the job failed; later stages pass a failed job through
-	// without touching its buffers, and copyout reports the error on the
-	// completion channel instead of a result.
+	// err marks the job failed; later stages pass a failed job through,
+	// and copyout reports the error on the completion channel instead of
+	// a result.
 	err error
 
-	// devOut holds the kernel's stream output in device memory; moveout
-	// and copyout stage it back to the host. Structured partials are
-	// produced by the kernel and accounted for in outBytes.
+	// outBytes is what the kernel appended to res: stream bytes plus the
+	// estimated size of its partials. moveout and copyout charge for it.
 	outBytes    int
 	selectivity float64
 
@@ -40,18 +39,13 @@ type job struct {
 	tr *obs.TaskTrace
 }
 
-// slotBuffers is one of the PipelineDepth in-flight buffer sets (the
-// paper's "buffer 1..4" in Fig. 6).
-type slotBuffers struct {
-	pinIn  [2][]byte
-	devIn  [2][]byte
-	devOut []byte
-	pinOut []byte
-}
+// slot is one of the PipelineDepth in-flight buffers (the paper's
+// "buffer 1..4" in Fig. 6): a snapshot of a task's two inputs.
+type slot [2][]byte
 
 type pipeline struct {
 	d     *Device
-	slots chan *slotBuffers
+	slots chan *slot
 
 	cIn, cMove, cExec, cBack, cOut chan *job
 	quit                           chan struct{}
@@ -67,7 +61,7 @@ func newPipeline(d *Device) *pipeline {
 	depth := d.cfg.PipelineDepth
 	p := &pipeline{
 		d:     d,
-		slots: make(chan *slotBuffers, depth),
+		slots: make(chan *slot, depth),
 		cIn:   make(chan *job, depth),
 		cMove: make(chan *job, depth),
 		cExec: make(chan *job, depth),
@@ -76,7 +70,7 @@ func newPipeline(d *Device) *pipeline {
 		quit:  make(chan struct{}),
 	}
 	for i := 0; i < d.cfg.PipelineDepth; i++ {
-		p.slots <- &slotBuffers{}
+		p.slots <- &slot{}
 	}
 	go p.copyin()
 	go p.movein()
@@ -92,32 +86,22 @@ func (p *pipeline) close() {
 
 func (p *pipeline) submit(j *job) {
 	j.slot = <-p.slots
-	// Snapshot the task's input into the slot's pinned staging buffers
-	// while the submitter still owns the task's ring region. After submit
-	// returns the pipeline touches only slot-owned memory, so a task that
-	// is failed over during a device hang — its ring region released and
-	// rewritten by the feeder — cannot race a stalled copy stage.
-	j.inBytes = 0
-	hint := int(p.d.batchHint.Load())
-	for i := 0; i < 2; i++ {
-		if n := len(j.in[i].Data); n > 0 && hint > n && hint > cap(j.slot.pinIn[i]) {
-			// The engine has grown ϕ past this slot's staging capacity:
-			// reallocate once to the hinted size rather than letting the
-			// next several batches append-double their way there.
-			j.slot.pinIn[i] = make([]byte, 0, hint)
-			p.d.stagingGrows.Add(1)
-		}
-		j.slot.pinIn[i] = append(j.slot.pinIn[i][:0], j.in[i].Data...)
-		j.inBytes += len(j.in[i].Data)
-		// Drop the ring-backed view: after submit the pipeline touches
-		// only slot-owned memory.
-		j.in[i].Data = nil
+	// Snapshot the task's input into the slot while the submitter still
+	// owns the task's ring region, and drop the ring-backed views. After
+	// submit returns the pipeline touches only slot-owned memory, so a task
+	// that is failed over during a device hang — its ring region released
+	// to the CPU retry and rewritten by the feeder — cannot race a stalled
+	// stage.
+	for i := range j.slot {
+		j.slot[i] = append(j.slot[i][:0], j.in[i].Data...)
+		j.in[i] = exec.Batch{Data: j.slot[i], Ctx: j.in[i].Ctx}
+		j.inBytes += len(j.slot[i])
 	}
 	p.d.inflight.Add(1)
 	p.cIn <- j
 }
 
-// copyin: managed heap → pinned host memory (the copy itself happened at
+// copyin: managed heap → pinned host memory (the snapshot taken at
 // submit; this stage models its cost and injects DMA faults).
 func (p *pipeline) copyin() {
 	defer close(p.cMove)
@@ -134,7 +118,7 @@ func (p *pipeline) copyin() {
 }
 
 // movein: pinned host memory → device global memory over the simulated
-// PCIe link.
+// PCIe link, modelled as its cost; the kernel reads the snapshot.
 func (p *pipeline) movein() {
 	defer close(p.cExec)
 	for j := range p.cMove {
@@ -143,16 +127,13 @@ func (p *pipeline) movein() {
 			continue
 		}
 		start := time.Now()
-		for i := 0; i < 2; i++ {
-			j.slot.devIn[i] = append(j.slot.devIn[i][:0], j.slot.pinIn[i]...)
-		}
 		p.d.bytesMoved.Add(int64(j.inBytes))
 		j.tr.SetStage(obs.StageGPUMoveIn, model.Pad(start, p.d.cfg.Model.PCIeTime(j.inBytes)))
 		p.cExec <- j
 	}
 }
 
-// execute: run the plan's batch operator function over device memory,
+// execute: run the plan's batch operator function over the snapshot,
 // padded to the modelled kernel time (which charges the paper's
 // non-incremental window reductions and the host-side join window
 // computation behind Fig. 12c's GPGPU collapse).
@@ -184,7 +165,8 @@ func (p *pipeline) execute() {
 	}
 }
 
-// moveout: device global memory → pinned host memory.
+// moveout: device global memory → pinned host memory, modelled as its
+// cost; the kernel already wrote the result in place.
 func (p *pipeline) moveout() {
 	defer close(p.cOut)
 	for j := range p.cBack {
@@ -193,14 +175,14 @@ func (p *pipeline) moveout() {
 			continue
 		}
 		start := time.Now()
-		j.slot.pinOut = append(j.slot.pinOut[:0], j.slot.devOut...)
 		p.d.bytesMoved.Add(int64(j.outBytes))
 		j.tr.SetStage(obs.StageGPUMoveOut, model.Pad(start, p.d.cfg.Model.PCIeTime(j.outBytes)))
 		p.cOut <- j
 	}
 }
 
-// copyout: pinned host memory → managed heap (the TaskResult).
+// copyout: pinned host memory → managed heap (the TaskResult), modelled
+// as its cost; it hands the slot back and completes the job.
 func (p *pipeline) copyout() {
 	for j := range p.cOut {
 		if j.err != nil {
@@ -211,7 +193,6 @@ func (p *pipeline) copyout() {
 			continue
 		}
 		start := time.Now()
-		j.res.Stream = append(j.res.Stream, j.slot.pinOut...)
 		j.tr.SetStage(obs.StageGPUCopyOut, model.Pad(start, p.d.cfg.Model.HostCopyTime(j.outBytes)))
 		p.d.inflight.Add(-1)
 		p.slots <- j.slot

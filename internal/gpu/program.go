@@ -22,15 +22,12 @@ func (d *Device) Compile(plan *exec.Plan) *Program {
 // Submit enqueues a task into the five-stage pipeline and returns a
 // completion channel. Up to the device's PipelineDepth tasks are in
 // flight; beyond that Submit blocks, which is the backpressure the GPGPU
-// worker thread relies on.
-func (p *Program) Submit(in [2]exec.Batch, res *exec.TaskResult) <-chan error {
-	return p.SubmitTraced(in, res, nil)
-}
-
-// SubmitTraced is Submit with a task trace: each pipeline stage stamps
-// its duration (copyin/movein/kernel/moveout/copyout) into tr. A nil tr
-// disables stamping.
-func (p *Program) SubmitTraced(in [2]exec.Batch, res *exec.TaskResult, tr *obs.TaskTrace) <-chan error {
+// worker thread relies on. Submit snapshots the inputs before it returns,
+// so the caller may reuse their memory at once; res belongs to the
+// pipeline until the channel yields. Each stage stamps its duration
+// (copyin/movein/kernel/moveout/copyout) into tr; a nil tr disables
+// stamping.
+func (p *Program) Submit(in [2]exec.Batch, res *exec.TaskResult, tr *obs.TaskTrace) <-chan error {
 	done := make(chan error, 1)
 	p.d.pipe.submit(&job{prog: p, in: in, res: res, done: done, selectivity: 1, tr: tr})
 	return done
@@ -38,34 +35,26 @@ func (p *Program) SubmitTraced(in [2]exec.Batch, res *exec.TaskResult, tr *obs.T
 
 // Run executes a task synchronously.
 func (p *Program) Run(in [2]exec.Batch, res *exec.TaskResult) error {
-	return <-p.Submit(in, res)
+	return <-p.Submit(in, res, nil)
 }
 
 // runKernels runs the plan's batch operator function over the job's
-// device buffers. Called from the pipeline's execute stage. Stream output
-// is written into the slot's device output buffer, which moveout and
-// copyout carry back to res.Stream; the slot pool is shared by every
-// query on the device, so the buffer is truncated first and the previous
-// job's output never leaks into this one. Partials are host structures,
-// accounted for in outBytes.
+// input snapshot, appending straight to its TaskResult. Called from the
+// pipeline's execute stage. Partials are host structures, accounted for
+// in outBytes by their estimated size.
 func (p *Program) runKernels(j *job) {
 	plan := p.plan
-	in := [2]exec.Batch{
-		{Data: j.slot.devIn[0], Ctx: j.in[0].Ctx},
-		{Data: j.slot.devIn[1], Ctx: j.in[1].Ctx},
-	}
 	for i := 0; i < plan.NumInputs(); i++ {
-		j.tuples += len(in[i].Data) / plan.InputSchema(i).TupleSize()
+		j.tuples += len(j.in[i].Data) / plan.InputSchema(i).TupleSize()
 	}
 	res := j.res
-	host, parts := res.Stream, len(res.Partials)
-	res.Stream = j.slot.devOut[:0]
-	j.err = plan.Process(in, res)
-	j.slot.devOut, res.Stream = res.Stream, host
-	j.outBytes = len(j.slot.devOut) + partialBytes(res.Partials[parts:])
+	stream, parts := len(res.Stream), len(res.Partials)
+	j.err = plan.Process(j.in, res)
+	out := len(res.Stream) - stream
+	j.outBytes = out + partialBytes(res.Partials[parts:])
 	if plan.Kind == exec.Map && j.tuples > 0 {
-		out := len(j.slot.devOut) / plan.OutputSchema().TupleSize()
-		j.selectivity = max(float64(out)/float64(j.tuples), 0.02) // the guard predicate still runs
+		rows := out / plan.OutputSchema().TupleSize()
+		j.selectivity = max(float64(rows)/float64(j.tuples), 0.02) // the guard predicate still runs
 	}
 }
 

@@ -27,7 +27,9 @@ const (
 	ShedNone Policy = iota
 	// ShedOldest sheds the oldest undispatched window range first: the
 	// stalest buffered tuples are cut as an accounted gap task, freeing
-	// budget for fresh data. Bounds result staleness under overload.
+	// budget for fresh data. Bounds result staleness under overload. It
+	// also acts on a paused query that is over budget: the gap tasks are
+	// cut while paused, and most input that arrives then is shed.
 	ShedOldest
 	// ShedWeighted sheds incoming chunks probabilistically, with a
 	// per-source weight scaling the drop probability, so hot sources

@@ -166,9 +166,6 @@ func (m *Matrix) notify() {
 	}
 }
 
-// Phi returns the task size the matrix currently evaluates rates at.
-func (m *Matrix) Phi() int { return int(m.phi.Load()) }
-
 // Observe records a completed task of query q on processor p that took
 // serviceSeconds of wall time, with no size attached (fixed-ϕ callers).
 func (m *Matrix) Observe(q int, p Processor, serviceSeconds float64) {

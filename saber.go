@@ -138,7 +138,8 @@ const (
 	// aware backpressure) until it drains below budget.
 	ShedNone = overload.ShedNone
 	// ShedOldest cuts the oldest undispatched window range first,
-	// bounding result staleness under sustained overload.
+	// bounding result staleness under sustained overload. A paused query
+	// over its budget is shed too: gap tasks are cut while it is paused.
 	ShedOldest = overload.ShedOldest
 	// ShedWeighted drops incoming chunks probabilistically, weighted per
 	// input side, so hot sources absorb more of the loss.

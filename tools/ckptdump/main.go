@@ -1,7 +1,6 @@
 // Command ckptdump prints a human-readable summary of a checkpoint
-// directory: the manifest chain, then every epoch file newest-first with
-// its per-query barrier, committed output frontier, input cursors and
-// pending-window count. Torn or corrupt files are flagged instead of
+// directory: every epoch file newest-first with its per-query barrier,
+// committed output frontier, input cursors and pending-window count. Torn or corrupt files are flagged instead of
 // aborting the dump — exactly the files recovery would fall back past.
 //
 // Usage:
@@ -13,7 +12,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"saber/internal/ckpt"
 )
@@ -24,17 +22,6 @@ func main() {
 		os.Exit(2)
 	}
 	dir := os.Args[1]
-
-	if m, err := os.ReadFile(filepath.Join(dir, "MANIFEST")); err == nil {
-		fmt.Printf("MANIFEST (newest first):\n")
-		for _, line := range strings.Split(strings.TrimSpace(string(m)), "\n") {
-			if line != "" {
-				fmt.Printf("  %s\n", line)
-			}
-		}
-	} else {
-		fmt.Printf("MANIFEST: %v\n", err)
-	}
 
 	files, err := ckpt.Scan(dir)
 	if err != nil {
