@@ -62,7 +62,7 @@ func main() {
 		ckptInterval = flag.Duration("checkpoint-interval", 0, "automatic checkpoint period (0 selects 500ms; negative disables the automatic coordinator); needs -checkpoint-dir")
 
 		maxQueueBytes = flag.Int64("max-queue-bytes", 0, "overload protection: per-query admission budget in bytes; a full queue blocks Insert, or sheds under -shed-policy; 0 leaves the input ring as the only bound")
-		shedPolicy    = flag.String("shed-policy", "none", "load shedding when the queue budget binds: none (lossless blocking) | oldest (cut stalest buffered window range) | weighted (drop arriving chunks probabilistically); needs -max-queue-bytes to actuate")
+		shedPolicy    = flag.String("shed-policy", "none", "load shedding when the queue budget binds: none (lossless blocking) | oldest (skip the query's oldest queued task) | weighted (drop arriving chunks probabilistically); needs -max-queue-bytes to actuate")
 		srcCredits    = flag.Int("source-credits", 0, "feed over loopback TCP ingest with credit-based flow control: the server advertises this window (tuples) and the source paces itself on the returned grants; 0 feeds in-process")
 	)
 	flag.Parse()
@@ -303,7 +303,7 @@ func main() {
 			snap.Counters["saber.adapt.clamped"], snap.Counters["saber.adapt.ticks"])
 	}
 	if *maxQueueBytes > 0 || shed != saber.ShedNone {
-		fmt.Printf("overload: offered %.1f MiB, shed %d tuples (%d oldest-window, %d at admission), bounded admission waits %d\n",
+		fmt.Printf("overload: offered %.1f MiB, shed %d tuples (%d oldest-task, %d at admission), bounded admission waits %d\n",
 			float64(st.BytesOffered)/(1<<20),
 			st.TuplesShed+st.TuplesShedAdmit, st.TuplesShedOldest, st.TuplesShedAdmit, st.AdmitWaits)
 	}

@@ -391,12 +391,10 @@ func (e *Engine) RegisterWith(q *query.Query, opts RegisterOptions) (*Handle, er
 // Pause quiesces a query at a task boundary: inserts keep admitting into
 // the ring (backpressure applies) but no further tasks are cut, and Pause
 // returns only once every already-cut task has drained. Sibling queries
-// are untouched. Pausing a paused query is a no-op.
-//
-// One exception: under overload.ShedOldest a paused query whose buffer
-// exceeds its queue budget still cuts gap tasks. Nothing drains a paused
-// query, so once MaxWait expires admission sheds the oldest ϕ at a time
-// to admit fresh input, and most of what arrives while paused is shed.
+// are untouched. Pausing a paused query is a no-op. A paused query has
+// no queued task for overload.ShedOldest to shed, so an Insert over its
+// queue budget blocks until Resume, Drain or Close under every policy
+// but ShedWeighted.
 func (e *Engine) Pause(name string) error {
 	e.regMu.Lock()
 	r, ok := e.byName[name]
@@ -642,7 +640,7 @@ func (e *Engine) watchLoop() {
 	defer e.watchWG.Done()
 	ov := e.cfg.Overload
 	w := overload.NewWatchdog(ov.StallTimeout)
-	tick := time.NewTicker(ov.StallInterval)
+	tick := time.NewTicker(ov.StallTimeout / 8)
 	defer tick.Stop()
 	for {
 		select {

@@ -97,7 +97,7 @@ type statsCounters struct {
 type overloadCounters struct {
 	bytesOffered *obs.Counter // bytes Insert accepted responsibility for
 	shedAdmit    *obs.Counter // tuples dropped before admission (weighted policy, quiesce abort)
-	shedOldest   *obs.Counter // admitted tuples cut as oldest-first gap tasks (also in tuples.shed)
+	shedOldest   *obs.Counter // admitted tuples of queued tasks ShedOldest delivered as gaps (also in tuples.shed)
 	admitWaits   *obs.Counter // Insert calls that hit the bounded backpressure wait
 	admitRejects *obs.Counter // non-blocking TryInsert rejections
 }
@@ -128,8 +128,8 @@ type Stats struct {
 	// Overload-protection accounting. BytesOffered is every byte Insert
 	// accepted responsibility for; TuplesShedAdmit the tuples dropped
 	// before admission (ShedWeighted or a quiesce-aborted Insert);
-	// TuplesShedOldest the admitted tuples the ShedOldest policy cut as
-	// gap tasks (a subset of TuplesShed). AdmitWaits counts Inserts that
+	// TuplesShedOldest the admitted tuples of the queued tasks the
+	// ShedOldest policy delivered unrun as gaps (a subset of TuplesShed). AdmitWaits counts Inserts that
 	// hit the bounded backpressure wait, AdmitRejects the TryInsert
 	// refusals. offered == in + shed_admit and in == out + shed hold at
 	// quiesce (in tuples).

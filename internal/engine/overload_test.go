@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
+	"saber/internal/gpu"
 	"saber/internal/model"
 	"saber/internal/overload"
 	"saber/internal/query"
@@ -244,11 +247,12 @@ func TestShedOldestUnderBudget(t *testing.T) {
 	}
 }
 
-// TestShedOldestWhilePaused pins what ShedOldest does to a paused query
-// that is over its queue budget: nothing drains it, so admission cuts
-// the oldest buffered ϕ as gap tasks and sheds their tuples, although a
-// paused query otherwise cuts no tasks. The ledger must still balance
-// and the engine must quiesce cleanly.
+// TestShedOldestWhilePaused is the regression test for ShedOldest on a
+// paused query that is over its queue budget. A paused query cuts no
+// tasks, so ShedOldest has nothing queued to shed: the over-budget Insert
+// blocks until Resume, as under ShedNone, and no MaxWait expiry cuts or
+// sheds anything meanwhile. The ledger must balance and the engine must
+// quiesce cleanly.
 func TestShedOldestWhilePaused(t *testing.T) {
 	eng := New(Config{
 		CPUWorkers:      2,
@@ -277,21 +281,35 @@ func TestShedOldestWhilePaused(t *testing.T) {
 
 	const total = 16384 // tuples, 320 KiB: ten times the budget
 	stream := genStream(total, 29)
-	step := 2048 * syn.TupleSize()
-	for off := 0; off < len(stream); off += step {
-		h.Insert(stream[off:min(off+step, len(stream))])
+	inserted := make(chan struct{})
+	go func() {
+		defer close(inserted)
+		step := 2048 * syn.TupleSize()
+		for off := 0; off < len(stream); off += step {
+			h.Insert(stream[off:min(off+step, len(stream))])
+		}
+	}()
+	waitFor(t, 10*time.Second, func() bool { return h.Stats().AdmitWaits > 0 }, "Insert to block")
+	// 250 bounded waits: time enough for any MaxWait expiry to act.
+	select {
+	case <-inserted:
+		t.Fatal("over-budget Insert returned while paused")
+	case <-time.After(50 * time.Millisecond):
 	}
-	st, d := h.Stats(), h.Debug()
-	if st.TuplesShedOldest == 0 || d.TasksCreated == 0 {
-		t.Fatalf("paused over budget: shed %d tuples in %d tasks, want both > 0", st.TuplesShedOldest, d.TasksCreated)
+	if st, d := h.Stats(), h.Debug(); d.TasksCreated != 0 || st.TuplesShed != 0 {
+		t.Fatalf("paused over budget: %d tasks cut, %d tuples shed, want 0 and 0", d.TasksCreated, st.TuplesShed)
 	}
-	t.Logf("paused: %d tasks cut, %d of %d tuples shed", d.TasksCreated, st.TuplesShedOldest, total)
 	if err := eng.Resume("q"); err != nil {
 		t.Fatal(err)
 	}
+	select {
+	case <-inserted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Insert still blocked after Resume")
+	}
 	eng.Drain()
 
-	st = h.Stats()
+	st := h.Stats()
 	tsz := int64(syn.TupleSize())
 	if st.BytesOffered != int64(len(stream)) {
 		t.Fatalf("offered %d, want %d", st.BytesOffered, len(stream))
@@ -299,12 +317,94 @@ func TestShedOldestWhilePaused(t *testing.T) {
 	if got, want := st.BytesOffered/tsz, st.BytesIn/tsz+st.TuplesShedAdmit; got != want {
 		t.Fatalf("offered %d != admitted %d + admission-shed %d", got, st.BytesIn/tsz, st.TuplesShedAdmit)
 	}
-	if st.TuplesShed < st.TuplesShedOldest {
-		t.Fatalf("tuples.shed %d < shed.oldest %d", st.TuplesShed, st.TuplesShedOldest)
+	if st.TuplesShed != st.TuplesShedOldest {
+		t.Fatalf("tuples.shed %d != shed.oldest %d", st.TuplesShed, st.TuplesShedOldest)
 	}
 	eng.Close()
 	if err := h.CheckQuiesced(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// insertSteps inserts stream in 2048-tuple steps.
+func insertSteps(h *Handle, stream []byte) {
+	step := 2048 * syn.TupleSize()
+	for off := 0; off < len(stream); off += step {
+		h.Insert(stream[off:min(off+step, len(stream))])
+	}
+}
+
+// TestShedOldestGPUOnly: ShedOldest sheds queued tasks whichever
+// processor would have run them, so a GPU-only engine whose slow device
+// falls behind a 32 KiB budget sheds too, with an exact ledger. A
+// sibling query without a budget shares the queue; it loses nothing and
+// matches the direct run byte for byte, so only the over-budget query's
+// tasks were shed.
+func TestShedOldestGPUOnly(t *testing.T) {
+	for _, siblingTuples := range []int{0, 4096} {
+		t.Run(fmt.Sprintf("sibling=%d", siblingTuples), func(t *testing.T) {
+			dev := gpu.Open(gpu.Config{Model: model.Default().Scaled(20)})
+			defer dev.Close()
+			eng := New(Config{
+				CPUWorkers:      -1,
+				GPU:             dev,
+				TaskSize:        4000,
+				InputBufferSize: 1 << 20,
+				DisablePad:      true,
+				Model:           model.Default(),
+			})
+			h, err := eng.RegisterWith(namedSel("capped"), RegisterOptions{Overload: &overload.Config{
+				MaxQueueBytes: 32 << 10,
+				Policy:        overload.ShedOldest,
+				MaxWait:       200 * time.Microsecond,
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.OnResult(func([]byte) {})
+			free, err := eng.Register(namedSel("free"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := collectOutput(free)
+			if err := eng.Start(); err != nil {
+				t.Fatal(err)
+			}
+			stream, freeStream := genStream(16384, 31), genStream(siblingTuples, 37)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				insertSteps(free, freeStream)
+			}()
+			insertSteps(h, stream)
+			<-done
+			eng.Drain()
+			eng.Close()
+
+			st := h.Stats()
+			tsz := int64(syn.TupleSize())
+			if st.TuplesShedOldest == 0 || st.TasksCPU != 0 {
+				t.Fatalf("gpu-only engine over budget: shed %d tuples, ran %d tasks on the CPU, want > 0 and 0", st.TuplesShedOldest, st.TasksCPU)
+			}
+			if st.BytesOffered != int64(len(stream)) {
+				t.Fatalf("offered %d, want %d", st.BytesOffered, len(stream))
+			}
+			if got, want := st.BytesOffered/tsz, st.BytesIn/tsz+st.TuplesShedAdmit; got != want {
+				t.Fatalf("offered %d != admitted %d + admission-shed %d", got, st.BytesIn/tsz, st.TuplesShedAdmit)
+			}
+			if st.TuplesShed != st.TuplesShedOldest {
+				t.Fatalf("tuples.shed %d != shed.oldest %d", st.TuplesShed, st.TuplesShedOldest)
+			}
+			if err := h.CheckQuiesced(); err != nil {
+				t.Fatal(err)
+			}
+			if fs := free.Stats(); fs.TuplesShed != 0 || fs.TuplesShedAdmit != 0 {
+				t.Fatalf("sibling shed: %+v", fs)
+			}
+			if want := directRun(t, namedSel("free"), [2][]byte{freeStream, nil}, 128); !bytes.Equal(out.buf, want) {
+				t.Fatalf("sibling output differs from the direct run: %d bytes, want %d", len(out.buf), len(want))
+			}
+		})
 	}
 }
 
@@ -365,8 +465,7 @@ func TestWatchdogDetectsStall(t *testing.T) {
 		DisablePad:      true,
 		Model:           model.Default(),
 		Overload: &overload.Config{
-			StallTimeout:  100 * time.Millisecond,
-			StallInterval: 10 * time.Millisecond,
+			StallTimeout: 100 * time.Millisecond,
 		},
 	})
 	h, err := eng.Register(gateQuery(gate))

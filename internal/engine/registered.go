@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,14 +63,6 @@ type registered struct {
 	// an Overload config. Guarded by insMu (which also makes the flip
 	// sequence deterministic for a seed).
 	shed *overload.Shedder
-	// shedTaskQuota is ShedOldest's worker-side escape valve: when the
-	// bounded admission wait expires but every buffered byte is already
-	// cut into queued tasks (so shedOldestLocked has nothing to cut),
-	// admit grants one task of quota here and the next worker pickup for
-	// this query delivers that task as an accounted gap instead of
-	// executing it. FCFS pickup makes it the oldest queued work. Held at
-	// most 1 so sheds stay paced one bounded wait apart.
-	shedTaskQuota atomic.Int64
 
 	// committed is the output byte offset covered by the newest durable
 	// checkpoint — the exactly-once cutoff Handle.Committed reports to
@@ -246,7 +239,7 @@ func (r *registered) cutFull(w cutWait) {
 		if !ok || !r.windowOpen(w) {
 			return
 		}
-		r.emit(tuples, false)
+		r.emit(tuples)
 	}
 }
 
@@ -294,7 +287,7 @@ func (r *registered) nextCut(phi int64, p [2]int64) (tuples [2]int64, ok bool) {
 type cutWait int
 
 const (
-	noWait     cutWait = iota // TryInsert, shedding and a blocked admission never park
+	noWait     cutWait = iota // TryInsert and a blocked admission never park
 	waitIngest                // Insert and Resume give up once the query pauses or drops or the engine quiesces
 	waitTail                  // Drain and Deregister flush the residue whatever the query's state
 )
@@ -362,13 +355,16 @@ const (
 //   - admits when the chunk fits both the ring and the effective
 //     Overload queue budget;
 //   - once the bounded wait (Overload.MaxWait) expires with the shedding
-//     policy armed, actuates it — ShedOldest frees budget by cutting the
-//     stalest undispatched range as an accounted gap task, ShedWeighted
-//     drops the incoming chunk with the per-source weighted coin;
+//     policy armed, actuates it — ShedOldest frees budget by delivering
+//     the query's oldest queued task as an accounted gap (see shedQueued),
+//     ShedWeighted drops the incoming chunk with the per-source weighted
+//     coin;
 //   - otherwise parks on the result stage's progress signal, fired by a
-//     drain, by the engine quiescing, resizing ϕ, arming shedding or
-//     dropping the query, and at the MaxWait deadline while the policy
-//     could act.
+//     drain, by the engine quiescing, resizing ϕ, arming shedding,
+//     resuming or dropping the query, and at the MaxWait deadline while
+//     the policy could act. A query with nothing queued gives ShedOldest
+//     nothing to act on, so a paused one waits for Resume, Drain or
+//     Close, as under ShedNone.
 func (r *registered) admit(side int, in *inputStream, p []byte) admitVerdict {
 	ov := r.ov
 	// since stamps when the current bounded wait began. MaxWait is wall
@@ -404,22 +400,17 @@ func (r *registered) admit(side int, in *inputStream, p []byte) admitVerdict {
 		if shedding && time.Since(since) >= ov.MaxWait {
 			switch ov.Policy {
 			case overload.ShedOldest:
-				if r.shedOldestLocked(side) {
-					// The gap's space is reclaimed asynchronously at the
-					// drain frontier, so pace further sheds by another
-					// bounded wait instead of cascading through all
-					// pending data at once.
+				if r.shedQueued() {
+					// The gap's space is reclaimed at the drain frontier,
+					// so pace further sheds by another bounded wait
+					// instead of cascading through the queue at once.
 					since = time.Now()
 					continue
 				}
-				// Nothing undispatched to shed — the eager dispatcher has
-				// already cut everything into queued tasks. Grant the
-				// worker-side quota instead: the next pickup for this
-				// query sheds its (oldest queued) task as a gap, and its
-				// drain reclaims the budget. One grant at a time keeps
-				// sheds paced one bounded wait apart.
-				r.shedTaskQuota.CompareAndSwap(0, 1)
-				since = time.Now()
+				// Nothing of the query is queued: it is paused or all its
+				// tasks are in flight. Their drain, Resume, Drain or
+				// Close fires progress; no deadline can change that.
+				shedding = false
 			case overload.ShedWeighted:
 				if r.shed.DropChunk(side) {
 					return admitDropped
@@ -451,43 +442,25 @@ func (r *registered) overBudget(in *inputStream, need int64) bool {
 	return in.ring.Size()+need > budget
 }
 
-// shedOldestLocked cuts up to one ϕ of the oldest undispatched tuples on
-// side as a gap task delivered straight to the result stage: their ring
-// space is reclaimed in drain order, timestamp continuity is preserved
-// through the usual EndPrevTS bookkeeping, and the tuples are counted
-// shed — exactly the quarantine machinery, driven by policy instead of
-// failure. Called with insMu held; returns false when nothing is
-// undispatched or the result window is full (the worker-side quota then
-// sheds a queued task instead).
-func (r *registered) shedOldestLocked(side int) bool {
-	in := r.ins[side]
-	n := r.e.taskSize.Load() / int64(in.tupleSize)
-	if n < 1 {
-		n = 1
-	}
-	if r.pendingBytes(side)/int64(in.tupleSize) < n {
-		// Never shed a sub-ϕ range: a gap narrower than a task would shift
-		// every later count-window boundary off the task grid, stranding
-		// straddled windows open until the end-of-stream flush. Defer to
-		// the worker-side quota, which sheds whole queued tasks only.
+// shedQueued is ShedOldest's shed: it takes the query's oldest queued
+// task out of the system-wide queue, whichever processor would have run
+// it, and delivers it as an accounted gap, so its drain reclaims the
+// task's ring span. Whole tasks keep every later window boundary on the
+// task grid. Called with insMu held; returns false when none of the
+// query's tasks is queued.
+func (r *registered) shedQueued() bool {
+	t := r.e.queue.Select(func(items []*task.Task) int {
+		return slices.IndexFunc(items, func(t *task.Task) bool { return t.Query == r.idx })
+	})
+	if t == nil {
 		return false
 	}
-	if !r.windowOpen(noWait) {
-		return false
+	if r.result.deliverGap(t) {
+		n := int64(taskTuples(r, t))
+		r.stats.tuplesShed.Add(n)
+		r.over.shedOldest.Add(n)
 	}
-	var tuples [2]int64
-	tuples[side] = n
-	r.emit(tuples, true)
-	r.stats.tuplesShed.Add(n)
-	r.over.shedOldest.Add(n)
 	return true
-}
-
-// takeShedTask consumes the worker-side ShedOldest quota (0 or 1).
-// Workers call it on every pickup; it is a single load on the (vastly
-// common) unarmed path.
-func (r *registered) takeShedTask() bool {
-	return r.shedTaskQuota.Load() > 0 && r.shedTaskQuota.CompareAndSwap(1, 0)
 }
 
 func (r *registered) pendingBytes(side int) int64 {
@@ -496,11 +469,7 @@ func (r *registered) pendingBytes(side int) int64 {
 }
 
 // emit cuts tuples[i] tuples from each input and enqueues the task.
-// With shed set the task is a policy-shed gap: it is sequenced and
-// accounted like any other cut (ring release, timestamp continuity,
-// drain barrier) but delivered straight to the result stage as a gap
-// instead of being scheduled.
-func (r *registered) emit(tuples [2]int64, shed bool) {
+func (r *registered) emit(tuples [2]int64) {
 	t := &task.Task{
 		Query:   r.idx,
 		ID:      r.taskSeq.Add(1) - 1,
@@ -556,10 +525,6 @@ func (r *registered) emit(tuples [2]int64, shed bool) {
 		}
 	}
 	r.stats.tasksCreated.Add(1)
-	if shed {
-		r.result.deliverGap(t)
-		return
-	}
 	if !r.e.queue.PushOpen(t) {
 		// The queue closed between the admission quiesce check and this
 		// cut — Close (which closes the queue without the dispatch lock)
@@ -650,7 +615,7 @@ func (r *registered) dispatchTail() {
 		tuples[i] = r.pendingBytes(i) / int64(r.ins[i].tupleSize)
 	}
 	if tuples != [2]int64{} && r.windowOpen(waitTail) {
-		r.emit(tuples, false)
+		r.emit(tuples)
 	}
 }
 

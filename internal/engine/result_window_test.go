@@ -673,7 +673,7 @@ func TestWindowInvariantCatchesCutPastWindow(t *testing.T) {
 		t.Fatalf("%d tasks cut before Start, want 4", d.TasksCreated)
 	}
 	r.insMu.Lock()
-	r.emit([2]int64{128, 0}, false) // the cut windowOpen would refuse
+	r.emit([2]int64{128, 0}) // the cut windowOpen would refuse
 	r.insMu.Unlock()
 	var fired []string
 	for _, c := range eng.Invariants() {

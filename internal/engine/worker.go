@@ -39,19 +39,6 @@ func (e *Engine) cpuWorker() {
 			continue
 		}
 		r := e.queryAt(t.Query)
-		if r.takeShedTask() {
-			// ShedOldest's worker-side rung: admission granted a shed for
-			// this query because all over-budget bytes were already cut
-			// into tasks. Skip execution and deliver the gap; the drain
-			// reclaims the task's ring span, which is what unblocks the
-			// waiting Insert.
-			if r.result.deliverGap(t) {
-				n := int64(taskTuples(r, t))
-				r.stats.tuplesShed.Add(n)
-				r.over.shedOldest.Add(n)
-			}
-			continue
-		}
 		start := time.Now()
 		t.Trace.SetStage(obs.StageQueue, time.Duration(start.UnixNano()-t.Created))
 		res := r.plan.NewResult()

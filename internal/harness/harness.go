@@ -241,7 +241,7 @@ type Report struct {
 	// Overload-protection telemetry (Overload runs).
 	BytesOffered     int64 // bytes Insert took responsibility for
 	TuplesShedAdmit  int64 // tuples dropped before admission
-	TuplesShedOldest int64 // admitted tuples cut oldest-first
+	TuplesShedOldest int64 // admitted tuples of queued tasks shed oldest-first
 	AdmitWaits       int64 // Inserts that hit the bounded backpressure wait
 	CreditWaits      int64 // ingest sends that blocked on the credit window
 	Stalls           int64 // watchdog stall episodes

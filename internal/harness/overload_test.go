@@ -45,7 +45,7 @@ func shapeCapacity(shape Config) float64 {
 // TestOverloadShedOldestAtTwiceCapacity is the sustained-overload chaos
 // scenario: the feed is paced at 2× the measured capacity with a tight
 // queue budget, so admission pressure is continuous and the
-// oldest-window-first rung must actuate. Degradation has to be graceful
+// oldest-task-first rung must actuate. Degradation has to be graceful
 // — bounded shedding with real goodput — and exactly accounted: the
 // shed-tolerant checker enforces out + shed == offered, order and
 // per-tuple integrity on everything that survives.

@@ -5,10 +5,10 @@
 //
 // The policy ladder is deliberate (DESIGN.md §12): a loaded engine first
 // shrinks ϕ (internal/adapt), then exerts backpressure against the
-// budget, and only as a last rung sheds tuples — oldest-window-first to
-// bound staleness, or probabilistically weighted per source. Every shed
-// tuple is accounted for exactly, so the harness conservation invariant
-// `offered == out + shed` holds at quiesce.
+// budget, and only as a last rung sheds tuples — the oldest queued task
+// first to bound staleness, or probabilistically weighted per source.
+// Every shed tuple is accounted for exactly, so the harness conservation
+// invariant `offered == out + shed` holds at quiesce.
 package overload
 
 import (
@@ -25,11 +25,11 @@ const (
 	// ShedNone never drops data: admission blocks (quiesce-aware
 	// backpressure) until the queue drains below budget.
 	ShedNone Policy = iota
-	// ShedOldest sheds the oldest undispatched window range first: the
-	// stalest buffered tuples are cut as an accounted gap task, freeing
-	// budget for fresh data. Bounds result staleness under overload. It
-	// also acts on a paused query that is over budget: the gap tasks are
-	// cut while paused, and most input that arrives then is shed.
+	// ShedOldest sheds the query's oldest queued task first: it leaves
+	// the task queue unrun, whichever processor would have run it, as an
+	// accounted gap, and its drain frees budget for fresh data. Bounds
+	// result staleness under overload. A query with no queued task
+	// (paused, or all in flight) blocks instead, as under ShedNone.
 	ShedOldest
 	// ShedWeighted sheds incoming chunks probabilistically, with a
 	// per-source weight scaling the drop probability, so hot sources
@@ -88,10 +88,9 @@ type Config struct {
 	// fixed default so chaos runs stay deterministic.
 	Seed int64
 	// StallTimeout is how long the watchdog tolerates buffered input with
-	// no drain progress before declaring the pipeline wedged. Default 5s.
+	// no drain progress before declaring the pipeline wedged; it probes
+	// every StallTimeout/8. Default 5s.
 	StallTimeout time.Duration
-	// StallInterval is the watchdog probe period. Default StallTimeout/8.
-	StallInterval time.Duration
 }
 
 // WithDefaults fills the zero fields.
@@ -112,9 +111,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.StallTimeout <= 0 {
 		c.StallTimeout = 5 * time.Second
-	}
-	if c.StallInterval <= 0 {
-		c.StallInterval = c.StallTimeout / 8
 	}
 	return c
 }

@@ -137,9 +137,9 @@ const (
 	// ShedNone never drops data: a full queue blocks Insert (quiesce-
 	// aware backpressure) until it drains below budget.
 	ShedNone = overload.ShedNone
-	// ShedOldest cuts the oldest undispatched window range first,
-	// bounding result staleness under sustained overload. A paused query
-	// over its budget is shed too: gap tasks are cut while it is paused.
+	// ShedOldest sheds the query's oldest queued task first, bounding
+	// result staleness under sustained overload. A paused query has no
+	// queued task to shed: its over-budget Insert blocks until Resume.
 	ShedOldest = overload.ShedOldest
 	// ShedWeighted drops incoming chunks probabilistically, weighted per
 	// input side, so hot sources absorb more of the loss.
